@@ -9,6 +9,10 @@ on an annulus.  Exactness is not a luxury here: deciding whether a weighted
 exponent sum is an integer is what separates resonant monomials from
 removable ones, and that question has no floating-point answer.
 
+A Gaussian rational is stored as one integer triple ``(a, b, d)`` with value
+``(a + b*i)/d``, kept canonical by a single three-argument ``gcd`` after each
+operation; its real and imaginary parts are derived ``Fraction`` values.
+
 Values are immutable after construction and safe to share between threads.
 The containers are coefficient-agnostic: a :class:`LaurentPoly` may also hold
 Python ``complex`` values (the numeric holonomy path uses this), but exact and
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "GaussianRational",
@@ -33,32 +38,41 @@ class CoefficientSyntaxError(ValueError):
     """Raised when a textual coefficient does not match the Q[i] grammar."""
 
 
-def _as_fraction(v):
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"expected an exact rational, got {type(v).__name__}")
-
-
 class GaussianRational:
-    """An element of Q[i]: exact rational real and imaginary parts.
+    """An element of Q[i], stored as the integer triple ``(a, b, d)``.
 
-    The canonical form is unique (``Fraction`` keeps denominators positive
-    and in lowest terms), so equality is structural.
+    The value is ``(a + b*i)/d``.  The triple is canonical: ``d > 0`` and
+    ``gcd(a, b, d) == 1``, so zero is ``(0, 0, 1)``.  The form is unique, so
+    equality is structural, and each of ``+ - * /`` normalizes with one
+    three-argument ``gcd``.  ``re`` and ``im`` are read-only ``Fraction``
+    properties derived from the triple.  As with ``Fraction``, the private
+    slots are written only when a value is built.
+
+    Operands may be ``GaussianRational``, ``int`` or ``Fraction`` on either
+    side; any other type gives ``NotImplemented`` (so floats raise
+    ``TypeError``).
 
     >>> (GaussianRational(1, 1) / GaussianRational(1, -1)) == GaussianRational(0, 1)
     True
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+    def __new__(cls, re=0, im=0):
+        for v in (re, im):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"expected an exact rational, got {type(v).__name__}")
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        return _gq(p * s, r * q, q * s)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- constructors ------------------------------------------------------
 
@@ -101,113 +115,126 @@ class GaussianRational:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     def is_integer(self) -> bool:
-        return not self.im and self.re.denominator == 1
+        return not self._b and self._d == 1
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _gq_raw(Fraction(other), _F0)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _gq_raw(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussianRational):
+            c, e, f = other._a, other._b, other._d
+        else:
+            t = _parts(other)
+            if t is None:
+                return NotImplemented
+            c, e, f = t
+        a, b, d = self._a, self._b, self._d
+        if d == f:
+            return _gq(a + c, b + e, d)
+        return _gq(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _gq_raw(self.re - o.re, self.im - o.im)
+        if isinstance(other, GaussianRational):
+            c, e, f = other._a, other._b, other._d
+        else:
+            t = _parts(other)
+            if t is None:
+                return NotImplemented
+            c, e, f = t
+        a, b, d = self._a, self._b, self._d
+        if d == f:
+            return _gq(a - c, b - e, d)
+        return _gq(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _gq_raw(o.re - self.re, o.im - self.im)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if isinstance(other, GaussianRational):
+            c, e, f = other._a, other._b, other._d
+        else:
+            t = _parts(other)
+            if t is None:
+                return NotImplemented
+            c, e, f = t
+        a, b, d = self._a, self._b, self._d
         # real factors are the overwhelmingly common case; skip the full
         # complex product (4 multiplications) for them
-        if not self.im:
-            if not self.re:
-                return GaussianRational.ZERO
-            return _gq_raw(self.re * o.re, self.re * o.im)
-        if not o.im:
-            if not o.re:
-                return GaussianRational.ZERO
-            return _gq_raw(self.re * o.re, self.im * o.re)
-        return _gq_raw(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        if not b:
+            return _gq(a * c, a * e, d * f)
+        if not e:
+            return _gq(a * c, b * c, d * f)
+        return _gq(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.im:
-            if not o.re:
+        if isinstance(other, GaussianRational):
+            c, e, f = other._a, other._b, other._d
+        else:
+            t = _parts(other)
+            if t is None:
+                return NotImplemented
+            c, e, f = t
+        a, b, d = self._a, self._b, self._d
+        # (a + b i)/d / ((c + e i)/f) = f (a + b i)(c - e i) / (d (c^2 + e^2))
+        if not e:
+            if not c:
                 raise ZeroDivisionError("division by zero in Q[i]")
-            return _gq_raw(self.re / o.re, self.im / o.re)
-        d = o.re * o.re + o.im * o.im
-        if not d:
-            raise ZeroDivisionError("division by zero in Q[i]")
-        return _gq_raw(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+            if c < 0:
+                c, f = -c, -f
+            return _gq(a * f, b * f, d * c)
+        return _gq((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = _parts(other)
+        if t is None:
             return NotImplemented
-        return o / self
+        return _gq(*t) / self
 
     def __neg__(self):
-        return _gq_raw(-self.re, -self.im)
+        return _gq(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     def conjugate(self) -> "GaussianRational":
-        return _gq_raw(self.re, -self.im)
+        return _gq(self._a, -self._b, self._d)
 
     # -- conversions -------------------------------------------------------
 
     def as_complex(self) -> complex:
-        return complex(self.re) + 1j * float(self.im)
+        return complex(self._a / self._d, self._b / self._d)
 
     def abs_bound(self) -> Fraction:
         """max(|re|, |im|), an exact proxy for the magnitude."""
-        return max(abs(self.re), abs(self.im))
+        return Fraction(max(abs(self._a), abs(self._b)), self._d)
 
     # -- protocol ----------------------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, (int, Fraction)):
+            return (
+                not self._b
+                and self._a == other.numerator
+                and self._d == other.denominator
+            )
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # real values hash like the equal int or Fraction
+        if not self._b:
+            return hash(self.re)
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
         return not self.is_zero()
@@ -215,28 +242,42 @@ class GaussianRational:
     def __str__(self):
         if self.is_zero():
             return "0"
-        if not self.im:
-            return str(self.re)
-        mag = abs(self.im)
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        mag = abs(im)
         imag = "i" if mag == 1 else f"{mag}*i"
-        if not self.re:
-            return imag if self.im > 0 else "-" + imag
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{imag}"
+        if not re:
+            return imag if im > 0 else "-" + imag
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{imag}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-_F0 = Fraction(0)
+_new = object.__new__
 
 
-def _gq_raw(re: Fraction, im: Fraction) -> GaussianRational:
-    """Internal constructor for values already known to be Fractions."""
-    v = GaussianRational.__new__(GaussianRational)
-    object.__setattr__(v, "re", re)
-    object.__setattr__(v, "im", im)
+def _gq(a: int, b: int, d: int) -> GaussianRational:
+    """Internal constructor: (a + b*i)/d for ints with d > 0, made canonical."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    v = _new(GaussianRational)
+    v._a = a
+    v._b = b
+    v._d = d
     return v
+
+
+def _parts(v):
+    """The triple of an int or Fraction operand; None for any other type."""
+    if isinstance(v, (int, Fraction)):
+        return v.numerator, 0, v.denominator
+    return None
 
 
 def _parse_rational(body: str, original: str) -> Fraction:

@@ -12,7 +12,8 @@ and for the base loop gamma(theta) = e^{2 pi i theta} the factor is just
 (coefficients of the map zeta -> z(theta) through total degree d), so the
 theta = 1 state is the holonomy's polynomial jet; path_lift() integrates the
 plain pointwise system.  Everything here is floating point: exact fields are
-converted at entry, and tolerances are explicit.
+converted at entry, and tolerances are explicit: every entry point rejects a
+tol that is not finite and positive with ValueError.
 
 The integrator is an adaptive embedded Dormand-Prince 5(4) pair on complex
 state vectors; the jet right-hand side is polynomial with a handful of
@@ -218,6 +219,11 @@ def _require_x_normalized(X: VectorField):
         raise ValueError("holonomy requires an x-normalized field")
 
 
+def _require_tol(tol) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def _eval_coeff(xterms, x: complex) -> complex:
     acc = 0j
     for e, c in xterms:
@@ -325,6 +331,7 @@ def holonomy_jet(X: VectorField, degree: int, tol: float = 1e-10,
     jet space, theta from 0 to 1, starting from the identity jet.
     """
     _require_x_normalized(X)
+    _require_tol(tol)
     if degree < 1:
         raise ValueError("jet degree must be >= 1")
     n = X.n
@@ -453,6 +460,7 @@ def path_lift(X: VectorField, start, path: PathSpec, tol: float = 1e-10):
     path's escape radius.
     """
     _require_x_normalized(X)
+    _require_tol(tol)
     x0, z0 = start
     z0 = tuple(complex(v) for v in z0)
     if len(z0) != X.n:
@@ -495,6 +503,7 @@ def conjugacy_residual(X: VectorField, psi: Automorphism, degree: int,
     residual with them.
     """
     _require_x_normalized(X)
+    _require_tol(tol)
     if not psi.is_x_normalized():
         raise ValueError("conjugacy check requires an x-normalized automorphism")
     Y = psi.pushforward(X)

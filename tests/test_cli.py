@@ -104,3 +104,19 @@ def test_declared_mu_mismatch_rejected(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 2
     assert "does not match" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command,extra", [
+    ("holonomy", []),
+    ("conjugacy-check", ["--map", doc("scale.map")]),
+])
+def test_invalid_tol_is_usage_error(command, extra, tol, capsys):
+    argv = [command, "--field", doc("resonant.vf"), *extra, "--degree", "2",
+            "--tol", tol, "--json"]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: tol must be finite and > 0")
+    assert "Traceback" not in err

@@ -1,7 +1,11 @@
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crossfield.coeff import CoefficientSyntaxError, GaussianRational, LaurentPoly
 
@@ -90,6 +94,135 @@ class TestGaussianRational:
         v = G(1)
         with pytest.raises(AttributeError):
             v.re = Fraction(2)
+
+
+# -- GaussianRational against a (Fraction, Fraction) oracle -------------------
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+pairs = st.tuples(rationals, rationals)
+exact_operands = st.one_of(st.integers(-30, 30), rationals)
+OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def oracle(op, x, y):
+    """op on pairs (re, im) of Fractions, by the textbook formulas."""
+    (p, q), (r, s) = x, y
+    if op is operator.add:
+        return p + r, q + s
+    if op is operator.sub:
+        return p - r, q - s
+    if op is operator.mul:
+        return p * r - q * s, p * s + q * r
+    n = r * r + s * s
+    return (p * r + q * s) / n, (q * r - p * s) / n
+
+
+def pair_of(v):
+    return (v.re, v.im)
+
+
+def assert_canonical(v):
+    assert isinstance(v, G)
+    assert v._d > 0
+    assert gcd(v._a, v._b, v._d) == 1
+    assert isinstance(v.re, Fraction) and isinstance(v.im, Fraction)
+
+
+class TestKernelProperties:
+    @given(pairs, pairs, st.sampled_from(OPS))
+    def test_binary_ops(self, x, y, op):
+        if op is operator.truediv and y == (0, 0):
+            return
+        v = op(G(*x), G(*y))
+        assert_canonical(v)
+        assert pair_of(v) == oracle(op, x, y)
+
+    @given(pairs, exact_operands, st.sampled_from(OPS))
+    def test_int_and_fraction_operands_on_either_side(self, x, k, op):
+        if k != 0 or op is not operator.truediv:
+            left = op(G(*x), k)
+            assert_canonical(left)
+            assert pair_of(left) == oracle(op, x, (Fraction(k), Fraction(0)))
+        if x != (0, 0) or op is not operator.truediv:
+            right = op(k, G(*x))
+            assert_canonical(right)
+            assert pair_of(right) == oracle(op, (Fraction(k), Fraction(0)), x)
+
+    @given(pairs)
+    def test_negation_and_conjugate(self, x):
+        v = G(*x)
+        assert_canonical(-v)
+        assert pair_of(-v) == (-x[0], -x[1])
+        assert_canonical(v.conjugate())
+        assert pair_of(v.conjugate()) == (x[0], -x[1])
+        assert +v is v
+
+    @given(pairs, pairs)
+    def test_equality_and_hash(self, x, y):
+        u, v = G(*x), G(*y)
+        assert (u == v) == (x == y)
+        assert (u != v) == (x != y)
+        if u == v:
+            assert hash(u) == hash(v)
+        # the same value built another way is the same triple
+        w = (u + v) - v
+        assert w == u and hash(w) == hash(u)
+
+    @given(exact_operands)
+    def test_equality_and_hash_against_rationals(self, k):
+        v = G(k)
+        assert v == k and k == v
+        assert hash(v) == hash(k)
+        assert (v == 0) == (k == 0)
+        assert G(k, 1) != k
+        assert hash(G(0)) == hash(0) == hash(Fraction(0))
+
+    @given(pairs)
+    def test_predicates_and_bounds(self, x):
+        v = G(*x)
+        re, im = x
+        assert v.is_zero() == (re == 0 and im == 0) == (not v)
+        assert v.is_real() == (im == 0)
+        assert v.is_integer() == (im == 0 and re.denominator == 1)
+        bound = v.abs_bound()
+        assert isinstance(bound, Fraction)
+        assert bound == max(abs(re), abs(im))
+        assert v.as_complex() == complex(re) + 1j * float(im)
+
+    @given(pairs)
+    def test_str_round_trip(self, x):
+        v = G(*x)
+        assert G.from_string(str(v)) == v
+        assert repr(v) == f"GaussianRational({x[0]!r}, {x[1]!r})"
+
+    @given(pairs)
+    def test_division_by_zero(self, x):
+        v = G(*x)
+        for zero in (G(0), 0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                v / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / G(0)
+
+    @given(pairs, st.sampled_from(OPS), st.sampled_from([0.5, 2.0, 1j, 1 + 2j]))
+    def test_float_and_complex_operands_raise(self, x, op, bad):
+        v = G(*x)
+        with pytest.raises(TypeError):
+            op(v, bad)
+        with pytest.raises(TypeError):
+            op(bad, v)
+        assert v != bad
+
+    def test_constructor_rejects_inexact_parts(self):
+        for bad in (0.5, 1j, "1"):
+            with pytest.raises(TypeError):
+                G(bad)
+            with pytest.raises(TypeError):
+                G(0, bad)
+
+    def test_zero_is_one_triple(self):
+        for z in (G(0), G(Fraction(0), 0), G(1) - G(1), G(0, 3) * 0):
+            assert (z._a, z._b, z._d) == (0, 0, 1)
 
 
 class TestLaurentPoly:

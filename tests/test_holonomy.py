@@ -175,6 +175,18 @@ class TestPathLift:
             path_lift(X, (1.0, (0.3,)), path, 1e-13)
 
 
+class TestToleranceValidation:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_entry_points_reject_bad_tol(self, tol):
+        X = field_resonant()
+        with pytest.raises(ValueError, match="tol"):
+            holonomy_jet(X, 2, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            path_lift(X, (1.0, (0.1,)), PathSpec.circle(), tol)
+        with pytest.raises(ValueError, match="tol"):
+            conjugacy_residual(X, Automorphism.identity(1, 4), 2, tol=tol)
+
+
 class TestConjugacy:
     def test_identity_residual(self):
         r = conjugacy_residual(field_resonant(), Automorphism.identity(1, 4), 2)
