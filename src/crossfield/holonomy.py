@@ -15,9 +15,14 @@ plain pointwise system.  Everything here is floating point: exact fields are
 converted at entry, and tolerances are explicit: every entry point rejects a
 tol that is not finite and positive with ValueError.
 
-The integrator is an adaptive embedded Dormand-Prince 5(4) pair on complex
-state vectors; the jet right-hand side is polynomial with a handful of
-coefficients at desk scale, so nothing fancier is warranted.
+The jet state is one packed complex vector (_jet_layout): block i holds the
+coefficients of z_i on the monomials of degree 1..d in grlex order.  Jets are
+multiplied through a product table built once per call (_product_table):
+for each position a, the positions b with |K_a| + |K_b| <= d and the position
+of K_a + K_b.  _dense_mul runs that table, and _monomials builds z^M from
+powers z_j^k = z_j^(k-1) z_j; the jet right-hand side and HolonomyJet.after
+share both.  The integrator is an adaptive embedded Dormand-Prince 5(4) pair
+on complex state vectors.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ __all__ = [
 ]
 
 TWO_PI_I = 2j * math.pi
+# |windings| bound for holonomy_jet: the integration cost grows linearly in it
+MAX_WINDINGS = 64
 
 
 class IntegrationError(RuntimeError):
@@ -111,19 +118,31 @@ class HolonomyJet:
         return out
 
     def after(self, other: "HolonomyJet") -> "HolonomyJet":
-        """Composition self o other: substitute other's jets into self."""
+        """Composition self o other: substitute other's jets into self.
+
+        other is packed into the dense blocks of _jet_layout and each monomial
+        of self is built once through the product table; terms past the
+        degree drop out.  Neither jet may have a constant term.
+        """
         if self.n != other.n or self.degree != other.degree:
             raise ValueError("jet shapes differ")
-        pows = _PowerCache(other.coeffs, self.n, self.degree)
+        n, degree = self.n, self.degree
+        monos, _ = _jet_layout(n, degree)
+        m = len(monos)
+        pos = {K: p for p, K in enumerate(monos)}
+        blocks = [_pack(other.coeffs.get(i, {}), pos, degree) for i in range(1, n + 1)]
+        terms = [_pack_terms(self.coeffs.get(i, {}), degree) for i in range(1, n + 1)]
+        z_K = _monomials(_product_table(monos, degree), m, blocks,
+                         [K for comp in terms for K, _ in comp])
         out = {}
-        for i in range(1, self.n + 1):
-            acc = {}
-            for K, c in self.coeffs.get(i, {}).items():
-                prod = pows.monomial(K)
-                for K2, c2 in prod.items():
-                    acc[K2] = acc.get(K2, 0j) + c * c2
-            out[i] = acc
-        return HolonomyJet(self.n, self.degree, out, self.base_point)
+        for i, comp in enumerate(terms, 1):
+            acc = [0j] * m
+            for K, c in comp:
+                for o, v in enumerate(z_K[K]):
+                    if v:
+                        acc[o] += c * v
+            out[i] = dict(zip(monos, acc))
+        return HolonomyJet(n, degree, out, self.base_point)
 
     def apply_point(self, z) -> tuple:
         z = tuple(complex(v) for v in z)
@@ -153,42 +172,78 @@ class HolonomyJet:
         return f"HolonomyJet(n={self.n}, degree={self.degree}, {self.coeffs!r})"
 
 
-class _PowerCache:
-    """Truncated powers and monomials of a jet family, built on demand."""
-
-    def __init__(self, coeffs, n, degree):
-        self.n = n
-        self.degree = degree
-        self.base = [dict(coeffs.get(i, {})) for i in range(1, n + 1)]
-        self._pows = {}
-
-    def power(self, i: int, k: int):
-        if k == 0:
-            return {(0,) * self.n: 1.0 + 0j}
-        key = (i, k)
-        hit = self._pows.get(key)
-        if hit is None:
-            hit = _jet_mul(self.power(i, k - 1), self.base[i], self.degree)
-            self._pows[key] = hit
-        return hit
-
-    def monomial(self, K):
-        out = {(0,) * self.n: 1.0 + 0j}
-        for i, k in enumerate(K):
-            if k:
-                out = _jet_mul(out, self.power(i, k), self.degree)
-        return out
+def _pack_terms(comp, degree):
+    """The (K, c) of a jet component with |K| <= degree; a constant term is an error."""
+    out = []
+    for K, c in comp.items():
+        d = sum(K)
+        if d == 0:
+            raise ValueError("jets with a constant term cannot be composed")
+        if d <= degree:
+            out.append((K, c))
+    return out
 
 
-def _jet_mul(a, b, degree):
+def _pack(comp, pos, degree):
+    """Dense block of a jet component over the grlex positions `pos`."""
+    block = [0j] * len(pos)
+    for K, c in _pack_terms(comp, degree):
+        block[pos[K]] = c
+    return block
+
+
+def _product_table(monos, degree):
+    """Rows (a, [(o, b), ...]) of the truncated product of two packed blocks.
+
+    monos lists the monomials of degree 1..degree in grlex order; position a
+    pairs with every b with |K_a| + |K_b| <= degree, and o is the position of
+    K_a + K_b.  Rows and pairs both run in grlex order.
+    """
+    pos = {K: p for p, K in enumerate(monos)}
+    rows = []
+    for a, Ka in enumerate(monos):
+        room = degree - sum(Ka)
+        pairs = [
+            (pos[tuple(x + y for x, y in zip(Ka, Kb))], b)
+            for b, Kb in enumerate(monos)
+            if sum(Kb) <= room
+        ]
+        if pairs:
+            rows.append((a, pairs))
+    return rows
+
+
+def _dense_mul(rows, A, B, m):
+    """Truncated product of the packed blocks A and B (length m), a outer, b inner."""
+    r = [0j] * m
+    for a, pairs in rows:
+        x = A[a]
+        if x:
+            for o, b in pairs:
+                r[o] += x * B[b]
+    return r
+
+
+def _monomials(rows, m, blocks, exps):
+    """Dense z^M over the packed blocks z_j, for each exponent tuple M in exps.
+
+    Each M needs 1 <= |M|.  Powers follow z_j^k = z_j^(k-1) z_j, z^M
+    multiplies its powers left to right over j, and every power and every
+    distinct M is built once.
+    """
+    powers = [[z] for z in blocks]
     out = {}
-    for K1, c1 in a.items():
-        d1 = sum(K1)
-        for K2, c2 in b.items():
-            if d1 + sum(K2) > degree:
-                continue
-            K = tuple(x + y for x, y in zip(K1, K2))
-            out[K] = out.get(K, 0j) + c1 * c2
+    for M in exps:
+        if M in out:
+            continue
+        acc = None
+        for j, k in enumerate(M):
+            if k:
+                pw = powers[j]
+                while len(pw) < k:
+                    pw.append(_dense_mul(rows, pw[-1], pw[0], m))
+                acc = pw[k - 1] if acc is None else _dense_mul(rows, acc, pw[k - 1], m)
+        out[M] = acc
     return out
 
 
@@ -280,21 +335,24 @@ def _integrate(f, t0: float, t1: float, y0, tol: float, max_steps: int = 200_000
             raise IntegrationError(f"step budget exhausted at t={t:.6g}")
         if (span > 0 and t + h > t1) or (span < 0 and t + h < t1):
             h = t1 - t
+        # f never mutates its state argument, so stages share y until updated
         ks = []
         for stage in range(7):
-            ys = list(y)
+            ys = y
             for idx, a in enumerate(_DP_A[stage]):
                 if a != 0.0:
-                    ys = [v + h * a * k for v, k in zip(ys, ks[idx])]
+                    ha = h * a
+                    ys = [v + ha * k for v, k in zip(ys, ks[idx])]
             ks.append(f(t + _DP_C[stage] * h, ys))
-        y5 = list(y)
-        y4 = list(y)
+        y5 = y4 = y
         for idx in range(7):
             b5, b4 = _DP_B5[idx], _DP_B4[idx]
             if b5 != 0.0:
-                y5 = [v + h * b5 * k for v, k in zip(y5, ks[idx])]
+                hb = h * b5
+                y5 = [v + hb * k for v, k in zip(y5, ks[idx])]
             if b4 != 0.0:
-                y4 = [v + h * b4 * k for v, k in zip(y4, ks[idx])]
+                hb = h * b4
+                y4 = [v + hb * k for v, k in zip(y4, ks[idx])]
         err = 0.0
         for v5, v4, v in zip(y5, y4, y):
             scale = tol + tol * max(abs(v), abs(v5))
@@ -315,6 +373,7 @@ def _integrate(f, t0: float, t1: float, y0, tol: float, max_steps: int = 200_000
 
 
 def _jet_layout(n: int, degree: int):
+    """Packed jet state: block i holds z_i's coefficients on `monos` (grlex)."""
     monos = [K for K in iter_exponents(n, 1, degree)]
     index = {}
     for i in range(1, n + 1):
@@ -323,52 +382,77 @@ def _jet_layout(n: int, degree: int):
     return monos, index
 
 
+def _jet_rhs(X: VectorField, degree: int, windings: int):
+    """Right-hand side of the jet ODE on the packed state of _jet_layout.
+
+    dz/dtheta = 2 pi i w B(e^{2 pi i w theta}, z): per call the n blocks are
+    sliced out of the state, each field monomial z^M with a nonzero
+    coefficient at this theta is built once for all directions, and
+    2 pi i w c times it is added into the block of its direction.
+    """
+    n = X.n
+    monos, _ = _jet_layout(n, degree)
+    m = len(monos)
+    rows = _product_table(monos, degree)
+    factor = TWO_PI_I * windings
+    # terms of degree 0 or past the jet degree leave no trace in degrees 1..d
+    plan = [
+        (i * m, [(M, xterms) for M, xterms in comp if 1 <= sum(M) <= degree])
+        for i, comp in enumerate(_numeric_terms(X))
+    ]
+
+    def rhs(theta, y):
+        x = cmath.exp(TWO_PI_I * windings * theta)
+        scaled = []
+        for off, comp in plan:
+            for M, xterms in comp:
+                c = _eval_coeff(xterms, x)
+                if c != 0:
+                    scaled.append((off, M, factor * c))
+        blocks = [y[off:off + m] for off in range(0, n * m, m)]
+        z_M = _monomials(rows, m, blocks, [M for _, M, _ in scaled])
+        out = [0j] * (n * m)
+        for off, M, fc in scaled:
+            for o, v in enumerate(z_M[M], off):
+                if v:
+                    out[o] += fc * v
+        return out
+
+    return rhs
+
+
+def _require_windings(windings) -> None:
+    if (isinstance(windings, bool) or not isinstance(windings, int)
+            or not 0 < abs(windings) <= MAX_WINDINGS):
+        raise ValueError(
+            f"windings must be a nonzero integer with |windings| <= {MAX_WINDINGS}, "
+            f"got {windings!r}"
+        )
+
+
 def holonomy_jet(X: VectorField, degree: int, tol: float = 1e-10,
                  windings: int = 1) -> HolonomyJet:
     """Jet of the return map at (1, 0), lifting the unit circle `windings` times.
 
     Integrates dz/dtheta = 2 pi i w B(e^{2 pi i w theta}, z) on the truncated
-    jet space, theta from 0 to 1, starting from the identity jet.
+    jet space, theta from 0 to 1, starting from the identity jet.  windings
+    is a nonzero integer with |windings| <= MAX_WINDINGS; a negative value
+    runs the loop backwards.
     """
     _require_x_normalized(X)
     _require_tol(tol)
+    _require_windings(windings)
     if degree < 1:
         raise ValueError("jet degree must be >= 1")
     n = X.n
     if degree > X.cap:
         raise ValueError("jet degree exceeds the field's truncation cap")
-    terms = _numeric_terms(X)
-    monos, index = _jet_layout(n, degree)
-    factor = TWO_PI_I * windings
-
-    def rhs(theta, y):
-        x = cmath.exp(TWO_PI_I * windings * theta)
-        jets = {
-            i: {
-                K: y[index[(i, K)]]
-                for K in monos
-                if y[index[(i, K)]] != 0
-            }
-            for i in range(1, n + 1)
-        }
-        pows = _PowerCache(jets, n, degree)
-        out = [0j] * len(index)
-        for i in range(1, n + 1):
-            for M, xterms in terms[i - 1]:
-                c = _eval_coeff(xterms, x)
-                if c == 0:
-                    continue
-                prod = pows.monomial(M)
-                for K, v in prod.items():
-                    if sum(K) >= 1:
-                        out[index[(i, K)]] += factor * c * v
-        return out
-
+    _, index = _jet_layout(n, degree)
     y0 = [0j] * len(index)
     ident = HolonomyJet.identity(n, degree)
     for (i, K), pos in index.items():
         y0[pos] = ident.coefficient(i, K)
-    y1 = _integrate(rhs, 0.0, 1.0, y0, tol)
+    y1 = _integrate(_jet_rhs(X, degree, windings), 0.0, 1.0, y0, tol)
     coeffs = {i: {} for i in range(1, n + 1)}
     for (i, K), pos in index.items():
         if y1[pos] != 0:

@@ -120,3 +120,15 @@ def test_invalid_tol_is_usage_error(command, extra, tol, capsys):
     assert out == ""
     assert err.startswith("error: tol must be finite and > 0")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("windings", ["0", "65", "-65", str(10**6)])
+def test_out_of_range_windings_is_usage_error(windings, capsys):
+    argv = ["holonomy", "--field", doc("resonant.vf"), "--degree", "2",
+            "--windings", windings, "--json"]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: windings must be a nonzero integer")
+    assert "Traceback" not in err

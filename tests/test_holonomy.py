@@ -1,16 +1,26 @@
 import cmath
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from crossfield.cli import FieldDocument
 from crossfield.coeff import GaussianRational as G
 from crossfield.coeff import LaurentPoly
 from crossfield.holonomy import (
+    MAX_WINDINGS,
     HolonomyJet,
     IntegrationError,
     LeafEscapeError,
     PathSpec,
+    _dense_mul,
+    _eval_coeff,
+    _integrate,
+    _jet_layout,
+    _jet_rhs,
+    _numeric_terms,
+    _product_table,
     conjugacy_residual,
     holonomy_jet,
     path_lift,
@@ -19,7 +29,9 @@ from crossfield.holonomy import (
 from crossfield.lie import Automorphism, VectorField, exp
 from crossfield.series import MonomialIndex
 
-from helpers import rand_x_normalized_automorphism
+from helpers import rand_mu, rand_x_normalized, rand_x_normalized_automorphism
+
+DATA = Path(__file__).parent / "data"
 
 
 def mono(n, cap, K, j, coeff):
@@ -243,3 +255,192 @@ class TestTransport:
         _, za = transport_conjugacy(Y, X, bad, pt, 1e-12)
         _, zb = transport_conjugacy(Y, X, bad, pt, 1e-12, extra_windings=1)
         assert abs(za[0] - zb[0]) > 1e-9
+
+
+class TestWindingsValidation:
+    @pytest.mark.parametrize("windings", [0, MAX_WINDINGS + 1, -MAX_WINDINGS - 1, 10**6, 1.0, True])
+    def test_rejected(self, windings):
+        with pytest.raises(ValueError, match="windings"):
+            holonomy_jet(field_resonant(), 2, windings=windings)
+
+    def test_negative_windings_reverse_the_loop(self):
+        X = field_resonant()
+        forward = holonomy_jet(X, 3, tol=1e-11)
+        backward = holonomy_jet(X, 3, tol=1e-11, windings=-1)
+        assert forward.after(backward).max_abs_diff(HolonomyJet.identity(1, 3)) < 1e-8
+
+
+# --- brute-force reference for the packed product plan -----------------------
+# The dict products below are the loop version the packed kernel replaced;
+# they stay here as the oracle for _dense_mul, HolonomyJet.after and the RHS.
+
+
+def ref_jet_mul(a, b, degree):
+    out = {}
+    for K1, c1 in a.items():
+        d1 = sum(K1)
+        for K2, c2 in b.items():
+            if d1 + sum(K2) > degree:
+                continue
+            K = tuple(x + y for x, y in zip(K1, K2))
+            out[K] = out.get(K, 0j) + c1 * c2
+    return out
+
+
+class RefPowers:
+    """Truncated powers and monomials of a jet family, built on demand."""
+
+    def __init__(self, coeffs, n, degree):
+        self.n = n
+        self.degree = degree
+        self.base = [dict(coeffs.get(i, {})) for i in range(1, n + 1)]
+        self._pows = {}
+
+    def power(self, i, k):
+        if k == 0:
+            return {(0,) * self.n: 1.0 + 0j}
+        if (i, k) not in self._pows:
+            self._pows[(i, k)] = ref_jet_mul(self.power(i, k - 1), self.base[i], self.degree)
+        return self._pows[(i, k)]
+
+    def monomial(self, K):
+        out = {(0,) * self.n: 1.0 + 0j}
+        for i, k in enumerate(K):
+            if k:
+                out = ref_jet_mul(out, self.power(i, k), self.degree)
+        return out
+
+
+def ref_after(f, g):
+    """f o g by dict substitution."""
+    pows = RefPowers(g.coeffs, f.n, f.degree)
+    out = {}
+    for i in range(1, f.n + 1):
+        acc = {}
+        for K, c in f.coeffs.get(i, {}).items():
+            for K2, c2 in pows.monomial(K).items():
+                acc[K2] = acc.get(K2, 0j) + c * c2
+        out[i] = acc
+    return HolonomyJet(f.n, f.degree, out, f.base_point)
+
+
+def ref_rhs(X, degree, windings):
+    """The jet RHS with per-call dict powers, on the packed layout."""
+    n = X.n
+    terms = _numeric_terms(X)
+    monos, index = _jet_layout(n, degree)
+    factor = 2j * math.pi * windings
+
+    def rhs(theta, y):
+        x = cmath.exp(2j * math.pi * windings * theta)
+        jets = {i: {K: y[index[(i, K)]] for K in monos if y[index[(i, K)]] != 0}
+                for i in range(1, n + 1)}
+        pows = RefPowers(jets, n, degree)
+        out = [0j] * len(index)
+        for i in range(1, n + 1):
+            for M, xterms in terms[i - 1]:
+                c = _eval_coeff(xterms, x)
+                if c == 0:
+                    continue
+                for K, v in pows.monomial(M).items():
+                    if sum(K) >= 1:
+                        out[index[(i, K)]] += factor * c * v
+        return out
+
+    return rhs
+
+
+def rand_block(rng, m, zero_prob=0.3):
+    return [0j if rng.random() < zero_prob else complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            for _ in range(m)]
+
+
+def rand_jet(rng, n, degree):
+    monos, _ = _jet_layout(n, degree)
+    return HolonomyJet(n, degree, {
+        i: dict(zip(monos, rand_block(rng, len(monos)))) for i in range(1, n + 1)
+    })
+
+
+def assert_close(got, want, rel=1e-12):
+    """Entry-wise match of two {key: complex} maps, relative to the largest entry."""
+    scale = max([1.0] + [abs(v) for v in want.values()])
+    for key in set(got) | set(want):
+        assert abs(got.get(key, 0j) - want.get(key, 0j)) <= rel * scale, key
+
+
+JET_SHAPES = [(n, d) for n in (1, 2, 3) for d in range(1, 6)]
+
+
+class TestProductPlanAgainstReference:
+    @pytest.mark.parametrize("n,degree", JET_SHAPES)
+    def test_dense_mul(self, n, degree):
+        rng = random.Random(7000 + 10 * n + degree)
+        monos, _ = _jet_layout(n, degree)
+        m = len(monos)
+        rows = _product_table(monos, degree)
+        for _ in range(4):
+            A, B = rand_block(rng, m), rand_block(rng, m)
+            got = dict(zip(monos, _dense_mul(rows, A, B, m)))
+            want = ref_jet_mul({K: v for K, v in zip(monos, A) if v},
+                               {K: v for K, v in zip(monos, B) if v}, degree)
+            assert_close(got, want)
+
+    @pytest.mark.parametrize("n,degree", JET_SHAPES)
+    def test_after(self, n, degree):
+        rng = random.Random(7100 + 10 * n + degree)
+        for _ in range(3):
+            f, g = rand_jet(rng, n, degree), rand_jet(rng, n, degree)
+            got, want = f.after(g), ref_after(f, g)
+            for i in range(1, n + 1):
+                assert_close(got.coeffs[i], want.coeffs[i])
+
+    @pytest.mark.parametrize("n,degree", JET_SHAPES)
+    def test_rhs_at_random_state(self, n, degree):
+        rng = random.Random(7200 + 10 * n + degree)
+        X = rand_x_normalized(rng, rand_mu(rng, n), degree + 1, terms=4)
+        _, index = _jet_layout(n, degree)
+        for windings in (1, -1, 2):
+            y = rand_block(rng, len(index))
+            theta = rng.random()
+            got = _jet_rhs(X, degree, windings)(theta, y)
+            want = ref_rhs(X, degree, windings)(theta, y)
+            assert_close(dict(enumerate(got)), dict(enumerate(want)))
+
+    def test_after_rejects_constant_terms(self):
+        f = HolonomyJet.identity(1, 2)
+        g = HolonomyJet(1, 2, {1: {(0,): 0.5, (1,): 1.0}})
+        with pytest.raises(ValueError, match="constant"):
+            f.after(g)
+
+
+def _golden_field(name):
+    path = DATA / name
+    return FieldDocument.parse(path.read_text(encoding="utf-8"), source=str(path)).field(None)
+
+
+class TestIntegrationAgainstReference:
+    @pytest.mark.parametrize("X,degree", [
+        pytest.param(_golden_field("resonant.vf"), 2, id="resonant"),
+        pytest.param(_golden_field("twovar.vf"), 2, id="twovar"),
+        pytest.param(rand_x_normalized(random.Random(73), rand_mu(random.Random(74), 2), 4),
+                     4, id="seeded-n2-d4"),
+    ])
+    def test_same_steps_and_state(self, X, degree):
+        _, index = _jet_layout(X.n, degree)
+        y0 = [0j] * len(index)
+        ident = HolonomyJet.identity(X.n, degree)
+        for (i, K), pos in index.items():
+            y0[pos] = ident.coefficient(i, K)
+        finals, counts = [], []
+        for rhs in (ref_rhs(X, degree, 1), _jet_rhs(X, degree, 1)):
+            calls = [0]
+
+            def counted(theta, y, rhs=rhs, calls=calls):
+                calls[0] += 1
+                return rhs(theta, y)
+
+            finals.append(_integrate(counted, 0.0, 1.0, y0, 1e-10))
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
+        assert_close(dict(enumerate(finals[1])), dict(enumerate(finals[0])))
