@@ -11,7 +11,8 @@ digits.
 Exit codes: 0 success, 1 a mathematical finding flagged as a failure (a
 noncommuting pair under check-commute, a centralizer monomial violating the
 no-negative-resonance expectation, a conjugacy residual over the bound), 2
-usage errors including syntax errors with positions.
+usage errors including syntax errors with positions and sizes above the
+MAX_* bounds below.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ from .resonance import (
 from .series import DimensionMismatchError, TransverseSeries
 
 __all__ = ["main", "FieldDocument", "MapDocument", "DocumentError"]
+
+# Size bounds on document headers and flags.  The work grows with the number
+# of monomials of degree <= d in n variables, so unbounded values run for
+# minutes (or trip exp's iteration guard); larger values exit 2.  At the
+# bounds a sparse field normalizes in a few seconds.
+MAX_N = 6  # the 'n' header, and the number of --mu values
+MAX_DEGREE = 12  # the 'degree' header and --degree
+MAX_X_CAP = 64  # the 'x-cap' header and --x-cap
+_HEADER_BOUNDS = {"n": MAX_N, "degree": MAX_DEGREE, "x-cap": MAX_X_CAP}
 
 
 class DocumentError(ValueError):
@@ -144,9 +154,23 @@ class FieldDocument:
 def _int_header(header, key, source):
     raw, lineno = header[key]
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise DocumentError(f"{source}:{lineno}: '{key}' must be an integer, got {raw!r}")
+    bound = _HEADER_BOUNDS[key]
+    if value > bound:
+        raise DocumentError(f"{source}:{lineno}: '{key}' must be at most {bound}, got {value}")
+    return value
+
+
+def _check_flag_bounds(args) -> None:
+    for flag, dest, bound in (
+        ("--degree", "degree", MAX_DEGREE),
+        ("--x-cap", "x_cap", MAX_X_CAP),
+    ):
+        value = getattr(args, dest, None)
+        if value is not None and value > bound:
+            raise DocumentError(f"{flag} must be at most {bound}, got {value}")
 
 
 class MapDocument:
@@ -297,10 +321,11 @@ def _load_map(args) -> Automorphism:
 
 def _mu_from(args, doc=None):
     if getattr(args, "mu", None):
+        parts = args.mu.split(",")
+        if len(parts) > MAX_N:
+            raise DocumentError(f"--mu lists {len(parts)} values, at most {MAX_N}")
         try:
-            return tuple(
-                GaussianRational.from_string(part) for part in args.mu.split(",")
-            )
+            return tuple(GaussianRational.from_string(part) for part in parts)
         except CoefficientSyntaxError as e:
             raise DocumentError(f"bad --mu value: {e}")
     if doc is not None and doc.mu is not None:
@@ -653,6 +678,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        _check_flag_bounds(args)
         return _COMMANDS[args.command](args)
     except Finding as e:
         sys.stderr.write(f"finding: {e}\n")

@@ -14,10 +14,10 @@ A Gaussian rational is stored as one integer triple ``(a, b, d)`` with value
 operation; its real and imaginary parts are derived ``Fraction`` values.
 
 Values are immutable after construction and safe to share between threads.
-The containers are coefficient-agnostic: a :class:`LaurentPoly` may also hold
-Python ``complex`` values (the numeric holonomy path uses this), but exact and
-floating scalars never mix silently -- combining a :class:`GaussianRational`
-with a float raises ``TypeError``.
+The containers hold Q[i] values only: ints and Fractions are converted on the
+way in, and floats or complex numbers raise ``TypeError``.  Floats appear
+only at the holonomy boundary, through :meth:`GaussianRational.as_complex`
+and :meth:`LaurentPoly.evaluate`.
 """
 
 from __future__ import annotations
@@ -297,13 +297,11 @@ GaussianRational.I = GaussianRational(0, 1)
 
 
 def as_scalar(v):
-    """Coerce to a scalar the containers accept: Q[i] exact, or complex."""
+    """Coerce an int, Fraction or GaussianRational to a Q[i] scalar."""
     if isinstance(v, GaussianRational):
         return v
     if isinstance(v, (int, Fraction)):
         return GaussianRational(v)
-    if isinstance(v, (complex, float)):
-        return complex(v)
     raise TypeError(f"unsupported scalar type {type(v).__name__}")
 
 
@@ -378,9 +376,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
-    def is_exact(self) -> bool:
-        return all(isinstance(c, GaussianRational) for c in self._terms.values())
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -418,15 +413,14 @@ class LaurentPoly:
                     else:
                         data[e] = s
             return _lp_raw(data)
-        if isinstance(other, (int, Fraction, GaussianRational, complex, float)):
+        if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        # Plain ints and Fractions are type-neutral rational constants: they
-        # multiply exact and complex coefficients alike without mixing them.
+        # ints and Fractions multiply Q[i] values directly, unconverted
         if not isinstance(c, (int, Fraction)):
             c = as_scalar(c)
         if c == 0:
@@ -497,32 +491,12 @@ class LaurentPoly:
         """Numeric evaluation at a nonzero complex point."""
         out = 0j
         for e, c in self._terms.items():
-            cv = c.as_complex() if isinstance(c, GaussianRational) else complex(c)
-            out += cv * x**e
+            out += c.as_complex() * x**e
         return out
 
-    def as_complex(self) -> "LaurentPoly":
-        return _lp_raw(
-            {
-                e: (c.as_complex() if isinstance(c, GaussianRational) else complex(c))
-                for e, c in self._terms.items()
-            }
-        )
-
-    def abs_bound(self):
-        """Largest coefficient magnitude: exact Fraction bound, or float."""
-        best = Fraction(0)
-        fbest = 0.0
-        exact = True
-        for c in self._terms.values():
-            if isinstance(c, GaussianRational):
-                best = max(best, c.abs_bound())
-            else:
-                exact = False
-                fbest = max(fbest, abs(c))
-        if exact:
-            return best
-        return max(float(best), fbest)
+    def abs_bound(self) -> Fraction:
+        """Largest coefficient magnitude, as an exact Fraction bound."""
+        return max((c.abs_bound() for c in self._terms.values()), default=Fraction(0))
 
     # -- protocol ----------------------------------------------------------
 
@@ -573,20 +547,16 @@ def format_term(coeff, var_text: str):
     printer can join with " + " / " - "; mixed coefficients stay inside
     parentheses, which is also the only form the grammar accepts for them.
     """
-    if isinstance(coeff, GaussianRational):
-        if not coeff.im:
-            neg = coeff.re < 0
-            mag = abs(coeff.re)
-            if mag == 1 and var_text:
-                return neg, var_text
-            body = str(mag)
-        elif not coeff.re:
-            neg = coeff.im < 0
-            mag = abs(coeff.im)
-            body = "i" if mag == 1 else f"{mag}*i"
-        else:
-            body = f"({coeff})"
-            neg = False
+    if not coeff.im:
+        neg = coeff.re < 0
+        mag = abs(coeff.re)
+        if mag == 1 and var_text:
+            return neg, var_text
+        body = str(mag)
+    elif not coeff.re:
+        neg = coeff.im < 0
+        mag = abs(coeff.im)
+        body = "i" if mag == 1 else f"{mag}*i"
     else:
         body = f"({coeff})"
         neg = False

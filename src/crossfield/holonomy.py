@@ -256,15 +256,7 @@ def _numeric_terms(X: VectorField):
     for i in range(X.n):
         terms = []
         for M, poly in X.b[i].terms():
-            terms.append(
-                (
-                    M,
-                    [
-                        (e, c.as_complex() if hasattr(c, "as_complex") else complex(c))
-                        for e, c in poly.terms()
-                    ],
-                )
-            )
+            terms.append((M, [(e, c.as_complex()) for e, c in poly.terms()]))
         out.append(terms)
     return out
 

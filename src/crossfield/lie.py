@@ -179,19 +179,8 @@ class VectorField:
         return [comp.linear_part() for comp in self.b]
 
     def constant_linear_matrix(self):
-        """z-linear matrix as Q[i] scalars; None if x-dependent or numeric."""
-        out = []
-        for row in self.z_linear_matrix():
-            r = []
-            for p in row:
-                if p.is_zero():
-                    r.append(GaussianRational.ZERO)
-                elif p.support() == [0] and p.is_exact():
-                    r.append(p.coefficient(0))
-                else:
-                    return None
-            out.append(r)
-        return out
+        """z-linear matrix as Q[i] scalars; None if x-dependent."""
+        return _constant_matrix(self.z_linear_matrix())
 
     def is_x_normalized(self) -> bool:
         """x d/dx + constant linear z-part + z-components in m (nonlinear in m^2)."""
@@ -209,17 +198,9 @@ class VectorField:
         vanishes), then checks that the z-linear part acts nilpotently on
         each graded piece of degree <= cap.
         """
-        if not self._filtration_ok():
-            return False
-        C = self.z_linear_matrix()
-        if all(p.is_zero() for row in C for p in row):
-            return True
-        if _is_strictly_triangular(C):
-            return True
-        for deg in range(1, self.cap + 1):
-            if not _graded_action_nilpotent(C, deg, self.n):
-                return False
-        return True
+        return self._filtration_ok() and _linear_action_nilpotent(
+            self.z_linear_matrix(), self.cap
+        )
 
     def _filtration_ok(self) -> bool:
         if not self.a.is_zero() and self.a.madic_order() < 1:
@@ -240,14 +221,7 @@ class VectorField:
         if not all(p.is_taylor() for row in C for p in row):
             return False
         C0 = [[LaurentPoly.constant(p.coefficient(0)) for p in row] for row in C]
-        if all(p.is_zero() for row in C0 for p in row):
-            return True
-        if _is_strictly_triangular(C0):
-            return True
-        for deg in range(1, self.cap + 1):
-            if not _graded_action_nilpotent(C0, deg, self.n):
-                return False
-        return True
+        return _linear_action_nilpotent(C0, self.cap)
 
     def truncate_x(self, max_deg: int) -> "VectorField":
         return VectorField(
@@ -273,16 +247,8 @@ class VectorField:
     def coefficient_at(self, index: MonomialIndex) -> LaurentPoly:
         return self.b[index.j - 1].coefficient(index.z_exponent())
 
-    # -- conversions -------------------------------------------------------
-
-    def as_complex(self) -> "VectorField":
-        return VectorField(self.a.as_complex(), [c.as_complex() for c in self.b])
-
-    def abs_bound(self):
-        bounds = [self.a.abs_bound()] + [c.abs_bound() for c in self.b]
-        if any(isinstance(v, float) for v in bounds):
-            return max(float(v) for v in bounds)
-        return max(bounds)
+    def abs_bound(self) -> Fraction:
+        return max([self.a.abs_bound()] + [c.abs_bound() for c in self.b])
 
     # -- protocol ----------------------------------------------------------
 
@@ -315,6 +281,31 @@ class VectorField:
 
     def __repr__(self):
         return f"VectorField(n={self.n}, cap={self.cap}, {self.__str__()!r})"
+
+
+def _constant_matrix(C):
+    """A matrix of LaurentPoly entries as Q[i] scalars; None if x-dependent."""
+    out = []
+    for row in C:
+        r = []
+        for p in row:
+            if p.is_zero():
+                r.append(GaussianRational.ZERO)
+            elif p.support() == [0]:
+                r.append(p.coefficient(0))
+            else:
+                return None
+        out.append(r)
+    return out
+
+
+def _linear_action_nilpotent(C, cap: int) -> bool:
+    """Does the z-linear matrix C act nilpotently on every degree <= cap?"""
+    if all(p.is_zero() for row in C for p in row):
+        return True
+    if _is_strictly_triangular(C):
+        return True
+    return all(_graded_action_nilpotent(C, deg, len(C)) for deg in range(1, cap + 1))
 
 
 def _is_strictly_triangular(C) -> bool:
@@ -381,17 +372,27 @@ def bracket(X: VectorField, Y: VectorField) -> VectorField:
     return X.bracket(Y)
 
 
+_UNSET = object()
+
+
 class Automorphism:
     """Ring substitution map, given by the images of x and of each z_i.
 
     Substitution is well defined on truncations whenever img_x - x lies in m
-    and every img_z_i lies in m; both are enforced on application.  Instances
-    cache an inverse when it is known by construction (exp produces exp(-X)),
-    and monomial powers of the images, both of which only ever hold values
-    derived from immutable inputs.
+    and every img_z_i lies in m; both are enforced on application.
+
+    An inverse known by construction is kept as pending factors and composed
+    on the first :meth:`invert`: exp(tW) records (W, t, x_window), whose
+    inverse is exp(-tW) in the same window; compose() chains the factors of
+    both operands and truncate_x() appends its window, in the order an eager
+    composition would apply them.  The fold caches the result and links it
+    back.  Powers of the images that :meth:`apply` uses are cached as they are
+    first needed.  Every cached value derives from immutable inputs.
     """
 
-    __slots__ = ("n", "cap", "img_x", "img_z", "_inv", "_pows")
+    __slots__ = (
+        "n", "cap", "img_x", "img_z", "_inv", "_pending", "_shift", "_zpows", "_gpows"
+    )
 
     def __init__(self, img_x: TransverseSeries, img_z):
         img_z = tuple(img_z)
@@ -405,8 +406,11 @@ class Automorphism:
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "img_x", img_x)
         object.__setattr__(self, "img_z", img_z)
-        object.__setattr__(self, "_inv", None)
-        object.__setattr__(self, "_pows", {})
+        object.__setattr__(self, "_inv", None)  # composed inverse
+        object.__setattr__(self, "_pending", None)  # inverse factors not yet folded
+        object.__setattr__(self, "_shift", _UNSET)  # _single_shift() result
+        object.__setattr__(self, "_zpows", None)  # per i: [1, img_z[i], img_z[i]^2, ...]
+        object.__setattr__(self, "_gpows", None)  # [1, g, g^2, ...] for the shift g
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
@@ -415,10 +419,8 @@ class Automorphism:
 
     @classmethod
     def identity(cls, n, cap):
-        phi = cls(
-            TransverseSeries.x_series(n, cap),
-            [TransverseSeries.variable(n, cap, i + 1) for i in range(n)],
-        )
+        x, *zs = _coordinates(n, cap)
+        phi = cls(x, zs)
         object.__setattr__(phi, "_inv", phi)
         return phi
 
@@ -441,31 +443,19 @@ class Automorphism:
     # -- substitution ------------------------------------------------------
 
     def _one(self) -> TransverseSeries:
-        one = TransverseSeries.constant(self.n, self.cap, LaurentPoly.one())
-        return one if self._is_exact() else one.as_complex()
+        return TransverseSeries.constant(self.n, self.cap, LaurentPoly.one())
 
     def _zpow(self, i: int, k: int) -> TransverseSeries:
-        key = (i, k)
-        hit = self._pows.get(key)
-        if hit is not None:
-            return hit
-        if k == 0:
-            out = self._one()
-        else:
-            out = self._zpow(i, k - 1) * self.img_z[i]
-        self._pows[key] = out
-        return out
-
-    def _is_exact(self) -> bool:
-        return self.img_x.is_exact() and all(c.is_exact() for c in self.img_z)
+        if self._zpows is None:
+            object.__setattr__(self, "_zpows", [[self._one()] for _ in range(self.n)])
+        return _cached_power(self._zpows[i], self.img_z[i], k)
 
     def _single_shift(self):
         """(j, g) when the map is z_j -> z_j + g with every other coordinate
         fixed (x included); None otherwise.  Cached: instances are immutable.
         """
-        hit = self._pows.get("shift", False)
-        if hit is not False:
-            return hit
+        if self._shift is not _UNSET:
+            return self._shift
         shift = None
         if self.img_x == self._coordinate(0):
             for i, comp in enumerate(self.img_z):
@@ -476,24 +466,19 @@ class Automorphism:
                     shift = None
                     break
                 shift = (i + 1, d)
-        self._pows["shift"] = shift
+        object.__setattr__(self, "_shift", shift)
         return shift
 
     def _shift_pow(self, g: TransverseSeries, m: int) -> TransverseSeries:
-        key = ("shiftpow", m)
-        hit = self._pows.get(key)
-        if hit is None:
-            hit = self._one() if m == 0 else self._shift_pow(g, m - 1) * g
-            self._pows[key] = hit
-        return hit
+        if self._gpows is None:
+            object.__setattr__(self, "_gpows", [self._one()])
+        return _cached_power(self._gpows, g, m)
 
     def _coordinate(self, i: int) -> TransverseSeries:
-        """Reference coordinate (i = 0 for x) in the images' scalar domain."""
+        """Reference coordinate series: x for i = 0, z_i otherwise."""
         if i == 0:
-            ref = TransverseSeries.x_series(self.n, self.cap)
-        else:
-            ref = TransverseSeries.variable(self.n, self.cap, i)
-        return ref if self._is_exact() else ref.as_complex()
+            return TransverseSeries.x_series(self.n, self.cap)
+        return TransverseSeries.variable(self.n, self.cap, i)
 
     def apply(self, f: TransverseSeries) -> TransverseSeries:
         """Substitute the images into f, truncated.
@@ -557,32 +542,58 @@ class Automorphism:
         )
 
     def compose(self, other: "Automorphism") -> "Automorphism":
-        """(self o other)(f) = self(other(f))."""
+        """(self o other)(f) = self(other(f)).
+
+        When both inverses are known, the result's inverse other^-1 o self^-1
+        is recorded as other's pending factors followed by self's, and only
+        composed on the first invert().
+        """
         if self.n != other.n or self.cap != other.cap:
             raise DimensionMismatchError("automorphism shapes differ")
         out = self._compose_images(other)
-        if self._inv is not None and other._inv is not None:
-            inv = other._inv._compose_images(self._inv)
-            object.__setattr__(out, "_inv", inv)
-            object.__setattr__(inv, "_inv", out)
+        first, last = other._inverse_factors(), self._inverse_factors()
+        if first is not None and last is not None:
+            if len(last) > 1:
+                # self^-1 is a composition itself: fold it now, so the new
+                # factors stay a flat left fold
+                last = (self.invert(),)
+            object.__setattr__(out, "_pending", first + last)
         return out
+
+    def _inverse_factors(self):
+        """The known inverse as a tuple of factors to fold; None if unknown."""
+        if self._inv is not None:
+            return (self._inv,)
+        return self._pending
+
+    def _fold_pending(self) -> None:
+        """Compose the pending inverse factors left to right, cache and link.
+
+        A factor is an Automorphism (used as is), a (W, t, x_window) triple
+        (the map exp(-tW) in that window) or an int (truncate_x at that
+        x-degree).  Each intermediate result is dropped as soon as the next
+        one exists.
+        """
+        acc = None
+        for f in self._pending:
+            if isinstance(f, int):
+                acc = acc.truncate_x(f)
+                continue
+            if not isinstance(f, Automorphism):
+                W, t, x_window = f
+                f = Automorphism(*_exp_images(W, -t, x_window))
+            acc = f if acc is None else acc._compose_images(f)
+        object.__setattr__(acc, "_pending", None)
+        object.__setattr__(acc, "_inv", self)
+        object.__setattr__(self, "_pending", None)
+        object.__setattr__(self, "_inv", acc)
 
     def z_linear_matrix(self):
         return [comp.linear_part() for comp in self.img_z]
 
     def constant_z_matrix(self):
-        out = []
-        for row in self.z_linear_matrix():
-            r = []
-            for p in row:
-                if p.is_zero():
-                    r.append(GaussianRational.ZERO)
-                elif p.support() == [0] and p.is_exact():
-                    r.append(p.coefficient(0))
-                else:
-                    return None
-            out.append(r)
-        return out
+        """z-linear matrix as Q[i] scalars; None if x-dependent."""
+        return _constant_matrix(self.z_linear_matrix())
 
     def is_x_normalized(self) -> bool:
         if self.img_x != TransverseSeries.x_series(self.n, self.cap):
@@ -598,28 +609,31 @@ class Automorphism:
             return False
         return True
 
-    def tangent_to_identity(self) -> bool:
+    def tangent_to_identity(self, x_window: int | None = None) -> bool:
         """Identity through first order in the graded sense.
 
         The x-image may differ by an element of m and each z-image by an
         element of m^2 (x carries weight 0, the z_i weight 1); this is
         exactly the class where Phi - id raises the m-adic order, so the
-        logarithm series terminates at the cap.
+        logarithm series terminates at the cap.  With ``x_window`` the
+        differences are only required to be so modulo x^{x_window+1}.
         """
-        if (self.img_x - self._coordinate(0)).madic_order() < 1:
-            return False
-        for i, comp in enumerate(self.img_z):
-            if (comp - self._coordinate(i + 1)).madic_order() < 2:
+        for i, comp in enumerate((self.img_x,) + self.img_z):
+            d = _in_window(comp - self._coordinate(i), x_window)
+            if d.madic_order() < (2 if i else 1):
                 return False
         return True
 
     def invert(self) -> "Automorphism":
         """Compositional inverse at the cap.
 
-        Uses a cached inverse when one is known by construction; otherwise
-        requires img_x = x and a constant invertible z-linear matrix, and
-        builds the inverse degree by degree.
+        An inverse known by construction is composed from its pending
+        factors on the first call and cached.  Otherwise this requires
+        img_x = x and a constant invertible z-linear matrix, and builds the
+        inverse degree by degree.
         """
+        if self._pending is not None:
+            self._fold_pending()
         if self._inv is not None:
             return self._inv
         if self.img_x != TransverseSeries.x_series(self.n, self.cap):
@@ -677,25 +691,14 @@ class Automorphism:
         b = [self.apply(X.apply(inv.img_z[i])) for i in range(self.n)]
         return VectorField(a, b)
 
-    # -- conversions -------------------------------------------------------
-
-    def as_complex(self) -> "Automorphism":
-        return Automorphism(self.img_x.as_complex(), [c.as_complex() for c in self.img_z])
-
     def truncate_x(self, max_deg: int) -> "Automorphism":
         out = Automorphism(
             self.img_x.truncate_x(max_deg),
             [c.truncate_x(max_deg) for c in self.img_z],
         )
-        if self._inv is not None and self._inv is not self:
-            inv = Automorphism(
-                self._inv.img_x.truncate_x(max_deg),
-                [c.truncate_x(max_deg) for c in self._inv.img_z],
-            )
-            object.__setattr__(out, "_inv", inv)
-            object.__setattr__(inv, "_inv", out)
-        elif self._inv is self:
-            object.__setattr__(out, "_inv", out)
+        factors = self._inverse_factors()
+        if factors is not None:
+            object.__setattr__(out, "_pending", factors + (max_deg,))
         return out
 
     # -- protocol ----------------------------------------------------------
@@ -723,19 +726,27 @@ class Automorphism:
         return f"Automorphism({self.__str__()!r})"
 
 
+def _cached_power(pows: list, base: TransverseSeries, k: int) -> TransverseSeries:
+    """pows[k], extending the list pows[m] = base**m (pows[0] given) as needed."""
+    while len(pows) <= k:
+        pows.append(pows[-1] * base)
+    return pows[k]
+
+
 def _accumulate(acc: dict, s: TransverseSeries) -> None:
     for K, poly in s._terms.items():
         held = acc.get(K)
         acc[K] = poly if held is None else held + poly
 
 
+def _coordinates(n: int, cap: int):
+    """The coordinate series [x, z_1, ..., z_n]."""
+    zs = [TransverseSeries.variable(n, cap, i + 1) for i in range(n)]
+    return [TransverseSeries.x_series(n, cap)] + zs
+
+
 def _is_identity(phi: Automorphism) -> bool:
-    if phi.img_x != TransverseSeries.x_series(phi.n, phi.cap):
-        return False
-    return all(
-        phi.img_z[i] == TransverseSeries.variable(phi.n, phi.cap, i + 1)
-        for i in range(phi.n)
-    )
+    return [phi.img_x, *phi.img_z] == _coordinates(phi.n, phi.cap)
 
 
 def _invert_matrix(A):
@@ -768,32 +779,28 @@ def _invert_matrix(A):
 # --- exponential, logarithm, adjoint ---------------------------------------
 
 
-def _scalar_time(t):
-    """Normalize t to a GaussianRational (exact path) or complex (numeric)."""
-    if isinstance(t, (int, Fraction)):
-        return GaussianRational(t)
-    if isinstance(t, (GaussianRational, complex, float)):
-        return complex(t) if isinstance(t, float) else t
-    raise TypeError(f"unsupported time type {type(t).__name__}")
-
-
-def _field_is_exact(X: VectorField) -> bool:
-    return X.a.is_exact() and all(c.is_exact() for c in X.b)
+def _in_window(obj, x_window):
+    """obj truncated at x-degree x_window; obj itself when x_window is None."""
+    return obj if x_window is None else obj.truncate_x(x_window)
 
 
 def exp(X: VectorField, t=1, x_window: int | None = None) -> Automorphism:
     """Time-t exponential of a nilpotent derivation, as an automorphism.
 
     The coordinate images sum_k t^k/k! X^k(coordinate) are finite at the cap.
-    Exact t keeps the exact coefficient path; complex t converts the field to
-    complex coefficients first (the result's type follows the inputs').
+    t is exact: an int, Fraction or GaussianRational (anything else raises
+    ``TypeError``).  The inverse exp(-tX) is known by construction and is
+    only composed on the result's first invert().
 
     With ``x_window`` the computation runs in the ring truncated at x-degree
     x_window as well; fields like f(x) z_j d/dz_j with f(0) = 0, whose
     exponential scales z_j by the transcendental e^{f}, are nilpotent there
     and get their (polynomial) truncated exponential.
     """
-    tval = _scalar_time(t)
+    if isinstance(t, (int, Fraction)):
+        t = GaussianRational(t)
+    elif not isinstance(t, GaussianRational):
+        raise TypeError(f"exp needs an exact time, got {type(t).__name__}")
     if x_window is None:
         if not X.is_nilpotent():
             raise NotNilpotentError("exp requires a nilpotent field at the cap")
@@ -802,26 +809,14 @@ def exp(X: VectorField, t=1, x_window: int | None = None) -> Automorphism:
             raise NotNilpotentError(
                 "exp requires a field nilpotent in the x-truncated ring"
             )
-    numeric = isinstance(tval, complex) or not _field_is_exact(X)
-    if numeric and not isinstance(tval, complex):
-        tval = tval.as_complex()
-    Xw = X.as_complex() if (numeric and _field_is_exact(X)) else X
-    phi = Automorphism(*_exp_images(Xw, tval, numeric, x_window))
-    inv = Automorphism(*_exp_images(Xw, -tval, numeric, x_window))
-    object.__setattr__(phi, "_inv", inv)
-    object.__setattr__(inv, "_inv", phi)
+    phi = Automorphism(*_exp_images(X, t, x_window))
+    object.__setattr__(phi, "_pending", ((X, t, x_window),))
     return phi
 
 
-def _exp_images(Xw: VectorField, tval, numeric, x_window):
-    n, cap = Xw.n, Xw.cap
-    coords = [TransverseSeries.x_series(n, cap)] + [
-        TransverseSeries.variable(n, cap, i + 1) for i in range(n)
-    ]
-    if numeric:
-        coords = [c.as_complex() for c in coords]
+def _exp_images(X: VectorField, t: GaussianRational, x_window):
     images = []
-    for coord in coords:
+    for coord in _coordinates(X.n, X.cap):
         acc = coord
         term = coord
         k = 0
@@ -829,9 +824,7 @@ def _exp_images(Xw: VectorField, tval, numeric, x_window):
             k += 1
             if k > _GUARD:
                 raise AssertionError("exp failed to terminate; nilpotency is violated")
-            term = Xw.apply(term).scale(tval).scale(Fraction(1, k))
-            if x_window is not None:
-                term = term.truncate_x(x_window)
+            term = _in_window(X.apply(term).scale(t).scale(Fraction(1, k)), x_window)
             if term.is_zero():
                 break
             acc = acc + term
@@ -849,49 +842,23 @@ def log(phi: Automorphism, x_window: int | None = None) -> VectorField:
     ring, where tangency and termination are only required modulo
     x^{x_window+1}.
     """
-    if not _tangent_to_identity(phi, x_window):
+    if not phi.tangent_to_identity(x_window):
         raise NotTangentToIdentityError(
             "log requires images equal to the coordinates through order 1"
         )
-    n, cap = phi.n, phi.cap
-    numeric = not (
-        phi.img_x.is_exact() and all(c.is_exact() for c in phi.img_z)
-    )
-    coords = [TransverseSeries.x_series(n, cap)] + [
-        TransverseSeries.variable(n, cap, i + 1) for i in range(n)
-    ]
-    if numeric:
-        coords = [c.as_complex() for c in coords]
     comps = []
-    for coord in coords:
-        acc = TransverseSeries.zero(n, cap)
-        u = phi.apply(coord) - coord
-        if x_window is not None:
-            u = u.truncate_x(x_window)
+    for coord in _coordinates(phi.n, phi.cap):
+        acc = TransverseSeries.zero(phi.n, phi.cap)
+        u = _in_window(phi.apply(coord) - coord, x_window)
         m = 1
         while not u.is_zero():
             if m > _GUARD:
                 raise AssertionError("log failed to terminate")
             acc = acc + u.scale(Fraction(1, m) if m % 2 == 1 else Fraction(-1, m))
-            u = phi.apply(u) - u
-            if x_window is not None:
-                u = u.truncate_x(x_window)
+            u = _in_window(phi.apply(u) - u, x_window)
             m += 1
         comps.append(acc)
     return VectorField(comps[0], comps[1:])
-
-
-def _tangent_to_identity(phi: Automorphism, x_window) -> bool:
-    if x_window is None:
-        return phi.tangent_to_identity()
-    d = (phi.img_x - phi._coordinate(0)).truncate_x(x_window)
-    if not d.is_zero() and d.madic_order() < 1:
-        return False
-    for i, comp in enumerate(phi.img_z):
-        d = (comp - phi._coordinate(i + 1)).truncate_x(x_window)
-        if not d.is_zero() and d.madic_order() < 2:
-            return False
-    return True
 
 
 def exp_ad(W: VectorField, X: VectorField, x_window: int | None = None) -> VectorField:
@@ -901,16 +868,14 @@ def exp_ad(W: VectorField, X: VectorField, x_window: int | None = None) -> Vecto
     can certify the other.  ``x_window`` truncates in x as in :func:`exp`.
     """
     W._compat(X)
-    acc = X if x_window is None else X.truncate_x(x_window)
+    acc = _in_window(X, x_window)
     term = acc
     k = 0
     while True:
         k += 1
         if k > _GUARD:
             raise AssertionError("adjoint series failed to terminate")
-        term = W.bracket(term).scale(Fraction(1, k))
-        if x_window is not None:
-            term = term.truncate_x(x_window)
+        term = _in_window(W.bracket(term).scale(Fraction(1, k)), x_window)
         if term.is_zero():
             break
         acc = acc + term

@@ -24,7 +24,6 @@ from itertools import combinations
 from .coeff import (
     GaussianRational,
     LaurentPoly,
-    as_scalar,
     format_term,
     join_terms,
     x_power_text,
@@ -245,9 +244,6 @@ class TransverseSeries:
     def is_taylor(self) -> bool:
         return all(c.is_taylor() for c in self._terms.values())
 
-    def is_exact(self) -> bool:
-        return all(c.is_exact() for c in self._terms.values())
-
     def linear_part(self):
         """Coefficients of z_1..z_n as a list of LaurentPoly."""
         out = []
@@ -307,7 +303,7 @@ class TransverseSeries:
                     else:
                         data[K] = s
             return _ts_raw(self.n, self.cap, data)
-        if isinstance(other, (LaurentPoly, GaussianRational, int, complex, float)):
+        if isinstance(other, (LaurentPoly, GaussianRational, int)):
             return self.scale(other)
         return NotImplemented
 
@@ -322,7 +318,7 @@ class TransverseSeries:
                     data[K] = s
             return _ts_raw(self.n, self.cap, data)
         if not isinstance(c, LaurentPoly):
-            c = LaurentPoly.constant(as_scalar(c))
+            c = LaurentPoly.constant(c)
         if c.is_zero():
             return TransverseSeries.zero(self.n, self.cap)
         data = {}
@@ -370,20 +366,8 @@ class TransverseSeries:
             raise ValueError("cannot extend a truncated series")
         return TransverseSeries(self.n, cap, self._terms)
 
-    # -- conversions -------------------------------------------------------
-
-    def as_complex(self) -> "TransverseSeries":
-        return _ts_raw(
-            self.n, self.cap, {K: c.as_complex() for K, c in self._terms.items()}
-        )
-
-    def abs_bound(self):
-        bounds = [c.abs_bound() for c in self._terms.values()]
-        if not bounds:
-            return GaussianRational.ZERO.re
-        if any(isinstance(b, float) for b in bounds):
-            return max(float(b) for b in bounds)
-        return max(bounds)
+    def abs_bound(self) -> Fraction:
+        return max((c.abs_bound() for c in self._terms.values()), default=Fraction(0))
 
     # -- protocol ----------------------------------------------------------
 

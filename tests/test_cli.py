@@ -132,3 +132,58 @@ def test_out_of_range_windings_is_usage_error(windings, capsys):
     assert out == ""
     assert err.startswith("error: windings must be a nonzero integer")
     assert "Traceback" not in err
+
+
+OVERSIZED_DOCS = {
+    "n": "n: 40\ndegree: 3\nfield: x*dx\n",
+    "degree": "n: 1\ndegree: 100000\nfield: x*dx + z1^2*dz1\n",
+    "x-cap": "n: 1\ndegree: 3\nx-cap: 100000\nfield: x*dx - z1*dz1 + x*z1*dz1\n",
+}
+
+
+@pytest.mark.parametrize("key", sorted(OVERSIZED_DOCS))
+def test_oversized_document_header_is_usage_error(key, tmp_path, capsys):
+    p = tmp_path / "big.vf"
+    p.write_text(OVERSIZED_DOCS[key], encoding="utf-8")
+    for command in ("normalize", "exp"):
+        rc = main([command, "--field", str(p), "--json"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"'{key}' must be at most" in err
+        assert "Traceback" not in err
+
+
+def test_oversized_map_document_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "big.map"
+    p.write_text("n: 1\ndegree: 100000\nmap x: x\nmap z1: z1 + z1^2\n", encoding="utf-8")
+    rc = main(["log", "--map", str(p), "--json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "'degree' must be at most" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--field", doc("twovar.vf"), "--degree", "5000"],
+    ["normalize", "--field", doc("resonant.vf"), "--x-cap", "100000"],
+    ["exp", "--field", doc("xlin.vf"), "--x-cap", "65"],
+    ["centralizer", "--mu=i", "--degree", "100000"],
+    ["resonances", "--mu=-1", "--degree", "13"],
+    ["resonances", "--mu=1,2,3,4,5,6,7", "--degree", "3"],
+])
+def test_oversized_flag_is_usage_error(argv, capsys):
+    rc = main(argv + ["--json"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "at most" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exp", "--field", doc("nilpotent.vf"), "--degree", "12"],
+    ["normalize", "--field", doc("resonant.vf"), "--x-cap", "64"],
+])
+def test_flags_at_the_bound_run(argv, capsys):
+    assert main(argv + ["--json"]) == 0
+    capsys.readouterr()

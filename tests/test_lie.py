@@ -16,14 +16,19 @@ from crossfield.lie import (
     exp_decomposition,
     log,
 )
+from crossfield.normalform import normalize
+from crossfield.parsing import parse_field
+from crossfield.resonance import pairing
 from crossfield.series import MonomialIndex, TransverseSeries
 
 from helpers import (
     rand_field,
     rand_gq,
+    rand_gq_nonzero,
     rand_laurent,
     rand_mu,
     rand_one_flat,
+    rand_x_normalized,
     rand_series,
     rand_commuting_pair,
     rand_x_normalized_automorphism,
@@ -168,13 +173,8 @@ class TestFlatness:
             # the same map with the cache pinned to None takes the generic path
             f = rand_series(rng, n, cap, terms=3, min_exp=-1, max_exp=2)
             got = phi.apply(f)
-            generic = Automorphism.__new__(Automorphism)
-            object.__setattr__(generic, "n", n)
-            object.__setattr__(generic, "cap", cap)
-            object.__setattr__(generic, "img_x", phi.img_x)
-            object.__setattr__(generic, "img_z", phi.img_z)
-            object.__setattr__(generic, "_inv", None)
-            object.__setattr__(generic, "_pows", {"shift": None})
+            generic = Automorphism(phi.img_x, phi.img_z)
+            object.__setattr__(generic, "_shift", None)
             assert generic._single_shift() is None
             assert generic.apply(f) == got
 
@@ -233,12 +233,10 @@ class TestExp:
             Fraction(1, 4)
         )
 
-    def test_complex_time(self):
-        X = mono_field(1, 3, (1,), 1)
-        phi = exp(X, 0.5 + 0j)
-        c = phi.img_z[0].coefficient((2,)).coefficient(0)
-        assert isinstance(c, complex)
-        assert abs(c - 0.5) < 1e-15
+    @pytest.mark.parametrize("t", [0.5, 0.5 + 0j])
+    def test_inexact_time_rejected(self, t):
+        with pytest.raises(TypeError):
+            exp(mono_field(1, 3, (1,), 1), t)
 
     def test_integer_powers(self):
         X = mono_field(1, 5, (2,), 1)
@@ -314,16 +312,12 @@ class TestPushforward:
             assert lhs == rhs
 
     def test_symmetry_family_at_sampled_times(self):
-        # once exp(X) fixes Z, every exp(tX) does; sampled at exact and
-        # complex times (the complex path compared coefficientwise)
+        # once exp(X) fixes Z, every exp(tX) does; sampled at exact times
         rng = random.Random(66)
         X, Z = rand_commuting_pair(rng, 4)
         assert exp(X).pushforward(Z) == Z
         for t in (2, -1, Fraction(1, 2)):
             assert exp(X, t).pushforward(Z) == Z
-        phi = exp(X, 0.5 + 0.5j)
-        pushed = phi.pushforward(Z.as_complex())
-        assert (pushed - Z.as_complex()).abs_bound() < 1e-12
 
     def test_symmetry_iff_commutes(self):
         rng = random.Random(36)
@@ -362,7 +356,9 @@ class TestInvert:
         ident = Automorphism.identity(2, 4)
         for _ in range(30):
             phi = rand_x_normalized_automorphism(rng, 2, 4)
-            object.__setattr__(phi, "_inv", None)  # force the generic path
+            # force the generic path: no cached or pending inverse
+            object.__setattr__(phi, "_inv", None)
+            object.__setattr__(phi, "_pending", None)
             inv = phi.invert()
             assert phi.compose(inv) == ident
             assert inv.compose(phi) == ident
@@ -422,3 +418,109 @@ class TestExpDecomposition:
             A2, Z2 = exp_decomposition(phi)
             assert A2.pushforward(X) == X
             assert exp(Z2).pushforward(X) == X
+
+
+def eager_sweep_inverse(X, res):
+    """Reference inverse of res.normalizer, composed eagerly step by step.
+
+    Replays normalize()'s sweep from its recorded steps and, after each one,
+    substitutes the running inverse into the images of exp(-W), truncating
+    in the x-window mode: the composition compose() and truncate_x() ran
+    eagerly before inverses were kept as pending factors.
+    """
+    n, cap, window = X.n, X.cap, res.x_window
+    field = X if window is None else X.truncate_x(window)
+    inv = Automorphism.identity(n, cap)
+    for idx in res.steps:
+        f, _ = field.coefficient_at(idx).euler_solve(pairing(res.mu, idx.K))
+        W = VectorField.monomial(n, cap, idx, f)
+        field = exp_ad(W, field, x_window=window)
+        step = exp(W, -1, x_window=window)
+        inv = Automorphism(inv.apply(step.img_x), [inv.apply(c) for c in step.img_z])
+        if window is not None:
+            inv = Automorphism(
+                inv.img_x.truncate_x(window), [c.truncate_x(window) for c in inv.img_z]
+            )
+    return inv
+
+
+FIELD_A = "x*dx + 1/2*z1*dz1 - 3*z2*dz2 + z1^2*dz1 + x*z1*z2*dz2 + z2^2*dz1 + z1^3*dz2"
+FIELD_B = (
+    "x*dx + 1/2*z1*dz1 - 3*z2*dz2 + i*z3*dz3 + z1^2*dz1 + x*z1*z2*dz2"
+    " + z2^2*dz3 + z1*z3*dz2"
+)
+
+
+def window_fields():
+    """Seeded fields with an x-dependent diagonal: normalize runs windowed."""
+    rng = random.Random(71)
+    for _ in range(4):
+        n = rng.choice([1, 2])
+        cap = 4
+        mu = rand_mu(rng, n, span=2, den=1)
+        X = rand_x_normalized(rng, mu, cap, terms=2, max_exp=1)
+        X = X + mono_field(n, cap, (0,) * n, 1, LaurentPoly({1: rand_gq_nonzero(rng)}))
+        yield X, mu, rng.randint(3, 6)
+
+
+def exact_fields():
+    """Seeded fields with a constant linear part, and fields A and B."""
+    rng = random.Random(72)
+    for _ in range(4):
+        n = rng.choice([1, 2])
+        mu = rand_mu(rng, n, span=3, den=2)
+        yield rand_x_normalized(rng, mu, 5, terms=3, max_exp=2), mu, None
+    for text, n, cap in ((FIELD_A, 2, 6), (FIELD_B, 3, 7)):
+        X = parse_field(text, n, cap)
+        yield X, [X.constant_linear_matrix()[i][i] for i in range(n)], None
+
+
+class TestLazyInverse:
+    @pytest.mark.parametrize("mode", ["exact", "window"])
+    def test_normalizer_inverse_matches_eager_composition(self, mode):
+        cases = exact_fields() if mode == "exact" else window_fields()
+        for X, mu, x_cap in cases:
+            res = normalize(X, mu, x_cap=x_cap)
+            assert (res.x_window is None) == (mode == "exact")
+            assert res.steps
+            inv = res.normalizer.invert()
+            assert inv == eager_sweep_inverse(X, res)
+            assert res.normalizer.invert() is inv
+            assert inv.invert() is res.normalizer
+            ident = Automorphism.identity(X.n, X.cap)
+            for one_way in (res.normalizer.compose(inv), inv.compose(res.normalizer)):
+                if res.x_window is not None:
+                    one_way = one_way.truncate_x(res.x_window)
+                assert one_way == ident
+
+    def test_pending_factors_hold_no_normalizer(self):
+        # the sweep's inverse is kept as (W, t, window) triples and windows
+        X, mu, x_cap = next(window_fields())
+        res = normalize(X, mu, x_cap=x_cap)
+        start, *factors = res.normalizer._pending
+        assert start == Automorphism.identity(X.n, X.cap)
+        assert factors[1::2] == [res.x_window] * len(res.steps)
+        for W, t, window in factors[::2]:
+            assert isinstance(W, VectorField) and t == 1 and window == res.x_window
+
+    def test_nested_compositions(self):
+        # a composition whose left factor is itself a composition, with and
+        # without an x-window, inverts to the product of the step inverses
+        rng = random.Random(73)
+        for window in (None, 3):
+            Xs = [rand_one_flat(rng, 2, 4, max_exp=1) for _ in range(3)]
+            steps = [exp(X, 1, x_window=window) for X in Xs]
+            phi = steps[1].compose(steps[0])
+            if window is not None:
+                phi = phi.truncate_x(window)
+            phi = steps[2].compose(phi)
+            psi = phi.compose(steps[0])
+            expected = exp(Xs[0], -1, x_window=window).compose(phi.invert())
+            assert psi.invert() == expected
+            ident = Automorphism.identity(2, 4)
+            for one_way in (psi.compose(psi.invert()), psi.invert().compose(psi)):
+                assert _in_window(one_way, window) == ident
+
+
+def _in_window(phi, window):
+    return phi if window is None else phi.truncate_x(window)
