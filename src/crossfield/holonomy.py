@@ -10,10 +10,12 @@ punctured x-plane lifts by
 and for the base loop gamma(theta) = e^{2 pi i theta} the factor is just
 2 pi i.  holonomy_jet() integrates this system on the truncated jet space
 (coefficients of the map zeta -> z(theta) through total degree d), so the
-theta = 1 state is the holonomy's polynomial jet; path_lift() integrates the
-plain pointwise system.  Everything here is floating point: exact fields are
-converted at entry, and tolerances are explicit: every entry point rejects a
-tol that is not finite and positive with ValueError.
+theta = 1 state is the holonomy's polynomial jet; for w windings it
+integrates one turn and composes that jet with itself |w| times.
+path_lift() integrates the plain pointwise system.  Everything here is
+floating point: exact fields are converted at entry, and tolerances are
+explicit: every entry point rejects a tol that is not finite and positive
+with ValueError.
 
 The jet state is one packed complex vector (_jet_layout): block i holds the
 coefficients of z_i on the monomials of degree 1..d in grlex order.  Jets are
@@ -22,7 +24,8 @@ for each position a, the positions b with |K_a| + |K_b| <= d and the position
 of K_a + K_b.  _dense_mul runs that table, and _monomials builds z^M from
 powers z_j^k = z_j^(k-1) z_j; the jet right-hand side and HolonomyJet.after
 share both.  The integrator is an adaptive embedded Dormand-Prince 5(4) pair
-on complex state vectors.
+on complex state vectors, first-same-as-last: six right-hand side calls per
+step.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ __all__ = [
 ]
 
 TWO_PI_I = 2j * math.pi
-# |windings| bound for holonomy_jet: the integration cost grows linearly in it
+# |windings| bound for holonomy_jet, an input check only: one turn is
+# integrated and then composed, so the cost past the first turn is small
 MAX_WINDINGS = 64
 
 
@@ -297,6 +301,7 @@ def _point_rhs(terms, x: complex, z) -> list:
 # --- Dormand-Prince 5(4) ------------------------------------------------------
 
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# the last row doubles as the fifth-order weights (the seventh weight is 0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -306,52 +311,68 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
 def _integrate(f, t0: float, t1: float, y0, tol: float, max_steps: int = 200_000,
                on_step=None):
-    """Adaptive DP5(4) from t0 to t1 on a complex state vector."""
+    """Adaptive DP5(4) from t0 to t1 on a complex state vector.
+
+    The pair is first-same-as-last: the seventh stage is f(t + h, y5), so an
+    accepted step hands it on as the next step's first stage and a rejected
+    step keeps its own, and a run of s steps costs 6 s + 1 calls of f.  Each
+    stage argument and the pair (y4, error norm) take one pass over the
+    state, summing the terms left to right in stage order.
+    """
     if t1 == t0:
         return list(y0)
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _DP_A[1:]
+    e1, _, e3, e4, e5, e6, e7 = _DP_B4
+    c2, c3, c4, c5 = _DP_C[1:5]
     span = t1 - t0
     t = t0
     y = list(y0)
     h = span / 16.0
     hmin = abs(span) * 1e-14
     steps = 0
+    k1 = f(t, y)
     while (span > 0 and t < t1) or (span < 0 and t > t1):
         steps += 1
         if steps > max_steps:
             raise IntegrationError(f"step budget exhausted at t={t:.6g}")
         if (span > 0 and t + h > t1) or (span < 0 and t + h < t1):
             h = t1 - t
-        # f never mutates its state argument, so stages share y until updated
-        ks = []
-        for stage in range(7):
-            ys = y
-            for idx, a in enumerate(_DP_A[stage]):
-                if a != 0.0:
-                    ha = h * a
-                    ys = [v + ha * k for v, k in zip(ys, ks[idx])]
-            ks.append(f(t + _DP_C[stage] * h, ys))
-        y5 = y4 = y
-        for idx in range(7):
-            b5, b4 = _DP_B5[idx], _DP_B4[idx]
-            if b5 != 0.0:
-                hb = h * b5
-                y5 = [v + hb * k for v, k in zip(y5, ks[idx])]
-            if b4 != 0.0:
-                hb = h * b4
-                y4 = [v + hb * k for v, k in zip(y4, ks[idx])]
-        err = 0.0
-        for v5, v4, v in zip(y5, y4, y):
-            scale = tol + tol * max(abs(v), abs(v5))
-            err = max(err, abs(v5 - v4) / scale)
+        # f never mutates its state argument, so the stages share y and k1
+        g1 = h * a21
+        k2 = f(t + c2 * h, [v + g1 * p1 for v, p1 in zip(y, k1)])
+        g1, g2 = h * a31, h * a32
+        k3 = f(t + c3 * h, [v + g1 * p1 + g2 * p2 for v, p1, p2 in zip(y, k1, k2)])
+        g1, g2, g3 = h * a41, h * a42, h * a43
+        k4 = f(t + c4 * h, [v + g1 * p1 + g2 * p2 + g3 * p3
+                            for v, p1, p2, p3 in zip(y, k1, k2, k3)])
+        g1, g2, g3, g4 = h * a51, h * a52, h * a53, h * a54
+        k5 = f(t + c5 * h, [v + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4
+                            for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+        g1, g2, g3, g4, g5 = h * a61, h * a62, h * a63, h * a64, h * a65
+        k6 = f(t + h, [v + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4 + g5 * p5
+                       for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+        # the seventh stage's argument is the fifth-order solution
+        g1, g3, g4, g5, g6 = h * b1, h * b3, h * b4, h * b5, h * b6
+        y5 = [v + g1 * p1 + g3 * p3 + g4 * p4 + g5 * p5 + g6 * p6
+              for v, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+        k7 = f(t + h, y5)
+        g1, g3, g4, g5, g6, g7 = h * e1, h * e3, h * e4, h * e5, h * e6, h * e7
+        # the max starts from 0.0 and runs left to right, so NaN entries are skipped
+        err = max([0.0, *(
+            abs(u - (v + g1 * p1 + g3 * p3 + g4 * p4 + g5 * p5 + g6 * p6 + g7 * p7))
+            / (tol + tol * max(abs(v), abs(u)))
+            for v, u, p1, p3, p4, p5, p6, p7 in zip(y, y5, k1, k3, k4, k5, k6, k7)
+        )])
         if err <= 1.0:
             t += h
             y = y5
+            k1 = k7
             if on_step is not None:
                 on_step(t, y)
         factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
@@ -426,10 +447,12 @@ def holonomy_jet(X: VectorField, degree: int, tol: float = 1e-10,
                  windings: int = 1) -> HolonomyJet:
     """Jet of the return map at (1, 0), lifting the unit circle `windings` times.
 
-    Integrates dz/dtheta = 2 pi i w B(e^{2 pi i w theta}, z) on the truncated
-    jet space, theta from 0 to 1, starting from the identity jet.  windings
-    is a nonzero integer with |windings| <= MAX_WINDINGS; a negative value
-    runs the loop backwards.
+    Integrates dz/dtheta = 2 pi i s B(e^{2 pi i s theta}, z), s = sign(windings),
+    on the truncated jet space, theta from 0 to 1, starting from the identity
+    jet: one turn, run backwards for a negative windings.  That jet is then
+    composed with itself |windings| times; truncating to the degree commutes
+    with composing maps that fix 0, so this is the jet of the |windings|-fold
+    return map.  windings is a nonzero integer with |windings| <= MAX_WINDINGS.
     """
     _require_x_normalized(X)
     _require_tol(tol)
@@ -444,12 +467,16 @@ def holonomy_jet(X: VectorField, degree: int, tol: float = 1e-10,
     ident = HolonomyJet.identity(n, degree)
     for (i, K), pos in index.items():
         y0[pos] = ident.coefficient(i, K)
-    y1 = _integrate(_jet_rhs(X, degree, windings), 0.0, 1.0, y0, tol)
+    y1 = _integrate(_jet_rhs(X, degree, 1 if windings > 0 else -1), 0.0, 1.0, y0, tol)
     coeffs = {i: {} for i in range(1, n + 1)}
     for (i, K), pos in index.items():
         if y1[pos] != 0:
             coeffs[i][K] = y1[pos]
-    return HolonomyJet(n, degree, coeffs)
+    turn = HolonomyJet(n, degree, coeffs)
+    jet = turn
+    for _ in range(abs(windings) - 1):
+        jet = turn.after(jet)
+    return jet
 
 
 @dataclass

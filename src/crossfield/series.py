@@ -303,7 +303,7 @@ class TransverseSeries:
                     else:
                         data[K] = s
             return _ts_raw(self.n, self.cap, data)
-        if isinstance(other, (LaurentPoly, GaussianRational, int)):
+        if isinstance(other, (LaurentPoly, GaussianRational, int, Fraction)):
             return self.scale(other)
         return NotImplemented
 

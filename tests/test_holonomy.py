@@ -5,11 +5,15 @@ from pathlib import Path
 
 import pytest
 
+from crossfield import holonomy
 from crossfield.cli import FieldDocument
 from crossfield.coeff import GaussianRational as G
 from crossfield.coeff import LaurentPoly
 from crossfield.holonomy import (
     MAX_WINDINGS,
+    _DP_A,
+    _DP_B4,
+    _DP_C,
     HolonomyJet,
     IntegrationError,
     LeafEscapeError,
@@ -128,10 +132,22 @@ class TestJet:
         assert abs(h.coefficient(1, (2,)) - c2) < 1e-6
 
     def test_winding_composition(self):
-        X = field_resonant()
-        twice = holonomy_jet(X, 3, tol=1e-11, windings=2)
-        once = holonomy_jet(X, 3, tol=1e-11)
-        assert twice.max_abs_diff(once.after(once)) < 1e-8
+        # holonomy_jet composes one integrated turn; the reference integrates
+        # all w turns in one run.  Bound: 1e3 * tol relative to the largest
+        # coefficient (measured: at most 2e-11 relative at tol 1e-11).
+        degree, tol = 3, 1e-11
+        for X in (field_resonant(), _golden_field("twovar.vf")):
+            _, index = _jet_layout(X.n, degree)
+            y0 = identity_state(X.n, degree)
+            for windings in (2, 3, -2):
+                y = _integrate(_jet_rhs(X, degree, windings), 0.0, 1.0, y0, tol)
+                direct = HolonomyJet(X.n, degree, {
+                    i: {K: y[pos] for (j, K), pos in index.items() if j == i}
+                    for i in range(1, X.n + 1)
+                })
+                scale = max(abs(c) for comp in direct.coeffs.values() for c in comp.values())
+                composed = holonomy_jet(X, degree, tol=tol, windings=windings)
+                assert composed.max_abs_diff(direct) <= 1e3 * tol * scale, windings
 
     def test_degree_one_matches_finite_difference_jacobian(self):
         X = field_resonant()
@@ -270,9 +286,10 @@ class TestWindingsValidation:
         assert forward.after(backward).max_abs_diff(HolonomyJet.identity(1, 3)) < 1e-8
 
 
-# --- brute-force reference for the packed product plan -----------------------
+# --- brute-force references for the packed product plan and the integrator ----
 # The dict products below are the loop version the packed kernel replaced;
 # they stay here as the oracle for _dense_mul, HolonomyJet.after and the RHS.
+# ref_integrate is the DP5(4) loop before first-same-as-last and fused passes.
 
 
 def ref_jet_mul(a, b, degree):
@@ -350,6 +367,59 @@ def ref_rhs(X, degree, windings):
     return rhs
 
 
+# the fifth-order weights, spelled out: _integrate takes them from _DP_A[6]
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+
+
+def ref_integrate(f, t0, t1, y0, tol, max_steps=200_000, on_step=None):
+    """The seven-call DP5(4) loop that _integrate's first-same-as-last form replaced."""
+    if t1 == t0:
+        return list(y0)
+    span = t1 - t0
+    t = t0
+    y = list(y0)
+    h = span / 16.0
+    hmin = abs(span) * 1e-14
+    steps = 0
+    while (span > 0 and t < t1) or (span < 0 and t > t1):
+        steps += 1
+        if steps > max_steps:
+            raise IntegrationError(f"step budget exhausted at t={t:.6g}")
+        if (span > 0 and t + h > t1) or (span < 0 and t + h < t1):
+            h = t1 - t
+        ks = []
+        for stage in range(7):
+            ys = y
+            for idx, a in enumerate(_DP_A[stage]):
+                if a != 0.0:
+                    ha = h * a
+                    ys = [v + ha * k for v, k in zip(ys, ks[idx])]
+            ks.append(f(t + _DP_C[stage] * h, ys))
+        y5 = y4 = y
+        for idx in range(7):
+            b5, b4 = _DP_B5[idx], _DP_B4[idx]
+            if b5 != 0.0:
+                hb = h * b5
+                y5 = [v + hb * k for v, k in zip(y5, ks[idx])]
+            if b4 != 0.0:
+                hb = h * b4
+                y4 = [v + hb * k for v, k in zip(y4, ks[idx])]
+        err = 0.0
+        for v5, v4, v in zip(y5, y4, y):
+            scale = tol + tol * max(abs(v), abs(v5))
+            err = max(err, abs(v5 - v4) / scale)
+        if err <= 1.0:
+            t += h
+            y = y5
+            if on_step is not None:
+                on_step(t, y)
+        factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+        if abs(h) < hmin:
+            raise IntegrationError(f"step size underflow at t={t:.6g} (h={h:.3g})")
+    return y
+
+
 def rand_block(rng, m, zero_prob=0.3):
     return [0j if rng.random() < zero_prob else complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             for _ in range(m)]
@@ -419,6 +489,28 @@ def _golden_field(name):
     return FieldDocument.parse(path.read_text(encoding="utf-8"), source=str(path)).field(None)
 
 
+def identity_state(n, degree):
+    _, index = _jet_layout(n, degree)
+    y0 = [0j] * len(index)
+    ident = HolonomyJet.identity(n, degree)
+    for (i, K), pos in index.items():
+        y0[pos] = ident.coefficient(i, K)
+    return y0
+
+
+def counting(integrate, calls):
+    """integrate with its right-hand side wrapped to count calls into calls[0]."""
+
+    def run(f, *args, **kwargs):
+        def counted(t, y):
+            calls[0] += 1
+            return f(t, y)
+
+        return integrate(counted, *args, **kwargs)
+
+    return run
+
+
 class TestIntegrationAgainstReference:
     @pytest.mark.parametrize("X,degree", [
         pytest.param(_golden_field("resonant.vf"), 2, id="resonant"),
@@ -427,20 +519,49 @@ class TestIntegrationAgainstReference:
                      4, id="seeded-n2-d4"),
     ])
     def test_same_steps_and_state(self, X, degree):
-        _, index = _jet_layout(X.n, degree)
-        y0 = [0j] * len(index)
-        ident = HolonomyJet.identity(X.n, degree)
-        for (i, K), pos in index.items():
-            y0[pos] = ident.coefficient(i, K)
+        y0 = identity_state(X.n, degree)
         finals, counts = [], []
         for rhs in (ref_rhs(X, degree, 1), _jet_rhs(X, degree, 1)):
             calls = [0]
-
-            def counted(theta, y, rhs=rhs, calls=calls):
-                calls[0] += 1
-                return rhs(theta, y)
-
-            finals.append(_integrate(counted, 0.0, 1.0, y0, 1e-10))
+            finals.append(counting(_integrate, calls)(rhs, 0.0, 1.0, y0, 1e-10))
             counts.append(calls[0])
         assert counts[0] == counts[1]
         assert_close(dict(enumerate(finals[1])), dict(enumerate(finals[0])))
+
+
+def _seeded_jet_case(n, degree):
+    rng = random.Random(7300 + 10 * n + degree)
+    X = rand_x_normalized(rng, rand_mu(rng, n), degree + 1, terms=4)
+    return pytest.param(X, degree, id=f"seeded-n{n}-d{degree}")
+
+
+class TestIntegratorAgainstReference:
+    """_integrate gives bit-identical floats to the seven-call loop, in 6 s + 1 calls."""
+
+    @pytest.mark.parametrize("X,degree", [_seeded_jet_case(n, d) for n, d in JET_SHAPES] + [
+        pytest.param(_golden_field("resonant.vf"), 4, id="resonant"),
+        pytest.param(_golden_field("twovar.vf"), 3, id="twovar"),
+    ])
+    def test_jet_state_bit_identical(self, X, degree):
+        y0 = identity_state(X.n, degree)
+        rhs = _jet_rhs(X, degree, 1)
+        ref_calls, calls = [0], [0]
+        want = counting(ref_integrate, ref_calls)(rhs, 0.0, 1.0, y0, 1e-10)
+        got = counting(_integrate, calls)(rhs, 0.0, 1.0, y0, 1e-10)
+        assert got == want
+        steps, rest = divmod(ref_calls[0], 7)
+        assert rest == 0 and calls[0] == 6 * steps + 1
+
+    def test_path_lift_bit_identical(self, monkeypatch):
+        X = _golden_field("twovar.vf")
+        start = (0.8 + 0.3j, (0.05 - 0.02j, 0.03j))
+        path = PathSpec.segment_log(start[0], 1.5 - 0.4j)
+        results, counts = [], []
+        for integrate in (ref_integrate, _integrate):
+            calls = [0]
+            monkeypatch.setattr(holonomy, "_integrate", counting(integrate, calls))
+            results.append(path_lift(X, start, path, 1e-11))
+            counts.append(calls[0])
+        assert results[1] == results[0]
+        steps, rest = divmod(counts[0], 7)
+        assert rest == 0 and counts[1] == 6 * steps + 1

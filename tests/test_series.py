@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -65,6 +66,14 @@ class TestArithmetic:
         z = TransverseSeries.variable(1, 3, 1)
         s = z.scale(LaurentPoly.x(-2))
         assert s.coefficient((1,)) == LaurentPoly.x(-2)
+
+    def test_fraction_scalar_both_sides(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            f = rand_series(rng, 2, 4, min_exp=-2)
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+            assert f * c == f.scale(c)
+            assert c * f == f.scale(c)
 
 
 class TestOrders:
