@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .coeff import CoefficientSyntaxError, GaussianRational
@@ -55,12 +56,16 @@ from .series import DimensionMismatchError, TransverseSeries
 __all__ = ["main", "FieldDocument", "MapDocument", "DocumentError"]
 
 # Size bounds on document headers and flags.  The work grows with the number
-# of monomials of degree <= d in n variables, so unbounded values run for
-# minutes (or trip exp's iteration guard); larger values exit 2.  At the
-# bounds a sparse field normalizes in a few seconds.
+# n*C(n+d, n) of monomial slots z^K dz_j of degree <= d in n variables, so
+# unbounded values run for minutes (or trip exp's iteration guard); larger
+# values exit 2.  Bounding each value alone is not enough (a 16-term field at
+# n = 6, degree 12, 111,384 slots, ran past 60 s), so MAX_MONOMIALS bounds the
+# slot count too.  Inside it an exact field with every slot filled normalizes
+# in under 8 s on a 2-core x86 machine; the x-cap window is not counted.
 MAX_N = 6  # the 'n' header, and the number of --mu values
 MAX_DEGREE = 12  # the 'degree' header and --degree
 MAX_X_CAP = 64  # the 'x-cap' header and --x-cap
+MAX_MONOMIALS = 640  # n*C(n+d, n) of a document, or of its n with --degree
 _HEADER_BOUNDS = {"n": MAX_N, "degree": MAX_DEGREE, "x-cap": MAX_X_CAP}
 
 
@@ -122,6 +127,7 @@ class FieldDocument:
                 raise DocumentError(f"{source}: missing '{key}:' entry")
         n = _int_header(header, "n", source)
         degree = _int_header(header, "degree", source)
+        _check_monomials(n, degree, source)
         x_cap = _int_header(header, "x-cap", source) if "x-cap" in header else None
         mu = None
         if "mu" in header:
@@ -161,6 +167,15 @@ def _int_header(header, key, source):
     if value > bound:
         raise DocumentError(f"{source}:{lineno}: '{key}' must be at most {bound}, got {value}")
     return value
+
+
+def _check_monomials(n: int, degree: int, source: str) -> None:
+    count = n * math.comb(n + degree, n) if n > 0 and degree >= 0 else 0
+    if count > MAX_MONOMIALS:
+        raise DocumentError(
+            f"{source}: n = {n} at degree {degree} spans {count} monomial slots "
+            f"n*C(n+d, n), at most {MAX_MONOMIALS}"
+        )
 
 
 def _check_flag_bounds(args) -> None:
@@ -205,6 +220,7 @@ class MapDocument:
                 raise DocumentError(f"{source}: missing '{key}:' entry")
         n = _int_header(header, "n", source)
         degree = _int_header(header, "degree", source)
+        _check_monomials(n, degree, source)
         images = {}
         for var, (expr, lineno) in maps.items():
             if var == "x":
@@ -299,6 +315,7 @@ def _load_field(args, use_degree_flag=False):
     cap = None
     if use_degree_flag and getattr(args, "degree", None) is not None:
         cap = args.degree
+        _check_monomials(doc.n, cap, "--degree")
     X = doc.field(cap)
     if getattr(args, "require_x_normalized", False) and not X.is_x_normalized():
         raise DocumentError(

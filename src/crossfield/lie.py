@@ -29,6 +29,7 @@ __all__ = [
     "SingularLinearPartError",
     "bracket",
     "exp",
+    "exp_compose",
     "log",
     "exp_ad",
     "pushforward",
@@ -113,10 +114,12 @@ class VectorField:
     # -- derivation action -------------------------------------------------
 
     def apply(self, f: TransverseSeries) -> TransverseSeries:
-        """X(f) = a df/dx + sum_i b_i df/dz_i, truncated."""
+        """X(f) = a df/dx + sum_i b_i df/dz_i, truncated, skipping zero components."""
         if f.n != self.n or f.cap != self.cap:
             raise DimensionMismatchError("field and series shapes differ")
-        out = self.a * f.diff_x()
+        out = TransverseSeries.zero(self.n, self.cap)
+        if not self.a.is_zero():
+            out = self.a * f.diff_x()
         for i in range(self.n):
             if not self.b[i].is_zero():
                 out = out + self.b[i] * f.diff_z(i + 1)
@@ -372,9 +375,6 @@ def bracket(X: VectorField, Y: VectorField) -> VectorField:
     return X.bracket(Y)
 
 
-_UNSET = object()
-
-
 class Automorphism:
     """Ring substitution map, given by the images of x and of each z_i.
 
@@ -384,15 +384,15 @@ class Automorphism:
     An inverse known by construction is kept as pending factors and composed
     on the first :meth:`invert`: exp(tW) records (W, t, x_window), whose
     inverse is exp(-tW) in the same window; compose() chains the factors of
-    both operands and truncate_x() appends its window, in the order an eager
-    composition would apply them.  The fold caches the result and links it
-    back.  Powers of the images that :meth:`apply` uses are cached as they are
-    first needed.  Every cached value derives from immutable inputs.
+    both operands, truncate_x() appends its window and :func:`exp_compose`
+    records what exp(W).compose() followed by truncate_x() would, in the
+    order an eager composition would apply them.  The fold caches the result
+    and links it back.  Powers of the z-images that :meth:`apply` substitutes
+    are cached as they are first needed.  Every cached value derives from
+    immutable inputs.
     """
 
-    __slots__ = (
-        "n", "cap", "img_x", "img_z", "_inv", "_pending", "_shift", "_zpows", "_gpows"
-    )
+    __slots__ = ("n", "cap", "img_x", "img_z", "_inv", "_pending", "_zpows")
 
     def __init__(self, img_x: TransverseSeries, img_z):
         img_z = tuple(img_z)
@@ -408,9 +408,7 @@ class Automorphism:
         object.__setattr__(self, "img_z", img_z)
         object.__setattr__(self, "_inv", None)  # composed inverse
         object.__setattr__(self, "_pending", None)  # inverse factors not yet folded
-        object.__setattr__(self, "_shift", _UNSET)  # _single_shift() result
         object.__setattr__(self, "_zpows", None)  # per i: [1, img_z[i], img_z[i]^2, ...]
-        object.__setattr__(self, "_gpows", None)  # [1, g, g^2, ...] for the shift g
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
@@ -446,33 +444,13 @@ class Automorphism:
         return TransverseSeries.constant(self.n, self.cap, LaurentPoly.one())
 
     def _zpow(self, i: int, k: int) -> TransverseSeries:
+        """img_z[i]**k, caching every lower power on the way."""
         if self._zpows is None:
             object.__setattr__(self, "_zpows", [[self._one()] for _ in range(self.n)])
-        return _cached_power(self._zpows[i], self.img_z[i], k)
-
-    def _single_shift(self):
-        """(j, g) when the map is z_j -> z_j + g with every other coordinate
-        fixed (x included); None otherwise.  Cached: instances are immutable.
-        """
-        if self._shift is not _UNSET:
-            return self._shift
-        shift = None
-        if self.img_x == self._coordinate(0):
-            for i, comp in enumerate(self.img_z):
-                d = comp - self._coordinate(i + 1)
-                if d.is_zero():
-                    continue
-                if shift is not None:
-                    shift = None
-                    break
-                shift = (i + 1, d)
-        object.__setattr__(self, "_shift", shift)
-        return shift
-
-    def _shift_pow(self, g: TransverseSeries, m: int) -> TransverseSeries:
-        if self._gpows is None:
-            object.__setattr__(self, "_gpows", [self._one()])
-        return _cached_power(self._gpows, g, m)
+        pows = self._zpows[i]
+        while len(pows) <= k:
+            pows.append(pows[-1] * self.img_z[i])
+        return pows[k]
 
     def _coordinate(self, i: int) -> TransverseSeries:
         """Reference coordinate series: x for i = 0, z_i otherwise."""
@@ -495,23 +473,6 @@ class Automorphism:
         for comp in self.img_z:
             if not comp.is_zero() and comp.madic_order() < 1:
                 raise ValueError("z-images must lie in m")
-        shift = self._single_shift()
-        if shift is not None:
-            # substitution in one slot only: f(.., z_j + g, ..) expands as
-            # the finite Taylor sum over d/dz_j, much cheaper than rebuilding
-            # every monomial (this is the shape of every elimination step)
-            j, g = shift
-            acc = {}
-            deriv = f
-            fact = 1
-            for m in range(self.cap + 1):
-                if m:
-                    deriv = deriv.diff_z(j)
-                    fact *= m
-                    if deriv.is_zero():
-                        break
-                _accumulate(acc, deriv.scale(Fraction(1, fact)) * self._shift_pow(g, m))
-            return TransverseSeries(self.n, self.cap, acc)
         acc = {}
         for K, poly in f.terms():
             zpart = self._one()
@@ -726,13 +687,6 @@ class Automorphism:
         return f"Automorphism({self.__str__()!r})"
 
 
-def _cached_power(pows: list, base: TransverseSeries, k: int) -> TransverseSeries:
-    """pows[k], extending the list pows[m] = base**m (pows[0] given) as needed."""
-    while len(pows) <= k:
-        pows.append(pows[-1] * base)
-    return pows[k]
-
-
 def _accumulate(acc: dict, s: TransverseSeries) -> None:
     for K, poly in s._terms.items():
         held = acc.get(K)
@@ -801,24 +755,55 @@ def exp(X: VectorField, t=1, x_window: int | None = None) -> Automorphism:
         t = GaussianRational(t)
     elif not isinstance(t, GaussianRational):
         raise TypeError(f"exp needs an exact time, got {type(t).__name__}")
-    if x_window is None:
-        if not X.is_nilpotent():
-            raise NotNilpotentError("exp requires a nilpotent field at the cap")
-    else:
-        if not X.is_nilpotent_mod_x():
-            raise NotNilpotentError(
-                "exp requires a field nilpotent in the x-truncated ring"
-            )
+    _require_nilpotent(X, x_window)
     phi = Automorphism(*_exp_images(X, t, x_window))
     object.__setattr__(phi, "_pending", ((X, t, x_window),))
     return phi
 
 
-def _exp_images(X: VectorField, t: GaussianRational, x_window):
+def exp_compose(W: VectorField, N: Automorphism, x_window: int | None = None) -> Automorphism:
+    """exp(W) o N, as the Lie series sum_k W^k(N's images)/k!.
+
+    The same map as ``exp(W, 1, x_window).compose(N)``, followed by
+    ``truncate_x(x_window)`` when a window is given, with the same pending
+    inverse factors; but neither exp(W) nor a substitution into N is formed.
+    For a monomial field W = f(x) z^K z_j d/dz_j, as in every sweep step of
+    normalize(), each term is one d/dz_j and one one-term product.
+    """
+    if W.n != N.n or W.cap != N.cap:
+        raise DimensionMismatchError("field and automorphism shapes differ")
+    _require_nilpotent(W, x_window)
+    one = GaussianRational.ONE
+    images = [_in_window(s, x_window) for s in (N.img_x,) + N.img_z]
+    phi = Automorphism(*_exp_images(W, one, x_window, images))
+    factors = N._inverse_factors()
+    if factors is not None:
+        window = () if x_window is None else (x_window,)
+        object.__setattr__(phi, "_pending", factors + ((W, one, x_window),) + window)
+    return phi
+
+
+def _require_nilpotent(X: VectorField, x_window) -> None:
+    if x_window is None:
+        if not X.is_nilpotent():
+            raise NotNilpotentError("exp requires a nilpotent field at the cap")
+    elif not X.is_nilpotent_mod_x():
+        raise NotNilpotentError(
+            "exp requires a field nilpotent in the x-truncated ring"
+        )
+
+
+def _exp_images(X: VectorField, t: GaussianRational, x_window, series=None):
+    """The Lie series sum_k t^k/k! X^k(s) of each s in series, as (x-image,
+    z-images).
+
+    series defaults to the coordinates, giving the images of exp(tX); the
+    images of a map N give those of exp(tX) o N.  Each term is truncated to
+    x_window; the sum is finite for nilpotent X.
+    """
     images = []
-    for coord in _coordinates(X.n, X.cap):
-        acc = coord
-        term = coord
+    for acc in _coordinates(X.n, X.cap) if series is None else series:
+        term = acc
         k = 0
         while True:
             k += 1

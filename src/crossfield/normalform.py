@@ -10,7 +10,9 @@ monomials with everything already in the field land strictly later in the
 pair order (this is why the linear part must sit in the triangular cone
 z_a d/dz_b, a <= b), so a single ascending sweep terminates with the
 resonant monomials x^{-<mu,K>} z^K L(e_j), <mu,K> in Z_{<=0}, plus the
-linear reference part, and composes the normalizing automorphism on the way.
+linear reference part.  The normalizing automorphism is composed on the way
+through the Lie series: each step's exp(W) o N is sum_k W^k(N's images)/k!,
+one derivative and one one-term product per term (lie.exp_compose).
 
 x-dependent diagonal linear terms exponentiate to transcendental scalings
 (z -> e^{f(x)} z), so fields carrying them are processed in the x-truncated
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeff import GaussianRational, LaurentPoly
-from .lie import Automorphism, VectorField, exp, exp_ad
+from .lie import Automorphism, VectorField, exp_ad, exp_compose
 from .resonance import NtnrResult, as_eigenvalues, decide_ntnr, pairing
 from .series import MonomialIndex, TransverseSeries, iter_l_indices
 
@@ -186,10 +188,7 @@ def normalize(
             continue
         W = VectorField.monomial(n, cap, idx, f)
         field = exp_ad(W, field, x_window=window)
-        step_phi = exp(W, 1, x_window=window)
-        normalizer = step_phi.compose(normalizer)
-        if window is not None:
-            normalizer = normalizer.truncate_x(window)
+        normalizer = exp_compose(W, normalizer, window)
         steps.append(idx)
         if field.coefficient_at(idx) != residual:
             raise AssertionError(

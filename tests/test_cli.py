@@ -6,11 +6,12 @@ the module tests.
 """
 
 import os
+import time
 from pathlib import Path
 
 import pytest
 
-from crossfield.cli import main
+from crossfield.cli import MAX_MONOMIALS, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -178,6 +179,31 @@ def test_oversized_flag_is_usage_error(argv, capsys):
     assert out == ""
     assert err.startswith("error: ") and "at most" in err
     assert "Traceback" not in err
+
+
+# 16 terms at n = 6: each header is in bounds, but degree 12 spans
+# 6*C(18, 6) = 111,384 monomial slots; normalize ran past 60 s before the
+# combined budget
+WIDE_FIELD = (
+    "x*dx + 1/2*z1*dz1 - 3*z2*dz2 + i*z3*dz3 + 5/3*z4*dz4 - 2/7*z5*dz5 + 7/5*z6*dz6"
+    " + z1^2*dz2 + z2*z3*dz1 + z4^2*dz5 + z5*z6*dz4 + z1*z6*dz3 + z3^3*dz6"
+    " + x*z2^2*dz2 + z4*z5*z6*dz1 + z6^2*dz6"
+)
+
+
+@pytest.mark.parametrize("degree,flags", [("12", []), ("2", ["--degree", "12"])])
+def test_monomial_budget_is_usage_error(degree, flags, tmp_path, capsys):
+    p = tmp_path / "wide.vf"
+    p.write_text(f"n: 6\ndegree: {degree}\nfield: {WIDE_FIELD}\n", encoding="utf-8")
+    t0 = time.perf_counter()
+    rc = main(["normalize", "--field", str(p), *flags, "--json"])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "111384 monomial slots" in err
+    assert f"at most {MAX_MONOMIALS}" in err
+    assert "Traceback" not in err
+    assert elapsed < 5
 
 
 @pytest.mark.parametrize("argv", [

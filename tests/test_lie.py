@@ -13,6 +13,7 @@ from crossfield.lie import (
     VectorField,
     exp,
     exp_ad,
+    exp_compose,
     exp_decomposition,
     log,
 )
@@ -157,26 +158,8 @@ class TestFlatness:
         assert not W2.is_nilpotent_mod_x()
         with pytest.raises(NotNilpotentError):
             exp(W2, 1, x_window=5)
-
-    def test_single_shift_path_matches_generic(self):
-        # the one-slot Taylor substitution must agree with full substitution
-        rng = random.Random(67)
-        for _ in range(40):
-            n = rng.choice([1, 2])
-            cap = 4
-            j = rng.randint(1, n)
-            g = rand_series(rng, n, cap, terms=2, min_deg=1, min_exp=0, max_exp=2)
-            imgs = [var(n, cap, i + 1) for i in range(n)]
-            imgs[j - 1] = imgs[j - 1] + g
-            phi = Automorphism(TransverseSeries.x_series(n, cap), imgs)
-            assert phi._single_shift() is not None
-            # the same map with the cache pinned to None takes the generic path
-            f = rand_series(rng, n, cap, terms=3, min_exp=-1, max_exp=2)
-            got = phi.apply(f)
-            generic = Automorphism(phi.img_x, phi.img_z)
-            object.__setattr__(generic, "_shift", None)
-            assert generic._single_shift() is None
-            assert generic.apply(f) == got
+        with pytest.raises(NotNilpotentError):
+            exp_compose(W2, Automorphism.identity(1, 4), x_window=5)
 
     def test_window_routes_agree(self):
         # adjoint series and substitution pushforward coincide on the
@@ -241,6 +224,25 @@ class TestExp:
     def test_integer_powers(self):
         X = mono_field(1, 5, (2,), 1)
         assert exp(X, 2) == exp(X).compose(exp(X))
+
+    @pytest.mark.parametrize("window", [None, 1])
+    def test_compose_matches_eager_composition(self, window):
+        # exp_compose(W, N) is exp(W) o N, truncated in the window, with the
+        # same inverse; some eager maps reach past the window, so the
+        # truncation is exercised
+        rng = random.Random(74)
+        beyond = 0
+        for _ in range(20):
+            W = rand_one_flat(rng, 2, 4, max_exp=1)
+            N = exp(rand_one_flat(rng, 2, 4, max_exp=1))
+            eager = exp(W, 1, x_window=window).compose(N)
+            if window is not None:
+                beyond += eager != eager.truncate_x(window)
+                eager = eager.truncate_x(window)
+            got = exp_compose(W, N, window)
+            assert got == eager
+            assert got.invert() == eager.invert()
+        assert window is None or beyond
 
 
 class TestLog:
@@ -420,28 +422,32 @@ class TestExpDecomposition:
             assert exp(Z2).pushforward(X) == X
 
 
-def eager_sweep_inverse(X, res):
-    """Reference inverse of res.normalizer, composed eagerly step by step.
+def eager_sweep(X, res):
+    """Reference normalizer and inverse of res, composed eagerly step by step.
 
-    Replays normalize()'s sweep from its recorded steps and, after each one,
+    Replays normalize()'s sweep from its recorded steps.  After each one it
+    composes exp(W) onto the running normalizer by substitution, and
     substitutes the running inverse into the images of exp(-W), truncating
-    in the x-window mode: the composition compose() and truncate_x() ran
-    eagerly before inverses were kept as pending factors.
+    both in the x-window mode: the normalizer was composed this way before
+    the sweep used Lie series, and the inverse before inverses were kept as
+    pending factors.
     """
     n, cap, window = X.n, X.cap, res.x_window
     field = X if window is None else X.truncate_x(window)
-    inv = Automorphism.identity(n, cap)
+    normalizer = inv = Automorphism.identity(n, cap)
     for idx in res.steps:
         f, _ = field.coefficient_at(idx).euler_solve(pairing(res.mu, idx.K))
         W = VectorField.monomial(n, cap, idx, f)
         field = exp_ad(W, field, x_window=window)
+        normalizer = exp(W, 1, x_window=window).compose(normalizer)
         step = exp(W, -1, x_window=window)
         inv = Automorphism(inv.apply(step.img_x), [inv.apply(c) for c in step.img_z])
         if window is not None:
+            normalizer = normalizer.truncate_x(window)
             inv = Automorphism(
                 inv.img_x.truncate_x(window), [c.truncate_x(window) for c in inv.img_z]
             )
-    return inv
+    return normalizer, inv
 
 
 FIELD_A = "x*dx + 1/2*z1*dz1 - 3*z2*dz2 + z1^2*dz1 + x*z1*z2*dz2 + z2^2*dz1 + z1^3*dz2"
@@ -483,8 +489,10 @@ class TestLazyInverse:
             res = normalize(X, mu, x_cap=x_cap)
             assert (res.x_window is None) == (mode == "exact")
             assert res.steps
+            eager, eager_inv = eager_sweep(X, res)
+            assert res.normalizer == eager
             inv = res.normalizer.invert()
-            assert inv == eager_sweep_inverse(X, res)
+            assert inv == eager_inv
             assert res.normalizer.invert() is inv
             assert inv.invert() is res.normalizer
             ident = Automorphism.identity(X.n, X.cap)
