@@ -127,7 +127,7 @@ class FieldDocument:
                 raise DocumentError(f"{source}: missing '{key}:' entry")
         n = _int_header(header, "n", source)
         degree = _int_header(header, "degree", source)
-        _check_monomials(n, degree, source)
+        _check_slot_budget(n, degree, source)
         x_cap = _int_header(header, "x-cap", source) if "x-cap" in header else None
         mu = None
         if "mu" in header:
@@ -169,7 +169,7 @@ def _int_header(header, key, source):
     return value
 
 
-def _check_monomials(n: int, degree: int, source: str) -> None:
+def _check_slot_budget(n: int, degree: int, source: str) -> None:
     count = n * math.comb(n + degree, n) if n > 0 and degree >= 0 else 0
     if count > MAX_MONOMIALS:
         raise DocumentError(
@@ -220,7 +220,7 @@ class MapDocument:
                 raise DocumentError(f"{source}: missing '{key}:' entry")
         n = _int_header(header, "n", source)
         degree = _int_header(header, "degree", source)
-        _check_monomials(n, degree, source)
+        _check_slot_budget(n, degree, source)
         images = {}
         for var, (expr, lineno) in maps.items():
             if var == "x":
@@ -315,7 +315,7 @@ def _load_field(args, use_degree_flag=False):
     cap = None
     if use_degree_flag and getattr(args, "degree", None) is not None:
         cap = args.degree
-        _check_monomials(doc.n, cap, "--degree")
+        _check_slot_budget(doc.n, cap, "--degree")
     X = doc.field(cap)
     if getattr(args, "require_x_normalized", False) and not X.is_x_normalized():
         raise DocumentError(

@@ -18,14 +18,25 @@ explicit: every entry point rejects a tol that is not finite and positive
 with ValueError.
 
 The jet state is one packed complex vector (_jet_layout): block i holds the
-coefficients of z_i on the monomials of degree 1..d in grlex order.  Jets are
-multiplied through a product table built once per call (_product_table):
-for each position a, the positions b with |K_a| + |K_b| <= d and the position
-of K_a + K_b.  _dense_mul runs that table, and _monomials builds z^M from
-powers z_j^k = z_j^(k-1) z_j; the jet right-hand side and HolonomyJet.after
-share both.  The integrator is an adaptive embedded Dormand-Prince 5(4) pair
-on complex state vectors, first-same-as-last: six right-hand side calls per
-step.
+coefficients of z_i on the monomials of degree 1..d in grlex order.  The
+jet right-hand side (_jet_rhs) and the substitution behind HolonomyJet.after
+(_composer) are compiled kernels: _jet_kernel writes straight-line Python
+for one field or one jet, with the state unpacked into locals, every power
+z_j^k = z_j^(k-1) z_j and every monomial z^M (its powers multiplied left to
+right over j) built once, and each product entry written as 0j + A_a*B_b +
+... over the left factor's positions a ascending.  Nothing is compiled at
+import; the source names values by integer index only, and coefficients
+enter through the exec namespace or as arguments.  _UNIT_PRODUCTS caps the
+products per compile unit and _SUM_TERMS the terms per statement, so a
+dense field at the CLI's size budget builds in bounded memory.
+
+For finite states the kernels give the same floats, bit for bit, as the
+interpreted loops they replaced: every sum keeps its order, and the only
+terms dropped (entries zero by construction, runtime zeros the loops
+skipped) are exact zeros.  A sum that starts at 0j is never -0.0, and
+adding +-0 to it changes nothing, which is why each sum keeps its 0j.  The
+integrator is an adaptive embedded Dormand-Prince 5(4) pair on complex
+state vectors, first-same-as-last: six right-hand side calls per step.
 """
 
 from __future__ import annotations
@@ -124,29 +135,12 @@ class HolonomyJet:
     def after(self, other: "HolonomyJet") -> "HolonomyJet":
         """Composition self o other: substitute other's jets into self.
 
-        other is packed into the dense blocks of _jet_layout and each monomial
-        of self is built once through the product table; terms past the
-        degree drop out.  Neither jet may have a constant term.
+        Runs the substitution kernel compiled from self's terms (_composer);
+        terms past the degree drop out.  Neither jet may have a constant term.
         """
         if self.n != other.n or self.degree != other.degree:
             raise ValueError("jet shapes differ")
-        n, degree = self.n, self.degree
-        monos, _ = _jet_layout(n, degree)
-        m = len(monos)
-        pos = {K: p for p, K in enumerate(monos)}
-        blocks = [_pack(other.coeffs.get(i, {}), pos, degree) for i in range(1, n + 1)]
-        terms = [_pack_terms(self.coeffs.get(i, {}), degree) for i in range(1, n + 1)]
-        z_K = _monomials(_product_table(monos, degree), m, blocks,
-                         [K for comp in terms for K, _ in comp])
-        out = {}
-        for i, comp in enumerate(terms, 1):
-            acc = [0j] * m
-            for K, c in comp:
-                for o, v in enumerate(z_K[K]):
-                    if v:
-                        acc[o] += c * v
-            out[i] = dict(zip(monos, acc))
-        return HolonomyJet(n, degree, out, self.base_point)
+        return _composer(self)(other)
 
     def apply_point(self, z) -> tuple:
         z = tuple(complex(v) for v in z)
@@ -188,67 +182,188 @@ def _pack_terms(comp, degree):
     return out
 
 
-def _pack(comp, pos, degree):
-    """Dense block of a jet component over the grlex positions `pos`."""
-    block = [0j] * len(pos)
-    for K, c in _pack_terms(comp, degree):
-        block[pos[K]] = c
-    return block
+def _composer(f: HolonomyJet):
+    """g -> f o g for jets g of f's shape, compiled once from f's terms.
 
-
-def _product_table(monos, degree):
-    """Rows (a, [(o, b), ...]) of the truncated product of two packed blocks.
-
-    monos lists the monomials of degree 1..degree in grlex order; position a
-    pairs with every b with |K_a| + |K_b| <= degree, and o is the position of
-    K_a + K_b.  Rows and pairs both run in grlex order.
+    The kernel sums each output entry over f's terms in f's dict order and
+    takes f's coefficients as an argument.
     """
-    pos = {K: p for p, K in enumerate(monos)}
-    rows = []
-    for a, Ka in enumerate(monos):
-        room = degree - sum(Ka)
-        pairs = [
-            (pos[tuple(x + y for x, y in zip(Ka, Kb))], b)
-            for b, Kb in enumerate(monos)
-            if sum(Kb) <= room
-        ]
-        if pairs:
-            rows.append((a, pairs))
-    return rows
+    n, degree = f.n, f.degree
+    monos, index = _jet_layout(n, degree)
+    comps = [_pack_terms(f.coeffs.get(i, {}), degree) for i in range(1, n + 1)]
+    coeffs = [c for comp in comps for _, c in comp]
+    prog = _Program("cs, y", {})
+    state = prog.unpack("y", len(index))
+    cs = iter(prog.unpack("cs", len(coeffs)))
+    terms = [[(K, next(cs)) for K, _ in comp] for comp in comps]
+    kernel = _jet_kernel(prog, monos, degree, state, terms)
+    m = len(monos)
+
+    def compose(g: HolonomyJet) -> HolonomyJet:
+        y = [0j] * len(index)
+        for i in range(1, n + 1):
+            for K, c in _pack_terms(g.coeffs.get(i, {}), degree):
+                y[index[(i, K)]] = c
+        out = kernel(coeffs, y)
+        return HolonomyJet(n, degree, {
+            i: dict(zip(monos, out[(i - 1) * m:i * m])) for i in range(1, n + 1)
+        }, f.base_point)
+
+    return compose
 
 
-def _dense_mul(rows, A, B, m):
-    """Truncated product of the packed blocks A and B (length m), a outer, b inner."""
-    r = [0j] * m
-    for a, pairs in rows:
-        x = A[a]
-        if x:
-            for o, b in pairs:
-                r[o] += x * B[b]
-    return r
+# --- compiled jet kernels ----------------------------------------------------
+
+# One compile unit holds about this many products and one statement at most
+# this many summed terms: compile() needs memory per unit and recursion depth
+# per chained "+" (it overflows between 2,000 and 5,000 terms).
+_UNIT_PRODUCTS = 4096
+_SUM_TERMS = 1024
 
 
-def _monomials(rows, m, blocks, exps):
-    """Dense z^M over the packed blocks z_j, for each exponent tuple M in exps.
+class _Program:
+    """Straight-line Python over single-assignment values v0, v1, ...
 
-    Each M needs 1 <= |M|.  Powers follow z_j^k = z_j^(k-1) z_j, z^M
-    multiplies its powers left to right over j, and every power and every
-    distinct M is built once.
+    Values are created in order and named by their index alone; constants
+    enter through the namespace, never through the source text.  Every
+    _UNIT_PRODUCTS products the pending statements are compiled as one unit:
+    the first unit takes `params` and returns the list s of its values, each
+    later unit loads what it uses from s and appends what it defines, and the
+    last returns the outputs.
     """
-    powers = [[z] for z in blocks]
-    out = {}
-    for M in exps:
-        if M in out:
-            continue
+
+    def __init__(self, params: str, namespace: dict):
+        self.params = params
+        self.namespace = namespace
+        self.units = []
+        self.lines = []
+        self.loads = set()
+        self.start = 0  # first value of the pending unit
+        self.count = 0
+        self.products = 0
+
+    def ref(self, v) -> str:
+        """Source name of value v (or of the namespace name v) in the pending unit."""
+        if isinstance(v, str):
+            return v
+        if v < self.start:
+            self.loads.add(v)
+        return f"v{v}"
+
+    def define(self, expr: str, products: int = 0) -> int:
+        v = self.count
+        self.count += 1
+        self.lines.append(f"v{v} = {expr}")
+        self.products += products
+        if self.products >= _UNIT_PRODUCTS:
+            self._compile(None)
+        return v
+
+    def unpack(self, source: str, count: int) -> range:
+        values = range(self.count, self.count + count)
+        if count:
+            self.lines.append("".join(f"v{v}, " for v in values) + "= " + source)
+            self.count += count
+        return values
+
+    def sum(self, pairs, wrap: str = "{}"):
+        """The value wrap(0j + a*b + ...) over (a, b) in order, or None for no pairs.
+
+        Each statement sums at most _SUM_TERMS pairs; a longer sum goes on
+        from the previous statement's value, left to right as before.
+        """
         acc = None
-        for j, k in enumerate(M):
-            if k:
-                pw = powers[j]
-                while len(pw) < k:
-                    pw.append(_dense_mul(rows, pw[-1], pw[0], m))
-                acc = pw[k - 1] if acc is None else _dense_mul(rows, acc, pw[k - 1], m)
-        out[M] = acc
-    return out
+        for lo in range(0, len(pairs), _SUM_TERMS):
+            chunk = pairs[lo:lo + _SUM_TERMS]
+            expr = ("0j" if acc is None else self.ref(acc)) + "".join(
+                f" + {self.ref(a)}*{self.ref(b)}" for a, b in chunk)
+            if lo + _SUM_TERMS >= len(pairs):
+                expr = wrap.format(expr)
+            acc = self.define(expr, len(chunk))
+        return acc
+
+    def finish(self, outputs):
+        """The kernel returning [outputs], with None for a structural zero."""
+        self._compile(outputs)
+        head, *rest = self.units
+        if not rest:
+            return head
+        *middle, last = rest
+
+        def run(*args):
+            s = head(*args)
+            for unit in middle:
+                unit(s)
+            return last(s)
+
+        return run
+
+    def _compile(self, outputs):
+        first = not self.units
+        if outputs is not None:
+            tail = "return [" + ", ".join("0j" if v is None else self.ref(v) for v in outputs) + "]"
+        elif first:
+            tail = "return [" + ", ".join(f"v{v}" for v in range(self.count)) + "]"
+        else:
+            tail = "s += (" + "".join(f"v{v}, " for v in range(self.start, self.count)) + ")"
+        source = "\n    ".join([
+            f"def unit({self.params if first else 's'}):",
+            *(f"v{v} = s[{v}]" for v in sorted(self.loads)),
+            *self.lines,
+            tail,
+        ])
+        exec(compile(source, "<holonomy kernel>", "exec"), self.namespace)
+        self.units.append(self.namespace.pop("unit"))
+        self.lines, self.loads = [], set()
+        self.start, self.products = self.count, 0
+
+
+def _jet_kernel(prog: _Program, monos, degree: int, state, terms):
+    """Finish prog as sum_t c_t z^{M_t} per direction over the packed state.
+
+    state holds the value of each state entry (blocks of len(monos) per
+    direction), and terms per direction the (M, value of c) of its terms in
+    summation order.  Powers follow z_j^k = z_j^(k-1) z_j and z^M multiplies
+    its powers left to right over j; each is built once.  A product entry is
+    0j + sum A_a B_b over the left factor's positions a ascending, and an
+    output entry 0j + sum c_t z^{M_t} over the terms; entries that are zero
+    by construction (degree below the power or monomial) are left out.
+    """
+    m = len(monos)
+    pos = {K: p for p, K in enumerate(monos)}
+    rows = [
+        (a, [(pos[tuple(x + y for x, y in zip(Ka, Kb))], b)
+             for b, Kb in enumerate(monos) if sum(Ka) + sum(Kb) <= degree])
+        for a, Ka in enumerate(monos)
+    ]
+
+    def mul(A, B):
+        entries = [[] for _ in range(m)]
+        for a, pairs in rows:
+            if A[a] is not None:
+                for o, b in pairs:
+                    if B[b] is not None:
+                        entries[o].append((A[a], B[b]))
+        return [prog.sum(pairs) for pairs in entries]
+
+    powers = [[list(state[j * m:(j + 1) * m])] for j in range(len(terms))]
+    z = {}
+    for comp in terms:
+        for M, _ in comp:
+            if M in z:
+                continue
+            acc = None
+            for j, k in enumerate(M):
+                if k:
+                    pw = powers[j]
+                    while len(pw) < k:
+                        pw.append(mul(pw[-1], pw[0]))
+                    acc = pw[k - 1] if acc is None else mul(acc, pw[k - 1])
+            z[M] = acc
+    return prog.finish([
+        prog.sum([(c, z[M][p]) for M, c in comp if z[M][p] is not None])
+        for comp in terms for p in range(m)
+    ])
 
 
 # --- numeric view of a field -------------------------------------------------
@@ -363,12 +478,13 @@ def _integrate(f, t0: float, t1: float, y0, tol: float, max_steps: int = 200_000
               for v, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
         k7 = f(t + h, y5)
         g1, g3, g4, g5, g6, g7 = h * e1, h * e3, h * e4, h * e5, h * e6, h * e7
-        # the max starts from 0.0 and runs left to right, so NaN entries are skipped
-        err = max([0.0, *(
+        ratios = [
             abs(u - (v + g1 * p1 + g3 * p3 + g4 * p4 + g5 * p5 + g6 * p6 + g7 * p7))
             / (tol + tol * max(abs(v), abs(u)))
             for v, u, p1, p3, p4, p5, p6, p7 in zip(y, y5, k1, k3, k4, k5, k6, k7)
-        )])
+        ]
+        # the max starts from 0.0 and runs left to right, so NaN entries are skipped
+        err = max([0.0, *ratios])
         if err <= 1.0:
             t += h
             y = y5
@@ -398,40 +514,35 @@ def _jet_layout(n: int, degree: int):
 def _jet_rhs(X: VectorField, degree: int, windings: int):
     """Right-hand side of the jet ODE on the packed state of _jet_layout.
 
-    dz/dtheta = 2 pi i w B(e^{2 pi i w theta}, z): per call the n blocks are
-    sliced out of the state, each field monomial z^M with a nonzero
-    coefficient at this theta is built once for all directions, and
-    2 pi i w c times it is added into the block of its direction.
+    dz/dtheta = 2 pi i w B(e^{2 pi i w theta}, z), compiled by _jet_kernel:
+    per call x = e^{2 pi i w theta}, each x**e once, each field coefficient
+    2 pi i w (0j + sum k x**e), then each field monomial z^M once for all
+    directions, summed into the block of its direction in field order.
     """
-    n = X.n
-    monos, _ = _jet_layout(n, degree)
-    m = len(monos)
-    rows = _product_table(monos, degree)
-    factor = TWO_PI_I * windings
-    # terms of degree 0 or past the jet degree leave no trace in degrees 1..d
-    plan = [
-        (i * m, [(M, xterms) for M, xterms in comp if 1 <= sum(M) <= degree])
-        for i, comp in enumerate(_numeric_terms(X))
-    ]
-
-    def rhs(theta, y):
-        x = cmath.exp(TWO_PI_I * windings * theta)
-        scaled = []
-        for off, comp in plan:
-            for M, xterms in comp:
-                c = _eval_coeff(xterms, x)
-                if c != 0:
-                    scaled.append((off, M, factor * c))
-        blocks = [y[off:off + m] for off in range(0, n * m, m)]
-        z_M = _monomials(rows, m, blocks, [M for _, M, _ in scaled])
-        out = [0j] * (n * m)
-        for off, M, fc in scaled:
-            for o, v in enumerate(z_M[M], off):
-                if v:
-                    out[o] += fc * v
-        return out
-
-    return rhs
+    monos, index = _jet_layout(X.n, degree)
+    namespace = {"exp": cmath.exp, "f": TWO_PI_I * windings}
+    prog = _Program("theta, y", namespace)
+    state = prog.unpack("y", len(index))
+    x = prog.define("exp(f * theta)")
+    x_pows, consts = {}, []
+    terms = []
+    for comp in _numeric_terms(X):
+        row = []
+        # terms of degree 0 or past the jet degree leave no trace in degrees 1..d
+        for M, xterms in comp:
+            if not (xterms and 1 <= sum(M) <= degree):
+                continue
+            pairs = []
+            for e, c in xterms:
+                if e not in x_pows:
+                    x_pows[e] = prog.define(f"{prog.ref(x)}**{int(e)}")
+                name = f"k{len(consts)}"
+                consts.append(c)
+                namespace[name] = c
+                pairs.append((name, x_pows[e]))
+            row.append((M, prog.sum(pairs, "f * ({})")))
+        terms.append(row)
+    return _jet_kernel(prog, monos, degree, state, terms)
 
 
 def _require_windings(windings) -> None:
@@ -474,8 +585,11 @@ def holonomy_jet(X: VectorField, degree: int, tol: float = 1e-10,
             coeffs[i][K] = y1[pos]
     turn = HolonomyJet(n, degree, coeffs)
     jet = turn
-    for _ in range(abs(windings) - 1):
-        jet = turn.after(jet)
+    if abs(windings) > 1:
+        # jet = turn.after(jet), with turn's substitution compiled once
+        after_turn = _composer(turn)
+        for _ in range(abs(windings) - 1):
+            jet = after_turn(jet)
     return jet
 
 

@@ -46,6 +46,9 @@ CASES = [
     ("log_map", ["log", "--map", doc("tangent.map"), "--json"], 0, False),
     ("holonomy_resonant", ["holonomy", "--field", doc("resonant.vf"), "--degree", "2", "--tol", "1e-10", "--json"], 0, False),
     ("conjugacy_scale", ["conjugacy-check", "--field", doc("resonant.vf"), "--map", doc("scale.map"), "--degree", "2", "--json"], 0, False),
+    ("holonomy_twovar_d3_w3", ["holonomy", "--field", doc("twovar.vf"), "--degree", "3", "--windings", "3", "--json"], 0, False),
+    ("holonomy_resonant_d4_wm2", ["holonomy", "--field", doc("resonant.vf"), "--degree", "4", "--windings", "-2", "--json"], 0, False),
+    ("conjugacy_scale_d4", ["conjugacy-check", "--field", doc("resonant.vf"), "--map", doc("scale.map"), "--degree", "4", "--json"], 0, False),
     ("conjugacy_too_strict", ["conjugacy-check", "--field", doc("resonant.vf"), "--map", doc("scale.map"), "--degree", "2", "--max-residual", "1e-20", "--json"], 1, True),
     ("parse_error_position", ["normalize", "--field", doc("bad.vf"), "--json"], 2, True),
     ("reject_not_normalized", ["holonomy", "--field", doc("notnorm.vf"), "--json"], 2, True),

@@ -1,8 +1,10 @@
-"""Floats enter only at the holonomy boundary.
+"""Floats enter only at the holonomy boundary, and so does generated code.
 
 An AST scan of the exact modules: none of them calls ``complex`` or ``float``
 or touches an ``as_complex`` attribute, except ``coeff.py`` inside the two
 boundary methods ``GaussianRational.as_complex`` and ``LaurentPoly.evaluate``.
+A second scan of every module: only ``holonomy.py``, which compiles its jet
+kernels, calls ``exec`` or ``compile``, and no module calls ``eval``.
 """
 
 import ast
@@ -66,3 +68,32 @@ def test_scan_sees_every_kind_of_use():
 def test_boundary_methods_exist():
     uses = float_uses((PACKAGE / "coeff.py").read_text(encoding="utf-8"))
     assert {(cls, fn) for cls, fn, _ in uses} == BOUNDARY["coeff.py"]
+
+
+GENERATED_CODE = {"holonomy.py": {"exec", "compile"}}
+
+
+def dynamic_code_calls(source: str):
+    """(builtin, line) of each call of ``exec``, ``eval`` or ``compile``."""
+    return [
+        (node.func.id, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "eval", "compile")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_generated_code_only_in_holonomy(path):
+    calls = dynamic_code_calls(path.read_text(encoding="utf-8"))
+    allowed = GENERATED_CODE.get(path.name, set())
+    stray = [(name, line) for name, line in calls if name not in allowed]
+    assert not stray, f"{path.name} runs generated code at {stray}"
+
+
+def test_code_scan_sees_every_call():
+    source = "exec(compile(s, 'k', 'exec'), ns)\nre.compile(p)\neval(e)\n"
+    assert sorted(dynamic_code_calls(source)) == [("compile", 1), ("eval", 3), ("exec", 1)]
+    holonomy = (PACKAGE / "holonomy.py").read_text(encoding="utf-8")
+    assert {name for name, _ in dynamic_code_calls(holonomy)} == GENERATED_CODE["holonomy.py"]

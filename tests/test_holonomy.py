@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import re
+import types
 from pathlib import Path
 
 import pytest
@@ -17,14 +19,14 @@ from crossfield.holonomy import (
     HolonomyJet,
     IntegrationError,
     LeafEscapeError,
+    TWO_PI_I,
     PathSpec,
-    _dense_mul,
     _eval_coeff,
     _integrate,
     _jet_layout,
     _jet_rhs,
     _numeric_terms,
-    _product_table,
+    _pack_terms,
     conjugacy_residual,
     holonomy_jet,
     path_lift,
@@ -286,10 +288,11 @@ class TestWindingsValidation:
         assert forward.after(backward).max_abs_diff(HolonomyJet.identity(1, 3)) < 1e-8
 
 
-# --- brute-force references for the packed product plan and the integrator ----
+# --- brute-force references for the jet kernels and the integrator ------------
 # The dict products below are the loop version the packed kernel replaced;
-# they stay here as the oracle for _dense_mul, HolonomyJet.after and the RHS.
-# ref_integrate is the DP5(4) loop before first-same-as-last and fused passes.
+# they stay here as the oracle for the loop_* plan, HolonomyJet.after and the
+# RHS.  ref_integrate is the DP5(4) loop before first-same-as-last and fused
+# passes.
 
 
 def ref_jet_mul(a, b, degree):
@@ -365,6 +368,142 @@ def ref_rhs(X, degree, windings):
         return out
 
     return rhs
+
+
+# --- the interpreted product plan the compiled kernels replaced ---------------
+# _product_table, _dense_mul, _monomials, _pack, _jet_rhs and HolonomyJet.after
+# as they were before the kernels were compiled, verbatim but for the loop_
+# names: the compiled kernels must match them bit for bit on finite states.
+
+
+def loop_product_table(monos, degree):
+    """Rows (a, [(o, b), ...]) of the truncated product of two packed blocks.
+
+    monos lists the monomials of degree 1..degree in grlex order; position a
+    pairs with every b with |K_a| + |K_b| <= degree, and o is the position of
+    K_a + K_b.  Rows and pairs both run in grlex order.
+    """
+    pos = {K: p for p, K in enumerate(monos)}
+    rows = []
+    for a, Ka in enumerate(monos):
+        room = degree - sum(Ka)
+        pairs = [
+            (pos[tuple(x + y for x, y in zip(Ka, Kb))], b)
+            for b, Kb in enumerate(monos)
+            if sum(Kb) <= room
+        ]
+        if pairs:
+            rows.append((a, pairs))
+    return rows
+
+
+def loop_dense_mul(rows, A, B, m):
+    """Truncated product of the packed blocks A and B (length m), a outer, b inner."""
+    r = [0j] * m
+    for a, pairs in rows:
+        x = A[a]
+        if x:
+            for o, b in pairs:
+                r[o] += x * B[b]
+    return r
+
+
+def loop_monomials(rows, m, blocks, exps):
+    """Dense z^M over the packed blocks z_j, for each exponent tuple M in exps.
+
+    Each M needs 1 <= |M|.  Powers follow z_j^k = z_j^(k-1) z_j, z^M
+    multiplies its powers left to right over j, and every power and every
+    distinct M is built once.
+    """
+    powers = [[z] for z in blocks]
+    out = {}
+    for M in exps:
+        if M in out:
+            continue
+        acc = None
+        for j, k in enumerate(M):
+            if k:
+                pw = powers[j]
+                while len(pw) < k:
+                    pw.append(loop_dense_mul(rows, pw[-1], pw[0], m))
+                acc = pw[k - 1] if acc is None else loop_dense_mul(rows, acc, pw[k - 1], m)
+        out[M] = acc
+    return out
+
+
+def loop_pack(comp, pos, degree):
+    """Dense block of a jet component over the grlex positions `pos`."""
+    block = [0j] * len(pos)
+    for K, c in _pack_terms(comp, degree):
+        block[pos[K]] = c
+    return block
+
+
+def loop_jet_rhs(X: VectorField, degree: int, windings: int):
+    """Right-hand side of the jet ODE on the packed state of _jet_layout.
+
+    dz/dtheta = 2 pi i w B(e^{2 pi i w theta}, z): per call the n blocks are
+    sliced out of the state, each field monomial z^M with a nonzero
+    coefficient at this theta is built once for all directions, and
+    2 pi i w c times it is added into the block of its direction.
+    """
+    n = X.n
+    monos, _ = _jet_layout(n, degree)
+    m = len(monos)
+    rows = loop_product_table(monos, degree)
+    factor = TWO_PI_I * windings
+    # terms of degree 0 or past the jet degree leave no trace in degrees 1..d
+    plan = [
+        (i * m, [(M, xterms) for M, xterms in comp if 1 <= sum(M) <= degree])
+        for i, comp in enumerate(_numeric_terms(X))
+    ]
+
+    def rhs(theta, y):
+        x = cmath.exp(TWO_PI_I * windings * theta)
+        scaled = []
+        for off, comp in plan:
+            for M, xterms in comp:
+                c = _eval_coeff(xterms, x)
+                if c != 0:
+                    scaled.append((off, M, factor * c))
+        blocks = [y[off:off + m] for off in range(0, n * m, m)]
+        z_M = loop_monomials(rows, m, blocks, [M for _, M, _ in scaled])
+        out = [0j] * (n * m)
+        for off, M, fc in scaled:
+            for o, v in enumerate(z_M[M], off):
+                if v:
+                    out[o] += fc * v
+        return out
+
+    return rhs
+
+
+def loop_after(self, other: "HolonomyJet") -> "HolonomyJet":
+    """Composition self o other: substitute other's jets into self.
+
+    other is packed into the dense blocks of _jet_layout and each monomial
+    of self is built once through the product table; terms past the
+    degree drop out.  Neither jet may have a constant term.
+    """
+    if self.n != other.n or self.degree != other.degree:
+        raise ValueError("jet shapes differ")
+    n, degree = self.n, self.degree
+    monos, _ = _jet_layout(n, degree)
+    m = len(monos)
+    pos = {K: p for p, K in enumerate(monos)}
+    blocks = [loop_pack(other.coeffs.get(i, {}), pos, degree) for i in range(1, n + 1)]
+    terms = [_pack_terms(self.coeffs.get(i, {}), degree) for i in range(1, n + 1)]
+    z_K = loop_monomials(loop_product_table(monos, degree), m, blocks,
+                         [K for comp in terms for K, _ in comp])
+    out = {}
+    for i, comp in enumerate(terms, 1):
+        acc = [0j] * m
+        for K, c in comp:
+            for o, v in enumerate(z_K[K]):
+                if v:
+                    acc[o] += c * v
+        out[i] = dict(zip(monos, acc))
+    return HolonomyJet(n, degree, out, self.base_point)
 
 
 # the fifth-order weights, spelled out: _integrate takes them from _DP_A[6]
@@ -445,13 +584,14 @@ JET_SHAPES = [(n, d) for n in (1, 2, 3) for d in range(1, 6)]
 class TestProductPlanAgainstReference:
     @pytest.mark.parametrize("n,degree", JET_SHAPES)
     def test_dense_mul(self, n, degree):
+        # the loop plan is the kernels' bitwise oracle; the dicts check it
         rng = random.Random(7000 + 10 * n + degree)
         monos, _ = _jet_layout(n, degree)
         m = len(monos)
-        rows = _product_table(monos, degree)
+        rows = loop_product_table(monos, degree)
         for _ in range(4):
             A, B = rand_block(rng, m), rand_block(rng, m)
-            got = dict(zip(monos, _dense_mul(rows, A, B, m)))
+            got = dict(zip(monos, loop_dense_mul(rows, A, B, m)))
             want = ref_jet_mul({K: v for K, v in zip(monos, A) if v},
                                {K: v for K, v in zip(monos, B) if v}, degree)
             assert_close(got, want)
@@ -565,3 +705,144 @@ class TestIntegratorAgainstReference:
         assert results[1] == results[0]
         steps, rest = divmod(counts[0], 7)
         assert rest == 0 and counts[1] == 6 * steps + 1
+
+
+# --- compiled kernels against the loop plan, bit for bit ----------------------
+
+
+def hexes(values):
+    """float.hex of both components of each value: == would equate -0.0 and 0.0."""
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+def jet_hexes(jet):
+    return {i: [(K, *hexes([c])[0]) for K, c in comp.items()] for i, comp in jet.coeffs.items()}
+
+
+def rand_signed_entry(rng):
+    """A state entry: about 30 % exact zeros of either sign, and some nonzero
+    entries with a -0.0 component."""
+    u = rng.random()
+    if u < 0.3:
+        return complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
+    re, im = rng.uniform(-2, 2), rng.uniform(-2, 2)
+    if u < 0.4:
+        return complex(-0.0, im)
+    if u < 0.5:
+        return complex(re, -0.0)
+    return complex(re, im)
+
+
+def rand_signed_jet(rng, n, degree):
+    monos, _ = _jet_layout(n, degree)
+    return HolonomyJet(n, degree, {
+        i: {K: rand_signed_entry(rng) for K in monos} for i in range(1, n + 1)
+    })
+
+
+@pytest.fixture(params=["module-caps", "tiny-caps"])
+def caps(request, monkeypatch):
+    """The module's compile caps, or caps so small that every kernel spans
+    several units and every sum of more than two terms is split."""
+    if request.param == "tiny-caps":
+        monkeypatch.setattr(holonomy, "_UNIT_PRODUCTS", 3)
+        monkeypatch.setattr(holonomy, "_SUM_TERMS", 2)
+    return request.param
+
+
+def recorded_compiles(monkeypatch):
+    """(source, code) of every compile() call holonomy makes from now on."""
+    seen = []
+
+    def recording(source, *args):
+        code = compile(source, *args)
+        seen.append((source, code))
+        return code
+
+    monkeypatch.setattr(holonomy, "compile", recording, raising=False)
+    return seen
+
+
+class TestCompiledKernelsBitwise:
+    @pytest.mark.parametrize("n,degree", JET_SHAPES)
+    def test_rhs(self, n, degree, caps):
+        rng = random.Random(7400 + 10 * n + degree)
+        X = rand_x_normalized(rng, rand_mu(rng, n), degree + 1, terms=4)
+        _, index = _jet_layout(n, degree)
+        for windings in (1, -1, 2):
+            rhs, ref = _jet_rhs(X, degree, windings), loop_jet_rhs(X, degree, windings)
+            for _ in range(3):
+                y = [rand_signed_entry(rng) for _ in index]
+                theta = rng.random()
+                assert hexes(rhs(theta, y)) == hexes(ref(theta, y)), windings
+
+    @pytest.mark.parametrize("n,degree", JET_SHAPES)
+    def test_after(self, n, degree, caps):
+        rng = random.Random(7500 + 10 * n + degree)
+        for _ in range(3):
+            f, g = rand_signed_jet(rng, n, degree), rand_signed_jet(rng, n, degree)
+            assert jet_hexes(f.after(g)) == jet_hexes(loop_after(f, g))
+
+    @pytest.mark.parametrize("X,degree", [
+        pytest.param(_golden_field("resonant.vf"), 4, id="resonant"),
+        pytest.param(_golden_field("twovar.vf"), 3, id="twovar"),
+        _seeded_jet_case(3, 2),
+    ])
+    def test_holonomy_jet(self, X, degree, caps):
+        # one turn integrated with the loop RHS, composed with the loop after
+        _, index = _jet_layout(X.n, degree)
+        y0 = identity_state(X.n, degree)
+        for windings in (-1, 2, 3):
+            y = _integrate(loop_jet_rhs(X, degree, 1 if windings > 0 else -1),
+                           0.0, 1.0, y0, 1e-10)
+            turn = HolonomyJet(X.n, degree, {
+                i: {K: y[pos] for (j, K), pos in index.items() if j == i}
+                for i in range(1, X.n + 1)
+            })
+            want = turn
+            for _ in range(abs(windings) - 1):
+                want = loop_after(turn, want)
+            got = holonomy_jet(X, degree, 1e-10, windings)
+            assert jet_hexes(got) == jet_hexes(want), windings
+
+    def test_tiny_caps_split_units_and_sums(self, monkeypatch):
+        monkeypatch.setattr(holonomy, "_UNIT_PRODUCTS", 3)
+        monkeypatch.setattr(holonomy, "_SUM_TERMS", 2)
+        seen = recorded_compiles(monkeypatch)
+        X = _golden_field("twovar.vf")
+        _jet_rhs(X, 3, 1)
+        assert len(seen) > 10
+        # a later unit loads from the value list and appends to it
+        assert all("= s[" in src and "s += (" in src for src, _ in seen[1:-1])
+        # a sum past two terms goes on from the previous statement's value
+        assert any(re.search(r"\n    v\d+ = v\d+ \+ v\d+\*v\d+", src) for src, _ in seen)
+
+
+def code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from code_objects(const)
+
+
+class TestGeneratedCode:
+    @pytest.mark.parametrize("unit_products", [4096, 3])
+    def test_constants_enter_through_the_namespace(self, monkeypatch, unit_products):
+        monkeypatch.setattr(holonomy, "_UNIT_PRODUCTS", unit_products)
+        seen = recorded_compiles(monkeypatch)
+        doc = ("name: thirds\nn: 2\ndegree: 3\nx-cap: 4\nmu: 1/3+2/7*i, -1/5\n"
+               "field: x*dx + (1/3+2/7*i)*z1*dz1 - 1/5*z2*dz2"
+               " + (2/7-1/3*i)*x^-1*z1^2*dz2 + 1/9*z1*z2*dz1 + 5/7*x^2*z1*z2*dz1"
+               " + 3/11*i*z2^3*dz1\n")
+        X = FieldDocument.parse(doc, source="thirds").field(None)
+        jet = holonomy_jet(X, 3, 1e-8, 2)
+        conj = rand_signed_jet(random.Random(76), 2, 3)
+        conj.after(jet)
+        assert seen
+        for _, code in seen:
+            for obj in code_objects(code):
+                for const in obj.co_consts:
+                    ok = (const is None or isinstance(const, types.CodeType)
+                          or type(const) is int
+                          or (type(const) is complex and const == 0j))
+                    assert ok, (obj.co_name, const)
