@@ -13,6 +13,10 @@ noncommuting pair under check-commute, a centralizer monomial violating the
 no-negative-resonance expectation, a conjugacy residual over the bound), 2
 usage errors including syntax errors with positions and sizes above the
 MAX_* bounds below.
+
+main() builds its argparse tree on its first call and reuses it for every
+later call in the process; the tree holds no per-call state, so repeated
+calls behave exactly like calls on a fresh build_parser().
 """
 
 from __future__ import annotations
@@ -178,7 +182,12 @@ def _check_slot_budget(n: int, degree: int, source: str) -> None:
         )
 
 
-def _check_flag_bounds(args) -> None:
+def _check_flags(args) -> None:
+    for dest, value in vars(args).items():
+        # argparse before Python 3.13 parses "--opt=--" to an empty list
+        if value == []:
+            flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+            raise DocumentError(f"{flag} expects one value, got '--'")
     for flag, dest, bound in (
         ("--degree", "degree", MAX_DEGREE),
         ("--x-cap", "x_cap", MAX_X_CAP),
@@ -688,14 +697,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # built by the first main() call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        _check_flag_bounds(args)
+        _check_flags(args)
         return _COMMANDS[args.command](args)
     except Finding as e:
         sys.stderr.write(f"finding: {e}\n")

@@ -367,11 +367,14 @@ def centralizer_check(mu, x_window, degree: int) -> CentralizerCheck:
     When decide_ntnr holds, every centralizer monomial in the window must
     have x-exponent >= 0 (ok=False with the offending monomials otherwise,
     which would falsify the statement); when it fails, the check is vacuous
-    and the offenders are reported for audit.
+    and the offenders are reported for audit.  So it is when the verdict is
+    bounded (exact=False): an offender x^l z^K dz_j is itself a negative
+    resonance K - e_j above the enumeration bound, which refutes the verdict,
+    not the statement.
     """
     mu = as_eigenvalues(mu)
     ntnr = decide_ntnr(mu)
     result = centralizer_solve(mu, x_window, degree)
     offenders = result.negative
-    ok = (not ntnr.holds) or not offenders
+    ok = not (ntnr.holds and ntnr.exact) or not offenders
     return CentralizerCheck(ok=ok, ntnr=ntnr, offenders=offenders, result=result)

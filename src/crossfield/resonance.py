@@ -14,8 +14,9 @@ down to finitely many minimal solutions plus a Hilbert basis (box
 enumeration), and on the real part the reachable values form alpha + M for a
 finitely generated monoid M of rationals, where hitting Z_{>=1} reduces to a
 single congruence when M has a positive or mixed-sign generator and to a
-bounded knapsack when all generators are negative.  For larger n the verdict
-falls back to bounded enumeration with the bound recorded.
+bounded knapsack when all generators are negative.  For larger n, and for
+n <= 3 when the boxes would hold more than MAX_BOX_POINTS points, the
+verdict falls back to bounded enumeration with the bound recorded.
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ SIEGEL_NONREAL = "SiegelNonreal"
 SIEGEL_REAL_CLASSIFIED = "SiegelRealClassified"
 SIEGEL_REAL_3A = "SiegelReal3a"
 SIEGEL_REAL_3B = "SiegelReal3b"
+
+# The exact n <= 3 decision scans integer boxes of side about max|S|, S the
+# imaginary parts over a common denominator, so its cost grows like
+# max|S|^n: 9.7e5 points (1-1/7*i, 3/2-1/6*i, -1-i) take about 1.1 s on a
+# 2-core x86 machine, and 1/31*i, -1/37*i+1/2, 1/41*i spans 7.2e10.  Past
+# this many points decide_ntnr takes the bounded branch.
+MAX_BOX_POINTS = 2_000_000
 
 
 def as_eigenvalues(mu):
@@ -205,12 +213,14 @@ class NtnrResult:
 def decide_ntnr(mu, fallback_bound: int = 8) -> NtnrResult:
     """Decide "no transverse negative resonance" with a certificate.
 
-    Exact and unbounded for n <= 3; for larger n, returns the bounded-degree
-    verdict of :func:`enumerate_resonances` with the bound recorded.
+    Exact and unbounded for n <= 3 within MAX_BOX_POINTS; otherwise returns
+    the bounded-degree verdict of :func:`enumerate_resonances` with the
+    bound recorded.
     """
     mu = as_eigenvalues(mu)
     n = len(mu)
-    if n > 3:
+    S = _imaginary_integers(mu)
+    if n > 3 or _box_points(S) > MAX_BOX_POINTS:
         report = enumerate_resonances(mu, fallback_bound)
         return NtnrResult(
             holds=not report.negative_resonance_found,
@@ -218,33 +228,39 @@ def decide_ntnr(mu, fallback_bound: int = 8) -> NtnrResult:
             bound=fallback_bound,
             witness=report.witness(),
         )
-    if _negative_resonance_exists(mu):
+    if _negative_resonance_exists(mu, S):
         return NtnrResult(False, True, None, _find_witness(mu))
     return NtnrResult(True, True, None, None)
 
 
-def _negative_resonance_exists(mu) -> bool:
-    n = len(mu)
+def _imaginary_integers(mu):
+    """The imaginary parts of mu over their least common denominator."""
     den = 1
     for m in mu:
         den = den * m.im.denominator // math.gcd(den, m.im.denominator)
-    S = [int(m.im * den) for m in mu]
+    return [int(m.im * den) for m in mu]
+
+
+def _box_points(S) -> int:
+    """Points the exact decision's box scans visit: the Hilbert-basis box
+    once, and the inhomogeneous box once per direction j."""
+    if not any(S):
+        return 0
+    n = len(S)
+    side = max(abs(s) for s in S)
+    return (side + 1) ** n + sum((side + abs(T) + 2) ** n for T in S)
+
+
+def _negative_resonance_exists(mu, S) -> bool:
+    n = len(mu)
     rs = [m.re for m in mu]
+    if any(S):
+        hilbert = _hilbert_basis_single(S)
+    else:
+        hilbert = [tuple(1 if p == i else 0 for p in range(n)) for i in range(n)]
+    gens = [sum((r * h for r, h in zip(rs, hv)), Fraction(0)) for hv in hilbert]
     for j in range(n):
-        T = S[j]
-        if all(s == 0 for s in S):
-            if T != 0:
-                continue
-            bases = [tuple(0 for _ in range(n))]
-            hilbert = [
-                tuple(1 if p == i else 0 for p in range(n)) for i in range(n)
-            ]
-        else:
-            hilbert = _hilbert_basis_single(S)
-            bases = _minimal_inhomogeneous(S, T)
-            if not bases:
-                continue
-        gens = [sum((r * h for r, h in zip(rs, hv)), Fraction(0)) for hv in hilbert]
+        bases = _minimal_inhomogeneous(S, S[j]) if any(S) else [(0,) * n]
         for b in bases:
             alpha = sum((r * p for r, p in zip(rs, b)), Fraction(0)) - rs[j]
             if any(b):

@@ -5,12 +5,19 @@ review the diff; the mathematical values inside are pinned independently by
 the module tests.
 """
 
+import io
 import os
+import subprocess
+import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crossfield import cli
 from crossfield.cli import MAX_MONOMIALS, main
 
 DATA = Path(__file__).parent / "data"
@@ -216,3 +223,204 @@ def test_monomial_budget_is_usage_error(degree, flags, tmp_path, capsys):
 def test_flags_at_the_bound_run(argv, capsys):
     assert main(argv + ["--json"]) == 0
     capsys.readouterr()
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+def call(argv):
+    """(exit code, stdout, stderr) of main(argv) on the process's parser."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def call_fresh(argv):
+    """The same on a freshly built parser; the shared one is restored."""
+    shared = cli._PARSER
+    cli._PARSER = None
+    try:
+        return call(argv)
+    finally:
+        cli._PARSER = shared
+
+
+def twovar_holonomy(*flags):
+    return ["holonomy", "--field", doc("twovar.vf"), *flags, "--json"]
+
+
+CENTRALIZER = ["centralizer", "--mu=1/2,-3", "--degree", "5", "--json"]
+EXP = ["exp", "--field", doc("nilpotent.vf"), "--json"]
+
+# every golden argv, then help, usage errors, and each default right after an
+# override of it
+SEQUENCE = [argv for _, argv, _, _ in CASES] + [
+    ["--help"],
+    ["centralizer", "--help"],
+    ["frobnicate"],
+    ["classify2", "--json"],
+    twovar_holonomy("--windings", "3"),
+    twovar_holonomy(),
+    CENTRALIZER + ["--x-window=-5,5"],
+    CENTRALIZER,
+    EXP + ["--time", "1/2"],
+    EXP,
+]
+
+
+def test_shared_parser_leaks_nothing_between_calls():
+    call(["classify2", "--lambda=2"])
+    shared = cli._PARSER
+    assert shared is not None
+    results = {}
+    for argv in SEQUENCE:
+        results[tuple(argv)] = call(argv)
+        assert cli._PARSER is shared
+    for argv in SEQUENCE:
+        assert results[tuple(argv)] == call_fresh(argv), argv
+    assert results[("--help",)][0] == 0
+    assert results[("frobnicate",)][0] == 2
+    assert results[("classify2", "--json")][0] == 2
+    # the plain calls really ran on their defaults
+    assert '"windings": 1,' in results[tuple(twovar_holonomy())][1]
+    assert '"x_window": [\n    -6,\n    6\n  ]' in results[tuple(CENTRALIZER)][1]
+    assert '"time": "1",' in results[tuple(EXP)][1]
+
+
+def test_import_builds_no_parser():
+    """A fresh interpreter: importing the CLI constructs no ArgumentParser;
+    two main() calls construct exactly one tree, the one build_parser()
+    makes."""
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import crossfield.cli as cli\n"
+        "print(len(built), cli._PARSER is None)\n"
+        "cli.main(['classify2', '--lambda=2'])\n"
+        "cli.main(['classify2', '--lambda=-1'])\n"
+        "once = len(built)\n"
+        "cli.build_parser()\n"
+        "print(once, len(built) - once)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "0 True"
+    built_by_main, built_by_build = lines[-1].split()
+    assert built_by_main == built_by_build != "0"
+
+
+# --- argv fuzz -----------------------------------------------------------------
+
+# sizes like the benchmark corpus: n <= 3, degree <= 4, denominators <= 7
+COEFFS = st.one_of(
+    st.builds(
+        lambda a, b, c, d: f"{a}/{b}{c:+d}/{d}*i",
+        st.integers(-3, 3), st.integers(1, 3), st.sampled_from([-1, 0, 1]),
+        st.integers(1, 7),
+    ),
+    st.sampled_from(["0", "1", "-1", "i", "1/2", "-3", "2-i"]),
+)
+GARBAGE = st.sampled_from(["", "x", "1/0", "i*i", "1//2", "--", "nan", "1e400", "3,", "é"])
+FIELDS = sorted(p.name for p in DATA.glob("*.vf"))
+MAPS = sorted(p.name for p in DATA.glob("*.map"))
+VALUES = {
+    "--field": st.sampled_from(FIELDS).map(doc),
+    "--field2": st.sampled_from(FIELDS).map(doc),
+    "--map": st.sampled_from(MAPS).map(doc),
+    "--mu": st.lists(COEFFS, min_size=1, max_size=3).map(",".join),
+    "--lambda": COEFFS,
+    "--degree": st.integers(-1, 4).map(str),
+    "--x-cap": st.integers(-1, 4).map(str),
+    "--x-window": st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(
+        lambda w: f"{w[0]},{w[1]}"),
+    "--tol": st.sampled_from(["1e-6", "1e-8", "0", "-1", "inf"]),
+    "--time": COEFFS,
+    "--windings": st.integers(-2, 3).map(str),
+    "--max-residual": st.sampled_from(["1e-3", "1e-20", "0"]),
+}
+BAD_VALUES = {
+    "--field": st.sampled_from([doc("missing.vf"), str(DATA)] + [doc(m) for m in MAPS]),
+    "--field2": st.sampled_from([doc("missing.vf"), doc("twovar.vf")]),
+    "--map": st.sampled_from([doc("missing.map"), doc("resonant.vf")]),
+}
+FLAGS = {
+    "normalize": ["--field", "--mu", "--degree", "--x-cap"],
+    "resonances": ["--field", "--mu", "--degree"],
+    "classify2": ["--lambda"],
+    "classify3": ["--lambda", "--mu"],
+    "centralizer": ["--field", "--mu", "--degree", "--x-window"],
+    "check-commute": ["--field", "--field2"],
+    "exp": ["--field", "--time", "--x-cap", "--degree"],
+    "log": ["--map"],
+    "holonomy": ["--field", "--degree", "--tol", "--windings"],
+    "conjugacy-check": ["--field", "--map", "--degree", "--tol", "--max-residual"],
+    "frobnicate": [],
+}
+SWITCHES = ["--json", "--require-x-normalized", "--help"]
+
+
+@st.composite
+def argvs(draw):
+    """Mostly the command's own flags with valid values; now and then a
+    garbage value, a foreign flag or a missing required one."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = [f for f in FLAGS[command] if draw(st.integers(0, 3))]
+    flags += draw(st.lists(st.sampled_from(SWITCHES[:2]), max_size=2))
+    if not draw(st.integers(0, 7)):
+        flags.append(draw(st.sampled_from(sorted(VALUES) + SWITCHES[2:])))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        if flag in SWITCHES:
+            argv.append(flag)
+            continue
+        if draw(st.integers(0, 9)):
+            value = draw(VALUES[flag])
+        else:
+            value = draw(st.one_of(BAD_VALUES.get(flag, GARBAGE), GARBAGE))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(argvs())
+def test_argv_fuzz(argv):
+    got = call(argv)
+    rc, _, err = got
+    assert rc in (0, 1, 2), (argv, got)
+    assert "Traceback" not in err, argv
+    assert got == call_fresh(argv), argv
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["centralizer", "--mu=i", "--degree=--"], "--degree"),
+    (["resonances", "--field", doc("resonant.vf"), "--mu=--"], "--mu"),
+    (["normalize", "--field=--"], "--field"),
+    (["classify2", "--lambda=--"], "--lambda"),
+    (["centralizer", "--mu=i", "--x-window=--"], "--x-window"),
+])
+def test_option_given_double_dash_is_usage_error(argv, flag):
+    rc, out, err = call(argv)
+    assert (rc, out) == (2, "")
+    assert flag in err and "Traceback" not in err
+
+
+def test_resonances_counterexample_is_bounded():
+    """About 7.2e10 box points: the decision falls back to bounded
+    enumeration instead of scanning."""
+    argv = ["resonances", "--mu=1/31*i,-1/37*i+1/2,1/41*i", "--degree", "3", "--json"]
+    t0 = time.perf_counter()
+    rc, out, err = call(argv)
+    assert (rc, err) == (0, "")
+    assert time.perf_counter() - t0 < 5
+    assert '"exact": false' in out

@@ -398,3 +398,12 @@ class TestCentralizerCheck:
     def test_vacuous_with_audit_trail(self):
         ck = centralizer_check([G(Fraction(1, 2)), G(-3)], (-5, 5), 5)
         assert ck.ok and not ck.ntnr.holds and ck.offenders
+
+    def test_vacuous_when_bounded_verdict_is_refuted(self):
+        # past the box budget the verdict is enumerated to degree 8; the first
+        # negative resonance, 10*mu_3 = 1, is found only as a degree-11
+        # centralizer offender
+        mu = [G(0, Fraction(1, 701)), G(0, Fraction(-1, 709)), G(Fraction(1, 10))]
+        ck = centralizer_check(mu, (-6, 6), 11)
+        assert ck.ntnr.holds and not ck.ntnr.exact
+        assert ck.offenders and ck.ok

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from crossfield import resonance
 from crossfield.coeff import GaussianRational as G
 from crossfield.resonance import (
     CLASSIFIED_BY_HOLONOMY,
@@ -126,6 +127,54 @@ class TestDecideNtnr:
     def test_bounded_fallback_for_large_n(self):
         r = decide_ntnr([F(-1), F(-2, 3), G(0, 1), F(-5)], fallback_bound=6)
         assert not r.exact and r.bound == 6
+
+    def test_box_point_count_is_what_the_scans_visit(self, monkeypatch):
+        # decisions that hold run every scan to the end, so the predicted
+        # count is met exactly
+        visited = []
+
+        def counting(*args, **kw):
+            for c in product(*args, **kw):
+                visited.append(1)
+                yield c
+
+        monkeypatch.setattr(resonance, "_cartesian", counting)
+        cases = [
+            [G(-1, Fraction(-1, 4))],
+            [G(-1, -1), G(Fraction(-2, 3), Fraction(1, 4))],
+            [G(0, Fraction(-1, 5)), F(-1, 2), G(-2, 1)],
+            [F(-2), G(Fraction(-1, 3), Fraction(-1, 4)), G(Fraction(-2, 3), Fraction(1, 5))],
+        ]
+        for mu in cases:
+            visited.clear()
+            S = resonance._imaginary_integers(mu)
+            assert not resonance._negative_resonance_exists(mu, S)
+            assert len(visited) == resonance._box_points(S) > 0
+        assert resonance._box_points([0, 0, 0]) == 0
+
+    def test_box_budget_selects_the_bounded_branch(self, monkeypatch):
+        mu = [G(-1, -1), G(Fraction(-2, 3), Fraction(1, 4))]
+        points = resonance._box_points(resonance._imaginary_integers(mu))
+        monkeypatch.setattr(resonance, "MAX_BOX_POINTS", points)
+        assert decide_ntnr(mu) == resonance.NtnrResult(True, True, None, None)
+        monkeypatch.setattr(resonance, "MAX_BOX_POINTS", points - 1)
+        r = decide_ntnr(mu, fallback_bound=5)
+        assert (r.holds, r.exact, r.bound) == (True, False, 5)
+
+    def test_counterexample_takes_the_bounded_branch(self):
+        # 7.2e10 box points; the scans would run for hours
+        mu = [G(0, Fraction(1, 31)), G(Fraction(1, 2), Fraction(-1, 37)), G(0, Fraction(1, 41))]
+        assert resonance._box_points(resonance._imaginary_integers(mu)) > 7e10
+        r = decide_ntnr(mu)
+        assert not r.exact and r.bound == 8
+
+    def test_hilbert_basis_once_per_decision(self, monkeypatch):
+        calls = []
+        basis = resonance._hilbert_basis_single
+        monkeypatch.setattr(resonance, "_hilbert_basis_single",
+                            lambda S: calls.append(S) or basis(S))
+        assert decide_ntnr([G(0, 1), G(Fraction(1, 2), -1), G(-1, Fraction(1, 2))]).exact
+        assert calls == [[2, -2, 1]]
 
     def test_box_bounds_against_brute_force(self):
         # Hilbert bases and minimal solutions from the bounded boxes agree
