@@ -15,6 +15,7 @@ Phi* X = Phi o X o Phi^{-1}.  Composition is operator composition:
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -387,12 +388,16 @@ class Automorphism:
     both operands, truncate_x() appends its window and :func:`exp_compose`
     records what exp(W).compose() followed by truncate_x() would, in the
     order an eager composition would apply them.  The fold caches the result
-    and links it back.  Powers of the z-images that :meth:`apply` substitutes
-    are cached as they are first needed.  Every cached value derives from
-    immutable inputs.
+    and links it back.  A map holds its cached inverse strongly; the inverse
+    links back through a weak reference plus the map's images, so the pair
+    forms no reference cycle and is freed as soon as it is dropped, and an
+    inverse that outlives its map rebuilds it from the images.  Powers of the
+    z-images that :meth:`apply` substitutes are cached as they are first
+    needed.  Every cached value derives from immutable inputs.
     """
 
-    __slots__ = ("n", "cap", "img_x", "img_z", "_inv", "_pending", "_zpows")
+    __slots__ = ("n", "cap", "img_x", "img_z", "_inv", "_back", "_pending", "_zpows",
+                 "__weakref__")
 
     def __init__(self, img_x: TransverseSeries, img_z):
         img_z = tuple(img_z)
@@ -407,8 +412,9 @@ class Automorphism:
         object.__setattr__(self, "img_x", img_x)
         object.__setattr__(self, "img_z", img_z)
         object.__setattr__(self, "_inv", None)  # composed inverse
+        object.__setattr__(self, "_back", None)  # (weakref, img_x, img_z) of the map inverted
         object.__setattr__(self, "_pending", None)  # inverse factors not yet folded
-        object.__setattr__(self, "_zpows", None)  # per i: [1, img_z[i], img_z[i]^2, ...]
+        object.__setattr__(self, "_zpows", None)  # per i: [img_z[i], img_z[i]^2, ...]
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
@@ -419,7 +425,7 @@ class Automorphism:
     def identity(cls, n, cap):
         x, *zs = _coordinates(n, cap)
         phi = cls(x, zs)
-        object.__setattr__(phi, "_inv", phi)
+        phi._link_back(phi)
         return phi
 
     @classmethod
@@ -444,13 +450,22 @@ class Automorphism:
         return TransverseSeries.constant(self.n, self.cap, LaurentPoly.one())
 
     def _zpow(self, i: int, k: int) -> TransverseSeries:
-        """img_z[i]**k, caching every lower power on the way."""
+        """img_z[i]**k for k >= 1, caching every lower power on the way."""
         if self._zpows is None:
-            object.__setattr__(self, "_zpows", [[self._one()] for _ in range(self.n)])
+            object.__setattr__(self, "_zpows", [[comp] for comp in self.img_z])
         pows = self._zpows[i]
-        while len(pows) <= k:
+        while len(pows) < k:
             pows.append(pows[-1] * self.img_z[i])
-        return pows[k]
+        return pows[k - 1]
+
+    def _zmonomial(self, K) -> TransverseSeries:
+        """The image z'^K: one product per nonzero exponent after the first."""
+        out = None
+        for i, k in enumerate(K):
+            if k:
+                p = self._zpow(i, k)
+                out = p if out is None else out * p
+        return self._one() if out is None else out
 
     def _coordinate(self, i: int) -> TransverseSeries:
         """Reference coordinate series: x for i = 0, z_i otherwise."""
@@ -461,9 +476,14 @@ class Automorphism:
     def apply(self, f: TransverseSeries) -> TransverseSeries:
         """Substitute the images into f, truncated.
 
-        The x-image may differ from x by an element u of m; Laurent
-        coefficients are then shifted by the finite Taylor sum
-        f_K(x + u) = sum_m f_K^(m)(x)/m! u^m, which stops at the cap.
+        The x-image may differ from x by an element u of m; the Laurent
+        coefficients are then shifted by the finite Taylor sum, taken in
+        layers by the power of u:
+        f(x + u, z') = sum_m u^m sum_K f_K^(m)(x)/m! z'^K.
+        Each z'^K is built once and scaled into the layers m <= cap - |K|
+        (z'^K lies in m^|K| and u^m in m^m); each layer is then multiplied
+        by u^m once, with the powers of u built as they are needed.  With
+        u = 0 only layer 0 exists and no product by a power of u is formed.
         """
         if f.n != self.n or f.cap != self.cap:
             raise DimensionMismatchError("series and automorphism shapes differ")
@@ -473,26 +493,27 @@ class Automorphism:
         for comp in self.img_z:
             if not comp.is_zero() and comp.madic_order() < 1:
                 raise ValueError("z-images must lie in m")
-        acc = {}
-        for K, poly in f.terms():
-            zpart = self._one()
-            for i, k in enumerate(K):
-                if k:
-                    zpart = zpart * self._zpow(i, k)
-            if u.is_zero():
-                _accumulate(acc, zpart.scale(poly))
-                continue
-            upow = self._one()
-            deriv = poly
-            fact = 1
-            for m in range(self.cap + 1):
+        shift = not u.is_zero()
+        layers = [{}]  # layers[m]: sum_K f_K^(m)/m! z'^K as a term dict
+        for K, poly in f._terms.items():
+            zpart = self._zmonomial(K)
+            coeff = poly
+            for m in range(self.cap - sum(K) + 1 if shift else 1):
                 if m:
-                    upow = upow * u
-                    fact *= m
-                    deriv = deriv.derivative()
-                    if upow.is_zero() or deriv.is_zero():
+                    coeff = coeff.derivative().scale(Fraction(1, m))
+                    if coeff.is_zero():
                         break
-                _accumulate(acc, upow.scale(deriv.scale(Fraction(1, fact))) * zpart)
+                    if m == len(layers):
+                        layers.append({})
+                _accumulate(layers[m], zpart.scale(coeff))
+        acc = layers[0]
+        upow = u
+        for m in range(1, len(layers)):
+            if m > 1:
+                upow = upow * u
+            if upow.is_zero():
+                break
+            _accumulate(acc, TransverseSeries(self.n, self.cap, layers[m]) * upow)
         return TransverseSeries(self.n, self.cap, acc)
 
     # -- group structure ----------------------------------------------------
@@ -523,9 +544,29 @@ class Automorphism:
 
     def _inverse_factors(self):
         """The known inverse as a tuple of factors to fold; None if unknown."""
-        if self._inv is not None:
-            return (self._inv,)
-        return self._pending
+        inv = self._known_inverse()
+        return self._pending if inv is None else (inv,)
+
+    def _cache_inverse(self, inv: "Automorphism") -> None:
+        """Hold inv as the inverse; inv links back weakly."""
+        object.__setattr__(self, "_inv", inv)
+        inv._link_back(self)
+
+    def _link_back(self, phi: "Automorphism") -> None:
+        """Know phi as the inverse through a weak reference and its images."""
+        object.__setattr__(self, "_back", (weakref.ref(phi), phi.img_x, phi.img_z))
+
+    def _known_inverse(self):
+        """The cached or linked-back inverse, rebuilt from its images if the
+        map it links back to is gone; None if neither is known."""
+        if self._inv is not None or self._back is None:
+            return self._inv
+        ref, img_x, img_z = self._back
+        inv = ref()
+        if inv is None:
+            inv = Automorphism(img_x, img_z)
+            inv._cache_inverse(self)
+        return inv
 
     def _fold_pending(self) -> None:
         """Compose the pending inverse factors left to right, cache and link.
@@ -545,9 +586,8 @@ class Automorphism:
                 f = Automorphism(*_exp_images(W, -t, x_window))
             acc = f if acc is None else acc._compose_images(f)
         object.__setattr__(acc, "_pending", None)
-        object.__setattr__(acc, "_inv", self)
         object.__setattr__(self, "_pending", None)
-        object.__setattr__(self, "_inv", acc)
+        self._cache_inverse(acc)
 
     def z_linear_matrix(self):
         return [comp.linear_part() for comp in self.img_z]
@@ -590,13 +630,18 @@ class Automorphism:
 
         An inverse known by construction is composed from its pending
         factors on the first call and cached.  Otherwise this requires
-        img_x = x and a constant invertible z-linear matrix, and builds the
-        inverse degree by degree.
+        img_x = x and a constant invertible z-linear matrix A, and solves
+        sigma = A^-1 (z - high(sigma)) by fixed-point rounds, high = img_z - A z.
+        high lies in m^2, so after round r sigma is exact through degree
+        r + 1; round r runs with sigma and high truncated at that degree,
+        and only the last round runs at the cap.  The result is certified
+        by composing it with the map at the full cap.
         """
         if self._pending is not None:
             self._fold_pending()
-        if self._inv is not None:
-            return self._inv
+        inv = self._known_inverse()
+        if inv is not None:
+            return inv
         if self.img_x != TransverseSeries.x_series(self.n, self.cap):
             raise SingularLinearPartError(
                 "generic inversion needs img_x = x (no cached inverse available)"
@@ -606,41 +651,29 @@ class Automorphism:
             raise SingularLinearPartError("z-linear part must be constant in x")
         Ainv = _invert_matrix(A)
         n, cap = self.n, self.cap
-        lin = [
-            sum(
-                (TransverseSeries.variable(n, cap, j + 1).scale(Ainv[i][j]) for j in range(n)),
-                TransverseSeries.zero(n, cap),
-            )
-            for i in range(n)
-        ]
-        high = [
-            self.img_z[i]
-            - sum(
-                (TransverseSeries.variable(n, cap, j + 1).scale(A[i][j]) for j in range(n)),
-                TransverseSeries.zero(n, cap),
-            )
-            for i in range(n)
-        ]
-        sigma = list(lin)
-        for _ in range(max(cap - 1, 0)):
-            sub = Automorphism(TransverseSeries.x_series(n, cap), sigma)
-            corr = [sub.apply(h) for h in high]
-            sigma = [
-                sum(
-                    (
-                        (TransverseSeries.variable(n, cap, j + 1) - corr[j]).scale(Ainv[i][j])
-                        for j in range(n)
-                    ),
-                    TransverseSeries.zero(n, cap),
-                )
+
+        def linear(M, z, c):
+            # the series sum_j M[i][j] z[j] at cap c, for each i
+            return [
+                sum((z[j].scale(M[i][j]) for j in range(n)), TransverseSeries.zero(n, c))
                 for i in range(n)
             ]
+
+        _, *z = _coordinates(n, cap)
+        high = [img - lin for img, lin in zip(self.img_z, linear(A, z, cap))]
+        sigma = linear(Ainv, z, cap)
+        for c in range(2, cap + 1):
+            # sigma from round c - 1 is exact below degree c, and only those
+            # degrees enter high(sigma) through degree c
+            x, *zc = _coordinates(n, c)
+            sub = Automorphism(x, [TransverseSeries(n, c, s._terms) for s in sigma])
+            corr = [sub.apply(h.truncate(c)) for h in high]
+            sigma = linear(Ainv, [zj - cj for zj, cj in zip(zc, corr)], c)
         inv = Automorphism(TransverseSeries.x_series(n, cap), sigma)
         check = self.compose(inv)
         if not _is_identity(check):
             raise SingularLinearPartError("inversion failed to converge at the cap")
-        object.__setattr__(inv, "_inv", self)
-        object.__setattr__(self, "_inv", inv)
+        self._cache_inverse(inv)
         return inv
 
     def pushforward(self, X: VectorField) -> "VectorField":

@@ -285,7 +285,10 @@ def parse_series(
 def parse_field(
     text: str, n: int, cap: int, line_offset: int = 0, col_offset: int = 0
 ) -> VectorField:
-    """Parse a vector-field expression (one dx/dzk per term)."""
+    """Parse a vector-field expression (one dx/dzk per term); a bare "0",
+    as the printers write the zero field, is the zero field."""
+    if text.strip() == "0":
+        return VectorField.zero(n, cap)
     p = _Parser(text, n, cap, line_offset, col_offset)
     a = TransverseSeries.zero(n, cap)
     b = [TransverseSeries.zero(n, cap) for _ in range(n)]

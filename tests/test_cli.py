@@ -6,6 +6,7 @@ the module tests.
 """
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -424,3 +425,118 @@ def test_resonances_counterexample_is_bounded():
     assert (rc, err) == (0, "")
     assert time.perf_counter() - t0 < 5
     assert '"exact": false' in out
+
+
+# --- document fuzz -------------------------------------------------------------
+
+# small documents: n <= 2, degree <= 4, denominators <= 7, x-exponents -2..2
+DOC_COEFFS = st.one_of(
+    st.builds(
+        lambda a, b, c, d: f"({a}/{b}{c:+d}/{d}*i)",
+        st.integers(-3, 3), st.integers(1, 7), st.integers(-2, 2), st.integers(1, 7),
+    ),
+    st.sampled_from(["1", "-1", "i", "1/2", "-3", "2/7"]),
+)
+
+
+@st.composite
+def exponents(draw, n, low, degree):
+    """A z-exponent of total degree in low..degree (None if there is none)."""
+    if low > degree:
+        return None
+    total = draw(st.integers(low, degree))
+    first = draw(st.integers(0, total)) if n == 2 else total
+    return (first, total - first)[:n]
+
+
+@st.composite
+def terms(draw, n, degree, low, dvars):
+    """coefficient * x^e * z^K * dvar, with |K| >= low."""
+    K = draw(exponents(n, low, degree))
+    if K is None:
+        return None
+    e = draw(st.integers(-2, 2))
+    parts = [draw(DOC_COEFFS)] + ([f"x^{e}"] if e else [])
+    parts += [f"z{i}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(K, 1) if k]
+    dvar = draw(st.sampled_from(dvars))
+    return "*".join(parts + ([dvar] if dvar else []))
+
+
+@st.composite
+def documents(draw):
+    """A field document and a map document of the same n and degree.
+
+    The field is x-normalized, 1-flat or arbitrary; the map is tangent to
+    the identity or has a random (possibly singular) constant linear part,
+    plus terms of z-degree >= 2.  Coefficients carry x^-2 .. x^2.
+    """
+    n = draw(st.integers(1, 2))
+    degree = draw(st.integers(0, 4))
+    header = [f"n: {n}", f"degree: {degree}"]
+    x_cap = draw(st.one_of(st.none(), st.integers(0, 4)))
+    dz = [f"dz{j}" for j in range(1, n + 1)]
+    kind = draw(st.sampled_from(["normalized", "flat", "any"]))
+
+    def extra(low, dvars):
+        return draw(st.lists(terms(n, degree, low, dvars), max_size=4))
+
+    if kind == "normalized":
+        mu = [draw(DOC_COEFFS) for _ in range(n)]
+        if draw(st.booleans()):
+            header.append("mu: " + ",".join(m.strip("()") for m in mu))
+        body = ["x*dx"] + [f"{m}*z{j}*{d}" for j, (m, d) in enumerate(zip(mu, dz), 1)]
+        body += extra(2, dz)
+    elif kind == "flat":
+        body = extra(1, ["dx"]) + extra(2, dz)
+    else:
+        body = extra(0, ["dx"] + dz)
+    field = header + ([f"x-cap: {x_cap}"] if x_cap is not None else [])
+    field.append("field: " + (" + ".join(t for t in body if t) or "0"))
+    tangent = draw(st.booleans())
+    lines = [f"n: {n}", f"degree: {degree}", "map x: x"]
+    for i in range(1, n + 1):
+        if tangent:
+            image = [f"z{i}"]
+        else:
+            image = [f"{draw(DOC_COEFFS)}*z{j}" for j in range(1, n + 1)]
+        image += extra(2, [""])
+        lines.append(f"map z{i}: " + (" + ".join(t for t in image if t) or "0"))
+    return "\n".join(field) + "\n", "\n".join(lines) + "\n", draw(st.integers(1, 3))
+
+
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("docs")
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(docs=documents())
+def test_document_fuzz(doc_dir, docs):
+    field_text, map_text, jet_degree = docs
+    field, mapdoc = doc_dir / "fuzz.vf", doc_dir / "fuzz.map"
+    field.write_text(field_text)
+    mapdoc.write_text(map_text)
+    for argv in (
+        ["normalize", "--field", str(field), "--json"],
+        ["exp", "--field", str(field), "--json"],
+        ["log", "--map", str(mapdoc), "--json"],
+        ["conjugacy-check", "--field", str(field), "--map", str(mapdoc),
+         "--degree", str(jet_degree), "--json"],
+    ):
+        t0 = time.perf_counter()
+        rc, _, err = call(argv)
+        elapsed = time.perf_counter() - t0
+        case = (argv[0], field_text, map_text)
+        assert rc in (0, 1, 2), case
+        assert "Traceback" not in err, case
+        assert elapsed < 5, (elapsed, case)
+
+
+def test_zero_field_document(tmp_path):
+    # the zero field as the printers write it: exp(0) is the identity
+    path = tmp_path / "zero.vf"
+    path.write_text("n: 2\ndegree: 3\nfield: 0\n")
+    rc, out, err = call(["exp", "--field", str(path), "--json"])
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert (report["x"], report["z"]) == ("x", ["z1", "z2"])

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from crossfield.coeff import GaussianRational as G
 from crossfield.coeff import LaurentPoly
 from crossfield.lie import (
     Automorphism,
+    _invert_matrix,
     NotNilpotentError,
     NotTangentToIdentityError,
     SingularLinearPartError,
@@ -20,10 +23,11 @@ from crossfield.lie import (
 from crossfield.normalform import normalize
 from crossfield.parsing import parse_field
 from crossfield.resonance import pairing
-from crossfield.series import MonomialIndex, TransverseSeries
+from crossfield.series import MonomialIndex, TransverseSeries, iter_exponents
 
 from helpers import (
     rand_field,
+    rand_invertible_matrix,
     rand_gq,
     rand_gq_nonzero,
     rand_laurent,
@@ -368,6 +372,232 @@ class TestInvert:
     def test_singular(self):
         with pytest.raises(SingularLinearPartError):
             Automorphism.linear([[G(0)]], 3).invert()
+
+
+# --- the substitution and inversion as they were: oracles ------------------
+
+
+def ref_apply(phi, f):
+    """Substitute phi's images into f with two full products per (term K of
+    f, Taylor order m): z'^K grown from 1 and u^m rebuilt for every K."""
+    n, cap = phi.n, phi.cap
+    one = TransverseSeries.constant(n, cap, LaurentPoly.one())
+    u = phi.img_x - TransverseSeries.x_series(n, cap)
+    acc = TransverseSeries.zero(n, cap)
+    for K, poly in f.terms():
+        zpart = one
+        for i, k in enumerate(K):
+            for _ in range(k):
+                zpart = zpart * phi.img_z[i]
+        if u.is_zero():
+            acc = acc + zpart.scale(poly)
+            continue
+        upow = one
+        deriv = poly
+        fact = 1
+        for m in range(cap + 1):
+            if m:
+                upow = upow * u
+                fact *= m
+                deriv = deriv.derivative()
+                if upow.is_zero() or deriv.is_zero():
+                    break
+            acc = acc + upow.scale(deriv.scale(Fraction(1, fact))) * zpart
+    return acc
+
+
+def ref_invert(phi):
+    """The generic inverse by cap - 1 fixed-point rounds, each at the full
+    cap: sigma = A^-1 (z - high(sigma)), substituted through ref_apply."""
+    n, cap = phi.n, phi.cap
+    A = phi.constant_z_matrix()
+    Ainv = _invert_matrix(A)
+    x = TransverseSeries.x_series(n, cap)
+    zs = [var(n, cap, j + 1) for j in range(n)]
+
+    def linear(M, z):
+        return [
+            sum((z[j].scale(M[i][j]) for j in range(n)), TransverseSeries.zero(n, cap))
+            for i in range(n)
+        ]
+
+    high = [img - lin for img, lin in zip(phi.img_z, linear(A, zs))]
+    sigma = linear(Ainv, zs)
+    for _ in range(max(cap - 1, 0)):
+        corr = [ref_apply(Automorphism(x, sigma), h) for h in high]
+        sigma = linear(Ainv, [z - c for z, c in zip(zs, corr)])
+    return Automorphism(x, sigma)
+
+
+def z_flat(rng, n, cap, **kw):
+    """rand_z_one_flat, or the zero field at cap 1 where m^2 vanishes."""
+    return rand_z_one_flat(rng, n, cap, **kw) if cap > 1 else VectorField.zero(n, cap)
+
+
+def shifted_map(rng, n, cap, min_exp=0):
+    """exp(V) with V.a != 0 and V 1-flat, so the x-image is x + u, u != 0."""
+    while True:
+        a = rand_series(rng, n, cap, 2, min_deg=1, min_exp=min_exp, max_exp=2)
+        if not a.is_zero():
+            return exp(VectorField(a, z_flat(rng, n, cap, min_exp=min_exp).b))
+
+
+def fresh(phi):
+    """The same map with no cached powers or inverse."""
+    return Automorphism(phi.img_x, phi.img_z)
+
+
+def count_products(monkeypatch):
+    """Count TransverseSeries.__mul__ calls from here on: a one-item list."""
+    calls = [0]
+    mul = TransverseSeries.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(TransverseSeries, "__mul__", counting)
+    return calls
+
+
+class TestSubstitutionOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_apply_shifted_matches_reference(self, n):
+        rng = random.Random(90 + n)
+        for cap in range(1, 7):
+            for min_exp in (0, -2):
+                phi = shifted_map(rng, n, cap, min_exp)
+                assert not (phi.img_x - TransverseSeries.x_series(n, cap)).is_zero()
+                for _ in range(2):
+                    f = rand_series(rng, n, cap, terms=5, min_exp=-2, max_exp=2)
+                    got, want = phi.apply(f), ref_apply(phi, f)
+                    assert got == want and str(got) == str(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_apply_unshifted_matches_reference(self, n):
+        rng = random.Random(95 + n)
+        for cap in range(1, 7):
+            phi = exp(z_flat(rng, n, cap, min_exp=-1, max_exp=2))
+            if n <= 2:
+                phi = Automorphism.linear(rand_invertible_matrix(rng, n), cap).compose(phi)
+            assert phi.img_x == TransverseSeries.x_series(n, cap)
+            for _ in range(2):
+                f = rand_series(rng, n, cap, terms=5, min_exp=-2, max_exp=2)
+                got, want = phi.apply(f), ref_apply(phi, f)
+                assert got == want and str(got) == str(want)
+
+    def test_apply_composed_as_in_corpus(self):
+        # lin o exp(V), as the composed_pushforward identity builds it, and
+        # the same with V.a != 0 so that u != 0
+        rng = random.Random(99)
+        for cap in (1, 2, 5, 6):
+            M = rand_invertible_matrix(rng, 2)
+            for step in (exp(z_flat(rng, 2, cap, max_exp=1)), shifted_map(rng, 2, cap)):
+                phi = Automorphism.linear(M, cap).compose(step)
+                Z = rand_field(rng, 2, cap)
+                for f in (Z.a, *Z.b, rand_series(rng, 2, cap, terms=5, min_exp=-2)):
+                    got, want = phi.apply(f), ref_apply(phi, f)
+                    assert got == want and str(got) == str(want)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_invert_matches_reference(self, n):
+        rng = random.Random(103 + n)
+        for cap in range(1, 7):
+            for _ in range(3):
+                M = rand_invertible_matrix(rng, n)
+                V = z_flat(rng, n, cap, terms=3, min_exp=-1, max_exp=2)
+                phi = Automorphism.linear(M, cap).compose(exp(V))
+                assert phi._inv is None and phi._pending is None
+                got, want = phi.invert(), ref_invert(phi)
+                assert got == want and str(got) == str(want)
+                ident = Automorphism.identity(n, cap)
+                assert phi.compose(got) == ident and got.compose(phi) == ident
+
+    def test_apply_product_count(self, monkeypatch):
+        # one product per power of u and per layer, plus z'^K and the image
+        # powers; ref_apply makes two per (term K, Taylor order m) pair
+        rng = random.Random(109)
+        calls = count_products(monkeypatch)
+        cases = 0
+        for n in (1, 2, 3):
+            for cap in range(2, 7):
+                for _ in range(3):
+                    phi = fresh(shifted_map(rng, n, cap))
+                    f = rand_series(rng, n, cap, terms=8, min_exp=-2, max_exp=-1)
+                    calls[0] = 0
+                    phi.apply(f)
+                    assert calls[0] <= len(f.terms()) + (n + 2) * cap, (n, cap, str(f))
+                    cases += 1
+        assert cases == 45
+
+    def test_apply_one_product_per_power_of_u(self, monkeypatch):
+        # every monomial up to the cap, with coefficients whose derivatives
+        # never vanish, so that every layer m = 0..cap is filled
+        n, cap = 2, 4
+        z1, z2 = var(n, cap, 1), var(n, cap, 2)
+        phi = exp(VectorField(z1 + z2, [z1 * z1, z1 * z2]))
+        f = TransverseSeries(n, cap, {K: LaurentPoly.x(-1) for K in iter_exponents(n, 0, cap)})
+        calls = count_products(monkeypatch)
+        got = phi.apply(f)
+        powers = n * (cap - 1)  # img_z[i]^2 .. img_z[i]^cap, once each
+        mixed = cap * (cap - 1) // 2  # z'^K with both exponents nonzero
+        layers = cap + (cap - 1)  # layer m times u^m; u^2 .. u^cap
+        assert calls[0] == powers + mixed + layers
+        monkeypatch.undo()
+        assert got == ref_apply(phi, f)
+
+
+class TestInverseLinks:
+    """A map holds its inverse; the inverse links back weakly, so a dropped
+    pair is freed by reference counting, with no cycle for gc to find."""
+
+    def _freed_without_gc(self, build):
+        gc.disable()
+        try:
+            refs = [weakref.ref(obj) for obj in build()]
+            return all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+    def test_pairs_form_no_cycle(self):
+        rng = random.Random(111)
+        M = rand_invertible_matrix(rng, 2)
+        V = rand_z_one_flat(rng, 2, 4)
+
+        def generic():
+            phi = Automorphism.linear(M, 4).compose(exp(V))
+            return phi, phi.invert()
+
+        def folded():
+            phi = shifted_map(rng, 2, 4)
+            return phi, phi.invert(), phi.invert().invert()
+
+        def identity():
+            ident = Automorphism.identity(2, 4)
+            return ident, ident.invert()
+
+        for build in (generic, folded, identity):
+            assert self._freed_without_gc(build), build.__name__
+
+    def test_links_resolve_to_the_same_objects(self):
+        rng = random.Random(112)
+        phi = shifted_map(rng, 2, 4)
+        inv = phi.invert()
+        assert phi.invert() is inv and inv.invert() is phi
+        ident = Automorphism.identity(2, 4)
+        assert ident.invert() is ident
+
+    def test_inverse_outlives_its_map(self):
+        # u != 0: generic inversion cannot rebuild the map, the images can
+        rng = random.Random(113)
+        phi = shifted_map(rng, 2, 4)
+        img_x, img_z = phi.img_x, phi.img_z
+        inv = phi.invert()
+        del phi
+        back = inv.invert()
+        assert back == Automorphism(img_x, img_z)
+        assert back.invert() is inv and inv.invert() is back
+        assert inv.compose(back) == Automorphism.identity(2, 4)
 
 
 class TestExpDecomposition:

@@ -62,6 +62,15 @@ class TestParseField:
         X = parse_field("z1^5*dz1", 1, 3)
         assert X.is_zero()
 
+    def test_zero_field_round_trips(self):
+        # the printers write the zero field as a bare 0
+        for n in (1, 2):
+            zero = VectorField.zero(n, 3)
+            assert parse_field(str(zero), n, 3) == zero
+            assert parse_field(" 0\n", n, 3) == zero
+        with pytest.raises(FieldSyntaxError, match="differential"):
+            parse_field("0 + 1", 1, 3)
+
 
 class TestParseSeries:
     def test_canonical_example(self):
