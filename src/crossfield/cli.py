@@ -14,6 +14,12 @@ no-negative-resonance expectation, a conjugacy residual over the bound), 2
 usage errors including syntax errors with positions and sizes above the
 MAX_* bounds below.
 
+One table, _COMMANDS, gives each command its help text, its flags (keys
+into the ordered _FLAGS table) and its handler; build_parser() and main()
+both read it.  Both document kinds go through one header reader,
+_read_header, and every report through one envelope, _emit, which puts
+"schema" and "command" in front.
+
 main() builds its argparse tree on its first call and reuses it for every
 later call in the process; the tree holds no per-call state, so repeated
 calls behave exactly like calls on a fresh build_parser().
@@ -28,34 +34,21 @@ import sys
 
 from .coeff import CoefficientSyntaxError, GaussianRational
 from .holonomy import (
-    HolonomyJet,
     IntegrationError,
     LeafEscapeError,
     conjugacy_residual,
     holonomy_jet,
 )
-from .lie import (
-    Automorphism,
-    NotNilpotentError,
-    NotTangentToIdentityError,
-    SingularLinearPartError,
-    VectorField,
-    exp,
-    log,
-)
-from .normalform import (
-    LinearPartError,
-    centralizer_check,
-    normalize,
-)
-from .parsing import FieldSyntaxError, parse_field, parse_series
+from .lie import Automorphism, VectorField, exp, log
+from .normalform import centralizer_check, normalize
+from .parsing import parse_field, parse_series
 from .resonance import (
     classify_dim2,
     classify_dim3,
     decide_ntnr,
     enumerate_resonances,
 )
-from .series import DimensionMismatchError, TransverseSeries
+from .series import TransverseSeries
 
 __all__ = ["main", "FieldDocument", "MapDocument", "DocumentError"]
 
@@ -103,35 +96,10 @@ class FieldDocument:
 
     @classmethod
     def parse(cls, text: str, source: str = "<document>") -> "FieldDocument":
-        header = {}
-        field_text = None
-        field_line = 0
         lines = text.splitlines()
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise DocumentError(
-                    f"{source}:{lineno}: expected 'key: value', found {raw!r}"
-                )
-            key, _, value = line.partition(":")
-            key = key.strip().lower()
-            value = value.strip()
-            if key == "field":
-                rest = [value] + lines[lineno:]
-                field_text = "\n".join(rest)
-                field_line = lineno
-                break
-            header[key] = (value, lineno)
-        if field_text is None:
-            raise DocumentError(f"{source}: missing 'field:' entry")
-        for key in ("n", "degree"):
-            if key not in header:
-                raise DocumentError(f"{source}: missing '{key}:' entry")
-        n = _int_header(header, "n", source)
-        degree = _int_header(header, "degree", source)
-        _check_slot_budget(n, degree, source)
+        header, n, degree = _read_header(lines, source, last="field")
+        value, field_line = header["field"]
+        field_text = "\n".join([value] + lines[field_line:])
         x_cap = _int_header(header, "x-cap", source) if "x-cap" in header else None
         mu = None
         if "mu" in header:
@@ -159,6 +127,39 @@ class FieldDocument:
             line_offset=self.field_line - 1,
             col_offset=raw_col,
         )
+
+
+def _read_header(lines, source, last=None):
+    """(header, n, degree) of a document's lines.
+
+    Blank and '#' lines are skipped; every other line reads 'key: value' and
+    goes into header as key -> (value, line number).  The entry keyed `last`,
+    when given, is required and ends the header; the lines after it are the
+    caller's.  n and degree are required and bounded.
+    """
+    header = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ":" not in line:
+            raise DocumentError(
+                f"{source}:{lineno}: expected 'key: value', found {raw!r}"
+            )
+        key, _, value = line.partition(":")
+        key = key.strip().lower()
+        if key.startswith("map "):  # 'map  z1' is 'map z1'
+            key = "map " + key[4:].strip()
+        header[key] = (value.strip(), lineno)
+        if key == last:
+            break
+    for key in ((last,) if last else ()) + ("n", "degree"):
+        if key not in header:
+            raise DocumentError(f"{source}: missing '{key}:' entry")
+    n = _int_header(header, "n", source)
+    degree = _int_header(header, "degree", source)
+    _check_slot_budget(n, degree, source)
+    return header, n, degree
 
 
 def _int_header(header, key, source):
@@ -207,29 +208,8 @@ class MapDocument:
 
     @classmethod
     def parse(cls, text: str, source: str = "<map>") -> "MapDocument":
-        header = {}
-        maps = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise DocumentError(
-                    f"{source}:{lineno}: expected 'key: value', found {raw!r}"
-                )
-            key, _, value = line.partition(":")
-            key = key.strip().lower()
-            value = value.strip()
-            if key.startswith("map "):
-                maps[key[4:].strip()] = (value, lineno)
-            else:
-                header[key] = (value, lineno)
-        for key in ("n", "degree"):
-            if key not in header:
-                raise DocumentError(f"{source}: missing '{key}:' entry")
-        n = _int_header(header, "n", source)
-        degree = _int_header(header, "degree", source)
-        _check_slot_budget(n, degree, source)
+        header, n, degree = _read_header(text.splitlines(), source)
+        maps = {key[4:]: entry for key, entry in header.items() if key.startswith("map ")}
         images = {}
         for var, (expr, lineno) in maps.items():
             if var == "x":
@@ -262,8 +242,10 @@ class MapDocument:
 # --- rendering ---------------------------------------------------------------
 
 
-def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
+def _emit(args, report: dict) -> None:
+    """Print a command's report, behind "schema" and "command"."""
+    report = {"schema": 1, "command": args.command, **report}
+    if args.json:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
         return
     for key, value in report.items():
@@ -307,20 +289,20 @@ def _flat(v):
 # --- command helpers -----------------------------------------------------------
 
 
-def _load_document(args) -> FieldDocument:
-    path = args.field
+def _load(cls, path, flag, command="this command"):
+    """cls.parse of the document at `path`, which came with `flag`."""
     if path is None:
-        raise DocumentError("this command requires --field <path>")
+        raise DocumentError(f"{command} requires {flag} <path>")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e}")
-    return FieldDocument.parse(text, source=path)
+    return cls.parse(text, source=path)
 
 
 def _load_field(args, use_degree_flag=False):
-    doc = _load_document(args)
+    doc = _load(FieldDocument, args.field, "--field")
     cap = None
     if use_degree_flag and getattr(args, "degree", None) is not None:
         cap = args.degree
@@ -332,17 +314,6 @@ def _load_field(args, use_degree_flag=False):
             "in m with a constant z-linear part)"
         )
     return doc, X
-
-def _load_map(args) -> Automorphism:
-    path = args.map
-    if path is None:
-        raise DocumentError("this command requires --map <path>")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise DocumentError(f"cannot read {path}: {e}")
-    return MapDocument.parse(text, source=path).automorphism()
 
 
 def _mu_from(args, doc=None):
@@ -391,15 +362,13 @@ def _validate_declared_mu(doc, X):
 # --- commands ------------------------------------------------------------------
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args):
     doc, X = _load_field(args, use_degree_flag=True)
     mu = _mu_from(args, doc) if (args.mu or doc.mu) else _diagonal_mu(X)
     _validate_declared_mu(doc, X)
     x_cap = args.x_cap if args.x_cap is not None else doc.x_cap
     result = normalize(X, mu, x_cap=x_cap)
     report = {
-        "schema": 1,
-        "command": "normalize",
         "n": X.n,
         "degree": X.cap,
         "mu": [str(m) for m in result.mu],
@@ -417,8 +386,7 @@ def _cmd_normalize(args) -> int:
         "steps": [{"K": list(i.K), "j": i.j} for i in result.steps],
         "certified": result.certified,
     }
-    _emit(report, args.json)
-    return 0
+    _emit(args, report)
 
 
 def _diagonal_mu(X: VectorField):
@@ -431,16 +399,14 @@ def _diagonal_mu(X: VectorField):
     return tuple(diag[i][i] for i in range(X.n))
 
 
-def _cmd_resonances(args) -> int:
-    doc = _load_document(args) if args.field else None
+def _cmd_resonances(args):
+    doc = _load(FieldDocument, args.field, "--field") if args.field else None
     mu = _mu_from(args, doc)
     degree = args.degree if args.degree is not None else 8
     report_obj = enumerate_resonances(mu, degree)
     ntnr = decide_ntnr(mu)
     witness = ntnr.witness or report_obj.witness()
     report = {
-        "schema": 1,
-        "command": "resonances",
         "mu": [str(m) for m in mu],
         "bound": degree,
         "resonant": [r.to_json() for r in report_obj.resonant],
@@ -449,48 +415,39 @@ def _cmd_resonances(args) -> int:
         "exact": ntnr.exact,
         "witness": witness.to_json() if witness else None,
     }
-    _emit(report, args.json)
-    return 0
+    _emit(args, report)
 
 
-def _cmd_classify2(args) -> int:
+def _cmd_classify2(args):
     lam = _coeff_arg(args.lam, "--lambda")
     report = {
-        "schema": 1,
-        "command": "classify2",
         "lambda": str(lam),
         "case": classify_dim2(lam),
     }
-    _emit(report, args.json)
-    return 0
+    _emit(args, report)
 
 
-def _cmd_classify3(args) -> int:
+def _cmd_classify3(args):
     lam = _coeff_arg(args.lam, "--lambda")
     mu = _coeff_arg(args.mu, "--mu")
     c = classify_dim3(lam, mu)
     report = {
-        "schema": 1,
-        "command": "classify3",
         "lambda": str(lam),
         "mu": str(mu),
         "siegel": c.siegel,
         "case": c.case,
         "witness": c.witness,
     }
-    _emit(report, args.json)
-    return 0
+    _emit(args, report)
 
 
-def _cmd_centralizer(args) -> int:
-    doc = _load_document(args) if args.field else None
+def _cmd_centralizer(args):
+    doc = _load(FieldDocument, args.field, "--field") if args.field else None
     mu = _mu_from(args, doc)
     window = _window_arg(args.x_window)
     degree = args.degree if args.degree is not None else (doc.degree if doc else 6)
     check = centralizer_check(mu, window, degree)
     report = {
-        "schema": 1,
-        "command": "centralizer",
         "mu": [str(m) for m in mu],
         "x_window": list(window),
         "degree": degree,
@@ -500,70 +457,53 @@ def _cmd_centralizer(args) -> int:
         "negative": [e.to_json() for e in check.offenders],
         "taylor_centralizer_ok": check.ok,
     }
-    _emit(report, args.json)
+    _emit(args, report)
     if not check.ok:
         raise Finding("no-negative-resonance holds but the centralizer has negative x-exponents")
-    return 0
 
 
-def _cmd_check_commute(args) -> int:
+def _cmd_check_commute(args):
     doc, X = _load_field(args)
-    if args.field2 is None:
-        raise DocumentError("check-commute requires --field2 <path>")
-    try:
-        with open(args.field2, "r", encoding="utf-8") as fh:
-            text2 = fh.read()
-    except OSError as e:
-        raise DocumentError(f"cannot read {args.field2}: {e}")
-    doc2 = FieldDocument.parse(text2, source=args.field2)
+    doc2 = _load(FieldDocument, args.field2, "--field2", args.command)
     if doc2.n != doc.n:
         raise DocumentError("the two fields have different n")
     Y = doc2.field(X.cap)
     br = X.bracket(Y)
     commute = br.is_zero()
     report = {
-        "schema": 1,
-        "command": "check-commute",
         "commute": commute,
         "bracket": str(br),
     }
-    _emit(report, args.json)
+    _emit(args, report)
     if not commute:
         raise Finding("fields do not commute")
-    return 0
 
 
-def _cmd_exp(args) -> int:
+def _cmd_exp(args):
     doc, X = _load_field(args, use_degree_flag=True)
     t = _coeff_arg(args.time, "--time")
     x_cap = args.x_cap if args.x_cap is not None else doc.x_cap
     phi = exp(X, t, x_window=x_cap)
     report = {
-        "schema": 1,
-        "command": "exp",
         "time": str(t),
         "x_window": x_cap,
         "x": str(phi.img_x),
         "z": [str(c) for c in phi.img_z],
     }
-    _emit(report, args.json)
-    return 0
+    _emit(args, report)
 
 
-def _cmd_log(args) -> int:
-    phi = _load_map(args)
+def _cmd_log(args):
+    phi = _load(MapDocument, args.map, "--map").automorphism()
     X = log(phi)
     report = {
-        "schema": 1,
-        "command": "log",
         "field": str(X),
         "one_flat": X.is_k_flat(1),
     }
-    _emit(report, args.json)
-    return 0
+    _emit(args, report)
 
 
-def _cmd_holonomy(args) -> int:
+def _cmd_holonomy(args):
     doc, X = _load_field(args)
     if not X.is_x_normalized():
         raise DocumentError("holonomy requires an x-normalized field")
@@ -580,21 +520,18 @@ def _cmd_holonomy(args) -> int:
             entries.append({"K": list(K), **_fmt_complex(jet.coeffs[i][K])})
         coeffs[f"z{i}"] = entries
     report = {
-        "schema": 1,
-        "command": "holonomy",
         "degree": degree,
         "tol": _fmt_float(args.tol),
         "windings": args.windings,
         "base_point": "1",
         "jet": coeffs,
     }
-    _emit(report, args.json)
-    return 0
+    _emit(args, report)
 
 
-def _cmd_conjugacy_check(args) -> int:
+def _cmd_conjugacy_check(args):
     doc, X = _load_field(args)
-    psi = _load_map(args)
+    psi = _load(MapDocument, args.map, "--map").automorphism()
     degree = args.degree if args.degree is not None else 2
     if psi.cap != X.cap:
         raise DocumentError(
@@ -603,31 +540,58 @@ def _cmd_conjugacy_check(args) -> int:
     residual = conjugacy_residual(X, psi, degree, tol=args.tol)
     ok = args.max_residual is None or residual <= args.max_residual
     report = {
-        "schema": 1,
-        "command": "conjugacy-check",
         "degree": degree,
         "tol": _fmt_float(args.tol),
         "residual": _fmt_float(residual),
         "max_residual": _fmt_float(args.max_residual) if args.max_residual is not None else None,
         "ok": ok,
     }
-    _emit(report, args.json)
+    _emit(args, report)
     if not ok:
         raise Finding(f"conjugacy residual {residual:.3g} exceeds the bound")
-    return 0
 
 
+# Every flag a command can take, in the order each subparser adds them:
+# (key, option, add_argument keywords).  A command names the keys it takes.
+_FLAGS = (
+    ("json", "--json", dict(action="store_true", help="machine-readable output")),
+    ("field", "--field", dict(metavar="PATH", help="field document")),
+    ("field", "--require-x-normalized",
+     dict(action="store_true", help="reject fields that are not x-normalized")),
+    ("field2", "--field2", dict(metavar="PATH", help="second field document")),
+    ("map", "--map", dict(metavar="PATH", help="automorphism map document")),
+    ("mu", "--mu", dict(metavar="COEFFS", help="comma-separated eigenvalues")),
+    ("lambda", "--lambda", dict(dest="lam", metavar="COEFF", required=True)),
+    ("degree", "--degree", dict(type=int, metavar="D")),
+    ("x-cap", "--x-cap", dict(type=int, metavar="M")),
+    ("x-window", "--x-window", dict(default="-6,6", metavar="LO,HI")),
+    ("tol", "--tol", dict(type=float, default=1e-10, metavar="TOL")),
+    ("time", "--time", dict(default="1", metavar="COEFF")),
+    ("windings", "--windings", dict(type=int, default=1, metavar="W")),
+    ("max-residual", "--max-residual", dict(type=float, metavar="R")),
+    ("mu1", "--mu", dict(metavar="COEFF", required=True)),  # classify3's one mu
+)
+
+# name -> (help, flag keys besides json, handler)
 _COMMANDS = {
-    "normalize": _cmd_normalize,
-    "resonances": _cmd_resonances,
-    "classify2": _cmd_classify2,
-    "classify3": _cmd_classify3,
-    "centralizer": _cmd_centralizer,
-    "check-commute": _cmd_check_commute,
-    "exp": _cmd_exp,
-    "log": _cmd_log,
-    "holonomy": _cmd_holonomy,
-    "conjugacy-check": _cmd_conjugacy_check,
+    "normalize": ("eliminate nonresonant terms and certify the conjugation",
+                  "field mu degree x-cap", _cmd_normalize),
+    "resonances": ("resonant monomials and the negative-resonance decision",
+                   "field mu degree", _cmd_resonances),
+    "classify2": ("two-variable classification by the transverse eigenvalue",
+                  "lambda", _cmd_classify2),
+    "classify3": ("three-variable classification of (1, lambda, mu)",
+                  "lambda mu1", _cmd_classify3),
+    "centralizer": ("basis of fields commuting with the semisimple part",
+                    "field mu degree x-window", _cmd_centralizer),
+    "check-commute": ("bracket of two fields", "field field2", _cmd_check_commute),
+    "exp": ("time-t exponential of a nilpotent field",
+            "field time x-cap degree", _cmd_exp),
+    "log": ("logarithm of a tangent-to-identity map document", "map", _cmd_log),
+    "holonomy": ("jet of the return map around the separatrix",
+                 "field degree tol windings", _cmd_holonomy),
+    "conjugacy-check": ("holonomy conjugation residual for a map document",
+                        "field map degree tol max-residual", _cmd_conjugacy_check),
 }
 
 
@@ -638,62 +602,12 @@ def build_parser() -> argparse.ArgumentParser:
         "holonomy for crossing-type vector fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, field=False, field2=False, mapdoc=False, mu_flag=False,
-            lam_flag=False, degree=False, x_cap=False, x_window=False, tol=False,
-            time_flag=False, windings=False, max_residual=False):
+    for name, (help_text, keys, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        if field:
-            p.add_argument("--field", metavar="PATH", help="field document")
-            p.add_argument(
-                "--require-x-normalized",
-                action="store_true",
-                help="reject fields that are not x-normalized",
-            )
-        if field2:
-            p.add_argument("--field2", metavar="PATH", help="second field document")
-        if mapdoc:
-            p.add_argument("--map", metavar="PATH", help="automorphism map document")
-        if mu_flag:
-            p.add_argument("--mu", metavar="COEFFS", help="comma-separated eigenvalues")
-        if lam_flag:
-            p.add_argument("--lambda", dest="lam", metavar="COEFF", required=True)
-        if degree:
-            p.add_argument("--degree", type=int, metavar="D")
-        if x_cap:
-            p.add_argument("--x-cap", dest="x_cap", type=int, metavar="M")
-        if x_window:
-            p.add_argument("--x-window", dest="x_window", default="-6,6", metavar="LO,HI")
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-10, metavar="TOL")
-        if time_flag:
-            p.add_argument("--time", default="1", metavar="COEFF")
-        if windings:
-            p.add_argument("--windings", type=int, default=1, metavar="W")
-        if max_residual:
-            p.add_argument("--max-residual", dest="max_residual", type=float, metavar="R")
-        return p
-
-    add("normalize", "eliminate nonresonant terms and certify the conjugation",
-        field=True, mu_flag=True, degree=True, x_cap=True)
-    add("resonances", "resonant monomials and the negative-resonance decision",
-        field=True, mu_flag=True, degree=True)
-    add("classify2", "two-variable classification by the transverse eigenvalue",
-        lam_flag=True)
-    p3 = add("classify3", "three-variable classification of (1, lambda, mu)",
-             lam_flag=True)
-    p3.add_argument("--mu", metavar="COEFF", required=True)
-    add("centralizer", "basis of fields commuting with the semisimple part",
-        field=True, mu_flag=True, degree=True, x_window=True)
-    add("check-commute", "bracket of two fields", field=True, field2=True)
-    add("exp", "time-t exponential of a nilpotent field",
-        field=True, time_flag=True, x_cap=True, degree=True)
-    add("log", "logarithm of a tangent-to-identity map document", mapdoc=True)
-    add("holonomy", "jet of the return map around the separatrix",
-        field=True, degree=True, tol=True, windings=True)
-    add("conjugacy-check", "holonomy conjugation residual for a map document",
-        field=True, mapdoc=True, degree=True, tol=True, max_residual=True)
+        taken = {"json", *keys.split()}
+        for key, option, kwargs in _FLAGS:
+            if key in taken:
+                p.add_argument(option, **kwargs)
     return parser
 
 
@@ -710,23 +624,12 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         _check_flags(args)
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command][2](args)
+        return 0
     except Finding as e:
         sys.stderr.write(f"finding: {e}\n")
         return 1
-    except (
-        DocumentError,
-        FieldSyntaxError,
-        CoefficientSyntaxError,
-        LinearPartError,
-        DimensionMismatchError,
-        NotNilpotentError,
-        NotTangentToIdentityError,
-        SingularLinearPartError,
-        IntegrationError,
-        LeafEscapeError,
-        ValueError,
-    ) as e:
+    except (ValueError, IntegrationError, LeafEscapeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

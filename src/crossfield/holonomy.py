@@ -597,13 +597,13 @@ def holonomy_jet(X: VectorField, degree: int, tol: float = 1e-10,
 class PathSpec:
     """Sampled curve in the punctured x-plane with step-size control.
 
-    gamma maps [t0, t1] to C \\ {0}; dgamma may be omitted (central
-    differences are used).  escape_radius bounds |z| during lifts and
-    min_modulus guards against paths that graze x = 0.
+    gamma maps [t0, t1] to C \\ {0} and dgamma is its derivative.
+    escape_radius bounds |z| during lifts and min_modulus guards against
+    paths that graze x = 0.
     """
 
     gamma: object
-    dgamma: object = None
+    dgamma: object
     t0: float = 0.0
     t1: float = 1.0
     escape_radius: float = 8.0
@@ -646,11 +646,8 @@ class PathSpec:
         def gamma(t):
             return g(t0 + t1 - t)
 
-        dgamma = None
-        if dg is not None:
-
-            def dgamma(t):  # noqa: F811
-                return -dg(t0 + t1 - t)
+        def dgamma(t):
+            return -dg(t0 + t1 - t)
 
         return PathSpec(
             gamma=gamma,
@@ -661,12 +658,6 @@ class PathSpec:
             min_modulus=self.min_modulus,
             max_steps=self.max_steps,
         )
-
-    def derivative(self, t: float) -> complex:
-        if self.dgamma is not None:
-            return self.dgamma(t)
-        h = max(1e-7, 1e-7 * abs(self.t1 - self.t0))
-        return (self.gamma(t + h) - self.gamma(t - h)) / (2 * h)
 
 
 def path_lift(X: VectorField, start, path: PathSpec, tol: float = 1e-10):
@@ -691,7 +682,7 @@ def path_lift(X: VectorField, start, path: PathSpec, tol: float = 1e-10):
         x = path.gamma(t)
         if abs(x) < path.min_modulus:
             raise LeafEscapeError("path entered the forbidden disk around x = 0")
-        rate = path.derivative(t) / x
+        rate = path.dgamma(t) / x
         vals = _point_rhs(terms, x, z)
         return [rate * v for v in vals]
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .coeff import GaussianRational, LaurentPoly
 from .series import DimensionMismatchError, MonomialIndex, TransverseSeries
@@ -304,72 +303,26 @@ def _constant_matrix(C):
 
 
 def _linear_action_nilpotent(C, cap: int) -> bool:
-    """Does the z-linear matrix C act nilpotently on every degree <= cap?"""
-    if all(p.is_zero() for row in C for p in row):
-        return True
-    if _is_strictly_triangular(C):
-        return True
-    return all(_graded_action_nilpotent(C, deg, len(C)) for deg in range(1, cap + 1))
+    """Does the z-linear matrix C act nilpotently on every degree <= cap?
 
-
-def _is_strictly_triangular(C) -> bool:
-    n = len(C)
-    lower = all(C[i][j].is_zero() for i in range(n) for j in range(i, n))
-    upper = all(C[i][j].is_zero() for i in range(n) for j in range(i + 1))
-    return lower or upper
-
-
-def _graded_action_nilpotent(C, deg: int, n: int) -> bool:
-    """Is the z-linear action on degree-`deg` monomials nilpotent?
-
-    The matrix acts as a derivation: z^K -> sum_i k_i C[i][l] z^{K - e_i + e_l},
-    a square matrix over the Laurent ring; over an integral domain it is
-    nilpotent iff its dim-th power vanishes.
+    On degree-d monomials C acts as the derivation
+    z^K -> sum_i k_i C[i][l] z^{K - e_i + e_l}, whose eigenvalues are sums of
+    d eigenvalues of C.  Over the Laurent ring, a domain of characteristic 0,
+    that action is nilpotent for d >= 1 iff C is, and C is iff C^n = 0.
     """
-    monos = [
-        tuple(sum(1 for c in combo if c == v) for v in range(n))
-        for combo in combinations_with_replacement(range(n), deg)
-    ]
-    index = {K: p for p, K in enumerate(monos)}
-    dim = len(monos)
-    M = [[LaurentPoly.zero() for _ in range(dim)] for _ in range(dim)]
-    for K, col in index.items():
-        for i in range(n):
-            k = K[i]
-            if k == 0:
-                continue
-            for l in range(n):
-                c = C[i][l]
-                if c.is_zero():
-                    continue
-                K2 = list(K)
-                K2[i] -= 1
-                K2[l] += 1
-                M[index[tuple(K2)]][col] = M[index[tuple(K2)]][col] + c * k
-        # column built
-    power = M
-    steps = max(1, dim.bit_length())
-    for _ in range(steps):
-        if all(p.is_zero() for row in power for p in row):
+    if cap == 0:
+        return True
+    n = len(C)
+    power = C
+    for _ in range(n - 1):
+        terms = [[(k, p) for k, p in enumerate(row) if not p.is_zero()] for row in power]
+        if not any(terms):
             return True
-        power = _mat_mul(power, power)
+        power = [
+            [sum((p * C[k][j] for k, p in row), LaurentPoly.zero()) for j in range(n)]
+            for row in terms
+        ]
     return all(p.is_zero() for row in power for p in row)
-
-
-def _mat_mul(A, B):
-    dim = len(A)
-    out = [[LaurentPoly.zero() for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for k in range(dim):
-            a = A[i][k]
-            if a.is_zero():
-                continue
-            for j in range(dim):
-                b = B[k][j]
-                if b.is_zero():
-                    continue
-                out[i][j] = out[i][j] + a * b
-    return out
 
 
 def bracket(X: VectorField, Y: VectorField) -> VectorField:

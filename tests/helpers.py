@@ -39,6 +39,8 @@ def rand_laurent(rng, min_exp=-2, max_exp=2, terms=2, span=3, den=3):
 
 def rand_series(rng, n, cap, terms=3, min_deg=0, min_exp=0, max_exp=2):
     monos = [K for K in iter_exponents(n, min_deg, cap)]
+    if not monos:  # min_deg > cap: only the zero series, and nothing drawn
+        return TransverseSeries.zero(n, cap)
     data = {}
     for _ in range(terms):
         K = rng.choice(monos)

@@ -405,14 +405,11 @@ class TestCriterion6:
 
 @crit(7, "CLI golden files byte-exact for every command, error positions included")
 class TestCriterion7:
-    def test_all_golden_cases(self, capsys):
-        from test_cli import CASES, GOLDEN
+    def test_all_golden_cases(self, capsys, monkeypatch):
+        from test_cli import CASES, GOLDEN, golden_run
 
         for name, argv, code, check_err in CASES:
-            from crossfield.cli import main
-
-            rc = main(argv)
-            out, err = capsys.readouterr()
+            rc, out, err = golden_run(argv, capsys, monkeypatch)
             assert rc == code, (name, err)
             assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
             if check_err:

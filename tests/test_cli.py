@@ -5,6 +5,7 @@ review the diff; the mathematical values inside are pinned independently by
 the module tests.
 """
 
+import argparse
 import io
 import json
 import os
@@ -62,13 +63,52 @@ CASES = [
     ("reject_not_normalized", ["holonomy", "--field", doc("notnorm.vf"), "--json"], 2, True),
     ("require_flag_rejects", ["normalize", "--field", doc("notnorm.vf"), "--require-x-normalized"], 2, True),
     ("missing_mu", ["resonances", "--json"], 2, True),
+    # help texts
+    ("help", ["--help"], 0, False),
+    *[
+        (f"help_{command.replace('-', '_')}", [command, "--help"], 0, False)
+        for command in ("normalize", "resonances", "classify2", "classify3", "centralizer",
+                        "check-commute", "exp", "log", "holonomy", "conjugacy-check")
+    ],
+    # usage errors: missing or unreadable documents, bad flag values
+    ("missing_field", ["normalize", "--json"], 2, True),
+    ("missing_map", ["log", "--json"], 2, True),
+    ("missing_field2", ["check-commute", "--field", doc("euler.vf"), "--json"], 2, True),
+    ("unreadable_path", ["normalize", "--field", doc("missing.vf"), "--json"], 2, True),
+    ("bad_x_window", ["centralizer", "--mu=i", "--x-window=1", "--json"], 2, True),
+    ("bad_lambda", ["classify2", "--lambda=1//2", "--json"], 2, True),
+    ("bad_mu", ["resonances", "--mu=1,x", "--json"], 2, True),
+    ("bad_mu_classify3", ["classify3", "--lambda=1", "--mu=x", "--json"], 2, True),
+    ("classify3_without_mu", ["classify3", "--lambda=1", "--json"], 2, True),
+    ("too_many_mu", ["resonances", "--mu=1,2,3,4,5,6,7", "--json"], 2, True),
+    ("degree_over_bound", ["resonances", "--mu=-1", "--degree", "13", "--json"], 2, True),
+    # header errors
+    ("header_missing_n", ["normalize", "--field", doc("broken/no_n.vf"), "--json"], 2, True),
+    ("header_n_not_int", ["normalize", "--field", doc("broken/n_not_int.vf"), "--json"], 2, True),
+    ("header_n_too_big", ["normalize", "--field", doc("broken/n_too_big.vf"), "--json"], 2, True),
+    ("header_slot_budget", ["normalize", "--field", doc("broken/slot_budget.vf"), "--json"], 2, True),
+    ("header_missing_field", ["normalize", "--field", doc("broken/no_field.vf"), "--json"], 2, True),
+    ("header_no_colon", ["normalize", "--field", doc("broken/no_colon.vf"), "--json"], 2, True),
+    # map errors
+    ("map_unknown_target", ["log", "--map", doc("broken/unknown_target.map"), "--json"], 2, True),
+    ("map_target_range", ["log", "--map", doc("broken/target_range.map"), "--json"], 2, True),
+    ("map_x_not_x", ["log", "--map", doc("broken/map_x.map"), "--json"], 2, True),
+    ("map_missing_target", ["log", "--map", doc("broken/missing_target.map"), "--json"], 2, True),
 ]
 
 
-@pytest.mark.parametrize("name,argv,code,check_err", CASES, ids=[c[0] for c in CASES])
-def test_golden(name, argv, code, check_err, capsys):
+def golden_run(argv, capsys, monkeypatch):
+    """(exit code, stdout, stderr) of main(argv) as the goldens hold them:
+    help wrapped to 80 columns, documents named data/<file>."""
+    monkeypatch.setenv("COLUMNS", "80")
     rc = main(argv)
-    out, err = capsys.readouterr()
+    out, err = (s.replace(str(DATA), "data") for s in capsys.readouterr())
+    return rc, out, err
+
+
+@pytest.mark.parametrize("name,argv,code,check_err", CASES, ids=[c[0] for c in CASES])
+def test_golden(name, argv, code, check_err, capsys, monkeypatch):
+    rc, out, err = golden_run(argv, capsys, monkeypatch)
     assert rc == code, err
     out_path = GOLDEN / f"{name}.out"
     err_path = GOLDEN / f"{name}.err"
@@ -80,6 +120,17 @@ def test_golden(name, argv, code, check_err, capsys):
     assert out == out_path.read_text(encoding="utf-8")
     if check_err:
         assert err == err_path.read_text(encoding="utf-8")
+
+
+def test_every_command_has_a_golden():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = set(subparsers.choices)
+    assert len(commands) == 10
+    run = {argv[0] for _, argv, _, _ in CASES if "--help" not in argv}
+    helped = {argv[0] for _, argv, _, _ in CASES if argv[1:] == ["--help"]}
+    assert commands <= run
+    assert commands <= helped
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -10,6 +11,7 @@ from crossfield.coeff import LaurentPoly
 from crossfield.lie import (
     Automorphism,
     _invert_matrix,
+    _linear_action_nilpotent,
     NotNilpotentError,
     NotTangentToIdentityError,
     SingularLinearPartError,
@@ -47,6 +49,73 @@ def var(n, cap, i):
 
 def mono_field(n, cap, K, j, coeff=1):
     return VectorField.monomial(n, cap, MonomialIndex(K, j), coeff)
+
+
+def rand_nilpotent_matrix(rng, n):
+    """A strictly upper triangular Laurent matrix conjugated by a few
+    elementary matrices I + a e_ij (inverse I - a e_ij)."""
+    zero = LaurentPoly.zero()
+    C = [[rand_laurent(rng, -1, 1, terms=1) if j > i else zero for j in range(n)]
+         for i in range(n)]
+    for _ in range(2 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        a = rand_laurent(rng, -1, 1, terms=1)
+        for row in C:  # C (I - a e_ij)
+            row[j] = row[j] - row[i] * a
+        C[i] = [p + q * a for p, q in zip(C[i], C[j])]  # (I + a e_ij) C
+    return C
+
+
+def ref_graded_action_nilpotent(C, deg: int, n: int) -> bool:
+    """Is the z-linear action on degree-`deg` monomials nilpotent?
+
+    The matrix acts as a derivation: z^K -> sum_i k_i C[i][l] z^{K - e_i + e_l},
+    a square matrix over the Laurent ring; over an integral domain it is
+    nilpotent iff its dim-th power vanishes.
+    """
+    monos = [
+        tuple(sum(1 for c in combo if c == v) for v in range(n))
+        for combo in combinations_with_replacement(range(n), deg)
+    ]
+    index = {K: p for p, K in enumerate(monos)}
+    dim = len(monos)
+    M = [[LaurentPoly.zero() for _ in range(dim)] for _ in range(dim)]
+    for K, col in index.items():
+        for i in range(n):
+            k = K[i]
+            if k == 0:
+                continue
+            for l in range(n):
+                c = C[i][l]
+                if c.is_zero():
+                    continue
+                K2 = list(K)
+                K2[i] -= 1
+                K2[l] += 1
+                M[index[tuple(K2)]][col] = M[index[tuple(K2)]][col] + c * k
+    power = M
+    steps = max(1, dim.bit_length())
+    for _ in range(steps):
+        if all(p.is_zero() for row in power for p in row):
+            return True
+        power = ref_mat_mul(power, power)
+    return all(p.is_zero() for row in power for p in row)
+
+
+def ref_mat_mul(A, B):
+    dim = len(A)
+    out = [[LaurentPoly.zero() for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for k in range(dim):
+            a = A[i][k]
+            if a.is_zero():
+                continue
+            for j in range(dim):
+                b = B[k][j]
+                if b.is_zero():
+                    continue
+                out[i][j] = out[i][j] + a * b
+    return out
 
 
 class TestApply:
@@ -151,6 +220,18 @@ class TestFlatness:
         for _ in range(50):
             assert rand_one_flat(rng, 2, 4).is_nilpotent()
 
+    def test_helpers_at_cap_one(self):
+        # m^2 vanishes at cap 1: the z-parts come out zero, with no draws
+        rng = random.Random(28)
+        for n in (1, 2):
+            X = rand_one_flat(rng, n, 1)
+            assert X.is_nilpotent() and all(c.is_zero() for c in X.b)
+            assert rand_z_one_flat(rng, n, 1) == VectorField.zero(n, 1)
+            assert rand_x_normalized_automorphism(rng, n, 1).is_x_normalized()
+        state = rng.getstate()
+        assert rand_series(rng, 2, 1, min_deg=2).is_zero()
+        assert rng.getstate() == state
+
     def test_nilpotent_mod_x(self):
         W = VectorField.monomial(1, 4, MonomialIndex((0,), 1), LaurentPoly.x())
         assert not W.is_nilpotent()
@@ -164,6 +245,23 @@ class TestFlatness:
             exp(W2, 1, x_window=5)
         with pytest.raises(NotNilpotentError):
             exp_compose(W2, Automorphism.identity(1, 4), x_window=5)
+
+    def test_linear_nilpotency_matches_graded_pieces(self):
+        # C^n = 0 against the action on every graded piece of degree <= cap
+        rng = random.Random(61)
+        kinds = {True: 0, False: 0}
+        for n in range(1, 5):
+            for cap in range(1, 6):
+                for perturb in (False, True, True):
+                    C = rand_nilpotent_matrix(rng, n)
+                    if perturb:  # one entry off: nilpotent or not
+                        i, j = rng.randrange(n), rng.randrange(n)
+                        C[i][j] = C[i][j] + rand_laurent(rng, -1, 1, terms=1)
+                    want = all(ref_graded_action_nilpotent(C, deg, n)
+                               for deg in range(1, cap + 1))
+                    assert _linear_action_nilpotent(C, cap) == want, (C, cap)
+                    kinds[want] += 1
+        assert min(kinds.values()) >= 20, kinds
 
     def test_window_routes_agree(self):
         # adjoint series and substitution pushforward coincide on the
@@ -429,17 +527,12 @@ def ref_invert(phi):
     return Automorphism(x, sigma)
 
 
-def z_flat(rng, n, cap, **kw):
-    """rand_z_one_flat, or the zero field at cap 1 where m^2 vanishes."""
-    return rand_z_one_flat(rng, n, cap, **kw) if cap > 1 else VectorField.zero(n, cap)
-
-
 def shifted_map(rng, n, cap, min_exp=0):
     """exp(V) with V.a != 0 and V 1-flat, so the x-image is x + u, u != 0."""
     while True:
         a = rand_series(rng, n, cap, 2, min_deg=1, min_exp=min_exp, max_exp=2)
         if not a.is_zero():
-            return exp(VectorField(a, z_flat(rng, n, cap, min_exp=min_exp).b))
+            return exp(VectorField(a, rand_z_one_flat(rng, n, cap, min_exp=min_exp).b))
 
 
 def fresh(phi):
@@ -477,7 +570,7 @@ class TestSubstitutionOracle:
     def test_apply_unshifted_matches_reference(self, n):
         rng = random.Random(95 + n)
         for cap in range(1, 7):
-            phi = exp(z_flat(rng, n, cap, min_exp=-1, max_exp=2))
+            phi = exp(rand_z_one_flat(rng, n, cap, min_exp=-1, max_exp=2))
             if n <= 2:
                 phi = Automorphism.linear(rand_invertible_matrix(rng, n), cap).compose(phi)
             assert phi.img_x == TransverseSeries.x_series(n, cap)
@@ -492,7 +585,7 @@ class TestSubstitutionOracle:
         rng = random.Random(99)
         for cap in (1, 2, 5, 6):
             M = rand_invertible_matrix(rng, 2)
-            for step in (exp(z_flat(rng, 2, cap, max_exp=1)), shifted_map(rng, 2, cap)):
+            for step in (exp(rand_z_one_flat(rng, 2, cap, max_exp=1)), shifted_map(rng, 2, cap)):
                 phi = Automorphism.linear(M, cap).compose(step)
                 Z = rand_field(rng, 2, cap)
                 for f in (Z.a, *Z.b, rand_series(rng, 2, cap, terms=5, min_exp=-2)):
@@ -505,7 +598,7 @@ class TestSubstitutionOracle:
         for cap in range(1, 7):
             for _ in range(3):
                 M = rand_invertible_matrix(rng, n)
-                V = z_flat(rng, n, cap, terms=3, min_exp=-1, max_exp=2)
+                V = rand_z_one_flat(rng, n, cap, terms=3, min_exp=-1, max_exp=2)
                 phi = Automorphism.linear(M, cap).compose(exp(V))
                 assert phi._inv is None and phi._pending is None
                 got, want = phi.invert(), ref_invert(phi)
