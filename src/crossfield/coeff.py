@@ -117,9 +117,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self._a and not self._b
 
-    def is_real(self) -> bool:
-        return not self._b
-
     def is_integer(self) -> bool:
         return not self._b and self._d == 1
 
@@ -204,9 +201,6 @@ class GaussianRational:
 
     def __pos__(self):
         return self
-
-    def conjugate(self) -> "GaussianRational":
-        return _gq(self._a, -self._b, self._d)
 
     # -- conversions -------------------------------------------------------
 
@@ -456,16 +450,6 @@ class LaurentPoly:
                 continue
             data[e - 1] = c * e
         return _lp_raw({e: c for e, c in data.items() if c != 0})
-
-    def euler_apply(self, s) -> "LaurentPoly":
-        """Apply the shifted Euler operator (x*d/dx + s)."""
-        s = as_scalar(s)
-        data = {}
-        for e, c in self._terms.items():
-            v = c * (s + e)
-            if v != 0:
-                data[e] = v
-        return _lp_raw(data)
 
     def euler_solve(self, s):
         """Split g = self into (f, residual) with (x*d/dx + s) f = g - residual.

@@ -122,16 +122,6 @@ class HolonomyJet:
     def coefficient(self, i: int, K) -> complex:
         return self.coeffs.get(i, {}).get(tuple(K), 0j)
 
-    def linear_matrix(self):
-        out = []
-        for i in range(1, self.n + 1):
-            row = []
-            for j in range(self.n):
-                K = tuple(1 if p == j else 0 for p in range(self.n))
-                row.append(self.coefficient(i, K))
-            out.append(row)
-        return out
-
     def after(self, other: "HolonomyJet") -> "HolonomyJet":
         """Composition self o other: substitute other's jets into self.
 

@@ -19,7 +19,14 @@ import weakref
 from fractions import Fraction
 
 from .coeff import GaussianRational, LaurentPoly
-from .series import DimensionMismatchError, MonomialIndex, TransverseSeries
+from .series import (
+    DimensionMismatchError,
+    MonomialIndex,
+    TransverseSeries,
+    _ts_raw,
+    accumulate_products,
+    graded_terms,
+)
 
 __all__ = [
     "VectorField",
@@ -114,23 +121,94 @@ class VectorField:
     # -- derivation action -------------------------------------------------
 
     def apply(self, f: TransverseSeries) -> TransverseSeries:
-        """X(f) = a df/dx + sum_i b_i df/dz_i, truncated, skipping zero components."""
+        """X(f) = a df/dx + sum_i b_i df/dz_i, truncated at the cap.
+
+        The x-derivatives of f's coefficients meet the terms of a, and the
+        terms of f with K_i = k, lowered to K - e_i, meet k times the terms
+        of b_i, in :func:`~crossfield.series.accumulate_products`.  Every
+        product lands in one term dict; no derivative series, partial
+        product or partial sum is built.
+        """
         if f.n != self.n or f.cap != self.cap:
             raise DimensionMismatchError("field and series shapes differ")
-        out = TransverseSeries.zero(self.n, self.cap)
-        if not self.a.is_zero():
-            out = self.a * f.diff_x()
-        for i in range(self.n):
-            if not self.b[i].is_zero():
-                out = out + self.b[i] * f.diff_z(i + 1)
+        data = {}
+        self._apply_into(data, f, 1, {})
+        return _ts_raw(self.n, self.cap, data)
+
+    def _apply_into(self, data: dict, f: TransverseSeries, sign: int, scaled: dict) -> None:
+        """Add sign * X(f) to the term dict data.
+
+        scaled caches this field's component terms times an integer factor,
+        keyed by (component, factor) with component 0 for a and i for b_i,
+        so each coefficient is scaled once per factor however many terms of
+        f share it; callers applying the field to several series share it.
+        """
+        terms = graded_terms(f)
+        if self.a._terms:
+            dx = []
+            for K, d, c in terms:
+                c = c.derivative()
+                if c._terms:
+                    dx.append((K, d, c))
+            if dx:
+                self._products(data, scaled, 0, sign, dx)
+        for i, comp in enumerate(self.b):
+            if not comp._terms:
+                continue
+            by_k = {}  # k -> the terms of f with K_i = k, as K - e_i
+            for K, d, c in terms:
+                k = K[i]
+                if k:
+                    lowered = (K[:i] + (k - 1,) + K[i + 1:], d - 1, c)
+                    by_k.setdefault(k, []).append(lowered)
+            for k, lowered in by_k.items():
+                self._products(data, scaled, i + 1, sign * k, lowered)
+
+    def _products(self, data: dict, scaled: dict, i: int, k: int, right) -> None:
+        """Add k times component i (0 for a, i for b_i) times the graded
+        terms right to data.
+
+        The integer k scales whichever side has fewer terms: the
+        component's coefficients, once per (i, k) through the cache, or the
+        terms of right.  A one-term sweep field is scaled itself; a full
+        field meeting a one-term series scales that term instead.
+        """
+        left = self._scaled(scaled, i, 1)
+        if k != 1:
+            if len(right) < len(left):
+                right = [(K, d, c.scale(k)) for K, d, c in right]
+            else:
+                left = self._scaled(scaled, i, k)
+        accumulate_products(data, self.cap, left, right)
+
+    def _scaled(self, scaled: dict, i: int, k: int):
+        """Component i times k as graded terms, built once per (i, k)."""
+        out = scaled.get((i, k))
+        if out is None:
+            if k == 1:
+                out = graded_terms(self.b[i - 1] if i else self.a)
+            else:
+                out = [(K, d, c.scale(k)) for K, d, c in self._scaled(scaled, i, 1)]
+            scaled[(i, k)] = out
         return out
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """[X, Y] = X o Y - Y o X, componentwise X(Y_c) - Y(X_c)."""
+        """[X, Y] = X o Y - Y o X, componentwise X(Y_c) - Y(X_c).
+
+        Both halves of each component accumulate into one term dict; the
+        sign of the second is folded into its integer factors, so no
+        negated or partial series is built.  Each field's scaled
+        coefficients are shared by all n + 1 components.
+        """
         self._compat(other)
-        a = self.apply(other.a) - other.apply(self.a)
-        b = [self.apply(other.b[i]) - other.apply(self.b[i]) for i in range(self.n)]
-        return VectorField(a, b)
+        mine, theirs = {}, {}
+        comps = []
+        for own, their in zip((self.a,) + self.b, (other.a,) + other.b):
+            data = {}
+            self._apply_into(data, their, 1, mine)
+            other._apply_into(data, own, -1, theirs)
+            comps.append(_ts_raw(self.n, self.cap, data))
+        return VectorField(comps[0], comps[1:])
 
     def _compat(self, other):
         if self.n != other.n or self.cap != other.cap:
@@ -159,10 +237,6 @@ class VectorField:
 
     def scale(self, c) -> "VectorField":
         return VectorField(self.a.scale(c), [comp.scale(c) for comp in self.b])
-
-    def scale_series(self, f: TransverseSeries) -> "VectorField":
-        """f * X, multiplication by a ring element."""
-        return VectorField(self.a * f, [comp * f for comp in self.b])
 
     # -- inspection --------------------------------------------------------
 
@@ -784,7 +858,8 @@ def _exp_images(X: VectorField, t: GaussianRational, x_window, series=None):
     z-images).
 
     series defaults to the coordinates, giving the images of exp(tX); the
-    images of a map N give those of exp(tX) o N.  Each term is truncated to
+    images of a map N give those of exp(tX) o N.  The k-th term is X applied
+    to the (k-1)-th, scaled once by the scalar t/k and truncated to
     x_window; the sum is finite for nilpotent X.
     """
     images = []
@@ -795,7 +870,7 @@ def _exp_images(X: VectorField, t: GaussianRational, x_window, series=None):
             k += 1
             if k > _GUARD:
                 raise AssertionError("exp failed to terminate; nilpotency is violated")
-            term = _in_window(X.apply(term).scale(t).scale(Fraction(1, k)), x_window)
+            term = _in_window(X.apply(term).scale(t / k), x_window)
             if term.is_zero():
                 break
             acc = acc + term

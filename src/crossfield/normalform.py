@@ -316,10 +316,6 @@ class CentralizerResult:
     def negative(self):
         return tuple(e for e in self.elements if e.x_exp < 0)
 
-    @property
-    def has_negative_x(self) -> bool:
-        return bool(self.negative)
-
 
 def centralizer_solve(source, x_window, degree: int) -> CentralizerResult:
     """Monomial basis of x-normalized fields commuting with x d/dx + L(mu).

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 from .coeff import (
     GaussianRational,
@@ -289,19 +290,7 @@ class TransverseSeries:
         if isinstance(other, TransverseSeries):
             self._compat(other)
             data = {}
-            for K1, c1 in self._terms.items():
-                d1 = sum(K1)
-                for K2, c2 in other._terms.items():
-                    if d1 + sum(K2) > self.cap:
-                        continue
-                    K = tuple(a + b for a, b in zip(K1, K2))
-                    c = c1 * c2
-                    s = data.get(K)
-                    s = c if s is None else s + c
-                    if s.is_zero():
-                        data.pop(K, None)
-                    else:
-                        data[K] = s
+            accumulate_products(data, self.cap, graded_terms(self), graded_terms(other))
             return _ts_raw(self.n, self.cap, data)
         if isinstance(other, (LaurentPoly, GaussianRational, int, Fraction)):
             return self.scale(other)
@@ -310,7 +299,7 @@ class TransverseSeries:
     __rmul__ = __mul__
 
     def scale(self, c):
-        if isinstance(c, (int, Fraction)):
+        if isinstance(c, (int, Fraction, GaussianRational)):
             data = {}
             for K, v in self._terms.items():
                 s = v.scale(c)
@@ -330,14 +319,7 @@ class TransverseSeries:
 
     # -- calculus ----------------------------------------------------------
 
-    def diff_x(self) -> "TransverseSeries":
-        data = {}
-        for K, c in self._terms.items():
-            d = c.derivative()
-            if not d.is_zero():
-                data[K] = d
-        return _ts_raw(self.n, self.cap, data)
-
+    # no caller in the package: perfbench/spans.py wraps it under --trace 1
     def diff_z(self, i: int) -> "TransverseSeries":
         """d/dz_i (i is 1-based)."""
         if not 1 <= i <= self.n:
@@ -398,6 +380,45 @@ class TransverseSeries:
 
     def __repr__(self):
         return f"TransverseSeries(n={self.n}, cap={self.cap}, {self.__str__()!r})"
+
+
+def graded_terms(s: TransverseSeries):
+    """The terms of s as (K, |K|, coefficient) triples, the kernel's input."""
+    return [(K, sum(K), c) for K, c in s._terms.items()]
+
+
+def accumulate_products(data: dict, cap: int, left, right) -> None:
+    """Add c1*c2*z^(K1+K2) to the term dict data for every pair of
+    (K1, d1, c1) in left and (K2, d2, c2) in right with d1 + d2 <= cap.
+
+    This is the one truncated-product loop of the series and derivation
+    layers: TransverseSeries products, VectorField.apply and brackets all
+    run through it.  d1 and d2 are the total degrees |K1| and |K2|; a pair
+    above the cap is skipped before its product is formed.  An integer
+    factor k of the products (the exponent of a z-derivative, or the sign
+    of a bracket half) is carried by the caller in the coefficients of one
+    list, scaled once per list rather than once per pair; products use
+    k = 1.  Sums are formed in place and exact zeros are popped, so data
+    holds only nonzero coefficients as long as every c1 and c2 is nonzero.
+    """
+    for K1, d1, c1 in left:
+        room = cap - d1
+        if room < 0:
+            continue
+        for K2, d2, c2 in right:
+            if d2 > room:
+                continue
+            K = tuple(map(add, K1, K2))
+            c = c1 * c2
+            held = data.get(K)
+            if held is None:
+                data[K] = c
+            else:
+                c = held + c
+                if c._terms:
+                    data[K] = c
+                else:
+                    del data[K]
 
 
 def _ts_raw(n, cap, data) -> TransverseSeries:

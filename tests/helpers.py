@@ -11,6 +11,7 @@ from crossfield import (
     VectorField,
     exp,
 )
+from crossfield.coeff import _gq, _lp_raw, as_scalar
 from crossfield.series import iter_exponents
 
 
@@ -140,3 +141,39 @@ def rand_x_normalized_automorphism(rng, n, cap, terms=2, max_exp=1):
 
 def fields_equal_window(X, Y, window):
     return X.truncate_x(window) == Y.truncate_x(window)
+
+
+# -- oracles kept out of the library: no caller there needs them -------------
+
+
+def conjugate(v):
+    """The complex conjugate of a Q[i] scalar."""
+    return _gq(v._a, -v._b, v._d)
+
+
+def euler_apply(f, s):
+    """Apply the shifted Euler operator (x*d/dx + s) to a LaurentPoly."""
+    s = as_scalar(s)
+    data = {}
+    for e, c in f._terms.items():
+        v = c * (s + e)
+        if v != 0:
+            data[e] = v
+    return _lp_raw(data)
+
+
+def scale_series(X, f):
+    """f * X, multiplication of a field by a ring element."""
+    return VectorField(X.a * f, [comp * f for comp in X.b])
+
+
+def linear_matrix(h):
+    """The z-linear coefficients of a HolonomyJet as an n x n matrix."""
+    out = []
+    for i in range(1, h.n + 1):
+        row = []
+        for j in range(h.n):
+            K = tuple(1 if p == j else 0 for p in range(h.n))
+            row.append(h.coefficient(i, K))
+        out.append(row)
+    return out

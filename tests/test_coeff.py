@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from crossfield.coeff import CoefficientSyntaxError, GaussianRational, LaurentPoly
 
-from helpers import rand_gq, rand_gq_nonzero, rand_laurent
+from helpers import conjugate, euler_apply, rand_gq, rand_gq_nonzero, rand_laurent
 
 G = GaussianRational
 
@@ -18,7 +18,7 @@ class TestGaussianRational:
     def test_modulus_identity(self):
         # (1/2 + i)(1/2 - i) = 1/4 + 1 = 5/4
         a = G(Fraction(1, 2), 1)
-        assert a * a.conjugate() == G(Fraction(5, 4))
+        assert a * conjugate(a) == G(Fraction(5, 4))
 
     def test_additive_identity(self):
         assert G(0) + G(Fraction(3, 7)) == G(Fraction(3, 7))
@@ -59,7 +59,7 @@ class TestGaussianRational:
         assert not G(Fraction(1, 2)).is_integer()
         assert not G(1, 1).is_integer()
         assert G(0).is_zero()
-        assert G(1, -2).conjugate() == G(1, 2)
+        assert conjugate(G(1, -2)) == G(1, 2)
 
     @pytest.mark.parametrize(
         "text,value",
@@ -153,8 +153,8 @@ class TestKernelProperties:
         v = G(*x)
         assert_canonical(-v)
         assert pair_of(-v) == (-x[0], -x[1])
-        assert_canonical(v.conjugate())
-        assert pair_of(v.conjugate()) == (x[0], -x[1])
+        assert_canonical(conjugate(v))
+        assert pair_of(conjugate(v)) == (x[0], -x[1])
         assert +v is v
 
     @given(pairs, pairs)
@@ -182,7 +182,7 @@ class TestKernelProperties:
         v = G(*x)
         re, im = x
         assert v.is_zero() == (re == 0 and im == 0) == (not v)
-        assert v.is_real() == (im == 0)
+        assert (not v._b) == (im == 0)
         assert v.is_integer() == (im == 0 and re.denominator == 1)
         bound = v.abs_bound()
         assert isinstance(bound, Fraction)
@@ -301,7 +301,7 @@ class TestEulerSolve:
             g = rand_laurent(rng, -4, 4, terms=3)
             s = rand_gq(rng) if rng.random() < 0.5 else G(rng.randint(-4, 4))
             f, r = g.euler_solve(s)
-            assert f.euler_apply(s) + r == g
+            assert euler_apply(f, s) + r == g
             if s.is_integer():
                 assert f.coefficient(-int(s.re)).is_zero()
             for e, _ in r.terms():

@@ -5,6 +5,8 @@ or touches an ``as_complex`` attribute, except ``coeff.py`` inside the two
 boundary methods ``GaussianRational.as_complex`` and ``LaurentPoly.evaluate``.
 A second scan of every module: only ``holonomy.py``, which compiles its jet
 kernels, calls ``exec`` or ``compile``, and no module calls ``eval``.
+A third check resolves every name ``perfbench/spans.py`` wraps, so a refactor
+that moves a traced method fails here, not only in a traced benchmark run.
 """
 
 import ast
@@ -97,3 +99,35 @@ def test_code_scan_sees_every_call():
     assert sorted(dynamic_code_calls(source)) == [("compile", 1), ("eval", 3), ("exec", 1)]
     holonomy = (PACKAGE / "holonomy.py").read_text(encoding="utf-8")
     assert {name for name, _ in dynamic_code_calls(holonomy)} == GENERATED_CODE["holonomy.py"]
+
+
+def load_spans():
+    """perfbench/spans.py, loaded by path: the benchmark is not a package."""
+    import importlib.util
+
+    path = PACKAGE.parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_targets_exist():
+    # every name the traced benchmark wraps resolves where its installer
+    # looks it up: the class __dict__ for a method, the module's vars for a
+    # function, so moving or removing one fails here and not only under
+    # --trace 1
+    import importlib
+
+    import crossfield
+
+    spans = load_spans()
+    tables = list(spans.SPANNED.items()) + list(spans.COUNTED.items())
+    assert len(tables) == len(spans.SPANNED) + len(spans.COUNTED) > 0
+    for name, (mod, owner, attrs) in tables:
+        importlib.import_module(f"crossfield.{mod}")
+        module = getattr(crossfield, mod)
+        namespace = vars(getattr(module, owner)) if owner else vars(module)
+        for attr in attrs:
+            assert attr in namespace, f"{name}: crossfield.{mod}.{owner or ''} has no {attr}"
+            assert callable(namespace[attr]), f"{name}: {attr} is not callable"

@@ -35,7 +35,7 @@ from crossfield.holonomy import (
 from crossfield.lie import Automorphism, VectorField, exp
 from crossfield.series import MonomialIndex
 
-from helpers import rand_mu, rand_x_normalized, rand_x_normalized_automorphism
+from helpers import linear_matrix, rand_mu, rand_x_normalized, rand_x_normalized_automorphism
 
 DATA = Path(__file__).parent / "data"
 
@@ -116,7 +116,7 @@ class TestJet:
         mu = [G(0, 1), G(-2)]
         X = VectorField.semisimple(mu, 3)
         h = holonomy_jet(X, 1, tol=1e-10)
-        M = h.linear_matrix()
+        M = linear_matrix(h)
         for i, m in enumerate(mu):
             expect = cmath.exp(2j * math.pi * m.as_complex())
             assert abs(M[i][i] - expect) < 1e-9

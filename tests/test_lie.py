@@ -25,9 +25,17 @@ from crossfield.lie import (
 from crossfield.normalform import normalize
 from crossfield.parsing import parse_field
 from crossfield.resonance import pairing
-from crossfield.series import MonomialIndex, TransverseSeries, iter_exponents
+from crossfield.series import (
+    DimensionMismatchError,
+    MonomialIndex,
+    TransverseSeries,
+    iter_exponents,
+    iter_l_indices,
+)
 
 from helpers import (
+    euler_apply,
+    scale_series,
     rand_field,
     rand_invertible_matrix,
     rand_gq,
@@ -176,8 +184,8 @@ class TestBracket:
             Z = rand_field(rng, 2, 4, terms=2)
             W = rand_field(rng, 2, 4, terms=2)
             f = rand_series(rng, 2, 4, terms=2)
-            lhs = Z.bracket(W.scale_series(f))
-            rhs = Z.bracket(W).scale_series(f) + W.scale_series(Z.apply(f))
+            lhs = Z.bracket(scale_series(W, f))
+            rhs = scale_series(Z.bracket(W), f) + scale_series(W, Z.apply(f))
             assert lhs == rhs
 
     def test_semisimple_scaling_identity(self):
@@ -195,8 +203,187 @@ class TestBracket:
             idx = rng.choice(indices)
             f = rand_laurent(rng, -3, 3, terms=2)
             W = VectorField.monomial(n, cap, idx, f)
-            expected = VectorField.monomial(n, cap, idx, f.euler_apply(pairing(mu, idx.K)))
+            expected = VectorField.monomial(n, cap, idx, euler_apply(f, pairing(mu, idx.K)))
             assert S.bracket(W) == expected
+
+
+def ref_diff_x(f):
+    """d/dx of every coefficient of f, as a series."""
+    data = {}
+    for K, c in f._terms.items():
+        d = c.derivative()
+        if not d.is_zero():
+            data[K] = d
+    return TransverseSeries(f.n, f.cap, data)
+
+
+def ref_field_apply(X, f):
+    """X(f) built from whole derivative series, series products and sums."""
+    if f.n != X.n or f.cap != X.cap:
+        raise DimensionMismatchError("field and series shapes differ")
+    out = TransverseSeries.zero(X.n, X.cap)
+    if not X.a.is_zero():
+        out = X.a * ref_diff_x(f)
+    for i in range(X.n):
+        if not X.b[i].is_zero():
+            out = out + X.b[i] * f.diff_z(i + 1)
+    return out
+
+
+def ref_bracket(X, Y):
+    """[X, Y] as two reference applications and a subtraction per component."""
+    a = ref_field_apply(X, Y.a) - ref_field_apply(Y, X.a)
+    b = [ref_field_apply(X, Y.b[i]) - ref_field_apply(Y, X.b[i]) for i in range(X.n)]
+    return VectorField(a, b)
+
+
+def assert_canonical_series(s):
+    """Every stored term is a nonzero LaurentPoly at a degree within the cap."""
+    for K, c in s._terms.items():
+        assert sum(K) <= s.cap, (K, s.cap)
+        assert isinstance(c, LaurentPoly) and not c.is_zero(), K
+
+
+def assert_same(got, want):
+    assert got == want and str(got) == str(want)
+    comps = [got] if isinstance(got, TransverseSeries) else (got.a,) + got.b
+    for comp in comps:
+        assert_canonical_series(comp)
+
+
+def kernel_field(rng, n, cap):
+    """A field with x-exponents -2..2, d/dx part present or not, and each
+    z-component zeroed with probability 1/3."""
+    X = rand_field(rng, n, cap, terms=3, min_exp=-2, max_exp=2)
+    a = X.a if rng.random() < 0.6 else TransverseSeries.zero(n, cap)
+    b = [TransverseSeries.zero(n, cap) if rng.random() < 1 / 3 else c for c in X.b]
+    return VectorField(a, b)
+
+
+def sweep_step(rng, n, cap, minus_one=False):
+    """W = f(x) z^K z_j d/dz_j for a random index; with minus_one, K has a
+    -1 entry (W = f(x) z^(K + e_j) d/dz_j with z_j absent)."""
+    indices = [idx for idx in iter_l_indices(n, 0, cap - 1) if minus_one == (-1 in idx.K)]
+    idx = rng.choice(indices)
+    return VectorField.monomial(n, cap, idx, rand_laurent(rng, -2, 2, terms=2) + LaurentPoly.x(3))
+
+
+class TestDerivationKernel:
+    """apply and bracket accumulate their products in one term dict; they
+    must agree with the separate derivative-product-sum construction."""
+
+    CASES = [(n, cap) for n in (1, 2, 3) for cap in range(1, 7)]
+
+    @pytest.mark.parametrize("n,cap", CASES)
+    def test_apply_matches_reference(self, n, cap):
+        rng = random.Random(1000 + 10 * n + cap)
+        for _ in range(6):
+            X = kernel_field(rng, n, cap)
+            f = rand_series(rng, n, cap, terms=5, min_exp=-2, max_exp=2)
+            assert_same(X.apply(f), ref_field_apply(X, f))
+
+    @pytest.mark.parametrize("n,cap", CASES)
+    def test_bracket_matches_reference(self, n, cap):
+        rng = random.Random(2000 + 10 * n + cap)
+        for _ in range(4):
+            X, Y = kernel_field(rng, n, cap), kernel_field(rng, n, cap)
+            assert_same(X.bracket(Y), ref_bracket(X, Y))
+
+    @pytest.mark.parametrize("n,cap", CASES)
+    def test_sweep_steps_match_reference(self, n, cap):
+        rng = random.Random(3000 + 10 * n + cap)
+        for draw in range(6):
+            W = sweep_step(rng, n, cap, minus_one=n > 1 and draw % 2 == 1)
+            X = kernel_field(rng, n, cap)
+            f = rand_series(rng, n, cap, terms=5, min_exp=-2, max_exp=2)
+            assert_same(W.apply(f), ref_field_apply(W, f))
+            assert_same(W.bracket(X), ref_bracket(W, X))
+            assert_same(X.bracket(W), ref_bracket(X, W))
+
+    def test_cancellation_to_exact_zero(self):
+        rng = random.Random(4000)
+        cases = 0
+        for n in (1, 2, 3):
+            for cap in range(1, 7):
+                X = kernel_field(rng, n, cap)
+                c = rand_gq_nonzero(rng)
+                for got, want in ((X.bracket(X), ref_bracket(X, X)),
+                                  (X.bracket(X.scale(c)), ref_bracket(X, X.scale(c)))):
+                    assert got.is_zero()
+                    assert_same(got, want)
+                    cases += 1
+                # (x d/dx + m z1 d/dz1)(x^(-m k) z1^k) = 0: the d/dx and d/dz1
+                # products cancel term by term
+                m = rng.randint(-2, 2)
+                E = VectorField.euler(n, cap) + VectorField.diagonal([G(m)] + [G(0)] * (n - 1), cap)
+                K = [(k,) + (0,) * (n - 1) for k in range(1, cap + 1)]
+                f = TransverseSeries(n, cap, {k: LaurentPoly.x(-m * k[0], rand_gq_nonzero(rng))
+                                              for k in K})
+                got = E.apply(f)
+                assert got.is_zero()
+                assert_same(got, ref_field_apply(E, f))
+                cases += 1
+                if n < 2 or cap < 2:
+                    continue
+                # g(x) (z2 d/dz1 - z1 d/dz2) kills z1^2 + z2^2, one product
+                # from each component per term
+                g = rand_laurent(rng, -2, 2, terms=2) + LaurentPoly.x(3)
+                z1, z2 = var(n, cap, 1), var(n, cap, 2)
+                zero = TransverseSeries.zero(n, cap)
+                R = VectorField(zero, [z2.scale(g), -z1.scale(g)] + [zero] * (n - 2))
+                got = R.apply(z1 * z1 + z2 * z2)
+                assert got.is_zero()
+                assert_same(got, ref_field_apply(R, z1 * z1 + z2 * z2))
+                cases += 1
+                if n == 2:
+                    P, Q = rand_commuting_pair(rng, cap)
+                    assert P.bracket(Q).is_zero()
+                    assert_same(P.bracket(Q), ref_bracket(P, Q))
+                    cases += 1
+        assert cases == 18 * 3 + 10 + 5
+
+    def test_sweep_step_product_count(self, monkeypatch):
+        # a one-term W applied to a T-term series: no derivative series and
+        # no series product, one Laurent product per surviving term of
+        # df/dz_j, and W's coefficient scaled at most once per exponent k
+        rng = random.Random(5000)
+        counts = {"diff_z": 0, "series_mul": 0, "products": 0, "scalings": 0}
+        diff_z, series_mul = TransverseSeries.diff_z, TransverseSeries.__mul__
+        laurent_mul, laurent_scale = LaurentPoly.__mul__, LaurentPoly.scale
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def product(self, other):
+            if isinstance(other, LaurentPoly):
+                counts["products"] += 1
+            return laurent_mul(self, other)
+
+        monkeypatch.setattr(TransverseSeries, "diff_z", counted("diff_z", diff_z))
+        monkeypatch.setattr(TransverseSeries, "__mul__", counted("series_mul", series_mul))
+        monkeypatch.setattr(LaurentPoly, "__mul__", product)
+        monkeypatch.setattr(LaurentPoly, "scale", counted("scalings", laurent_scale))
+        runs = []
+        for n in (1, 2, 3):
+            for cap in range(2, 7):
+                for _ in range(3):
+                    W = sweep_step(rng, n, cap)
+                    f = rand_series(rng, n, cap, terms=8, min_exp=-2, max_exp=2)
+                    for key in counts:
+                        counts[key] = 0
+                    got = W.apply(f)
+                    T = len(f.terms())
+                    assert counts["diff_z"] == counts["series_mul"] == 0
+                    assert counts["products"] <= T, (n, cap, str(W), str(f))
+                    assert counts["scalings"] <= cap, (n, cap, str(W), str(f))
+                    runs.append((W, f, got))
+        monkeypatch.undo()
+        assert len(runs) == 45
+        for W, f, got in runs:
+            assert_same(got, ref_field_apply(W, f))
 
 
 class TestFlatness:
