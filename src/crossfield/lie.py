@@ -409,21 +409,23 @@ class Automorphism:
     Substitution is well defined on truncations whenever img_x - x lies in m
     and every img_z_i lies in m; both are enforced on application.
 
-    An inverse known by construction is kept as pending factors and composed
-    on the first :meth:`invert`: exp(tW) records (W, t, x_window), whose
-    inverse is exp(-tW) in the same window; compose() chains the factors of
-    both operands, truncate_x() appends its window and :func:`exp_compose`
-    records what exp(W).compose() followed by truncate_x() would, in the
-    order an eager composition would apply them.  The fold caches the result
-    and links it back.  A map holds its cached inverse strongly; the inverse
-    links back through a weak reference plus the map's images, so the pair
-    forms no reference cycle and is freed as soon as it is dropped, and an
-    inverse that outlives its map rebuilds it from the images.  Powers of the
-    z-images that :meth:`apply` substitutes are cached as they are first
-    needed.  Every cached value derives from immutable inputs.
+    A map built from exponentials keeps its Lie generators: a tuple of
+    (W, t, x_window), innermost first, for the map
+    exp(t_k W_k) o ... o exp(t_1 W_1), each factor computed in its x-window.
+    :func:`exp` records one generator and :func:`exp_compose` appends one;
+    compose() concatenates the generators of both operands and truncate_x()
+    lowers every window.  :meth:`invert` folds them right to left by Lie
+    series and caches the result, which links back.  A map without
+    generators inverts by the generic fixed-point solve.  A map holds its
+    cached inverse strongly; the inverse links back through a weak reference
+    plus the map's images, so the pair forms no reference cycle and is freed
+    as soon as it is dropped, and an inverse that outlives its map rebuilds
+    it from the images.  Powers of the z-images that :meth:`apply`
+    substitutes are cached as they are first needed.  Every cached value
+    derives from immutable inputs.
     """
 
-    __slots__ = ("n", "cap", "img_x", "img_z", "_inv", "_back", "_pending", "_zpows",
+    __slots__ = ("n", "cap", "img_x", "img_z", "_inv", "_back", "_gens", "_zpows",
                  "__weakref__")
 
     def __init__(self, img_x: TransverseSeries, img_z):
@@ -440,7 +442,7 @@ class Automorphism:
         object.__setattr__(self, "img_z", img_z)
         object.__setattr__(self, "_inv", None)  # composed inverse
         object.__setattr__(self, "_back", None)  # (weakref, img_x, img_z) of the map inverted
-        object.__setattr__(self, "_pending", None)  # inverse factors not yet folded
+        object.__setattr__(self, "_gens", None)  # Lie generators, innermost first
         object.__setattr__(self, "_zpows", None)  # per i: [img_z[i], img_z[i]^2, ...]
 
     def __setattr__(self, name, value):
@@ -452,6 +454,7 @@ class Automorphism:
     def identity(cls, n, cap):
         x, *zs = _coordinates(n, cap)
         phi = cls(x, zs)
+        object.__setattr__(phi, "_gens", ())
         phi._link_back(phi)
         return phi
 
@@ -545,34 +548,18 @@ class Automorphism:
 
     # -- group structure ----------------------------------------------------
 
-    def _compose_images(self, other: "Automorphism") -> "Automorphism":
-        return Automorphism(
-            self.apply(other.img_x), [self.apply(c) for c in other.img_z]
-        )
-
     def compose(self, other: "Automorphism") -> "Automorphism":
         """(self o other)(f) = self(other(f)).
 
-        When both inverses are known, the result's inverse other^-1 o self^-1
-        is recorded as other's pending factors followed by self's, and only
-        composed on the first invert().
+        When both operands have Lie generators, the result has other's
+        followed by self's; otherwise it has none and inverts generically.
         """
         if self.n != other.n or self.cap != other.cap:
             raise DimensionMismatchError("automorphism shapes differ")
-        out = self._compose_images(other)
-        first, last = other._inverse_factors(), self._inverse_factors()
-        if first is not None and last is not None:
-            if len(last) > 1:
-                # self^-1 is a composition itself: fold it now, so the new
-                # factors stay a flat left fold
-                last = (self.invert(),)
-            object.__setattr__(out, "_pending", first + last)
+        out = Automorphism(self.apply(other.img_x), [self.apply(c) for c in other.img_z])
+        if self._gens is not None and other._gens is not None:
+            object.__setattr__(out, "_gens", other._gens + self._gens)
         return out
-
-    def _inverse_factors(self):
-        """The known inverse as a tuple of factors to fold; None if unknown."""
-        inv = self._known_inverse()
-        return self._pending if inv is None else (inv,)
 
     def _cache_inverse(self, inv: "Automorphism") -> None:
         """Hold inv as the inverse; inv links back weakly."""
@@ -584,37 +571,18 @@ class Automorphism:
         object.__setattr__(self, "_back", (weakref.ref(phi), phi.img_x, phi.img_z))
 
     def _known_inverse(self):
-        """The cached or linked-back inverse, rebuilt from its images if the
-        map it links back to is gone; None if neither is known."""
+        """The cached or linked-back inverse, rebuilt from its images and
+        Lie generators if the map it links back to is gone; None if neither
+        is known."""
         if self._inv is not None or self._back is None:
             return self._inv
         ref, img_x, img_z = self._back
         inv = ref()
         if inv is None:
             inv = Automorphism(img_x, img_z)
+            object.__setattr__(inv, "_gens", _inverse_gens(self._gens))
             inv._cache_inverse(self)
         return inv
-
-    def _fold_pending(self) -> None:
-        """Compose the pending inverse factors left to right, cache and link.
-
-        A factor is an Automorphism (used as is), a (W, t, x_window) triple
-        (the map exp(-tW) in that window) or an int (truncate_x at that
-        x-degree).  Each intermediate result is dropped as soon as the next
-        one exists.
-        """
-        acc = None
-        for f in self._pending:
-            if isinstance(f, int):
-                acc = acc.truncate_x(f)
-                continue
-            if not isinstance(f, Automorphism):
-                W, t, x_window = f
-                f = Automorphism(*_exp_images(W, -t, x_window))
-            acc = f if acc is None else acc._compose_images(f)
-        object.__setattr__(acc, "_pending", None)
-        object.__setattr__(self, "_pending", None)
-        self._cache_inverse(acc)
 
     def z_linear_matrix(self):
         return [comp.linear_part() for comp in self.img_z]
@@ -655,8 +623,12 @@ class Automorphism:
     def invert(self) -> "Automorphism":
         """Compositional inverse at the cap.
 
-        An inverse known by construction is composed from its pending
-        factors on the first call and cached.  Otherwise this requires
+        The inverse of exp(t_k W_k) o ... o exp(t_1 W_1) is
+        exp(-t_1 W_1) o ... o exp(-t_k W_k).  A map with Lie generators
+        builds it from the coordinates by one Lie series per generator,
+        outermost first, as :func:`exp_compose` would, each in its window;
+        the inverse has the reversed, negated generators.  The result is
+        cached, and no substitution is made.  Otherwise this requires
         img_x = x and a constant invertible z-linear matrix A, and solves
         sigma = A^-1 (z - high(sigma)) by fixed-point rounds, high = img_z - A z.
         high lies in m^2, so after round r sigma is exact through degree
@@ -664,10 +636,16 @@ class Automorphism:
         and only the last round runs at the cap.  The result is certified
         by composing it with the map at the full cap.
         """
-        if self._pending is not None:
-            self._fold_pending()
         inv = self._known_inverse()
         if inv is not None:
+            return inv
+        if self._gens is not None:
+            images = _coordinates(self.n, self.cap)
+            for W, t, w in reversed(self._gens):
+                images = _exp_images(W, -t, w, [_in_window(s, w) for s in images])
+            inv = Automorphism(images[0], images[1:])
+            object.__setattr__(inv, "_gens", _inverse_gens(self._gens))
+            self._cache_inverse(inv)
             return inv
         if self.img_x != TransverseSeries.x_series(self.n, self.cap):
             raise SingularLinearPartError(
@@ -713,13 +691,16 @@ class Automorphism:
         return VectorField(a, b)
 
     def truncate_x(self, max_deg: int) -> "Automorphism":
+        """The images truncated at x-degree max_deg.
+
+        Every Lie generator's window is lowered to at most max_deg, so the
+        inverse is computed in the ring the result lives in.
+        """
         out = Automorphism(
             self.img_x.truncate_x(max_deg),
             [c.truncate_x(max_deg) for c in self.img_z],
         )
-        factors = self._inverse_factors()
-        if factors is not None:
-            object.__setattr__(out, "_pending", factors + (max_deg,))
+        object.__setattr__(out, "_gens", _lowered(self._gens, max_deg))
         return out
 
     # -- protocol ----------------------------------------------------------
@@ -745,6 +726,20 @@ class Automorphism:
 
     def __repr__(self):
         return f"Automorphism({self.__str__()!r})"
+
+
+def _inverse_gens(gens):
+    """The Lie generators of the inverse map: reversed, each time negated;
+    None when gens is None."""
+    return None if gens is None else tuple((W, -t, w) for W, t, w in reversed(gens))
+
+
+def _lowered(gens, x_window):
+    """Lie generators with every window lowered to at most x_window; gens
+    itself when either is None."""
+    if gens is None or x_window is None:
+        return gens
+    return tuple((W, t, x_window if w is None else min(w, x_window)) for W, t, w in gens)
 
 
 def _accumulate(acc: dict, s: TransverseSeries) -> None:
@@ -803,8 +798,9 @@ def exp(X: VectorField, t=1, x_window: int | None = None) -> Automorphism:
 
     The coordinate images sum_k t^k/k! X^k(coordinate) are finite at the cap.
     t is exact: an int, Fraction or GaussianRational (anything else raises
-    ``TypeError``).  The inverse exp(-tX) is known by construction and is
-    only composed on the result's first invert().
+    ``TypeError``).  The result records the one Lie generator (X, t,
+    x_window), so its inverse is exp(-tX) in the same window, built on the
+    first invert().
 
     With ``x_window`` the computation runs in the ring truncated at x-degree
     x_window as well; fields like f(x) z_j d/dz_j with f(0) = 0, whose
@@ -816,8 +812,9 @@ def exp(X: VectorField, t=1, x_window: int | None = None) -> Automorphism:
     elif not isinstance(t, GaussianRational):
         raise TypeError(f"exp needs an exact time, got {type(t).__name__}")
     _require_nilpotent(X, x_window)
-    phi = Automorphism(*_exp_images(X, t, x_window))
-    object.__setattr__(phi, "_pending", ((X, t, x_window),))
+    images = _exp_images(X, t, x_window, _coordinates(X.n, X.cap))
+    phi = Automorphism(images[0], images[1:])
+    object.__setattr__(phi, "_gens", ((X, t, x_window),))
     return phi
 
 
@@ -825,8 +822,10 @@ def exp_compose(W: VectorField, N: Automorphism, x_window: int | None = None) ->
     """exp(W) o N, as the Lie series sum_k W^k(N's images)/k!.
 
     The same map as ``exp(W, 1, x_window).compose(N)``, followed by
-    ``truncate_x(x_window)`` when a window is given, with the same pending
-    inverse factors; but neither exp(W) nor a substitution into N is formed.
+    ``truncate_x(x_window)`` when a window is given; but neither exp(W) nor
+    a substitution into N is formed.  The result has N's Lie generators,
+    their windows lowered to x_window, followed by (W, 1, x_window); or
+    none if N has none.
     For a monomial field W = f(x) z^K z_j d/dz_j, as in every sweep step of
     normalize(), each term is one d/dz_j and one one-term product.
     """
@@ -835,11 +834,11 @@ def exp_compose(W: VectorField, N: Automorphism, x_window: int | None = None) ->
     _require_nilpotent(W, x_window)
     one = GaussianRational.ONE
     images = [_in_window(s, x_window) for s in (N.img_x,) + N.img_z]
-    phi = Automorphism(*_exp_images(W, one, x_window, images))
-    factors = N._inverse_factors()
-    if factors is not None:
-        window = () if x_window is None else (x_window,)
-        object.__setattr__(phi, "_pending", factors + ((W, one, x_window),) + window)
+    images = _exp_images(W, one, x_window, images)
+    phi = Automorphism(images[0], images[1:])
+    gens = _lowered(N._gens, x_window)
+    if gens is not None:
+        object.__setattr__(phi, "_gens", gens + ((W, one, x_window),))
     return phi
 
 
@@ -853,29 +852,32 @@ def _require_nilpotent(X: VectorField, x_window) -> None:
         )
 
 
-def _exp_images(X: VectorField, t: GaussianRational, x_window, series=None):
-    """The Lie series sum_k t^k/k! X^k(s) of each s in series, as (x-image,
-    z-images).
+def _exp_images(X: VectorField, t: GaussianRational, x_window, series):
+    """The Lie series sum_k t^k/k! X^k(s) of each s in series, as the list
+    [x-image, z-images...].
 
-    series defaults to the coordinates, giving the images of exp(tX); the
-    images of a map N give those of exp(tX) o N.  The k-th term is X applied
-    to the (k-1)-th, scaled once by the scalar t/k and truncated to
-    x_window; the sum is finite for nilpotent X.
+    The coordinates give the images of exp(tX); the images of a map N give
+    those of exp(tX) o N.  The sum is finite for nilpotent X.
     """
-    images = []
-    for acc in _coordinates(X.n, X.cap) if series is None else series:
-        term = acc
-        k = 0
-        while True:
-            k += 1
-            if k > _GUARD:
-                raise AssertionError("exp failed to terminate; nilpotency is violated")
-            term = _in_window(X.apply(term).scale(t / k), x_window)
-            if term.is_zero():
-                break
-            acc = acc + term
-        images.append(acc)
-    return images[0], images[1:]
+    return [_lie_series(X.apply, s, t, x_window) for s in series]
+
+
+def _lie_series(step, start, t, x_window):
+    """start + sum_{k>=1} term_k with term_k = step(term_{k-1}) * t/k.
+
+    Each term is scaled once by the scalar t/k, in the caller's scalar type,
+    and truncated to x_window; the sum stops at the first zero term.
+    """
+    acc = term = start
+    k = 0
+    while True:
+        k += 1
+        if k > _GUARD:
+            raise AssertionError("Lie series failed to terminate; nilpotency is violated")
+        term = _in_window(step(term).scale(t / k), x_window)
+        if term.is_zero():
+            return acc
+        acc = acc + term
 
 
 def log(phi: Automorphism, x_window: int | None = None) -> VectorField:
@@ -914,18 +916,7 @@ def exp_ad(W: VectorField, X: VectorField, x_window: int | None = None) -> Vecto
     can certify the other.  ``x_window`` truncates in x as in :func:`exp`.
     """
     W._compat(X)
-    acc = _in_window(X, x_window)
-    term = acc
-    k = 0
-    while True:
-        k += 1
-        if k > _GUARD:
-            raise AssertionError("adjoint series failed to terminate")
-        term = _in_window(W.bracket(term).scale(Fraction(1, k)), x_window)
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc
+    return _lie_series(W.bracket, _in_window(X, x_window), Fraction(1), x_window)
 
 
 def pushforward(phi: Automorphism, X: VectorField) -> VectorField:

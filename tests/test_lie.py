@@ -647,9 +647,9 @@ class TestInvert:
         ident = Automorphism.identity(2, 4)
         for _ in range(30):
             phi = rand_x_normalized_automorphism(rng, 2, 4)
-            # force the generic path: no cached or pending inverse
+            # force the generic path: no cached inverse and no Lie generators
             object.__setattr__(phi, "_inv", None)
-            object.__setattr__(phi, "_pending", None)
+            object.__setattr__(phi, "_gens", None)
             inv = phi.invert()
             assert phi.compose(inv) == ident
             assert inv.compose(phi) == ident
@@ -786,12 +786,15 @@ class TestSubstitutionOracle:
             for _ in range(3):
                 M = rand_invertible_matrix(rng, n)
                 V = rand_z_one_flat(rng, n, cap, terms=3, min_exp=-1, max_exp=2)
-                phi = Automorphism.linear(M, cap).compose(exp(V))
-                assert phi._inv is None and phi._pending is None
-                got, want = phi.invert(), ref_invert(phi)
-                assert got == want and str(got) == str(want)
-                ident = Automorphism.identity(n, cap)
-                assert phi.compose(got) == ident and got.compose(phi) == ident
+                # a generically inverted map has no Lie generators, so
+                # composing it with exp(V) inverts generically too
+                lin = Automorphism.linear(M, cap)
+                for phi in (lin.compose(exp(V)), lin.invert().compose(exp(V))):
+                    assert phi._inv is None and phi._gens is None
+                    got, want = phi.invert(), ref_invert(phi)
+                    assert got == want and str(got) == str(want)
+                    ident = Automorphism.identity(n, cap)
+                    assert phi.compose(got) == ident and got.compose(phi) == ident
 
     def test_apply_product_count(self, monkeypatch):
         # one product per power of u and per layer, plus z'^K and the image
@@ -878,6 +881,11 @@ class TestInverseLinks:
         assert back == Automorphism(img_x, img_z)
         assert back.invert() is inv and inv.invert() is back
         assert inv.compose(back) == Automorphism.identity(2, 4)
+        # the rebuilt map keeps its Lie generators, so a composition with
+        # it still inverts although its x-image is not x
+        step = exp(rand_z_one_flat(rng, 2, 4))
+        psi = back.compose(step)
+        assert psi.compose(psi.invert()) == Automorphism.identity(2, 4)
 
 
 class TestExpDecomposition:
@@ -939,8 +947,8 @@ def eager_sweep(X, res):
     composes exp(W) onto the running normalizer by substitution, and
     substitutes the running inverse into the images of exp(-W), truncating
     both in the x-window mode: the normalizer was composed this way before
-    the sweep used Lie series, and the inverse before inverses were kept as
-    pending factors.
+    the sweep used Lie series, and the inverse before it was folded from
+    Lie generators.
     """
     n, cap, window = X.n, X.cap, res.x_window
     field = X if window is None else X.truncate_x(window)
@@ -1011,15 +1019,32 @@ class TestLazyInverse:
                     one_way = one_way.truncate_x(res.x_window)
                 assert one_way == ident
 
-    def test_pending_factors_hold_no_normalizer(self):
-        # the sweep's inverse is kept as (W, t, window) triples and windows
+    def test_generators_hold_no_normalizer(self):
+        # the normalizer keeps one Lie generator (W, 1, window) per sweep
+        # step, in step order, and no map
         X, mu, x_cap = next(window_fields())
         res = normalize(X, mu, x_cap=x_cap)
-        start, *factors = res.normalizer._pending
-        assert start == Automorphism.identity(X.n, X.cap)
-        assert factors[1::2] == [res.x_window] * len(res.steps)
-        for W, t, window in factors[::2]:
+        gens = res.normalizer._gens
+        assert len(gens) == len(res.steps)
+        for (W, t, window), idx in zip(gens, res.steps):
             assert isinstance(W, VectorField) and t == 1 and window == res.x_window
+            assert [index for index, _ in W.l_terms()] == [idx]
+
+    def test_inverse_fold_substitutes_nothing(self, monkeypatch):
+        X = parse_field(FIELD_A, 2, 8)
+        res = normalize(X, [G(Fraction(1, 2)), G(-3)])
+        calls = [0]
+        apply = Automorphism.apply
+
+        def counting(self, f):
+            calls[0] += 1
+            return apply(self, f)
+
+        monkeypatch.setattr(Automorphism, "apply", counting)
+        inv = res.normalizer.invert()
+        monkeypatch.undo()
+        assert calls[0] == 0
+        assert res.normalizer.compose(inv) == Automorphism.identity(2, 8)
 
     def test_nested_compositions(self):
         # a composition whose left factor is itself a composition, with and
@@ -1038,6 +1063,16 @@ class TestLazyInverse:
             ident = Automorphism.identity(2, 4)
             for one_way in (psi.compose(psi.invert()), psi.invert().compose(psi)):
                 assert _in_window(one_way, window) == ident
+        # two different windows, and Laurent coefficients under a window: the
+        # inverse holds modulo the smallest window
+        for first, second, min_exp in ((1, 3, 0), (3, 1, 0), (2, 2, -1), (1, 3, -1)):
+            X, Y = (rand_one_flat(rng, 2, 4, min_exp=min_exp, max_exp=1) for _ in range(2))
+            psi = exp(X, 1, x_window=first).compose(exp(Y, 1, x_window=second))
+            window = min(first, second)
+            eager = exp(Y, -1, x_window=second).compose(exp(X, -1, x_window=first))
+            inv = psi.invert()
+            assert inv.truncate_x(window) == eager.truncate_x(window)
+            assert psi.compose(inv).truncate_x(window) == ident
 
 
 def _in_window(phi, window):
