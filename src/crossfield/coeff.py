@@ -426,14 +426,6 @@ class LaurentPoly:
                 data[e] = s
         return _lp_raw(data)
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = LaurentPoly.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def truncate_x(self, max_deg: int) -> "LaurentPoly":
         """Drop terms of x-degree above max_deg (quotient by x^{max_deg+1}).
 

@@ -15,7 +15,6 @@ Phi* X = Phi o X o Phi^{-1}.  Composition is operator composition:
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 
 from .coeff import GaussianRational, LaurentPoly
@@ -415,18 +414,15 @@ class Automorphism:
     :func:`exp` records one generator and :func:`exp_compose` appends one;
     compose() concatenates the generators of both operands and truncate_x()
     lowers every window.  :meth:`invert` folds them right to left by Lie
-    series and caches the result, which links back.  A map without
-    generators inverts by the generic fixed-point solve.  A map holds its
-    cached inverse strongly; the inverse links back through a weak reference
-    plus the map's images, so the pair forms no reference cycle and is freed
-    as soon as it is dropped, and an inverse that outlives its map rebuilds
-    it from the images.  Powers of the z-images that :meth:`apply`
+    series.  A map without generators inverts by the generic fixed-point
+    solve.  A map caches its inverse; the inverse holds no link back, so
+    inverting it again recomputes the map, and the pair forms no reference
+    cycle.  Powers of the z-images that :meth:`apply`
     substitutes are cached as they are first needed.  Every cached value
     derives from immutable inputs.
     """
 
-    __slots__ = ("n", "cap", "img_x", "img_z", "_inv", "_back", "_gens", "_zpows",
-                 "__weakref__")
+    __slots__ = ("n", "cap", "img_x", "img_z", "_inv", "_gens", "_zpows", "__weakref__")
 
     def __init__(self, img_x: TransverseSeries, img_z):
         img_z = tuple(img_z)
@@ -441,7 +437,6 @@ class Automorphism:
         object.__setattr__(self, "img_x", img_x)
         object.__setattr__(self, "img_z", img_z)
         object.__setattr__(self, "_inv", None)  # composed inverse
-        object.__setattr__(self, "_back", None)  # (weakref, img_x, img_z) of the map inverted
         object.__setattr__(self, "_gens", None)  # Lie generators, innermost first
         object.__setattr__(self, "_zpows", None)  # per i: [img_z[i], img_z[i]^2, ...]
 
@@ -455,7 +450,6 @@ class Automorphism:
         x, *zs = _coordinates(n, cap)
         phi = cls(x, zs)
         object.__setattr__(phi, "_gens", ())
-        phi._link_back(phi)
         return phi
 
     @classmethod
@@ -561,29 +555,6 @@ class Automorphism:
             object.__setattr__(out, "_gens", other._gens + self._gens)
         return out
 
-    def _cache_inverse(self, inv: "Automorphism") -> None:
-        """Hold inv as the inverse; inv links back weakly."""
-        object.__setattr__(self, "_inv", inv)
-        inv._link_back(self)
-
-    def _link_back(self, phi: "Automorphism") -> None:
-        """Know phi as the inverse through a weak reference and its images."""
-        object.__setattr__(self, "_back", (weakref.ref(phi), phi.img_x, phi.img_z))
-
-    def _known_inverse(self):
-        """The cached or linked-back inverse, rebuilt from its images and
-        Lie generators if the map it links back to is gone; None if neither
-        is known."""
-        if self._inv is not None or self._back is None:
-            return self._inv
-        ref, img_x, img_z = self._back
-        inv = ref()
-        if inv is None:
-            inv = Automorphism(img_x, img_z)
-            object.__setattr__(inv, "_gens", _inverse_gens(self._gens))
-            inv._cache_inverse(self)
-        return inv
-
     def z_linear_matrix(self):
         return [comp.linear_part() for comp in self.img_z]
 
@@ -627,25 +598,29 @@ class Automorphism:
         exp(-t_1 W_1) o ... o exp(-t_k W_k).  A map with Lie generators
         builds it from the coordinates by one Lie series per generator,
         outermost first, as :func:`exp_compose` would, each in its window;
-        the inverse has the reversed, negated generators.  The result is
-        cached, and no substitution is made.  Otherwise this requires
+        the inverse has the reversed, negated generators, and no
+        substitution is made.  Otherwise this requires
         img_x = x and a constant invertible z-linear matrix A, and solves
         sigma = A^-1 (z - high(sigma)) by fixed-point rounds, high = img_z - A z.
         high lies in m^2, so after round r sigma is exact through degree
         r + 1; round r runs with sigma and high truncated at that degree,
         and only the last round runs at the cap.  The result is certified
         by composing it with the map at the full cap.
+
+        The result is cached on this map only.  The inverse holds no link
+        back, so inverting it again recomputes a map equal to this one: the
+        fold of a folded inverse carries this map's generators again, and a
+        generic inverse has img_x = x and a constant linear part.
         """
-        inv = self._known_inverse()
-        if inv is not None:
-            return inv
+        if self._inv is not None:
+            return self._inv
         if self._gens is not None:
             images = _coordinates(self.n, self.cap)
             for W, t, w in reversed(self._gens):
                 images = _exp_images(W, -t, w, [_in_window(s, w) for s in images])
             inv = Automorphism(images[0], images[1:])
-            object.__setattr__(inv, "_gens", _inverse_gens(self._gens))
-            self._cache_inverse(inv)
+            object.__setattr__(inv, "_gens", tuple((W, -t, w) for W, t, w in reversed(self._gens)))
+            object.__setattr__(self, "_inv", inv)
             return inv
         if self.img_x != TransverseSeries.x_series(self.n, self.cap):
             raise SingularLinearPartError(
@@ -678,7 +653,7 @@ class Automorphism:
         check = self.compose(inv)
         if not _is_identity(check):
             raise SingularLinearPartError("inversion failed to converge at the cap")
-        self._cache_inverse(inv)
+        object.__setattr__(self, "_inv", inv)
         return inv
 
     def pushforward(self, X: VectorField) -> "VectorField":
@@ -726,12 +701,6 @@ class Automorphism:
 
     def __repr__(self):
         return f"Automorphism({self.__str__()!r})"
-
-
-def _inverse_gens(gens):
-    """The Lie generators of the inverse map: reversed, each time negated;
-    None when gens is None."""
-    return None if gens is None else tuple((W, -t, w) for W, t, w in reversed(gens))
 
 
 def _lowered(gens, x_window):

@@ -831,8 +831,9 @@ class TestSubstitutionOracle:
 
 
 class TestInverseLinks:
-    """A map holds its inverse; the inverse links back weakly, so a dropped
-    pair is freed by reference counting, with no cycle for gc to find."""
+    """A map holds its inverse; the inverse holds no link back, so a dropped
+    pair is freed by reference counting, with no cycle for gc to find, and
+    inverting the inverse recomputes a map equal to the original."""
 
     def _freed_without_gc(self, build):
         gc.disable()
@@ -866,26 +867,47 @@ class TestInverseLinks:
         rng = random.Random(112)
         phi = shifted_map(rng, 2, 4)
         inv = phi.invert()
-        assert phi.invert() is inv and inv.invert() is phi
+        assert phi.invert() is inv and inv.invert() == phi
         ident = Automorphism.identity(2, 4)
-        assert ident.invert() is ident
+        assert ident.invert() == ident
 
     def test_inverse_outlives_its_map(self):
-        # u != 0: generic inversion cannot rebuild the map, the images can
+        # u != 0: generic inversion cannot recompute the map, the Lie fold can
         rng = random.Random(113)
         phi = shifted_map(rng, 2, 4)
-        img_x, img_z = phi.img_x, phi.img_z
+        img_x, img_z, gens = phi.img_x, phi.img_z, phi._gens
         inv = phi.invert()
         del phi
         back = inv.invert()
         assert back == Automorphism(img_x, img_z)
-        assert back.invert() is inv and inv.invert() is back
+        assert back._gens == gens
+        assert inv.invert() is back and back.invert() == inv
         assert inv.compose(back) == Automorphism.identity(2, 4)
-        # the rebuilt map keeps its Lie generators, so a composition with
-        # it still inverts although its x-image is not x
+        # the recomputed map carries the Lie generators, so a composition
+        # with it still inverts although its x-image is not x
         step = exp(rand_z_one_flat(rng, 2, 4))
         psi = back.compose(step)
         assert psi.compose(psi.invert()) == Automorphism.identity(2, 4)
+
+    def test_held_inverse_frees_its_map(self):
+        rng = random.Random(114)
+        M = rand_invertible_matrix(rng, 2)
+        held = []
+
+        def generic():
+            phi = Automorphism.linear(M, 4).compose(exp(rand_z_one_flat(rng, 2, 4)))
+            held.append(phi.invert())
+            return [phi]
+
+        def folded():
+            phi = shifted_map(rng, 2, 4)
+            held.append(phi.invert())
+            return [phi]
+
+        for build in (generic, folded):
+            assert self._freed_without_gc(build), build.__name__
+        for inv in held:
+            assert inv.compose(inv.invert()) == Automorphism.identity(2, 4)
 
 
 class TestExpDecomposition:
@@ -1012,7 +1034,7 @@ class TestLazyInverse:
             inv = res.normalizer.invert()
             assert inv == eager_inv
             assert res.normalizer.invert() is inv
-            assert inv.invert() is res.normalizer
+            assert inv.invert() == res.normalizer
             ident = Automorphism.identity(X.n, X.cap)
             for one_way in (res.normalizer.compose(inv), inv.compose(res.normalizer)):
                 if res.x_window is not None:
