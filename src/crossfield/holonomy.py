@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .lie import Automorphism, VectorField
 from .series import iter_exponents
@@ -639,15 +639,7 @@ class PathSpec:
         def dgamma(t):
             return -dg(t0 + t1 - t)
 
-        return PathSpec(
-            gamma=gamma,
-            dgamma=dgamma,
-            t0=t0,
-            t1=t1,
-            escape_radius=self.escape_radius,
-            min_modulus=self.min_modulus,
-            max_steps=self.max_steps,
-        )
+        return replace(self, gamma=gamma, dgamma=dgamma)
 
 
 def path_lift(X: VectorField, start, path: PathSpec, tol: float = 1e-10):

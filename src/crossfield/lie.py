@@ -408,16 +408,17 @@ class Automorphism:
     Substitution is well defined on truncations whenever img_x - x lies in m
     and every img_z_i lies in m; both are enforced on application.
 
-    A map built from exponentials keeps its Lie generators: a tuple of
-    (W, t, x_window), innermost first, for the map
-    exp(t_k W_k) o ... o exp(t_1 W_1), each factor computed in its x-window.
-    :func:`exp` records one generator and :func:`exp_compose` appends one;
-    compose() concatenates the generators of both operands and truncate_x()
-    lowers every window.  :meth:`invert` folds them right to left by Lie
-    series.  A map without generators inverts by the generic fixed-point
-    solve.  A map caches its inverse; the inverse holds no link back, so
-    inverting it again recomputes the map, and the pair forms no reference
-    cycle.  Powers of the z-images that :meth:`apply`
+    A map keeps its Lie generators when it is built from them: a tuple of
+    factors, innermost first, for the map f_k o ... o f_1.  A factor
+    (W, t, x_window) is exp(t W) computed in its x-window, and a factor
+    (M, None, None) is the constant linear map z -> M z.  :func:`exp` and
+    :meth:`linear` record one factor and :func:`exp_compose` appends one;
+    compose() concatenates the factors of both operands and truncate_x()
+    lowers every exp factor's window.  :meth:`invert` folds the factors
+    right to left; a map built bare from its images is split into two
+    factors first.  A map caches its inverse; the inverse holds no link
+    back, so inverting it again recomputes the map, and the pair forms no
+    reference cycle.  Powers of the z-images that :meth:`apply`
     substitutes are cached as they are first needed.  Every cached value
     derives from immutable inputs.
     """
@@ -454,19 +455,24 @@ class Automorphism:
 
     @classmethod
     def linear(cls, matrix, cap):
-        """x -> x, z_i -> sum_j matrix[i][j] z_j with constant entries."""
-        n = len(matrix)
+        """x -> x, z_i -> sum_j matrix[i][j] z_j with constant entries; its one
+        Lie factor is the matrix."""
+        M = tuple(
+            tuple(GaussianRational(c) if isinstance(c, (int, Fraction)) else c for c in row)
+            for row in matrix
+        )
+        n = len(M)
         img_z = []
         for i in range(n):
             s = TransverseSeries.zero(n, cap)
             for j in range(n):
-                c = matrix[i][j]
-                if isinstance(c, (int, Fraction)):
-                    c = GaussianRational(c)
+                c = M[i][j]
                 if not (isinstance(c, GaussianRational) and c.is_zero()):
                     s = s + TransverseSeries.variable(n, cap, j + 1).scale(c)
             img_z.append(s)
-        return cls(TransverseSeries.x_series(n, cap), img_z)
+        phi = cls(TransverseSeries.x_series(n, cap), img_z)
+        object.__setattr__(phi, "_gens", ((M, None, None),))
+        return phi
 
     # -- substitution ------------------------------------------------------
 
@@ -546,7 +552,7 @@ class Automorphism:
         """(self o other)(f) = self(other(f)).
 
         When both operands have Lie generators, the result has other's
-        followed by self's; otherwise it has none and inverts generically.
+        followed by self's; otherwise it has none and is split on inversion.
         """
         if self.n != other.n or self.cap != other.cap:
             raise DimensionMismatchError("automorphism shapes differ")
@@ -594,65 +600,44 @@ class Automorphism:
     def invert(self) -> "Automorphism":
         """Compositional inverse at the cap.
 
-        The inverse of exp(t_k W_k) o ... o exp(t_1 W_1) is
-        exp(-t_1 W_1) o ... o exp(-t_k W_k).  A map with Lie generators
-        builds it from the coordinates by one Lie series per generator,
-        outermost first, as :func:`exp_compose` would, each in its window;
-        the inverse has the reversed, negated generators, and no
-        substitution is made.  Otherwise this requires
-        img_x = x and a constant invertible z-linear matrix A, and solves
-        sigma = A^-1 (z - high(sigma)) by fixed-point rounds, high = img_z - A z.
-        high lies in m^2, so after round r sigma is exact through degree
-        r + 1; round r runs with sigma and high truncated at that degree,
-        and only the last round runs at the cap.  The result is certified
-        by composing it with the map at the full cap.
+        The inverse of f_k o ... o f_1 is f_1^-1 o ... o f_k^-1, folded from
+        the coordinates with the outermost factor first: an exp factor
+        (W, t, w) runs the Lie series of -t W on the running images in its
+        window, as :func:`exp_compose` would, and a linear factor M
+        substitutes the linear map M^-1 into them.  The inverse has the
+        reversed factors, with -t and M^-1.
+
+        A map with no Lie generators is split first as exp(Z) o A, the
+        factors A and Z that :func:`exp_decomposition` returns; this needs
+        img_x = x and a constant invertible z-linear part A.  Such a map may
+        come from outside the program, so its inverse is certified by
+        composing it with the map at the full cap.
 
         The result is cached on this map only.  The inverse holds no link
-        back, so inverting it again recomputes a map equal to this one: the
-        fold of a folded inverse carries this map's generators again, and a
-        generic inverse has img_x = x and a constant linear part.
+        back, so inverting it again folds its factors into a map equal to
+        this one.
         """
         if self._inv is not None:
             return self._inv
-        if self._gens is not None:
-            images = _coordinates(self.n, self.cap)
-            for W, t, w in reversed(self._gens):
-                images = _exp_images(W, -t, w, [_in_window(s, w) for s in images])
-            inv = Automorphism(images[0], images[1:])
-            object.__setattr__(inv, "_gens", tuple((W, -t, w) for W, t, w in reversed(self._gens)))
-            object.__setattr__(self, "_inv", inv)
-            return inv
-        if self.img_x != TransverseSeries.x_series(self.n, self.cap):
-            raise SingularLinearPartError(
-                "generic inversion needs img_x = x (no cached inverse available)"
-            )
-        A = self.constant_z_matrix()
-        if A is None:
-            raise SingularLinearPartError("z-linear part must be constant in x")
-        Ainv = _invert_matrix(A)
-        n, cap = self.n, self.cap
-
-        def linear(M, z, c):
-            # the series sum_j M[i][j] z[j] at cap c, for each i
-            return [
-                sum((z[j].scale(M[i][j]) for j in range(n)), TransverseSeries.zero(n, c))
-                for i in range(n)
-            ]
-
-        _, *z = _coordinates(n, cap)
-        high = [img - lin for img, lin in zip(self.img_z, linear(A, z, cap))]
-        sigma = linear(Ainv, z, cap)
-        for c in range(2, cap + 1):
-            # sigma from round c - 1 is exact below degree c, and only those
-            # degrees enter high(sigma) through degree c
-            x, *zc = _coordinates(n, c)
-            sub = Automorphism(x, [TransverseSeries(n, c, s._terms) for s in sigma])
-            corr = [sub.apply(h.truncate(c)) for h in high]
-            sigma = linear(Ainv, [zj - cj for zj, cj in zip(zc, corr)], c)
-        inv = Automorphism(TransverseSeries.x_series(n, cap), sigma)
-        check = self.compose(inv)
-        if not _is_identity(check):
-            raise SingularLinearPartError("inversion failed to converge at the cap")
+        gens = self._gens
+        if gens is None:
+            A, Z = exp_decomposition(self)
+            gens = A._gens + ((Z, GaussianRational.ONE, None),)
+        inv_gens = tuple(
+            (_invert_matrix(W), None, None) if t is None else (W, -t, w)
+            for W, t, w in reversed(gens)
+        )
+        images = _coordinates(self.n, self.cap)
+        for W, t, w in inv_gens:
+            if t is None:
+                L = Automorphism.linear(W, self.cap)
+                images = [L.apply(s) for s in images]
+            else:
+                images = _exp_images(W, t, w, [_in_window(s, w) for s in images])
+        inv = Automorphism(images[0], images[1:])
+        object.__setattr__(inv, "_gens", inv_gens)
+        if self._gens is None and self.compose(inv) != Automorphism.identity(self.n, self.cap):
+            raise SingularLinearPartError("inversion failed at the cap")
         object.__setattr__(self, "_inv", inv)
         return inv
 
@@ -668,7 +653,7 @@ class Automorphism:
     def truncate_x(self, max_deg: int) -> "Automorphism":
         """The images truncated at x-degree max_deg.
 
-        Every Lie generator's window is lowered to at most max_deg, so the
+        Every exp factor's window is lowered to at most max_deg, so the
         inverse is computed in the ring the result lives in.
         """
         out = Automorphism(
@@ -704,11 +689,14 @@ class Automorphism:
 
 
 def _lowered(gens, x_window):
-    """Lie generators with every window lowered to at most x_window; gens
-    itself when either is None."""
+    """Lie generators with every exp factor's window lowered to at most
+    x_window; a linear factor has none.  gens itself when either is None."""
     if gens is None or x_window is None:
         return gens
-    return tuple((W, t, x_window if w is None else min(w, x_window)) for W, t, w in gens)
+    return tuple(
+        (W, t, w) if t is None else (W, t, x_window if w is None else min(w, x_window))
+        for W, t, w in gens
+    )
 
 
 def _accumulate(acc: dict, s: TransverseSeries) -> None:
@@ -721,10 +709,6 @@ def _coordinates(n: int, cap: int):
     """The coordinate series [x, z_1, ..., z_n]."""
     zs = [TransverseSeries.variable(n, cap, i + 1) for i in range(n)]
     return [TransverseSeries.x_series(n, cap)] + zs
-
-
-def _is_identity(phi: Automorphism) -> bool:
-    return [phi.img_x, *phi.img_z] == _coordinates(phi.n, phi.cap)
 
 
 def _invert_matrix(A):
@@ -751,7 +735,7 @@ def _invert_matrix(A):
             if factor.is_zero():
                 continue
             aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 # --- exponential, logarithm, adjoint ---------------------------------------
@@ -899,11 +883,14 @@ def exp_decomposition(phi: Automorphism):
     is the 1-flat logarithm of the tangent-to-identity remainder.  Point maps
     factor as phi = A o exp(Z); these substitution operators compose in the
     opposite order, so the recomposition identity reads
-    ``exp(Z).compose(A) == phi``.
+    ``exp(Z).compose(A) == phi``.  A map that is not x-normalized raises a
+    ValueError: SingularLinearPartError unless img_x = x and the z-linear
+    part is constant and invertible.
     """
-    if not phi.is_x_normalized():
-        raise ValueError("exponential decomposition needs an x-normalized automorphism")
-    A = Automorphism.linear(phi.constant_z_matrix(), phi.cap)
-    rest = phi.compose(A.invert())
-    Z = log(rest)
-    return A, Z
+    if phi.img_x != TransverseSeries.x_series(phi.n, phi.cap):
+        raise SingularLinearPartError("splitting a map needs img_x = x")
+    M = phi.constant_z_matrix()
+    if M is None:
+        raise SingularLinearPartError("z-linear part must be constant in x")
+    A = Automorphism.linear(M, phi.cap)
+    return A, log(phi.compose(A.invert()))

@@ -89,9 +89,6 @@ def pairing(mu, K) -> GaussianRational:
     return s
 
 
-
-
-
 @dataclass(frozen=True)
 class ResonantIndex:
     """K with <mu,K> = s an integer <= 0; the surviving coefficient is x^{-s}."""
@@ -235,9 +232,7 @@ def decide_ntnr(mu, fallback_bound: int = 8) -> NtnrResult:
 
 def _imaginary_integers(mu):
     """The imaginary parts of mu over their least common denominator."""
-    den = 1
-    for m in mu:
-        den = den * m.im.denominator // math.gcd(den, m.im.denominator)
+    den = math.lcm(*(m.im.denominator for m in mu))
     return [int(m.im * den) for m in mu]
 
 
@@ -321,16 +316,14 @@ def _monoid_hits_positive_integer(alpha: Fraction, gens) -> bool:
         # q - alpha with q ranging over large integers leave only a
         # congruence: q*m = alpha*m + k*(e*m) solvable over Z.
         e = _fraction_gcd(gens)
-        m = _lcm(alpha.denominator, e.denominator)
+        m = math.lcm(alpha.denominator, e.denominator)
         A = int(alpha * m)
         E = int(e * m)
         return A % math.gcd(E, m) == 0
     # All generators negative: q <= alpha, finitely many targets, knapsack.
     if alpha < 1:
         return False
-    scale = alpha.denominator
-    for g in gens:
-        scale = _lcm(scale, g.denominator)
+    scale = math.lcm(alpha.denominator, *(g.denominator for g in gens))
     weights = [int(-g * scale) for g in gens]
     for q in range(1, math.floor(alpha) + 1):
         target = int((alpha - q) * scale)
@@ -354,17 +347,11 @@ def _reachable(target: int, weights) -> bool:
 
 
 def _fraction_gcd(vals) -> Fraction:
-    den = 1
-    for v in vals:
-        den = _lcm(den, v.denominator)
+    den = math.lcm(*(v.denominator for v in vals))
     g = 0
     for v in vals:
         g = math.gcd(g, abs(int(v * den)))
     return Fraction(g, den)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 def _find_witness(mu) -> NegativeWitness:
@@ -437,7 +424,7 @@ def _eq5_witness(x: Fraction, y: Fraction):
             return {"p": 1, "q": int(-y)}
         return None
     # p*x - y integral: a linear congruence for p.
-    m = _lcm(x.denominator, y.denominator)
+    m = math.lcm(x.denominator, y.denominator)
     A = int(x * m)
     C = int(y * m) % m
     g = math.gcd(A, m)

@@ -105,20 +105,28 @@ def rand_mu(rng, n, span=3, den=2, imag_prob=0.4):
 
 
 def rand_invertible_matrix(rng, n, span=2):
+    """An n x n Q matrix with nonzero determinant, n <= 3."""
+    if n > 3:
+        raise NotImplementedError
     while True:
         M = [
             [GaussianRational(rand_fraction(rng, span, 2)) for _ in range(n)]
             for _ in range(n)
         ]
-        if n == 1:
-            if not M[0][0].is_zero():
-                return M
-        else:
-            det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-            if n == 2 and not det.is_zero():
-                return M
-            if n > 2:
-                raise NotImplementedError
+        if not _det(M).is_zero():
+            return M
+
+
+def _det(M):
+    """Determinant by cofactor expansion along the first row."""
+    if len(M) == 1:
+        return M[0][0]
+    det = GaussianRational(0)
+    for j, c in enumerate(M[0]):
+        minor = [row[:j] + row[j + 1:] for row in M[1:]]
+        term = c * _det(minor)
+        det = det + term if j % 2 == 0 else det - term
+    return det
 
 
 def rand_x_normalized(rng, mu, cap, terms=3, max_exp=2):

@@ -185,6 +185,17 @@ class TestPathLift:
         h = holonomy_jet(X, 1, tol=1e-12)
         assert abs(z[0] / 1e-3 - h.coefficient(1, (1,))) < 1e-6
 
+    def test_reversed_keeps_settings(self):
+        base = PathSpec.segment_log(1.0, 2.0 + 1.0j)
+        path = PathSpec(base.gamma, base.dgamma, t0=0.25, t1=2.0,
+                        escape_radius=3.0, min_modulus=1e-6, max_steps=1234)
+        rev = path.reversed()
+        for name in ("t0", "t1", "escape_radius", "min_modulus", "max_steps"):
+            assert getattr(rev, name) == getattr(path, name), name
+        for t in (0.25, 1.0, 2.0):
+            assert rev.gamma(t) == path.gamma(2.25 - t)
+            assert rev.dgamma(t) == -path.dgamma(2.25 - t)
+
     def test_start_validation(self):
         X = field_mu_i()
         with pytest.raises(ValueError):

@@ -647,7 +647,7 @@ class TestInvert:
         ident = Automorphism.identity(2, 4)
         for _ in range(30):
             phi = rand_x_normalized_automorphism(rng, 2, 4)
-            # force the generic path: no cached inverse and no Lie generators
+            # force the split path: no cached inverse and no Lie generators
             object.__setattr__(phi, "_inv", None)
             object.__setattr__(phi, "_gens", None)
             inv = phi.invert()
@@ -657,6 +657,21 @@ class TestInvert:
     def test_singular(self):
         with pytest.raises(SingularLinearPartError):
             Automorphism.linear([[G(0)]], 3).invert()
+
+    def test_linear_composed_with_shifted_map(self):
+        # the x-image moves, so the map cannot be split; its linear factor
+        # folds like an exp factor
+        rng = random.Random(36)
+        for n in (1, 2):
+            for cap in (1, 3, 5):
+                for min_exp in (0, -1):
+                    step = shifted_map(rng, n, cap, min_exp)
+                    phi = Automorphism.linear(rand_invertible_matrix(rng, n), cap).compose(step)
+                    assert phi.img_x != TransverseSeries.x_series(n, cap)
+                    inv = phi.invert()
+                    ident = Automorphism.identity(n, cap)
+                    assert phi.compose(inv) == ident and inv.compose(phi) == ident
+                    assert inv.invert() == phi
 
 
 # --- the substitution and inversion as they were: oracles ------------------
@@ -692,8 +707,9 @@ def ref_apply(phi, f):
 
 
 def ref_invert(phi):
-    """The generic inverse by cap - 1 fixed-point rounds, each at the full
-    cap: sigma = A^-1 (z - high(sigma)), substituted through ref_apply."""
+    """The inverse of an x-normalized map by cap - 1 fixed-point rounds,
+    each at the full cap: sigma = A^-1 (z - high(sigma)), substituted
+    through ref_apply."""
     n, cap = phi.n, phi.cap
     A = phi.constant_z_matrix()
     Ainv = _invert_matrix(A)
@@ -779,18 +795,26 @@ class TestSubstitutionOracle:
                     got, want = phi.apply(f), ref_apply(phi, f)
                     assert got == want and str(got) == str(want)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_invert_matches_reference(self, n):
+        # lin o exp(V) and lin^-1 o exp(V) fold their factors; a map built
+        # bare from its images has none and is split first
         rng = random.Random(103 + n)
-        for cap in range(1, 7):
+        for cap in range(1, 7 if n < 3 else 5):
             for _ in range(3):
                 M = rand_invertible_matrix(rng, n)
                 V = rand_z_one_flat(rng, n, cap, terms=3, min_exp=-1, max_exp=2)
-                # a generically inverted map has no Lie generators, so
-                # composing it with exp(V) inverts generically too
                 lin = Automorphism.linear(M, cap)
-                for phi in (lin.compose(exp(V)), lin.invert().compose(exp(V))):
-                    assert phi._inv is None and phi._gens is None
+                bare = Automorphism(
+                    TransverseSeries.x_series(n, cap),
+                    [
+                        img + rand_series(rng, n, cap, 3, min_deg=2, min_exp=-1, max_exp=2)
+                        for img in lin.img_z
+                    ],
+                )
+                assert bare._gens is None
+                for phi in (lin.compose(exp(V)), lin.invert().compose(exp(V)), bare):
+                    assert phi._inv is None
                     got, want = phi.invert(), ref_invert(phi)
                     assert got == want and str(got) == str(want)
                     ident = Automorphism.identity(n, cap)
@@ -848,9 +872,9 @@ class TestInverseLinks:
         M = rand_invertible_matrix(rng, 2)
         V = rand_z_one_flat(rng, 2, 4)
 
-        def generic():
-            phi = Automorphism.linear(M, 4).compose(exp(V))
-            return phi, phi.invert()
+        def split():
+            phi = fresh(Automorphism.linear(M, 4).compose(exp(V)))
+            return phi, phi.invert(), phi.invert().invert()
 
         def folded():
             phi = shifted_map(rng, 2, 4)
@@ -860,7 +884,7 @@ class TestInverseLinks:
             ident = Automorphism.identity(2, 4)
             return ident, ident.invert()
 
-        for build in (generic, folded, identity):
+        for build in (split, folded, identity):
             assert self._freed_without_gc(build), build.__name__
 
     def test_links_resolve_to_the_same_objects(self):
@@ -872,7 +896,7 @@ class TestInverseLinks:
         assert ident.invert() == ident
 
     def test_inverse_outlives_its_map(self):
-        # u != 0: generic inversion cannot recompute the map, the Lie fold can
+        # u != 0: the split cannot recompute the map, the Lie fold can
         rng = random.Random(113)
         phi = shifted_map(rng, 2, 4)
         img_x, img_z, gens = phi.img_x, phi.img_z, phi._gens
@@ -894,8 +918,8 @@ class TestInverseLinks:
         M = rand_invertible_matrix(rng, 2)
         held = []
 
-        def generic():
-            phi = Automorphism.linear(M, 4).compose(exp(rand_z_one_flat(rng, 2, 4)))
+        def split():
+            phi = fresh(Automorphism.linear(M, 4).compose(exp(rand_z_one_flat(rng, 2, 4))))
             held.append(phi.invert())
             return [phi]
 
@@ -904,7 +928,12 @@ class TestInverseLinks:
             held.append(phi.invert())
             return [phi]
 
-        for build in (generic, folded):
+        def linear_factor():
+            phi = Automorphism.linear(M, 4).compose(shifted_map(rng, 2, 4))
+            held.append(phi.invert())
+            return [phi]
+
+        for build in (split, folded, linear_factor):
             assert self._freed_without_gc(build), build.__name__
         for inv in held:
             assert inv.compose(inv.invert()) == Automorphism.identity(2, 4)
