@@ -316,7 +316,7 @@ class LaurentPoly:
                 if not isinstance(e, int):
                     raise TypeError("exponents must be ints")
                 c = as_scalar(c)
-                if c == 0:
+                if c.is_zero():
                     continue
                 data[e] = c
         object.__setattr__(self, "_terms", data)
@@ -379,10 +379,10 @@ class LaurentPoly:
         for e, c in other._terms.items():
             s = data.get(e)
             s = c if s is None else s + c
-            if s == 0:
-                data.pop(e, None)
-            else:
+            if s._a or s._b:
                 data[e] = s
+            else:
+                data.pop(e, None)
         return _lp_raw(data)
 
     def __sub__(self, other):
@@ -402,10 +402,10 @@ class LaurentPoly:
                     c = c1 * c2
                     s = data.get(e)
                     s = c if s is None else s + c
-                    if s == 0:
-                        data.pop(e, None)
-                    else:
+                    if s._a or s._b:
                         data[e] = s
+                    else:
+                        data.pop(e, None)
             return _lp_raw(data)
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
@@ -417,14 +417,10 @@ class LaurentPoly:
         # ints and Fractions multiply Q[i] values directly, unconverted
         if not isinstance(c, (int, Fraction)):
             c = as_scalar(c)
-        if c == 0:
+        if not c:
             return LaurentPoly()
-        data = {}
-        for e, v in self._terms.items():
-            s = v * c
-            if s != 0:
-                data[e] = s
-        return _lp_raw(data)
+        # Q[i] is a field: a product of nonzero values is nonzero
+        return _lp_raw({e: v * c for e, v in self._terms.items()})
 
     def truncate_x(self, max_deg: int) -> "LaurentPoly":
         """Drop terms of x-degree above max_deg (quotient by x^{max_deg+1}).
@@ -436,12 +432,8 @@ class LaurentPoly:
 
     def derivative(self) -> "LaurentPoly":
         """d/dx, exact (works on negative exponents too)."""
-        data = {}
-        for e, c in self._terms.items():
-            if e == 0:
-                continue
-            data[e - 1] = c * e
-        return _lp_raw({e: c for e, c in data.items() if c != 0})
+        # c * e is nonzero for nonzero c and e
+        return _lp_raw({e - 1: c * e for e, c in self._terms.items() if e})
 
     def euler_solve(self, s):
         """Split g = self into (f, residual) with (x*d/dx + s) f = g - residual.

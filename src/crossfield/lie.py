@@ -24,6 +24,7 @@ from .series import (
     TransverseSeries,
     _ts_raw,
     accumulate_products,
+    finish_products,
     graded_terms,
 )
 
@@ -122,26 +123,22 @@ class VectorField:
     def apply(self, f: TransverseSeries) -> TransverseSeries:
         """X(f) = a df/dx + sum_i b_i df/dz_i, truncated at the cap.
 
-        The x-derivatives of f's coefficients meet the terms of a, and the
-        terms of f with K_i = k, lowered to K - e_i, meet k times the terms
-        of b_i, in :func:`~crossfield.series.accumulate_products`.  Every
-        product lands in one term dict; no derivative series, partial
-        product or partial sum is built.
+        The terms of a meet the x-derivatives of f's coefficients, and the
+        terms of b_i meet, with integer factor k, the terms of f with
+        K_i = k lowered to K - e_i, in
+        :func:`~crossfield.series.accumulate_products`.  Every product lands
+        in one raw integer accumulator, made canonical once at the end; no
+        derivative series, scaled copy, partial product or partial sum is
+        built.
         """
         if f.n != self.n or f.cap != self.cap:
             raise DimensionMismatchError("field and series shapes differ")
         data = {}
-        self._apply_into(data, f, 1, {})
-        return _ts_raw(self.n, self.cap, data)
+        self._apply_into(data, f, 1)
+        return _ts_raw(self.n, self.cap, finish_products(data))
 
-    def _apply_into(self, data: dict, f: TransverseSeries, sign: int, scaled: dict) -> None:
-        """Add sign * X(f) to the term dict data.
-
-        scaled caches this field's component terms times an integer factor,
-        keyed by (component, factor) with component 0 for a and i for b_i,
-        so each coefficient is scaled once per factor however many terms of
-        f share it; callers applying the field to several series share it.
-        """
+    def _apply_into(self, data: dict, f: TransverseSeries, sign: int) -> None:
+        """Add sign * X(f) to the raw accumulator data."""
         terms = graded_terms(f)
         if self.a._terms:
             dx = []
@@ -150,7 +147,7 @@ class VectorField:
                 if c._terms:
                     dx.append((K, d, c))
             if dx:
-                self._products(data, scaled, 0, sign, dx)
+                accumulate_products(data, self.cap, graded_terms(self.a), dx, sign)
         for i, comp in enumerate(self.b):
             if not comp._terms:
                 continue
@@ -160,53 +157,25 @@ class VectorField:
                 if k:
                     lowered = (K[:i] + (k - 1,) + K[i + 1:], d - 1, c)
                     by_k.setdefault(k, []).append(lowered)
-            for k, lowered in by_k.items():
-                self._products(data, scaled, i + 1, sign * k, lowered)
-
-    def _products(self, data: dict, scaled: dict, i: int, k: int, right) -> None:
-        """Add k times component i (0 for a, i for b_i) times the graded
-        terms right to data.
-
-        The integer k scales whichever side has fewer terms: the
-        component's coefficients, once per (i, k) through the cache, or the
-        terms of right.  A one-term sweep field is scaled itself; a full
-        field meeting a one-term series scales that term instead.
-        """
-        left = self._scaled(scaled, i, 1)
-        if k != 1:
-            if len(right) < len(left):
-                right = [(K, d, c.scale(k)) for K, d, c in right]
-            else:
-                left = self._scaled(scaled, i, k)
-        accumulate_products(data, self.cap, left, right)
-
-    def _scaled(self, scaled: dict, i: int, k: int):
-        """Component i times k as graded terms, built once per (i, k)."""
-        out = scaled.get((i, k))
-        if out is None:
-            if k == 1:
-                out = graded_terms(self.b[i - 1] if i else self.a)
-            else:
-                out = [(K, d, c.scale(k)) for K, d, c in self._scaled(scaled, i, 1)]
-            scaled[(i, k)] = out
-        return out
+            if by_k:
+                left = graded_terms(comp)
+                for k, lowered in by_k.items():
+                    accumulate_products(data, self.cap, left, lowered, sign * k)
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """[X, Y] = X o Y - Y o X, componentwise X(Y_c) - Y(X_c).
 
-        Both halves of each component accumulate into one term dict; the
-        sign of the second is folded into its integer factors, so no
-        negated or partial series is built.  Each field's scaled
-        coefficients are shared by all n + 1 components.
+        Both halves of each component accumulate into one raw accumulator,
+        the second with its integer factors negated, and the component is
+        made canonical once; no negated or partial series is built.
         """
         self._compat(other)
-        mine, theirs = {}, {}
         comps = []
         for own, their in zip((self.a,) + self.b, (other.a,) + other.b):
             data = {}
-            self._apply_into(data, their, 1, mine)
-            other._apply_into(data, own, -1, theirs)
-            comps.append(_ts_raw(self.n, self.cap, data))
+            self._apply_into(data, their, 1)
+            other._apply_into(data, own, -1)
+            comps.append(_ts_raw(self.n, self.cap, finish_products(data)))
         return VectorField(comps[0], comps[1:])
 
     def _compat(self, other):
@@ -510,10 +479,14 @@ class Automorphism:
         coefficients are then shifted by the finite Taylor sum, taken in
         layers by the power of u:
         f(x + u, z') = sum_m u^m sum_K f_K^(m)(x)/m! z'^K.
-        Each z'^K is built once and scaled into the layers m <= cap - |K|
-        (z'^K lies in m^|K| and u^m in m^m); each layer is then multiplied
-        by u^m once, with the powers of u built as they are needed.  With
-        u = 0 only layer 0 exists and no product by a power of u is formed.
+        Each z'^K is built once and multiplied into the layers
+        m <= cap - |K| (z'^K lies in m^|K| and u^m in m^m) by
+        :func:`~crossfield.series.accumulate_products`, with the degree-0
+        coefficient f_K^(m)/m! as its right side.  Each layer is made
+        canonical and multiplied by u^m once, into layer 0's raw
+        accumulator, with the powers of u built as they are needed; that
+        accumulator is made canonical once, as the result.  With u = 0 only
+        layer 0 exists and no product by a power of u is formed.
         """
         if f.n != self.n or f.cap != self.cap:
             raise DimensionMismatchError("series and automorphism shapes differ")
@@ -524,18 +497,20 @@ class Automorphism:
             if not comp.is_zero() and comp.madic_order() < 1:
                 raise ValueError("z-images must lie in m")
         shift = not u.is_zero()
-        layers = [{}]  # layers[m]: sum_K f_K^(m)/m! z'^K as a term dict
+        n, cap = self.n, self.cap
+        const = (0,) * n
+        layers = [{}]  # layers[m]: sum_K f_K^(m)/m! z'^K, raw
         for K, poly in f._terms.items():
-            zpart = self._zmonomial(K)
+            zpart = graded_terms(self._zmonomial(K))
             coeff = poly
-            for m in range(self.cap - sum(K) + 1 if shift else 1):
+            for m in range(cap - sum(K) + 1 if shift else 1):
                 if m:
                     coeff = coeff.derivative().scale(Fraction(1, m))
                     if coeff.is_zero():
                         break
                     if m == len(layers):
                         layers.append({})
-                _accumulate(layers[m], zpart.scale(coeff))
+                accumulate_products(layers[m], cap, zpart, [(const, 0, coeff)])
         acc = layers[0]
         upow = u
         for m in range(1, len(layers)):
@@ -543,8 +518,9 @@ class Automorphism:
                 upow = upow * u
             if upow.is_zero():
                 break
-            _accumulate(acc, TransverseSeries(self.n, self.cap, layers[m]) * upow)
-        return TransverseSeries(self.n, self.cap, acc)
+            layer = _ts_raw(n, cap, finish_products(layers[m]))
+            accumulate_products(acc, cap, graded_terms(layer), graded_terms(upow))
+        return _ts_raw(n, cap, finish_products(acc))
 
     # -- group structure ----------------------------------------------------
 
@@ -697,12 +673,6 @@ def _lowered(gens, x_window):
         (W, t, w) if t is None else (W, t, x_window if w is None else min(w, x_window))
         for W, t, w in gens
     )
-
-
-def _accumulate(acc: dict, s: TransverseSeries) -> None:
-    for K, poly in s._terms.items():
-        held = acc.get(K)
-        acc[K] = poly if held is None else held + poly
 
 
 def _coordinates(n: int, cap: int):

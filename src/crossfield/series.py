@@ -25,6 +25,8 @@ from operator import add
 from .coeff import (
     GaussianRational,
     LaurentPoly,
+    _gq,
+    _lp_raw,
     format_term,
     join_terms,
     x_power_text,
@@ -291,7 +293,7 @@ class TransverseSeries:
             self._compat(other)
             data = {}
             accumulate_products(data, self.cap, graded_terms(self), graded_terms(other))
-            return _ts_raw(self.n, self.cap, data)
+            return _ts_raw(self.n, self.cap, finish_products(data))
         if isinstance(other, (LaurentPoly, GaussianRational, int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -387,38 +389,74 @@ def graded_terms(s: TransverseSeries):
     return [(K, sum(K), c) for K, c in s._terms.items()]
 
 
-def accumulate_products(data: dict, cap: int, left, right) -> None:
-    """Add c1*c2*z^(K1+K2) to the term dict data for every pair of
+def accumulate_products(data: dict, cap: int, left, right, k: int = 1) -> None:
+    """Add k*c1*c2*z^(K1+K2) to the raw accumulator data for every pair of
     (K1, d1, c1) in left and (K2, d2, c2) in right with d1 + d2 <= cap.
 
-    This is the one truncated-product loop of the series and derivation
-    layers: TransverseSeries products, VectorField.apply and brackets all
-    run through it.  d1 and d2 are the total degrees |K1| and |K2|; a pair
-    above the cap is skipped before its product is formed.  An integer
-    factor k of the products (the exponent of a z-derivative, or the sign
-    of a bracket half) is carried by the caller in the coefficients of one
-    list, scaled once per list rather than once per pair; products use
-    k = 1.  Sums are formed in place and exact zeros are popped, so data
-    holds only nonzero coefficients as long as every c1 and c2 is nonzero.
+    This is the one truncated-product loop of the series, derivation and
+    substitution layers: TransverseSeries products, VectorField.apply,
+    brackets and Automorphism.apply all run through it.  d1 and d2 are the
+    total degrees |K1| and |K2|; a pair above the cap is skipped before its
+    product is formed.  The integer k (the exponent of a z-derivative, or
+    the sign of a bracket half) multiplies the numerators of each left
+    coefficient once per call.
+
+    data maps K -> {e: [a, b, d]}, the value (a + b*i)/d with d > 0 and no
+    common factor removed.  A term pair adds its Gaussian-integer numerator
+    over d1*d2: directly when the cell already has that denominator, over
+    the lcm of both otherwise.  No scalar or polynomial is formed per pair,
+    and no common factor is sought; :func:`finish_products` makes each cell
+    canonical once the accumulation of a result is complete.
     """
-    for K1, d1, c1 in left:
+    right = [
+        (K2, d2, [(e, c._a, c._b, c._d) for e, c in p2._terms.items()])
+        for K2, d2, p2 in right
+    ]
+    for K1, d1, p1 in left:
         room = cap - d1
         if room < 0:
             continue
-        for K2, d2, c2 in right:
+        cells1 = [(e, k * c._a, k * c._b, c._d) for e, c in p1._terms.items()]
+        for K2, d2, cells2 in right:
             if d2 > room:
                 continue
             K = tuple(map(add, K1, K2))
-            c = c1 * c2
-            held = data.get(K)
-            if held is None:
-                data[K] = c
-            else:
-                c = held + c
-                if c._terms:
-                    data[K] = c
-                else:
-                    del data[K]
+            row = data.get(K)
+            if row is None:
+                row = data[K] = {}
+            for e1, a1, b1, q1 in cells1:
+                for e2, a2, b2, q2 in cells2:
+                    e = e1 + e2
+                    a = a1 * a2 - b1 * b2
+                    b = a1 * b2 + b1 * a2
+                    q = q1 * q2
+                    cell = row.get(e)
+                    if cell is None:
+                        row[e] = [a, b, q]
+                    elif cell[2] == q:
+                        cell[0] += a
+                        cell[1] += b
+                    else:
+                        d = cell[2]
+                        m = math.lcm(d, q)
+                        s, t = m // d, m // q
+                        cell[0] = cell[0] * s + a * t
+                        cell[1] = cell[1] * s + b * t
+                        cell[2] = m
+
+
+def finish_products(data: dict) -> dict:
+    """The raw accumulator data as a term dict {K: LaurentPoly}.
+
+    Each cell becomes a canonical Q[i] value with one gcd; zero cells and
+    monomials left with no cell are dropped.
+    """
+    out = {}
+    for K, row in data.items():
+        terms = {e: _gq(a, b, d) for e, (a, b, d) in row.items() if a or b}
+        if terms:
+            out[K] = _lp_raw(terms)
+    return out
 
 
 def _ts_raw(n, cap, data) -> TransverseSeries:

@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from crossfield import lie, series
 from crossfield.coeff import GaussianRational as G
 from crossfield.coeff import LaurentPoly
 from crossfield.lie import (
@@ -269,8 +270,8 @@ def sweep_step(rng, n, cap, minus_one=False):
 
 
 class TestDerivationKernel:
-    """apply and bracket accumulate their products in one term dict; they
-    must agree with the separate derivative-product-sum construction."""
+    """apply and bracket accumulate their products in one raw accumulator;
+    they must agree with the separate derivative-product-sum construction."""
 
     CASES = [(n, cap) for n in (1, 2, 3) for cap in range(1, 7)]
 
@@ -744,15 +745,23 @@ def fresh(phi):
 
 
 def count_products(monkeypatch):
-    """Count TransverseSeries.__mul__ calls from here on: a one-item list."""
+    """Count series products from here on: a one-item list.
+
+    A product is a call of the product kernel, from TransverseSeries.__mul__
+    or from Automorphism.apply, whose right side is not one degree-0
+    coefficient; apply's sums of f_K^(m)/m! z'^K scale z'^K and are not
+    counted.
+    """
     calls = [0]
-    mul = TransverseSeries.__mul__
+    kernel = series.accumulate_products
 
-    def counting(self, other):
-        calls[0] += 1
-        return mul(self, other)
+    def counting(data, cap, left, right, k=1):
+        if not (len(right) == 1 and right[0][1] == 0):
+            calls[0] += 1
+        return kernel(data, cap, left, right, k)
 
-    monkeypatch.setattr(TransverseSeries, "__mul__", counting)
+    monkeypatch.setattr(series, "accumulate_products", counting)
+    monkeypatch.setattr(lie, "accumulate_products", counting)
     return calls
 
 
