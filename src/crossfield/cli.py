@@ -48,7 +48,7 @@ from .resonance import (
     decide_ntnr,
     enumerate_resonances,
 )
-from .series import TransverseSeries
+from .series import TransverseSeries, grlex_key
 
 __all__ = ["main", "FieldDocument", "MapDocument", "DocumentError"]
 
@@ -516,7 +516,7 @@ def _cmd_holonomy(args):
     coeffs = {}
     for i in range(1, jet.n + 1):
         entries = []
-        for K in sorted(jet.coeffs.get(i, {}), key=lambda K: (sum(K), K)):
+        for K in sorted(jet.coeffs.get(i, {}), key=grlex_key):
             entries.append({"K": list(K), **_fmt_complex(jet.coeffs[i][K])})
         coeffs[f"z{i}"] = entries
     report = {

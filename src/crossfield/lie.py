@@ -558,17 +558,16 @@ class Automorphism:
             return False
         return True
 
-    def tangent_to_identity(self, x_window: int | None = None) -> bool:
+    def tangent_to_identity(self) -> bool:
         """Identity through first order in the graded sense.
 
         The x-image may differ by an element of m and each z-image by an
         element of m^2 (x carries weight 0, the z_i weight 1); this is
         exactly the class where Phi - id raises the m-adic order, so the
-        logarithm series terminates at the cap.  With ``x_window`` the
-        differences are only required to be so modulo x^{x_window+1}.
+        logarithm series terminates at the cap.
         """
         for i, comp in enumerate((self.img_x,) + self.img_z):
-            d = _in_window(comp - self._coordinate(i), x_window)
+            d = comp - self._coordinate(i)
             if d.madic_order() < (2 if i else 1):
                 return False
         return True
@@ -803,30 +802,28 @@ def _lie_series(step, start, t, x_window):
         acc = acc + term
 
 
-def log(phi: Automorphism, x_window: int | None = None) -> VectorField:
+def log(phi: Automorphism) -> VectorField:
     """Logarithm of an automorphism tangent to the identity.
 
     Evaluates sum_m (-1)^{m+1}/m (Phi - id)^m on the coordinates; each
     application of Phi - id raises the m-adic order, so the sum is finite at
     the cap and the result is a 1-flat (hence nilpotent) field with
-    exp(log Phi) = Phi.  ``x_window`` runs the series in the x-truncated
-    ring, where tangency and termination are only required modulo
-    x^{x_window+1}.
+    exp(log Phi) = Phi.
     """
-    if not phi.tangent_to_identity(x_window):
+    if not phi.tangent_to_identity():
         raise NotTangentToIdentityError(
             "log requires images equal to the coordinates through order 1"
         )
     comps = []
     for coord in _coordinates(phi.n, phi.cap):
         acc = TransverseSeries.zero(phi.n, phi.cap)
-        u = _in_window(phi.apply(coord) - coord, x_window)
+        u = phi.apply(coord) - coord
         m = 1
         while not u.is_zero():
             if m > _GUARD:
                 raise AssertionError("log failed to terminate")
             acc = acc + u.scale(Fraction(1, m) if m % 2 == 1 else Fraction(-1, m))
-            u = _in_window(phi.apply(u) - u, x_window)
+            u = phi.apply(u) - u
             m += 1
         comps.append(acc)
     return VectorField(comps[0], comps[1:])

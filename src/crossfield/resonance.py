@@ -9,14 +9,16 @@ index set is an integer >= 1, equivalently when some cone element
 sum p_i mu_i (p in N^n, |p| >= 1) equals mu_j + q with q >= 1.
 
 Everything here is exact.  For n <= 3 the negative-resonance question is
-decided outright: per direction j, the imaginary-part constraint cuts N^n
-down to finitely many minimal solutions plus a Hilbert basis (box
-enumeration), and on the real part the reachable values form alpha + M for a
-finitely generated monoid M of rationals, where hitting Z_{>=1} reduces to a
-single congruence when M has a positive or mixed-sign generator and to a
-bounded knapsack when all generators are negative.  For larger n, and for
-n <= 3 when the boxes would hold more than MAX_BOX_POINTS points, the
-verdict falls back to bounded enumeration with the bound recorded.
+decided outright: with S the imaginary parts over a common denominator, one
+box scan lists the minimal nonzero solutions of <S, p> = T in a bounded
+box (the Hilbert basis for T = 0, then T = S_j per direction j), and on
+the real part hitting Z_{>=1} from alpha + M, M the monoid of the basis,
+is a single congruence when M has a positive generator and one knapsack
+table when all are negative.  For larger n, and for n <= 3 when the boxes
+would hold more than MAX_BOX_POINTS points, the verdict falls back to
+bounded enumeration with the bound recorded.  The Poincare/Siegel split
+asks whether 0 lies in the hull of points of the plane C, so by
+Caratheodory it tests single points, segments and triangles.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from itertools import product as _cartesian
 
 from .coeff import GaussianRational
@@ -64,6 +66,11 @@ SIEGEL_REAL_3B = "SiegelReal3b"
 # 2-core x86 machine, and 1/31*i, -1/37*i+1/2, 1/41*i spans 7.2e10.  Past
 # this many points decide_ntnr takes the bounded branch.
 MAX_BOX_POINTS = 2_000_000
+
+# The witness walk visits at most this many indices, about 0.7 s at n = 3 on
+# the same machine: every degree through 99,999 for n = 1, 443 for n = 2 and
+# 79 for n = 3.  Past it an exact failure is reported without a witness.
+_WITNESS_INDICES = 100_000
 
 
 def as_eigenvalues(mu):
@@ -212,7 +219,8 @@ def decide_ntnr(mu, fallback_bound: int = 8) -> NtnrResult:
 
     Exact and unbounded for n <= 3 within MAX_BOX_POINTS; otherwise returns
     the bounded-degree verdict of :func:`enumerate_resonances` with the
-    bound recorded.
+    bound recorded.  An exact failure carries the first witness of the
+    graded walk, or None when it lies past _WITNESS_INDICES indices.
     """
     mu = as_eigenvalues(mu)
     n = len(mu)
@@ -250,50 +258,31 @@ def _negative_resonance_exists(mu, S) -> bool:
     n = len(mu)
     rs = [m.re for m in mu]
     if any(S):
-        hilbert = _hilbert_basis_single(S)
+        side = max(abs(s) for s in S)
+        hilbert = _minimal_solutions(S, 0, side)
     else:
         hilbert = [tuple(1 if p == i else 0 for p in range(n)) for i in range(n)]
     gens = [sum((r * h for r, h in zip(rs, hv)), Fraction(0)) for hv in hilbert]
     for j in range(n):
-        bases = _minimal_inhomogeneous(S, S[j]) if any(S) else [(0,) * n]
+        # p = 0 is excluded (|p| >= 1): for S_j = 0 the minimal nonzero
+        # solutions are the Hilbert basis itself.
+        bases = _minimal_solutions(S, S[j], side + abs(S[j]) + 1) if any(S) else hilbert
         for b in bases:
             alpha = sum((r * p for r, p in zip(rs, b)), Fraction(0)) - rs[j]
-            if any(b):
-                if _monoid_hits_positive_integer(alpha, gens):
-                    return True
-            else:
-                # p = 0 is excluded (|p| >= 1), so force at least one
-                # Hilbert-basis step before testing reachability.
-                for g in gens:
-                    if _monoid_hits_positive_integer(alpha + g, gens):
-                        return True
+            if _monoid_hits_positive_integer(alpha, gens):
+                return True
     return False
 
 
-def _hilbert_basis_single(S):
-    """Minimal nonzero solutions in N^n of <S, c> = 0 for integer S.
+def _minimal_solutions(S, T, side):
+    """Minimal nonzero solutions in N^n of <S, p> = T, scanning [0, side]^n.
 
-    Components of minimal solutions are bounded by max |S_i| (Huet's bound
-    for a single homogeneous equation); the box enumeration below is checked
-    against brute force in the tests.
+    The box holds every minimal solution at side max|S| for T = 0 (Huet's
+    bound; these form the Hilbert basis) and max|S| + |T| + 1 otherwise, as
+    the brute-force tests check; minimal in the box is minimal globally.
     """
-    n = len(S)
-    bound = max(1, max(abs(s) for s in S))
-    sols = []
-    for c in _cartesian(range(bound + 1), repeat=n):
-        if any(c) and sum(s * v for s, v in zip(S, c)) == 0:
-            sols.append(c)
-    return _minimal_elements(sols)
-
-
-def _minimal_inhomogeneous(S, T):
-    """Minimal solutions in N^n of <S, p> = T (box bound max|S| + |T| + 1)."""
-    n = len(S)
-    bound = max(1, max(abs(s) for s in S)) + abs(T) + 1
-    sols = []
-    for p in _cartesian(range(bound + 1), repeat=n):
-        if sum(s * v for s, v in zip(S, p)) == T:
-            sols.append(p)
+    box = _cartesian(range(side + 1), repeat=len(S))
+    sols = [p for p in box if any(p) and sum(s * v for s, v in zip(S, p)) == T]
     return _minimal_elements(sols)
 
 
@@ -320,30 +309,18 @@ def _monoid_hits_positive_integer(alpha: Fraction, gens) -> bool:
         A = int(alpha * m)
         E = int(e * m)
         return A % math.gcd(E, m) == 0
-    # All generators negative: q <= alpha, finitely many targets, knapsack.
+    # All generators negative: q <= alpha, finitely many targets, one
+    # unbounded-knapsack table over the scaled gaps alpha - q.
     if alpha < 1:
         return False
     scale = math.lcm(alpha.denominator, *(g.denominator for g in gens))
-    weights = [int(-g * scale) for g in gens]
-    for q in range(1, math.floor(alpha) + 1):
-        target = int((alpha - q) * scale)
-        if _reachable(target, weights):
-            return True
-    return False
-
-
-def _reachable(target: int, weights) -> bool:
-    if target == 0:
-        return True
-    dp = [False] * (target + 1)
-    dp[0] = True
-    for w in weights:
-        if w <= 0 or w > target:
-            continue
-        for v in range(w, target + 1):
-            if dp[v - w]:
-                dp[v] = True
-    return dp[target]
+    top = int((alpha - 1) * scale)
+    reach = [True] + [False] * top
+    for w in (int(-g * scale) for g in gens):
+        for v in range(w, top + 1):
+            if reach[v - w]:
+                reach[v] = True
+    return any(reach[int((alpha - q) * scale)] for q in range(1, math.floor(alpha) + 1))
 
 
 def _fraction_gcd(vals) -> Fraction:
@@ -354,16 +331,14 @@ def _fraction_gcd(vals) -> Fraction:
     return Fraction(g, den)
 
 
-def _find_witness(mu) -> NegativeWitness:
-    bound = 2
-    while bound <= 256:
-        report = enumerate_resonances(mu, bound)
-        if report.negative:
-            return report.witness()
-        bound *= 2
-    raise AssertionError(
-        "negative resonance decided feasible but no witness below degree 256"
-    )
+def _find_witness(mu):
+    """The first negative hit of the graded walk, or None past the budget."""
+    walk = iter_l_indices(len(mu), 0, _WITNESS_INDICES, with_direction=False)
+    for K in islice(walk, _WITNESS_INDICES):
+        s = pairing(mu, K)
+        if s.is_integer() and s.re >= 1:
+            return NegativeWitness(K, int(s.re))
+    return None
 
 
 # --- dimension-2 and dimension-3 classification -----------------------------
@@ -419,11 +394,8 @@ def classify_dim3(lam, mu) -> Classification3:
 
 def _eq5_witness(x: Fraction, y: Fraction):
     """Smallest p >= 1 with p*x = y + q for some integer q >= 1, if any."""
-    if x == 0:
-        if y.denominator == 1 and -y >= 1:
-            return {"p": 1, "q": int(-y)}
-        return None
-    # p*x - y integral: a linear congruence for p.
+    # p*x - y integral: a linear congruence p*A = C (mod m), whose solutions
+    # p0 + k*period step q by the integer x*period.
     m = math.lcm(x.denominator, y.denominator)
     A = int(x * m)
     C = int(y * m) % m
@@ -431,78 +403,36 @@ def _eq5_witness(x: Fraction, y: Fraction):
     if C % g != 0:
         return None
     period = m // g
-    # One residue solving p*A = C (mod m).
-    p0 = next((p for p in range(1, period + 1) if (p * A - C) % m == 0), None)
-    if p0 is None:
-        return None
-    if x > 0:
-        p = p0
-        while x * p - y < 1:
-            p += period
-        return {"p": p, "q": int(x * p - y)}
-    # x < 0: q decreases with p; only finitely many candidates.
-    p = p0
-    while x * p - y >= 1:
-        q = x * p - y
-        if q.denominator == 1:
-            return {"p": p, "q": int(q)}
-        p += period
-    return None
+    p = (C // g) * pow(A // g, -1, period) % period or period
+    q = x * p - y
+    if x > 0 and q < 1:
+        # q rises with p: step up once to the first q >= 1.
+        k = -((q - 1) // (x * period))
+        p, q = p + k * period, q + k * x * period
+    # x <= 0: q does not rise with p, so p0 is the only candidate.
+    return {"p": p, "q": int(q)} if q >= 1 else None
 
 
 def origin_in_hull(points) -> bool:
     """Exact membership of 0 in the convex hull of Q[i] points.
 
-    Feasibility of sum w_i p_i = 0, sum w_i = 1, w >= 0 over the rationals;
-    a nonempty solution polytope has a vertex supported on linearly
-    independent columns, so checking every support of size 1..len(points)
-    via exact square solves is complete.
+    In the plane 0 lies in the hull iff it lies in the hull of at most three
+    of the points (Caratheodory): it is one of them, or lies strictly between
+    two (cross product 0, dot product < 0), or strictly inside a triangle of
+    three (its three edge cross products share a strict sign).
     """
-    pts = as_eigenvalues(points)
-    n = len(pts)
-    for size in range(1, n + 1):
-        for support in combinations(range(n), size):
-            w = _solve_support([pts[i] for i in support])
-            if w is not None and all(v >= 0 for v in w):
-                return True
+    pts = [(p.re, p.im) for p in as_eigenvalues(points)]
+    if any(x == 0 and y == 0 for x, y in pts):
+        return True
+    for a, b in combinations(pts, 2):
+        if _cross(a, b) == 0 and a[0] * b[0] + a[1] * b[1] < 0:
+            return True
+    for a, b, c in combinations(pts, 3):
+        signs = (_cross(a, b), _cross(b, c), _cross(c, a))
+        if all(v > 0 for v in signs) or all(v < 0 for v in signs):
+            return True
     return False
 
 
-def _solve_support(pts):
-    """Solve sum w_i p_i = 0 (complex), sum w_i = 1 on the given support.
-
-    Returns the unique rational solution, or None when the (possibly
-    rectangular) system is inconsistent or underdetermined; underdetermined
-    supports are redundant because some smaller support then carries a
-    vertex.
-    """
-    k = len(pts)
-    rows = [
-        [p.re for p in pts] + [Fraction(0)],
-        [p.im for p in pts] + [Fraction(0)],
-        [Fraction(1)] * k + [Fraction(1)],
-    ]
-    # Gaussian elimination on a 3 x (k+1) system.
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, 3) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [v / rows[r][col] for v in rows[r]]
-        for i in range(3):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, 3):
-        if rows[i][k] != 0:
-            return None
-    if len(pivots) < k:
-        return None
-    w = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        w[col] = rows[i][k]
-    return w
+def _cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]

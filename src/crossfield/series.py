@@ -153,7 +153,7 @@ def iter_l_indices(n: int, min_degree: int, max_degree: int, with_direction=True
     for total in range(max(min_degree, 0), max_degree + 1):
         ks = set(_compositions(total, n))
         for p in range(n):
-            for comp in _compositions(total + 1, n - 1) if n > 1 else ([()] if total == -1 else []):
+            for comp in _compositions(total + 1, n - 1) if n > 1 else []:
                 K = comp[:p] + (-1,) + comp[p:]
                 ks.add(K)
         for K in sorted(ks):

@@ -478,6 +478,28 @@ def test_resonances_counterexample_is_bounded():
     assert '"exact": false' in out
 
 
+@pytest.mark.parametrize("argv,witness_K", [
+    # n = 1: the first witness of a/b is K = (b,), past the old degree-256 cap
+    (["resonances", "--mu=1/300", "--json"], [300]),
+    (["centralizer", "--mu=1/300", "--degree", "3", "--json"], None),
+    # witness degree 300
+    (["resonances", "--mu=2/301,-3", "--json"], [301, -1]),
+    # n = 3: the first witness lies past the walk's budget
+    (["resonances", "--mu=1/301,1/307,1/311", "--json"], None),
+])
+def test_far_witnesses_answer_quickly(argv, witness_K):
+    """An exact failure whose first witness is far out answers in seconds,
+    with the witness when the walk reaches it and null otherwise."""
+    t0 = time.perf_counter()
+    rc, out, err = call(argv)
+    assert time.perf_counter() - t0 < 5
+    assert (rc, err) == (0, "") and "Traceback" not in out
+    doc = json.loads(out)
+    assert doc["ntnr"] is False and doc["ntnr_exact" if argv[0] == "centralizer" else "exact"]
+    if argv[0] == "resonances":
+        assert (doc["witness"] and doc["witness"]["K"]) == witness_K
+
+
 # --- document fuzz -------------------------------------------------------------
 
 # small documents: n <= 2, degree <= 4, denominators <= 7, x-exponents -2..2

@@ -1,6 +1,7 @@
+import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -20,8 +21,7 @@ from crossfield.resonance import (
     enumerate_resonances,
     origin_in_hull,
     pairing,
-    _hilbert_basis_single,
-    _minimal_inhomogeneous,
+    _minimal_solutions,
 )
 
 from helpers import rand_gq
@@ -29,6 +29,178 @@ from helpers import rand_gq
 
 def F(a, b=1):
     return G(Fraction(a, b))
+
+
+# --- reference oracles: the resonance routines before the plane hull test,
+# the one box scan, the one knapsack table and the one witness walk ---------
+
+
+def ref_origin_in_hull(points) -> bool:
+    pts = resonance.as_eigenvalues(points)
+    n = len(pts)
+    for size in range(1, n + 1):
+        for support in combinations(range(n), size):
+            w = ref_solve_support([pts[i] for i in support])
+            if w is not None and all(v >= 0 for v in w):
+                return True
+    return False
+
+
+def ref_solve_support(pts):
+    k = len(pts)
+    rows = [
+        [p.re for p in pts] + [Fraction(0)],
+        [p.im for p in pts] + [Fraction(0)],
+        [Fraction(1)] * k + [Fraction(1)],
+    ]
+    # Gaussian elimination on a 3 x (k+1) system.
+    pivots = []
+    r = 0
+    for col in range(k):
+        piv = next((i for i in range(r, 3) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i in range(3):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    for i in range(r, 3):
+        if rows[i][k] != 0:
+            return None
+    if len(pivots) < k:
+        return None
+    w = [Fraction(0)] * k
+    for i, col in enumerate(pivots):
+        w[col] = rows[i][k]
+    return w
+
+
+def ref_negative_resonance_exists(mu, S) -> bool:
+    n = len(mu)
+    rs = [m.re for m in mu]
+    if any(S):
+        hilbert = ref_hilbert_basis_single(S)
+    else:
+        hilbert = [tuple(1 if p == i else 0 for p in range(n)) for i in range(n)]
+    gens = [sum((r * h for r, h in zip(rs, hv)), Fraction(0)) for hv in hilbert]
+    for j in range(n):
+        bases = ref_minimal_inhomogeneous(S, S[j]) if any(S) else [(0,) * n]
+        for b in bases:
+            alpha = sum((r * p for r, p in zip(rs, b)), Fraction(0)) - rs[j]
+            if any(b):
+                if ref_monoid_hits_positive_integer(alpha, gens):
+                    return True
+            else:
+                # p = 0 is excluded (|p| >= 1), so force at least one
+                # Hilbert-basis step before testing reachability.
+                for g in gens:
+                    if ref_monoid_hits_positive_integer(alpha + g, gens):
+                        return True
+    return False
+
+
+def ref_hilbert_basis_single(S):
+    n = len(S)
+    bound = max(1, max(abs(s) for s in S))
+    sols = []
+    for c in product(range(bound + 1), repeat=n):
+        if any(c) and sum(s * v for s, v in zip(S, c)) == 0:
+            sols.append(c)
+    return resonance._minimal_elements(sols)
+
+
+def ref_minimal_inhomogeneous(S, T):
+    n = len(S)
+    bound = max(1, max(abs(s) for s in S)) + abs(T) + 1
+    sols = []
+    for p in product(range(bound + 1), repeat=n):
+        if sum(s * v for s, v in zip(S, p)) == T:
+            sols.append(p)
+    return resonance._minimal_elements(sols)
+
+
+def ref_monoid_hits_positive_integer(alpha: Fraction, gens) -> bool:
+    gens = [g for g in gens if g != 0]
+    if not gens:
+        return alpha.denominator == 1 and alpha >= 1
+    if any(g > 0 for g in gens):
+        e = resonance._fraction_gcd(gens)
+        m = math.lcm(alpha.denominator, e.denominator)
+        A = int(alpha * m)
+        E = int(e * m)
+        return A % math.gcd(E, m) == 0
+    # All generators negative: q <= alpha, finitely many targets, knapsack.
+    if alpha < 1:
+        return False
+    scale = math.lcm(alpha.denominator, *(g.denominator for g in gens))
+    weights = [int(-g * scale) for g in gens]
+    for q in range(1, math.floor(alpha) + 1):
+        target = int((alpha - q) * scale)
+        if ref_reachable(target, weights):
+            return True
+    return False
+
+
+def ref_reachable(target: int, weights) -> bool:
+    if target == 0:
+        return True
+    dp = [False] * (target + 1)
+    dp[0] = True
+    for w in weights:
+        if w <= 0 or w > target:
+            continue
+        for v in range(w, target + 1):
+            if dp[v - w]:
+                dp[v] = True
+    return dp[target]
+
+
+def ref_eq5_witness(x: Fraction, y: Fraction):
+    if x == 0:
+        if y.denominator == 1 and -y >= 1:
+            return {"p": 1, "q": int(-y)}
+        return None
+    # p*x - y integral: a linear congruence for p.
+    m = math.lcm(x.denominator, y.denominator)
+    A = int(x * m)
+    C = int(y * m) % m
+    g = math.gcd(A, m)
+    if C % g != 0:
+        return None
+    period = m // g
+    # One residue solving p*A = C (mod m).
+    p0 = next((p for p in range(1, period + 1) if (p * A - C) % m == 0), None)
+    if p0 is None:
+        return None
+    if x > 0:
+        p = p0
+        while x * p - y < 1:
+            p += period
+        return {"p": p, "q": int(x * p - y)}
+    # x < 0: q decreases with p; only finitely many candidates.
+    p = p0
+    while x * p - y >= 1:
+        q = x * p - y
+        if q.denominator == 1:
+            return {"p": p, "q": int(q)}
+        p += period
+    return None
+
+
+def ref_find_witness(mu):
+    bound = 2
+    while bound <= 256:
+        report = enumerate_resonances(mu, bound)
+        if report.negative:
+            return report.witness()
+        bound *= 2
+    raise AssertionError(
+        "negative resonance decided feasible but no witness below degree 256"
+    )
 
 
 class TestEnumerate:
@@ -169,12 +341,13 @@ class TestDecideNtnr:
         assert not r.exact and r.bound == 8
 
     def test_hilbert_basis_once_per_decision(self, monkeypatch):
+        # the Hilbert side of the scan is T = 0 in the box of side max|S|
         calls = []
-        basis = resonance._hilbert_basis_single
-        monkeypatch.setattr(resonance, "_hilbert_basis_single",
-                            lambda S: calls.append(S) or basis(S))
+        scan = resonance._minimal_solutions
+        monkeypatch.setattr(resonance, "_minimal_solutions",
+                            lambda S, T, side: calls.append((S, T, side)) or scan(S, T, side))
         assert decide_ntnr([G(0, 1), G(Fraction(1, 2), -1), G(-1, Fraction(1, 2))]).exact
-        assert calls == [[2, -2, 1]]
+        assert [c for c in calls if c[1:] == (0, 2)] == [([2, -2, 1], 0, 2)]
 
     def test_box_bounds_against_brute_force(self):
         # Hilbert bases and minimal solutions from the bounded boxes agree
@@ -199,11 +372,12 @@ class TestDecideNtnr:
                     o != c and all(o[i] <= c[i] for i in range(n)) for o in brute
                 )
             ]
-            assert sorted(_hilbert_basis_single(S)) == sorted(brute_min)
+            side = max(abs(s) for s in S)
+            assert sorted(_minimal_solutions(S, 0, side)) == sorted(brute_min)
             brute_in = [
                 p
                 for p in product(range(big + 1), repeat=n)
-                if sum(s * v for s, v in zip(S, p)) == T
+                if any(p) and sum(s * v for s, v in zip(S, p)) == T
             ]
             brute_in_min = [
                 p
@@ -214,7 +388,18 @@ class TestDecideNtnr:
             ]
             # a solution minimal within the box is minimal globally, and for
             # |S_i|, |T| <= 4 every minimal solution lies inside it
-            assert sorted(_minimal_inhomogeneous(S, T)) == sorted(brute_in_min)
+            assert sorted(_minimal_solutions(S, T, side + abs(T) + 1)) == sorted(brute_in_min)
+
+    def test_witness_past_the_walk_budget(self, monkeypatch):
+        # the first witness of 1/300 is K = (300,), the walk's 301st index;
+        # past the budget the exact verdict stands without a witness
+        monkeypatch.setattr(resonance, "_WITNESS_INDICES", 301)
+        assert decide_ntnr([F(1, 300)]).witness == resonance.NegativeWitness((300,), 1)
+        monkeypatch.setattr(resonance, "_WITNESS_INDICES", 300)
+        assert decide_ntnr([F(1, 300)]) == resonance.NtnrResult(False, True, None, None)
+        monkeypatch.undo()
+        mu = [F(1, 301), F(1, 307), F(1, 311)]
+        assert decide_ntnr(mu) == resonance.NtnrResult(False, True, None, None)
 
 
 class TestClassify2:
@@ -250,6 +435,115 @@ class TestHull:
 
     def test_nonreal_miss(self):
         assert not origin_in_hull([G(1), G(0, 1), G(1, 1)])
+
+    def test_origin_alone(self):
+        assert origin_in_hull([G(0)])
+        assert not origin_in_hull([G(1, 1)])
+
+    def test_repeated_points(self):
+        assert not origin_in_hull([G(2, 1), G(2, 1)])
+        assert origin_in_hull([G(-1), G(-1), G(2)])
+        assert origin_in_hull([G(0), G(0), G(3, 1)])
+
+    def test_collinear_one_side_misses(self):
+        assert not origin_in_hull([G(1, 1), G(2, 2), G(3, 3)])
+        assert not origin_in_hull([G(Fraction(-1, 2)), G(-1), G(-3)])
+
+    def test_collinear_both_sides(self):
+        assert origin_in_hull([G(1, 1), G(-2, -2)])
+        assert origin_in_hull([G(1, 1), G(2, 2), G(-1, -1), G(5, -7)])
+
+    def test_origin_inside_a_square(self):
+        assert origin_in_hull([G(1, 1), G(-1, 2), G(-1, -1), G(2, -1)])
+
+
+class TestReferenceOracles:
+    """The short-way routines agree with the routines they replaced."""
+
+    def test_hull(self):
+        rng = random.Random(51)
+        seen = set()
+        for _ in range(4000):
+            pts = []
+            for _ in range(rng.randint(1, 5)):
+                r = rng.random()
+                if r < 0.1:
+                    p = G(0)
+                elif r < 0.2 and pts:
+                    p = rng.choice(pts)  # repeated point
+                elif r < 0.45 and pts:
+                    p = rng.choice(pts) * G(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                else:
+                    p = rand_gq(rng, span=3, den=3, imag_prob=0.7)
+                pts.append(p)
+            got = origin_in_hull(pts)
+            assert got == ref_origin_in_hull(pts), pts
+            seen.add((len(pts), got))
+        assert seen == {(k, v) for k in range(1, 6) for v in (False, True)}
+
+    def test_negative_resonance_exists(self):
+        rng = random.Random(52)
+        checked = {1: 0, 2: 0, 3: 0}
+        verdicts = set()
+        for _ in range(400):
+            n = rng.choice([1, 2, 3])
+            mu = [
+                G(
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                    Fraction(rng.randint(-2, 2), rng.randint(1, 4)) if rng.random() < 0.7 else 0,
+                )
+                for _ in range(n)
+            ]
+            S = resonance._imaginary_integers(mu)
+            if resonance._box_points(S) > 20_000:
+                continue
+            got = resonance._negative_resonance_exists(mu, S)
+            assert got == ref_negative_resonance_exists(mu, S), mu
+            checked[n] += 1
+            verdicts.add((any(S) and 0 in S, got))
+        assert min(checked.values()) >= 50
+        assert verdicts == {(a, b) for a in (False, True) for b in (False, True)}
+
+    def test_eq5_witness(self):
+        rng = random.Random(53)
+        signs = {-1: 0, 0: 0, 1: 0}
+        for _ in range(12_000):
+            x = Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+            y = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            assert resonance._eq5_witness(x, y) == ref_eq5_witness(x, y), (x, y)
+            signs[(x > 0) - (x < 0)] += 1
+        assert min(signs.values()) >= 500
+
+    def test_knapsack_all_negative_generators(self):
+        rng = random.Random(54)
+        hits = 0
+        for _ in range(3000):
+            alpha = Fraction(rng.randint(-4, 24), rng.randint(1, 6))
+            gens = [Fraction(-rng.randint(1, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+            got = resonance._monoid_hits_positive_integer(alpha, gens)
+            assert got == ref_monoid_hits_positive_integer(alpha, gens), (alpha, gens)
+            hits += got
+        assert 300 < hits < 2700
+
+    def test_find_witness(self):
+        rng = random.Random(55)
+        found = 0
+        for _ in range(300):
+            n = rng.choice([1, 2, 3])
+            mu = [
+                G(Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
+                  Fraction(rng.choice([-1, 1]), rng.randint(1, 3)) if rng.random() < 0.3 else 0)
+                for _ in range(n)
+            ]
+            # the reference doubles its bound up to 256, which takes minutes
+            # at n = 3; keep the inputs it answers by degree 8
+            if not enumerate_resonances(mu, 8).negative:
+                continue
+            assert resonance._find_witness(mu) == ref_find_witness(mu), mu
+            found += 1
+        assert found >= 150
+        for mu in ([F(3, 100)], [F(2, 151), F(-3)], [F(-1), F(-3), G(0, 1)]):
+            assert resonance._find_witness(mu) == ref_find_witness(mu), mu
 
 
 class TestClassify3:
