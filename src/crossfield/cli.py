@@ -55,15 +55,17 @@ __all__ = ["main", "FieldDocument", "MapDocument", "DocumentError"]
 # Size bounds on document headers and flags.  The work grows with the number
 # n*C(n+d, n) of monomial slots z^K dz_j of degree <= d in n variables, so
 # unbounded values run for minutes (or trip exp's iteration guard); larger
-# values exit 2.  Bounding each value alone is not enough (a 16-term field at
-# n = 6, degree 12, 111,384 slots, ran past 60 s), so MAX_MONOMIALS bounds the
-# slot count too.  Inside it an exact field with every slot filled normalizes
-# in under 8 s on a 2-core x86 machine; the x-cap window is not counted.
+# values exit 2, and so do values below the lower bounds (a degree 0 map
+# sends z to 0, and a negative x-cap drops every Taylor term).  Bounding each
+# value alone is not enough (a 16-term field at n = 6, degree 12, 111,384
+# slots, ran past 60 s), so MAX_MONOMIALS bounds the slot count too.  Inside
+# it an exact field with every slot filled normalizes in under 8 s on a
+# 2-core x86 machine; the x-cap window is not counted.
 MAX_N = 6  # the 'n' header, and the number of --mu values
 MAX_DEGREE = 12  # the 'degree' header and --degree
 MAX_X_CAP = 64  # the 'x-cap' header and --x-cap
 MAX_MONOMIALS = 640  # n*C(n+d, n) of a document, or of its n with --degree
-_HEADER_BOUNDS = {"n": MAX_N, "degree": MAX_DEGREE, "x-cap": MAX_X_CAP}
+_HEADER_BOUNDS = {"n": (1, MAX_N), "degree": (1, MAX_DEGREE), "x-cap": (0, MAX_X_CAP)}
 
 
 class DocumentError(ValueError):
@@ -168,14 +170,20 @@ def _int_header(header, key, source):
         value = int(raw)
     except ValueError:
         raise DocumentError(f"{source}:{lineno}: '{key}' must be an integer, got {raw!r}")
-    bound = _HEADER_BOUNDS[key]
-    if value > bound:
-        raise DocumentError(f"{source}:{lineno}: '{key}' must be at most {bound}, got {value}")
+    lo, hi = _HEADER_BOUNDS[key]
+    _check_range(f"{source}:{lineno}: '{key}'", value, lo, hi)
     return value
 
 
+def _check_range(what: str, value: int, lo: int, hi: int) -> None:
+    if value < lo:
+        raise DocumentError(f"{what} must be at least {lo}, got {value}")
+    if value > hi:
+        raise DocumentError(f"{what} must be at most {hi}, got {value}")
+
+
 def _check_slot_budget(n: int, degree: int, source: str) -> None:
-    count = n * math.comb(n + degree, n) if n > 0 and degree >= 0 else 0
+    count = n * math.comb(n + degree, n)
     if count > MAX_MONOMIALS:
         raise DocumentError(
             f"{source}: n = {n} at degree {degree} spans {count} monomial slots "
@@ -189,13 +197,10 @@ def _check_flags(args) -> None:
         if value == []:
             flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
             raise DocumentError(f"{flag} expects one value, got '--'")
-    for flag, dest, bound in (
-        ("--degree", "degree", MAX_DEGREE),
-        ("--x-cap", "x_cap", MAX_X_CAP),
-    ):
-        value = getattr(args, dest, None)
-        if value is not None and value > bound:
-            raise DocumentError(f"{flag} must be at most {bound}, got {value}")
+    for key in ("degree", "x-cap"):
+        value = getattr(args, key.replace("-", "_"), None)
+        if value is not None:
+            _check_range("--" + key, value, *_HEADER_BOUNDS[key])
 
 
 class MapDocument:

@@ -22,7 +22,6 @@ and :meth:`LaurentPoly.evaluate`.
 
 from __future__ import annotations
 
-import re as _re
 from fractions import Fraction
 from math import gcd
 
@@ -78,39 +77,19 @@ class GaussianRational:
 
     @classmethod
     def from_string(cls, text: str) -> "GaussianRational":
-        """Parse ``a``, ``a/b``, ``a/b*i`` or ``a/b+c/d*i`` (signs optional).
+        """Parse ``[sign] part [sign part]``, each part ``a``, ``a/b``,
+        ``a/b*i`` or ``i``: at most one real and one imaginary part.
 
-        The unit imaginary may be written bare (``i``, ``-i``); ``parse`` and
-        ``str`` round-trip exactly.
+        This is the coefficient rule of :mod:`crossfield.parsing`, which also
+        reads parenthesized coefficients in fields; ``str`` round-trips.
         """
-        s = text.replace(" ", "")
-        if not s:
-            raise CoefficientSyntaxError("empty coefficient")
-        parts = _re.findall(r"[+-]?[^+-]+", s)
-        if not parts or "".join(parts) != s:
-            raise CoefficientSyntaxError(f"bad coefficient syntax: {text!r}")
-        re_part = None
-        im_part = None
-        for part in parts:
-            sign = -1 if part.startswith("-") else 1
-            body = part.lstrip("+-")
-            if body.endswith("i"):
-                body = body[:-1]
-                if body.endswith("*"):
-                    body = body[:-1]
-                mag = Fraction(1) if body == "" else _parse_rational(body, text)
-                if im_part is not None:
-                    raise CoefficientSyntaxError(f"two imaginary parts in {text!r}")
-                im_part = sign * mag
-            else:
-                if re_part is not None:
-                    raise CoefficientSyntaxError(f"two real parts in {text!r}")
-                re_part = sign * _parse_rational(body, text)
-        if re_part is None:
-            re_part = Fraction(0)
-        if im_part is None:
-            im_part = Fraction(0)
-        return cls(re_part, im_part)
+        # parsing sits above coeff, so it is imported at call time
+        from .parsing import FieldSyntaxError, _parse_coefficient_text
+
+        try:
+            return _parse_coefficient_text(text)
+        except FieldSyntaxError:
+            raise CoefficientSyntaxError(f"bad coefficient syntax: {text!r}") from None
 
     # -- predicates --------------------------------------------------------
 
@@ -207,10 +186,6 @@ class GaussianRational:
     def as_complex(self) -> complex:
         return complex(self._a / self._d, self._b / self._d)
 
-    def abs_bound(self) -> Fraction:
-        """max(|re|, |im|), an exact proxy for the magnitude."""
-        return Fraction(max(abs(self._a), abs(self._b)), self._d)
-
     # -- protocol ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -272,17 +247,6 @@ def _parts(v):
     if isinstance(v, (int, Fraction)):
         return v.numerator, 0, v.denominator
     return None
-
-
-def _parse_rational(body: str, original: str) -> Fraction:
-    m = _re.fullmatch(r"(\d+)(?:/(\d+))?", body)
-    if not m:
-        raise CoefficientSyntaxError(f"bad coefficient syntax: {original!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
-    if den == 0:
-        raise CoefficientSyntaxError(f"zero denominator in {original!r}")
-    return Fraction(num, den)
 
 
 GaussianRational.ZERO = GaussianRational(0)
@@ -461,10 +425,6 @@ class LaurentPoly:
         for e, c in self._terms.items():
             out += c.as_complex() * x**e
         return out
-
-    def abs_bound(self) -> Fraction:
-        """Largest coefficient magnitude, as an exact Fraction bound."""
-        return max((c.abs_bound() for c in self._terms.values()), default=Fraction(0))
 
     # -- protocol ----------------------------------------------------------
 

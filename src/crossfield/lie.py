@@ -292,9 +292,6 @@ class VectorField:
     def coefficient_at(self, index: MonomialIndex) -> LaurentPoly:
         return self.b[index.j - 1].coefficient(index.z_exponent())
 
-    def abs_bound(self) -> Fraction:
-        return max([self.a.abs_bound()] + [c.abs_bound() for c in self.b])
-
     # -- protocol ----------------------------------------------------------
 
     def __eq__(self, other):

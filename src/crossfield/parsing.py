@@ -1,23 +1,26 @@
-"""Recursive-descent parser for vector-field and series expressions.
+"""Recursive-descent parser for vector fields, series and Q[i] coefficients.
 
 The grammar is sums of monomial terms,
 
     term := [sign] factor ('*' factor)*
     factor := '(' coefficient ')' | rational | 'i' | var ['^' int]
     var := 'x' | 'z<k>' | 'dx' | 'dz<k>'
+    coefficient := [sign] part [sign part]
+    part := rational | rational '*' 'i' | 'i'    (rational := int ['/' int])
 
-with exact Q[i] coefficients (compound ones parenthesized), integer
-exponents (negative allowed on x only), and exactly one differential symbol
-per term for field expressions.  Errors carry 1-based line/column positions;
-the canonical printers in coeff/series/lie emit exactly this grammar, so
-print -> parse is the identity on canonical forms.
+with exact Q[i] coefficients (compound ones parenthesized, at most one real
+and one imaginary part), integer exponents (negative allowed on x only), and
+exactly one differential symbol per term for field expressions.  Whitespace
+separates tokens but may not split a number.  Errors carry 1-based
+line/column positions; the canonical printers in coeff/series/lie emit exactly
+this grammar, so print -> parse is the identity on canonical forms.  The
+coefficient rule also reads every lone Q[i] value (``mu:``, ``--mu``,
+``--lambda``, ``--time``), through ``GaussianRational.from_string``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .coeff import GaussianRational, LaurentPoly
+from .coeff import GaussianRational, LaurentPoly, _gq
 from .lie import VectorField
 from .series import TransverseSeries
 
@@ -52,59 +55,45 @@ class _Token:
 def tokenize(text: str, line_offset: int = 0, col_offset: int = 0):
     """Split into NUM / IDENT / operator tokens with positions."""
     tokens = []
-    line = 1
-    col = 1
+    append = tokens.append
+    line = 1 + line_offset
+    base = -1 - col_offset  # the column of text[i] is i - base
     i = 0
     n = len(text)
-
-    def pos(l, c):
-        return (l + line_offset, c + col_offset if l == 1 else c)
-
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
+        if ch in "+-*/^()":
+            append(_Token(ch, ch, line, i - base))
             i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        l0, c0 = pos(line, col)
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        elif ch.isdecimal():
+            j = i + 1
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("NUM", int(text[i:j]), l0, c0))
-            col += j - i
+            append(_Token("NUM", int(text[i:j]), line, i - base))
             i = j
-            continue
-        if ch.isalpha():
-            j = i
+        elif ch == "\n":
+            line += 1
+            base = i
+            i += 1
+        elif ch.isspace():
+            i += 1
+        elif ch.isalpha():
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("IDENT", text[i:j], l0, c0))
-            col += j - i
+            append(_Token("IDENT", text[i:j], line, i - base))
             i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, l0, c0))
-            col += 1
-            i += 1
-            continue
-        raise FieldSyntaxError(f"unexpected character {ch!r}", l0, c0)
-    l0, c0 = pos(line, col)
-    tokens.append(_Token("EOF", None, l0, c0))
+        else:
+            raise FieldSyntaxError(f"unexpected character {ch!r}", line, i - base)
+    append(_Token("EOF", None, line, n - base))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text, n, cap, line_offset=0, col_offset=0):
+    def __init__(self, text, n, line_offset=0, col_offset=0):
         self.tokens = tokenize(text, line_offset, col_offset)
         self.pos = 0
         self.n = n
-        self.cap = cap
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -124,24 +113,28 @@ class _Parser:
     # -- terms ---------------------------------------------------------------
 
     def parse_sum(self, want_field: bool):
-        """Returns list of (coeff, x_exp, K, dvar) monomials."""
+        """The expression's terms summed as {dvar: {K: {x_exp: coeff}}}.
+
+        dvar is 0 for dx and for a series term, j for dz_j.  Sums that cancel
+        and terms above the cap stay in; the series constructor drops them.
+        """
         if self.peek().kind == "EOF":
             self.fail("empty expression")
-        terms = [self.parse_term(want_field, leading=True)]
+        sums = {}
+        sign = 1
         while True:
+            coeff, x_exp, K, dvar = self.parse_term(want_field, sign)
+            poly = sums.setdefault(dvar, {}).setdefault(K, {})
+            poly[x_exp] = poly[x_exp] + coeff if x_exp in poly else coeff
             tok = self.peek()
             if tok.kind == "EOF":
-                break
-            if tok.kind in "+-":
-                self.take()
-                terms.append(
-                    self.parse_term(want_field, sign=-1 if tok.kind == "-" else 1)
-                )
-            else:
+                return sums
+            if tok.kind not in "+-":
                 self.fail(f"expected '+', '-' or end of expression, found {tok.value!r}")
-        return terms
+            self.take()
+            sign = -1 if tok.kind == "-" else 1
 
-    def parse_term(self, want_field: bool, leading=False, sign=1):
+    def parse_term(self, want_field: bool, sign):
         while self.peek().kind in "+-":
             if self.take().kind == "-":
                 sign = -sign
@@ -162,7 +155,7 @@ class _Parser:
             )
         if not want_field and dvar is not None:
             self.fail("differential symbols are not allowed here", first_tok)
-        return coeff, x_exp, tuple(K), dvar
+        return coeff, x_exp, tuple(K), dvar or 0
 
     def parse_factor(self, coeff, x_exp, K, dvar):
         tok = self.take()
@@ -171,7 +164,8 @@ class _Parser:
             self.take(")")
             return coeff * c, x_exp, dvar
         if tok.kind == "NUM":
-            return coeff * self.parse_rational_tail(tok), x_exp, dvar
+            p, q = self.parse_rational(tok)
+            return coeff * _gq(p, 0, q), x_exp, dvar
         if tok.kind == "IDENT":
             name = tok.value
             if name == "i":
@@ -181,13 +175,13 @@ class _Parser:
             if name == "dx":
                 if dvar is not None:
                     self.fail("two differential symbols in one term", tok)
-                self.reject_exponent(tok)
+                self.reject_exponent()
                 return coeff, x_exp, 0
             if name.startswith("dz"):
                 idx = self.z_index(name[2:], tok)
                 if dvar is not None:
                     self.fail("two differential symbols in one term", tok)
-                self.reject_exponent(tok)
+                self.reject_exponent()
                 return coeff, x_exp, idx
             if name.startswith("z"):
                 idx = self.z_index(name[1:], tok)
@@ -198,7 +192,7 @@ class _Parser:
         self.fail(f"unexpected {tok.value!r}", tok)
 
     def z_index(self, digits: str, tok) -> int:
-        if not digits.isdigit():
+        if not digits.isdecimal():
             self.fail(f"unknown variable {tok.value!r}", tok)
         idx = int(digits)
         if not 1 <= idx <= self.n:
@@ -222,64 +216,74 @@ class _Parser:
             self.fail("negative exponents are only allowed on x", num)
         return e
 
-    def reject_exponent(self, tok):
+    def reject_exponent(self):
         if self.peek().kind == "^":
             self.fail("differential symbols cannot carry exponents", self.peek())
 
-    def parse_rational_tail(self, numtok) -> GaussianRational:
-        num = numtok.value
-        den = 1
-        if self.peek().kind == "/":
-            self.take()
-            dtok = self.take("NUM")
-            if dtok.value == 0:
-                self.fail("zero denominator", dtok)
-            den = dtok.value
-        return GaussianRational(Fraction(num, den))
+    def parse_rational(self, numtok):
+        """(numerator, denominator) of ``numtok ['/' NUM]``."""
+        if self.peek().kind != "/":
+            return numtok.value, 1
+        self.take()
+        dtok = self.take("NUM")
+        if dtok.value == 0:
+            self.fail("zero denominator", dtok)
+        return numtok.value, dtok.value
 
     def parse_coefficient(self) -> GaussianRational:
-        total = GaussianRational.ZERO
-        first = True
+        """coefficient := [sign] part [sign part], one real and one imaginary
+        part at most; a repeated kind fails at its sign."""
+        parts = [None, None]  # (p, q) of the real part, of the imaginary part
+        tok = self.peek()
         while True:
             sign = 1
-            tok = self.peek()
             if tok.kind in "+-":
                 self.take()
                 sign = -1 if tok.kind == "-" else 1
-            elif not first:
+            imag, p, q = self.parse_coefficient_part()
+            if parts[imag] is not None:
+                self.fail(("two real parts", "two imaginary parts")[imag], tok)
+            parts[imag] = (sign * p, q)
+            tok = self.peek()
+            if tok.kind not in "+-":
                 break
-            part = self.parse_coefficient_part()
-            total = total + part * sign
-            first = False
-            if self.peek().kind not in "+-":
-                break
-        return total
+        (p, q), (r, s) = (part or (0, 1) for part in parts)
+        return _gq(p * s, r * q, q * s)
 
-    def parse_coefficient_part(self) -> GaussianRational:
+    def parse_coefficient_part(self):
+        """(is imaginary, p, q) of one part: a, a/b, a/b*i or i."""
         tok = self.take()
         if tok.kind == "NUM":
-            mag = self.parse_rational_tail(tok)
+            p, q = self.parse_rational(tok)
             if self.peek().kind == "*":
                 nxt = self.tokens[self.pos + 1]
                 if nxt.kind == "IDENT" and nxt.value == "i":
-                    self.take()
-                    self.take()
-                    return GaussianRational(0, mag.re)
-            return mag
+                    self.pos += 2
+                    return 1, p, q
+            return 0, p, q
         if tok.kind == "IDENT" and tok.value == "i":
-            return GaussianRational(0, 1)
+            return 1, 1, 1
         self.fail("expected a rational or 'i' inside the coefficient", tok)
+
+
+def _parse_coefficient_text(text: str) -> GaussianRational:
+    """The lone coefficient ``text``; GaussianRational.from_string reads this."""
+    p = _Parser(text, 0)
+    c = p.parse_coefficient()
+    p.take("EOF")
+    return c
+
+
+def _series(n, cap, polys) -> TransverseSeries:
+    return TransverseSeries(n, cap, {K: LaurentPoly(p) for K, p in polys.items()})
 
 
 def parse_series(
     text: str, n: int, cap: int, line_offset: int = 0, col_offset: int = 0
 ) -> TransverseSeries:
     """Parse a scalar series expression (no differential symbols)."""
-    p = _Parser(text, n, cap, line_offset, col_offset)
-    out = TransverseSeries.zero(n, cap)
-    for coeff, x_exp, K, _ in p.parse_sum(want_field=False):
-        out = out + TransverseSeries.monomial(n, cap, K, LaurentPoly.x(x_exp, coeff))
-    return out
+    sums = _Parser(text, n, line_offset, col_offset).parse_sum(want_field=False)
+    return _series(n, cap, sums.get(0, {}))
 
 
 def parse_field(
@@ -289,13 +293,6 @@ def parse_field(
     as the printers write the zero field, is the zero field."""
     if text.strip() == "0":
         return VectorField.zero(n, cap)
-    p = _Parser(text, n, cap, line_offset, col_offset)
-    a = TransverseSeries.zero(n, cap)
-    b = [TransverseSeries.zero(n, cap) for _ in range(n)]
-    for coeff, x_exp, K, dvar in p.parse_sum(want_field=True):
-        mono = TransverseSeries.monomial(n, cap, K, LaurentPoly.x(x_exp, coeff))
-        if dvar == 0:
-            a = a + mono
-        else:
-            b[dvar - 1] = b[dvar - 1] + mono
+    sums = _Parser(text, n, line_offset, col_offset).parse_sum(want_field=True)
+    a, *b = (_series(n, cap, sums.get(j, {})) for j in range(n + 1))
     return VectorField(a, b)

@@ -343,16 +343,6 @@ class TransverseSeries:
                 data[K] = t
         return _ts_raw(self.n, self.cap, data)
 
-    def truncate(self, cap: int) -> "TransverseSeries":
-        if cap >= self.cap:
-            if cap == self.cap:
-                return self
-            raise ValueError("cannot extend a truncated series")
-        return TransverseSeries(self.n, cap, self._terms)
-
-    def abs_bound(self) -> Fraction:
-        return max((c.abs_bound() for c in self._terms.values()), default=Fraction(0))
-
     # -- protocol ----------------------------------------------------------
 
     def __eq__(self, other):

@@ -185,3 +185,24 @@ def linear_matrix(h):
             row.append(h.coefficient(i, K))
         out.append(row)
     return out
+
+
+def abs_bound(v) -> Fraction:
+    """max(|re|, |im|) over the Q[i] coefficients of a scalar, LaurentPoly,
+    TransverseSeries or VectorField; 0 for zero."""
+    if isinstance(v, GaussianRational):
+        return Fraction(max(abs(v._a), abs(v._b)), v._d)
+    if isinstance(v, VectorField):
+        parts = [v.a, *v.b]
+    else:
+        parts = [c for _, c in v.terms()]
+    return max((abs_bound(p) for p in parts), default=Fraction(0))
+
+
+def truncate(s, cap):
+    """The series s reduced modulo m^{cap+1}, for cap <= s.cap."""
+    if cap >= s.cap:
+        if cap == s.cap:
+            return s
+        raise ValueError("cannot extend a truncated series")
+    return TransverseSeries(s.n, cap, dict(s.terms()))

@@ -277,6 +277,71 @@ def test_flags_at_the_bound_run(argv, capsys):
     capsys.readouterr()
 
 
+# below the lower bounds the commands used to exit 0 with garbage: a negative
+# x-cap dropped every Taylor term, degree 0 sent z1 to 0
+@pytest.mark.parametrize("argv,message", [
+    (["exp", "--field", doc("nilpotent.vf"), "--x-cap", "-2"], "--x-cap must be at least 0, got -2"),
+    (["exp", "--field", doc("nilpotent.vf"), "--degree", "0"], "--degree must be at least 1, got 0"),
+    (["normalize", "--field", doc("resonant.vf"), "--x-cap", "-1"], "--x-cap must be at least 0"),
+])
+def test_undersized_flag_is_usage_error(argv, message, capsys):
+    rc = main(argv + ["--json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+UNDERSIZED_DOCS = {
+    "n": "n: 0\ndegree: 3\nfield: x*dx\n",
+    "degree": "n: 1\ndegree: 0\nfield: x*dx + z1*dz1\n",
+    "x-cap": "n: 1\ndegree: 3\nx-cap: -1\nfield: x*dx - z1*dz1 + x*z1*dz1\n",
+}
+
+
+@pytest.mark.parametrize("key", sorted(UNDERSIZED_DOCS))
+def test_undersized_document_header_is_usage_error(key, tmp_path, capsys):
+    p = tmp_path / "small.vf"
+    p.write_text(UNDERSIZED_DOCS[key], encoding="utf-8")
+    for command in ("normalize", "exp"):
+        rc = main([command, "--field", str(p), "--json"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and f"'{key}' must be at least" in err
+
+
+def test_degree_zero_map_document_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "d0.map"
+    p.write_text("n: 1\ndegree: 0\nmap x: x\nmap z1: 2*z1 + z1^2\n", encoding="utf-8")
+    rc = main(["log", "--map", str(p), "--json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == f"error: {p}:2: 'degree' must be at least 1, got 0\n"
+
+
+# one coefficient grammar: stray text the regex reader used to accept
+@pytest.mark.parametrize("argv", [
+    ["classify2", "--lambda=1/2 3"],
+    ["classify2", "--lambda=*i"],
+    ["resonances", "--mu=2i"],
+])
+def test_stray_coefficient_text_is_usage_error(argv, capsys):
+    rc = main(argv + ["--json"])
+    out, err = capsys.readouterr()
+    flag, _, value = argv[1].partition("=")
+    assert (rc, out) == (2, "")
+    assert err == f"error: bad {flag} value: bad coefficient syntax: {value!r}\n"
+
+
+def test_two_real_parts_in_a_field_is_usage_error(tmp_path, capsys):
+    # the field reader used to sum any number of parts: this was 2*z1*dz1
+    p = tmp_path / "sum.vf"
+    p.write_text("n: 1\ndegree: 3\nfield: x*dx + (1+1)*z1*dz1\n", encoding="utf-8")
+    rc = main(["normalize", "--field", str(p), "--json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "error: line 3 col 17: two real parts\n"
+
+
 # --- one parser per process ----------------------------------------------------
 
 

@@ -22,7 +22,7 @@ from crossfield.series import (
     iter_l_indices,
 )
 
-from helpers import rand_series
+from helpers import rand_series, truncate
 
 
 def ts(n, cap, terms):
@@ -66,8 +66,8 @@ class TestArithmetic:
             f = rand_series(rng, 2, 5)
             g = rand_series(rng, 2, 5)
             for dp in (1, 3, 4):
-                assert (f * g).truncate(dp) == f.truncate(dp) * g.truncate(dp)
-                assert (f + g).truncate(dp) == f.truncate(dp) + g.truncate(dp)
+                assert truncate(f * g, dp) == truncate(f, dp) * truncate(g, dp)
+                assert truncate(f + g, dp) == truncate(f, dp) + truncate(g, dp)
 
     def test_scale_by_laurent(self):
         z = TransverseSeries.variable(1, 3, 1)
