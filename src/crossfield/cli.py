@@ -87,11 +87,13 @@ def _fmt_complex(v: complex) -> dict:
 class FieldDocument:
     """n / degree / optional x-cap, mu, name, plus the field expression."""
 
-    def __init__(self, n, degree, field_text, field_line, x_cap=None, mu=None, name=None):
+    def __init__(self, n, degree, field_text, field_line, field_col, x_cap=None, mu=None,
+                 name=None):
         self.n = n
         self.degree = degree
         self.field_text = field_text
         self.field_line = field_line
+        self.field_col = field_col  # characters before the value on its line
         self.x_cap = x_cap
         self.mu = mu
         self.name = name
@@ -117,18 +119,23 @@ class FieldDocument:
                     f"{source}:{lineno}: mu lists {len(mu)} values for n = {n}"
                 )
         name = header.get("name", (None, 0))[0]
-        return cls(n, degree, field_text, field_line, x_cap=x_cap, mu=mu, name=name)
+        return cls(n, degree, field_text, field_line, _value_col(lines[field_line - 1]),
+                   x_cap=x_cap, mu=mu, name=name)
 
     def field(self, degree=None) -> VectorField:
         cap = degree if degree is not None else self.degree
-        raw_col = len("field:") + 1
         return parse_field(
             self.field_text,
             self.n,
             cap,
             line_offset=self.field_line - 1,
-            col_offset=raw_col,
+            col_offset=self.field_col,
         )
+
+
+def _value_col(raw: str) -> int:
+    """The characters before the value of the 'key: value' line raw."""
+    return len(raw) - len(raw.partition(":")[2].lstrip())
 
 
 def _read_header(lines, source, last=None):
@@ -213,7 +220,8 @@ class MapDocument:
 
     @classmethod
     def parse(cls, text: str, source: str = "<map>") -> "MapDocument":
-        header, n, degree = _read_header(text.splitlines(), source)
+        lines = text.splitlines()
+        header, n, degree = _read_header(lines, source)
         maps = {key[4:]: entry for key, entry in header.items() if key.startswith("map ")}
         images = {}
         for var, (expr, lineno) in maps.items():
@@ -231,7 +239,7 @@ class MapDocument:
                     f"{source}:{lineno}: map target {var!r} out of range (n = {n})"
                 )
             images[idx] = parse_series(expr, n, degree, line_offset=lineno - 1,
-                                       col_offset=len(f"map {var}:") + 1)
+                                       col_offset=_value_col(lines[lineno - 1]))
         for idx in range(1, n + 1):
             if idx not in images:
                 raise DocumentError(f"{source}: missing 'map z{idx}:' entry")
@@ -321,6 +329,14 @@ def _load_field(args, use_degree_flag=False):
     return doc, X
 
 
+def _header_doc(args):
+    """The --field document of a command that reads only its header, or None;
+    --require-x-normalized needs one, and parses and checks its field."""
+    if args.require_x_normalized:
+        return _load_field(args)[0]
+    return _load(FieldDocument, args.field, "--field") if args.field else None
+
+
 def _mu_from(args, doc=None):
     if getattr(args, "mu", None):
         parts = args.mu.split(",")
@@ -405,7 +421,7 @@ def _diagonal_mu(X: VectorField):
 
 
 def _cmd_resonances(args):
-    doc = _load(FieldDocument, args.field, "--field") if args.field else None
+    doc = _header_doc(args)
     mu = _mu_from(args, doc)
     degree = args.degree if args.degree is not None else 8
     report_obj = enumerate_resonances(mu, degree)
@@ -447,7 +463,7 @@ def _cmd_classify3(args):
 
 
 def _cmd_centralizer(args):
-    doc = _load(FieldDocument, args.field, "--field") if args.field else None
+    doc = _header_doc(args)
     mu = _mu_from(args, doc)
     window = _window_arg(args.x_window)
     degree = args.degree if args.degree is not None else (doc.degree if doc else 6)

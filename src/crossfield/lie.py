@@ -36,7 +36,6 @@ __all__ = [
     "SingularLinearPartError",
     "bracket",
     "exp",
-    "exp_compose",
     "log",
     "exp_ad",
     "pushforward",
@@ -377,14 +376,13 @@ class Automorphism:
     A map keeps its Lie generators when it is built from them: a tuple of
     factors, innermost first, for the map f_k o ... o f_1.  A factor
     (W, t, x_window) is exp(t W) computed in its x-window, and a factor
-    (M, None, None) is the constant linear map z -> M z.  :func:`exp` and
-    :meth:`linear` record one factor and :func:`exp_compose` appends one;
-    compose() concatenates the factors of both operands and truncate_x()
-    lowers every exp factor's window.  :meth:`invert` folds the factors
-    right to left; a map built bare from its images is split into two
-    factors first.  A map caches its inverse; the inverse holds no link
-    back, so inverting it again recomputes the map, and the pair forms no
-    reference cycle.  Powers of the z-images that :meth:`apply`
+    (M, None, None) is the constant linear map z -> M z.
+    :func:`_from_factors` folds the images from the factors; compose()
+    concatenates the factors of both operands and truncate_x() lowers every
+    exp factor's window.  A map built bare from its images is split into
+    two factors on inversion.  A map caches its inverse; the inverse holds
+    no link back, so inverting it again recomputes the map, and the pair
+    forms no reference cycle.  Powers of the z-images that :meth:`apply`
     substitutes are cached as they are first needed.  Every cached value
     derives from immutable inputs.
     """
@@ -414,10 +412,7 @@ class Automorphism:
 
     @classmethod
     def identity(cls, n, cap):
-        x, *zs = _coordinates(n, cap)
-        phi = cls(x, zs)
-        object.__setattr__(phi, "_gens", ())
-        return phi
+        return _from_factors(n, cap, ())
 
     @classmethod
     def linear(cls, matrix, cap):
@@ -572,12 +567,9 @@ class Automorphism:
     def invert(self) -> "Automorphism":
         """Compositional inverse at the cap.
 
-        The inverse of f_k o ... o f_1 is f_1^-1 o ... o f_k^-1, folded from
-        the coordinates with the outermost factor first: an exp factor
-        (W, t, w) runs the Lie series of -t W on the running images in its
-        window, as :func:`exp_compose` would, and a linear factor M
-        substitutes the linear map M^-1 into them.  The inverse has the
-        reversed factors, with -t and M^-1.
+        The inverse of f_k o ... o f_1 is f_1^-1 o ... o f_k^-1: the
+        reversed factors, with -t for an exp factor and M^-1 for a linear
+        one, folded from the coordinates by :func:`_from_factors`.
 
         A map with no Lie generators is split first as exp(Z) o A, the
         factors A and Z that :func:`exp_decomposition` returns; this needs
@@ -599,15 +591,7 @@ class Automorphism:
             (_invert_matrix(W), None, None) if t is None else (W, -t, w)
             for W, t, w in reversed(gens)
         )
-        images = _coordinates(self.n, self.cap)
-        for W, t, w in inv_gens:
-            if t is None:
-                L = Automorphism.linear(W, self.cap)
-                images = [L.apply(s) for s in images]
-            else:
-                images = _exp_images(W, t, w, [_in_window(s, w) for s in images])
-        inv = Automorphism(images[0], images[1:])
-        object.__setattr__(inv, "_gens", inv_gens)
+        inv = _from_factors(self.n, self.cap, inv_gens)
         if self._gens is None and self.compose(inv) != Automorphism.identity(self.n, self.cap):
             raise SingularLinearPartError("inversion failed at the cap")
         object.__setattr__(self, "_inv", inv)
@@ -632,7 +616,12 @@ class Automorphism:
             self.img_x.truncate_x(max_deg),
             [c.truncate_x(max_deg) for c in self.img_z],
         )
-        object.__setattr__(out, "_gens", _lowered(self._gens, max_deg))
+        if self._gens is not None:
+            lowered = tuple(
+                (W, t, w) if t is None else (W, t, max_deg if w is None else min(w, max_deg))
+                for W, t, w in self._gens
+            )
+            object.__setattr__(out, "_gens", lowered)
         return out
 
     # -- protocol ----------------------------------------------------------
@@ -658,17 +647,6 @@ class Automorphism:
 
     def __repr__(self):
         return f"Automorphism({self.__str__()!r})"
-
-
-def _lowered(gens, x_window):
-    """Lie generators with every exp factor's window lowered to at most
-    x_window; a linear factor has none.  gens itself when either is None."""
-    if gens is None or x_window is None:
-        return gens
-    return tuple(
-        (W, t, w) if t is None else (W, t, x_window if w is None else min(w, x_window))
-        for W, t, w in gens
-    )
 
 
 def _coordinates(n: int, cap: int):
@@ -730,38 +708,6 @@ def exp(X: VectorField, t=1, x_window: int | None = None) -> Automorphism:
         t = GaussianRational(t)
     elif not isinstance(t, GaussianRational):
         raise TypeError(f"exp needs an exact time, got {type(t).__name__}")
-    _require_nilpotent(X, x_window)
-    images = _exp_images(X, t, x_window, _coordinates(X.n, X.cap))
-    phi = Automorphism(images[0], images[1:])
-    object.__setattr__(phi, "_gens", ((X, t, x_window),))
-    return phi
-
-
-def exp_compose(W: VectorField, N: Automorphism, x_window: int | None = None) -> Automorphism:
-    """exp(W) o N, as the Lie series sum_k W^k(N's images)/k!.
-
-    The same map as ``exp(W, 1, x_window).compose(N)``, followed by
-    ``truncate_x(x_window)`` when a window is given; but neither exp(W) nor
-    a substitution into N is formed.  The result has N's Lie generators,
-    their windows lowered to x_window, followed by (W, 1, x_window); or
-    none if N has none.
-    For a monomial field W = f(x) z^K z_j d/dz_j, as in every sweep step of
-    normalize(), each term is one d/dz_j and one one-term product.
-    """
-    if W.n != N.n or W.cap != N.cap:
-        raise DimensionMismatchError("field and automorphism shapes differ")
-    _require_nilpotent(W, x_window)
-    one = GaussianRational.ONE
-    images = [_in_window(s, x_window) for s in (N.img_x,) + N.img_z]
-    images = _exp_images(W, one, x_window, images)
-    phi = Automorphism(images[0], images[1:])
-    gens = _lowered(N._gens, x_window)
-    if gens is not None:
-        object.__setattr__(phi, "_gens", gens + ((W, one, x_window),))
-    return phi
-
-
-def _require_nilpotent(X: VectorField, x_window) -> None:
     if x_window is None:
         if not X.is_nilpotent():
             raise NotNilpotentError("exp requires a nilpotent field at the cap")
@@ -769,16 +715,33 @@ def _require_nilpotent(X: VectorField, x_window) -> None:
         raise NotNilpotentError(
             "exp requires a field nilpotent in the x-truncated ring"
         )
+    return _from_factors(X.n, X.cap, ((X, t, x_window),))
 
 
-def _exp_images(X: VectorField, t: GaussianRational, x_window, series):
-    """The Lie series sum_k t^k/k! X^k(s) of each s in series, as the list
-    [x-image, z-images...].
+def _from_factors(n: int, cap: int, factors) -> Automorphism:
+    """f_k o ... o f_1 from its Lie factors (f_1, ..., f_k), recorded as _gens.
 
-    The coordinates give the images of exp(tX); the images of a map N give
-    those of exp(tX) o N.  The sum is finite for nilpotent X.
+    From the coordinates, innermost factor first: an exp factor (W, t, w)
+    runs the Lie series sum_k t^k/k! W^k on each running image in window w
+    (truncated first once an exp factor has run, so window 0 keeps x as the
+    x-image), and a linear factor (M, None, None) substitutes z -> M z.  The
+    factors are trusted: each W must be nilpotent in its window.
     """
-    return [_lie_series(X.apply, s, t, x_window) for s in series]
+    factors = tuple(factors)
+    images = _coordinates(n, cap)
+    raw = True  # the images are still the coordinates or their linear images
+    for W, t, w in factors:
+        if t is None:
+            L = Automorphism.linear(W, cap)
+            images = [L.apply(s) for s in images]
+            continue
+        if not raw:
+            images = [_in_window(s, w) for s in images]
+        images = [_lie_series(W.apply, s, t, w) for s in images]
+        raw = False
+    phi = Automorphism(images[0], images[1:])
+    object.__setattr__(phi, "_gens", factors)
+    return phi
 
 
 def _lie_series(step, start, t, x_window):

@@ -10,9 +10,9 @@ monomials with everything already in the field land strictly later in the
 pair order (this is why the linear part must sit in the triangular cone
 z_a d/dz_b, a <= b), so a single ascending sweep terminates with the
 resonant monomials x^{-<mu,K>} z^K L(e_j), <mu,K> in Z_{<=0}, plus the
-linear reference part.  The normalizing automorphism is composed on the way
-through the Lie series: each step's exp(W) o N is sum_k W^k(N's images)/k!,
-one derivative and one one-term product per term (lie.exp_compose).
+linear reference part.  Each step records its Lie factor (W, 1, window), and
+lie._from_factors folds the normalizer exp(W_k) o ... o exp(W_1) from them
+once the sweep is done, one derivative and one one-term product per term.
 
 x-dependent diagonal linear terms exponentiate to transcendental scalings
 (z -> e^{f(x)} z), so fields carrying them are processed in the x-truncated
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeff import GaussianRational, LaurentPoly
-from .lie import Automorphism, VectorField, exp_ad, exp_compose
+from .lie import Automorphism, VectorField, _from_factors, exp_ad
 from .resonance import NtnrResult, as_eigenvalues, decide_ntnr, pairing
 from .series import MonomialIndex, TransverseSeries, iter_l_indices
 
@@ -176,7 +176,7 @@ def normalize(
         _check_support(X, x_cap)
 
     field = X if window is None else X.truncate_x(window)
-    normalizer = Automorphism.identity(n, cap)
+    factors = []
     steps = []
     for idx in iter_l_indices(n, 0, cap - 1):
         g = field.coefficient_at(idx)
@@ -188,7 +188,7 @@ def normalize(
             continue
         W = VectorField.monomial(n, cap, idx, f)
         field = exp_ad(W, field, x_window=window)
-        normalizer = exp_compose(W, normalizer, window)
+        factors.append((W, GaussianRational.ONE, window))
         steps.append(idx)
         if field.coefficient_at(idx) != residual:
             raise AssertionError(
@@ -197,6 +197,7 @@ def normalize(
 
     if field.a != TransverseSeries.x_series(n, cap):
         raise AssertionError("the sweep disturbed the d/dx component")
+    normalizer = _from_factors(n, cap, factors)
 
     resonant = []
     for idx, poly in field.l_terms():

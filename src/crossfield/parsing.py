@@ -69,7 +69,11 @@ def tokenize(text: str, line_offset: int = 0, col_offset: int = 0):
             j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
-            append(_Token("NUM", int(text[i:j]), line, i - base))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past the interpreter's int-string limit
+                raise FieldSyntaxError(f"number of {j-i} digits is too long", line, i - base)
+            append(_Token("NUM", value, line, i - base))
             i = j
         elif ch == "\n":
             line += 1

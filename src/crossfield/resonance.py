@@ -159,16 +159,6 @@ class ResonanceReport:
     def witness(self):
         return self.negative[0] if self.negative else None
 
-    def to_json(self):
-        w = self.witness()
-        return {
-            "mu": [str(m) for m in self.mu],
-            "bound": self.degree_bound,
-            "resonant": [r.to_json() for r in self.resonant],
-            "negative_found": self.negative_resonance_found,
-            "witness": w.to_json() if w else None,
-        }
-
 
 def enumerate_resonances(mu, d: int) -> ResonanceReport:
     """List resonant indices with |K| <= d and bounded negative-resonance hits.
@@ -204,14 +194,6 @@ class NtnrResult:
 
     def __bool__(self):
         return self.holds
-
-    def to_json(self):
-        return {
-            "ntnr": self.holds,
-            "exact": self.exact,
-            "bound": self.bound,
-            "witness": self.witness.to_json() if self.witness else None,
-        }
 
 
 def decide_ntnr(mu, fallback_bound: int = 8) -> NtnrResult:

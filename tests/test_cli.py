@@ -342,6 +342,57 @@ def test_two_real_parts_in_a_field_is_usage_error(tmp_path, capsys):
     assert err == "error: line 3 col 17: two real parts\n"
 
 
+# resonances and centralizer read only the document's header; they used to
+# take --require-x-normalized and ignore it
+@pytest.mark.parametrize("command", ["resonances", "centralizer"])
+def test_require_x_normalized_on_header_commands(command, capsys):
+    rejected = ["--field", doc("notnorm.vf"), "--require-x-normalized", "--mu=1/2"]
+    rc = main([command, *rejected, "--json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == (GOLDEN / "require_flag_rejects.err").read_text(encoding="utf-8")
+    rc = main([command, "--require-x-normalized", "--mu=1/2", "--json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == (GOLDEN / "missing_field.err").read_text(encoding="utf-8")
+    plain = [command, "--field", doc("resonant.vf"), "--json"]
+    assert main(plain) == 0
+    want = capsys.readouterr()
+    assert main(plain + ["--require-x-normalized"]) == 0
+    assert capsys.readouterr() == want
+
+
+# the column of an error in a header line's value counts every blank before it
+@pytest.mark.parametrize("name,text,argv,col", [
+    ("cols.vf", "n: 2\ndegree: 3\nfield:    x*dx + z1*dz1 + ?\n", ["normalize", "--field"], 27),
+    ("cols.map", "n: 1\ndegree: 3\nmap  z1: 2*z1 + ?\n", ["log", "--map"], 17),
+])
+def test_error_column_after_extra_blanks(name, text, argv, col, tmp_path, capsys):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    assert text.splitlines()[2].index("?") + 1 == col
+    rc = main([*argv, str(p), "--json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == f"error: line 3 col {col}: unexpected character '?'\n"
+
+
+# a digit run past the interpreter's int-string limit (4,300 digits by
+# default) used to escape as a bare ValueError with no position
+def test_overlong_number_is_positioned_usage_error(tmp_path, capsys):
+    ones = "1" * 5000
+    p = tmp_path / "long.vf"
+    p.write_text(f"n: 1\ndegree: 3\nfield: x*dx + {ones}*z1*dz1\n", encoding="utf-8")
+    rc = main(["normalize", "--field", str(p), "--json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "error: line 3 col 15: number of 5000 digits is too long\n"
+    rc = main(["classify2", f"--lambda={ones}", "--json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == f"error: bad --lambda value: bad coefficient syntax: {ones!r}\n"
+
+
 # --- one parser per process ----------------------------------------------------
 
 

@@ -7,6 +7,8 @@ A second scan of every module: only ``holonomy.py``, which compiles its jet
 kernels, calls ``exec`` or ``compile``, and no module calls ``eval``.
 A third check resolves every name ``perfbench/spans.py`` wraps, so a refactor
 that moves a traced method fails here, not only in a traced benchmark run.
+A fourth scan keeps one fold from Lie factors to images: in every module,
+only ``lie._from_factors`` and ``lie.exp_ad`` call ``_lie_series``.
 """
 
 import ast
@@ -131,3 +133,51 @@ def test_trace_targets_exist():
         for attr in attrs:
             assert attr in namespace, f"{name}: crossfield.{mod}.{owner or ''} has no {attr}"
             assert callable(namespace[attr]), f"{name}: {attr} is not callable"
+
+
+LIE_SERIES_CALLERS = {("lie.py", "_from_factors"), ("lie.py", "exp_ad")}
+
+
+def callers_of(source: str, name: str):
+    """(enclosing function, line) of each call of ``name`` or ``<obj>.name``;
+    the function is the innermost enclosing definition (None at module level)."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == name) or (
+                    isinstance(func, ast.Attribute) and func.attr == name
+                ):
+                    found.append((fn, child.lineno))
+            visit(child, fn)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_fold_runs_the_lie_series():
+    calls = {
+        (path.name, fn)
+        for path in PACKAGE.glob("*.py")
+        for fn, _ in callers_of(path.read_text(encoding="utf-8"), "_lie_series")
+    }
+    assert calls == LIE_SERIES_CALLERS
+
+
+def test_caller_scan_sees_every_call():
+    source = (
+        "_lie_series(a)\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        return lie._lie_series(b)\n"
+        "def g():\n"
+        "    def h():\n"
+        "        return [_lie_series(s) for s in c]\n"
+        "    return _lie_series\n"
+    )
+    assert callers_of(source, "_lie_series") == [(None, 1), ("f", 4), ("h", 7)]

@@ -19,7 +19,6 @@ from crossfield.lie import (
     VectorField,
     exp,
     exp_ad,
-    exp_compose,
     exp_decomposition,
     log,
 )
@@ -432,7 +431,7 @@ class TestFlatness:
         with pytest.raises(NotNilpotentError):
             exp(W2, 1, x_window=5)
         with pytest.raises(NotNilpotentError):
-            exp_compose(W2, Automorphism.identity(1, 4), x_window=5)
+            exp(W2, -1, x_window=5)
 
     def test_linear_nilpotency_matches_graded_pieces(self):
         # C^n = 0 against the action on every graded piece of degree <= cap
@@ -517,9 +516,10 @@ class TestExp:
 
     @pytest.mark.parametrize("window", [None, 1])
     def test_compose_matches_eager_composition(self, window):
-        # exp_compose(W, N) is exp(W) o N, truncated in the window, with the
-        # same inverse; some eager maps reach past the window, so the
-        # truncation is exercised
+        # folding N's factor and then (W, 1, window) gives exp(W) o N,
+        # truncated in the window; truncated, it has the factors and the
+        # inverse of the eager map.  Some eager maps reach past the window,
+        # so the truncation is exercised
         rng = random.Random(74)
         beyond = 0
         for _ in range(20):
@@ -529,10 +529,20 @@ class TestExp:
             if window is not None:
                 beyond += eager != eager.truncate_x(window)
                 eager = eager.truncate_x(window)
-            got = exp_compose(W, N, window)
+            got = lie._from_factors(2, 4, N._gens + ((W, G(1), window),))
             assert got == eager
+            got = _in_window(got, window)
+            assert got._gens == eager._gens
             assert got.invert() == eager.invert()
         assert window is None or beyond
+
+    def test_window_zero_keeps_x(self):
+        # the x-image stays x in window 0, in exp and in its inverse
+        X = mono_field(1, 3, (1,), 1, LaurentPoly({0: G(1), 1: G(1)}))
+        x = TransverseSeries.x_series(1, 3)
+        phi = exp(X, 1, x_window=0)
+        assert phi.img_x == x and phi.invert().img_x == x
+        assert phi.invert() == exp(X, -1, x_window=0)
 
 
 class TestLog:
@@ -1137,3 +1147,94 @@ class TestLazyInverse:
 
 def _in_window(phi, window):
     return phi if window is None else phi.truncate_x(window)
+
+
+def ref_exp_compose(W: VectorField, N: Automorphism, x_window: int | None = None) -> Automorphism:
+    """exp(W) o N, as the Lie series sum_k W^k(N's images)/k!.
+
+    The same map as ``exp(W, 1, x_window).compose(N)``, followed by
+    ``truncate_x(x_window)`` when a window is given; but neither exp(W) nor
+    a substitution into N is formed.  The result has N's Lie generators,
+    their windows lowered to x_window, followed by (W, 1, x_window); or
+    none if N has none.
+    For a monomial field W = f(x) z^K z_j d/dz_j, as in every sweep step of
+    normalize(), each term is one d/dz_j and one one-term product.
+    """
+    if W.n != N.n or W.cap != N.cap:
+        raise DimensionMismatchError("field and automorphism shapes differ")
+    ref_require_nilpotent(W, x_window)
+    one = G.ONE
+    images = [lie._in_window(s, x_window) for s in (N.img_x,) + N.img_z]
+    images = ref_exp_images(W, one, x_window, images)
+    phi = Automorphism(images[0], images[1:])
+    gens = ref_lowered(N._gens, x_window)
+    if gens is not None:
+        object.__setattr__(phi, "_gens", gens + ((W, one, x_window),))
+    return phi
+
+
+def ref_require_nilpotent(X: VectorField, x_window) -> None:
+    if x_window is None:
+        if not X.is_nilpotent():
+            raise NotNilpotentError("exp requires a nilpotent field at the cap")
+    elif not X.is_nilpotent_mod_x():
+        raise NotNilpotentError(
+            "exp requires a field nilpotent in the x-truncated ring"
+        )
+
+
+def ref_exp_images(X: VectorField, t: G, x_window, series):
+    """The Lie series sum_k t^k/k! X^k(s) of each s in series, as the list
+    [x-image, z-images...].
+
+    The coordinates give the images of exp(tX); the images of a map N give
+    those of exp(tX) o N.  The sum is finite for nilpotent X.
+    """
+    return [lie._lie_series(X.apply, s, t, x_window) for s in series]
+
+
+def ref_lowered(gens, x_window):
+    """Lie generators with every exp factor's window lowered to at most
+    x_window; a linear factor has none.  gens itself when either is None."""
+    if gens is None or x_window is None:
+        return gens
+    return tuple(
+        (W, t, w) if t is None else (W, t, x_window if w is None else min(w, x_window))
+        for W, t, w in gens
+    )
+
+
+class TestOneFold:
+    """normalize() folds its normalizer once, after the sweep, from the
+    factors it recorded; the code before composed each step onto the running
+    map with exp_compose, kept here as ``ref_exp_compose``."""
+
+    @pytest.mark.parametrize("mode", ["exact", "window"])
+    def test_folded_normalizer_matches_step_by_step_chain(self, mode):
+        cases = exact_fields() if mode == "exact" else window_fields()
+        for X, mu, x_cap in cases:
+            res = normalize(X, mu, x_cap=x_cap)
+            n, cap, window = X.n, X.cap, res.x_window
+            assert (window is None) == (mode == "exact")
+            field = X if window is None else X.truncate_x(window)
+            chain = Automorphism.identity(n, cap)
+            for idx in res.steps:
+                f, _ = field.coefficient_at(idx).euler_solve(pairing(res.mu, idx.K))
+                W = VectorField.monomial(n, cap, idx, f)
+                field = exp_ad(W, field, x_window=window)
+                chain = ref_exp_compose(W, chain, window)
+            assert res.normalizer.img_x == chain.img_x
+            assert res.normalizer.img_z == chain.img_z
+            assert res.normalizer._gens == chain._gens
+
+    @pytest.mark.parametrize("mode", ["exact", "window"])
+    def test_sweep_factors_are_nilpotent(self, mode):
+        # the fold trusts its factors, so each recorded step must be one
+        # exp would accept
+        cases = exact_fields() if mode == "exact" else window_fields()
+        for X, mu, x_cap in cases:
+            res = normalize(X, mu, x_cap=x_cap)
+            assert len(res.normalizer._gens) == len(res.steps) > 0
+            for W, t, window in res.normalizer._gens:
+                assert t == 1 and window == res.x_window
+                assert W.is_nilpotent() if window is None else W.is_nilpotent_mod_x()

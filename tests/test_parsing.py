@@ -308,6 +308,18 @@ class TestOneCoefficientReader:
         with pytest.raises(CoefficientSyntaxError):
             G.from_string(text)
 
+    def test_overlong_numbers_are_syntax_errors(self):
+        # int() reads at most 4,300 digits by default; a longer run fails at
+        # its position, and a number at the limit still reads
+        long = "7" * 5000
+        with pytest.raises(FieldSyntaxError) as err:
+            parse_field(f"x*dx +\n 2/{long}*z1*dz1", 1, 3)
+        assert (err.value.line, err.value.col) == (2, 4)
+        assert err.value.message == "number of 5000 digits is too long"
+        with pytest.raises(CoefficientSyntaxError):
+            G.from_string(f"1+{long}*i")
+        assert G.from_string("7" * 4300) == G(int("7" * 4300))
+
 
 # -- each parsed series is built once ------------------------------------------
 
