@@ -425,7 +425,8 @@ def _cmd_resonances(args):
     mu = _mu_from(args, doc)
     degree = args.degree if args.degree is not None else 8
     report_obj = enumerate_resonances(mu, degree)
-    ntnr = decide_ntnr(mu)
+    # a bounded verdict reaches at least as far as the listing beside it
+    ntnr = decide_ntnr(mu, max(degree, 8))
     witness = ntnr.witness or report_obj.witness()
     report = {
         "mu": [str(m) for m in mu],

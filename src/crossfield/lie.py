@@ -748,7 +748,8 @@ def _lie_series(step, start, t, x_window):
     """start + sum_{k>=1} term_k with term_k = step(term_{k-1}) * t/k.
 
     Each term is scaled once by the scalar t/k, in the caller's scalar type,
-    and truncated to x_window; the sum stops at the first zero term.
+    unless t/k is 1, and truncated to x_window; the sum stops at the first
+    zero term.
     """
     acc = term = start
     k = 0
@@ -756,7 +757,11 @@ def _lie_series(step, start, t, x_window):
         k += 1
         if k > _GUARD:
             raise AssertionError("Lie series failed to terminate; nilpotency is violated")
-        term = _in_window(step(term).scale(t / k), x_window)
+        c = t / k
+        term = step(term)
+        if c != 1:
+            term = term.scale(c)
+        term = _in_window(term, x_window)
         if term.is_zero():
             return acc
         acc = acc + term

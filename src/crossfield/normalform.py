@@ -10,9 +10,12 @@ monomials with everything already in the field land strictly later in the
 pair order (this is why the linear part must sit in the triangular cone
 z_a d/dz_b, a <= b), so a single ascending sweep terminates with the
 resonant monomials x^{-<mu,K>} z^K L(e_j), <mu,K> in Z_{<=0}, plus the
-linear reference part.  Each step records its Lie factor (W, 1, window), and
-lie._from_factors folds the normalizer exp(W_k) o ... o exp(W_1) from them
-once the sweep is done, one derivative and one one-term product per term.
+linear reference part.  The sweep visits only the slots that hold a term:
+after each one it rescans the field for the least present slot above it,
+which also finds the slots a step has just created.  Each step records its
+Lie factor (W, 1, window), and lie._from_factors folds the normalizer
+exp(W_k) o ... o exp(W_1) from them once the sweep is done, one derivative
+and one one-term product per term.
 
 x-dependent diagonal linear terms exponentiate to transcendental scalings
 (z -> e^{f(x)} z), so fields carrying them are processed in the x-truncated
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 from .coeff import GaussianRational, LaurentPoly
 from .lie import Automorphism, VectorField, _from_factors, exp_ad
-from .resonance import NtnrResult, as_eigenvalues, decide_ntnr, pairing
+from .resonance import NtnrResult, as_eigenvalues, decide_ntnr, integral_pairing, pairing
 from .series import MonomialIndex, TransverseSeries, iter_l_indices
 
 __all__ = [
@@ -178,10 +181,10 @@ def normalize(
     field = X if window is None else X.truncate_x(window)
     factors = []
     steps = []
-    for idx in iter_l_indices(n, 0, cap - 1):
+    key = (0,)  # below every slot of degree >= 0
+    while (key := _next_slot(field, key, cap)) is not None:
+        idx = MonomialIndex(key[1], key[2])
         g = field.coefficient_at(idx)
-        if g.is_zero():
-            continue
         s = pairing(mu, idx.K)
         f, residual = g.euler_solve(s)
         if f.is_zero():
@@ -237,6 +240,24 @@ def normalize(
         x_window=window,
         certified=certified,
     )
+
+
+def _next_slot(field: VectorField, after: tuple, cap: int):
+    """The least pair key (|K|, K, j) of a term of field above ``after``, or None.
+
+    One pass over the z-terms: z^M d/dz_j sits at slot K = M - e_j, and only
+    slots with |K| < cap count (the sentinel (cap,) sorts above exactly those).
+    A term whose degree is out of range is passed over before its K is built.
+    """
+    best = (cap,)
+    for j, comp in enumerate(field.b, start=1):
+        for M in comp._terms:
+            d = sum(M) - 1
+            if after[0] <= d <= best[0]:
+                key = (d, M[: j - 1] + (M[j - 1] - 1,) + M[j:], j)
+                if after < key < best:
+                    best = key
+    return None if best == (cap,) else best
 
 
 def _check_support(X: VectorField, x_cap: int):
@@ -338,11 +359,12 @@ def centralizer_solve(source, x_window, degree: int) -> CentralizerResult:
     elements = [
         CentralizerElement("euler", None, 0, VectorField.euler(n, cap))
     ]
+    pair = integral_pairing(mu)
     for idx in iter_l_indices(n, 0, degree - 1):
-        s = pairing(mu, idx.K)
-        if not s.is_integer():
+        s = pair(idx.K)
+        if s is None:
             continue
-        l = -int(s.re)
+        l = -s
         if not lo <= l <= hi:
             continue
         fieldv = VectorField.monomial(n, cap, idx, LaurentPoly.x(l))

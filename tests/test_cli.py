@@ -594,6 +594,20 @@ def test_resonances_counterexample_is_bounded():
     assert '"exact": false' in out
 
 
+@pytest.mark.parametrize("degree,holds", [(8, True), (10, False)])
+def test_resonances_bounded_verdict_reaches_the_listed_degree(degree, holds):
+    """For n > 3 the verdict is enumerated to max(--degree, 8), so it never
+    says "ntnr" beside a listed negative hit: the first, 11*mu_4 - mu_1 = 1,
+    has degree 10."""
+    argv = ["resonances", "--mu=1/10,1/10,1/10,1/10", "--degree", str(degree), "--json"]
+    rc, out, err = call(argv)
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["exact"] is False and doc["bound"] == degree
+    assert doc["ntnr"] is holds and doc["ntnr"] is not bool(doc["negative"])
+    assert (doc["witness"] and doc["witness"]["K"]) == (None if holds else [-1, 0, 0, 11])
+
+
 @pytest.mark.parametrize("argv,witness_K", [
     # n = 1: the first witness of a/b is K = (b,), past the old degree-256 cap
     (["resonances", "--mu=1/300", "--json"], [300]),

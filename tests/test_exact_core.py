@@ -9,6 +9,8 @@ A third check resolves every name ``perfbench/spans.py`` wraps, so a refactor
 that moves a traced method fails here, not only in a traced benchmark run.
 A fourth scan keeps one fold from Lie factors to images: in every module,
 only ``lie._from_factors`` and ``lie.exp_ad`` call ``_lie_series``.
+A fifth keeps the sweep on the slots that are present: ``normalize`` does
+not walk ``iter_l_indices``.
 """
 
 import ast
@@ -181,3 +183,20 @@ def test_caller_scan_sees_every_call():
         "    return _lie_series\n"
     )
     assert callers_of(source, "_lie_series") == [(None, 1), ("f", 4), ("h", 7)]
+
+
+def test_sweep_does_not_walk_every_slot():
+    source = (PACKAGE / "normalform.py").read_text(encoding="utf-8")
+    walkers = {fn for fn, _ in callers_of(source, "iter_l_indices")}
+    assert "normalize" not in walkers
+    assert "centralizer_solve" in walkers  # the scan sees this module's calls
+
+
+def test_slot_scan_sees_a_full_walk():
+    source = (
+        "def normalize(X, mu):\n"
+        "    for idx in iter_l_indices(X.n, 0, X.cap - 1):\n"
+        "        pass\n"
+        "    return series.iter_l_indices(1, 0, 2)\n"
+    )
+    assert callers_of(source, "iter_l_indices") == [("normalize", 2), ("normalize", 4)]

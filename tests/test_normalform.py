@@ -5,22 +5,121 @@ import pytest
 
 from crossfield.coeff import GaussianRational as G
 from crossfield.coeff import LaurentPoly
-from crossfield.lie import Automorphism, VectorField
+from crossfield.lie import Automorphism, VectorField, _from_factors, exp_ad
 from crossfield.normalform import (
+    CentralizerElement,
+    CentralizerResult,
     LinearPartError,
+    ResonantTerm,
+    _check_support,
+    _linear_matrix_or_error,
+    _needs_x_window,
     centralizer_check,
     centralizer_solve,
     normalize,
     verify_conjugation,
 )
-from crossfield.resonance import pairing
+from crossfield.parsing import parse_field
+from crossfield.resonance import as_eigenvalues, pairing
 from crossfield.series import MonomialIndex, TransverseSeries, iter_l_indices
 
-from helpers import abs_bound, euler_apply, rand_laurent, rand_mu, rand_series
+from helpers import (
+    abs_bound,
+    euler_apply,
+    rand_gq_nonzero,
+    rand_laurent,
+    rand_mu,
+    rand_series,
+    rand_x_normalized,
+)
 
 
 def mono(n, cap, K, j, coeff):
     return VectorField.monomial(n, cap, MonomialIndex(K, j), coeff)
+
+
+# --- reference oracles: the sweep before it visited only the present slots,
+# and the centralizer before it decided integrality over the integers --------
+
+
+def ref_normalize(X, mu, x_cap=None):
+    """normalize's sweep over every slot of iter_l_indices(n, 0, cap - 1),
+    and its resonant-term readout; returns (field, normalizer, resonant,
+    steps).  Validation as in normalize; no certificate."""
+    mu = as_eigenvalues(mu)
+    n, cap = X.n, X.cap
+    C, eps = _linear_matrix_or_error(X, mu)
+    window = x_cap if _needs_x_window(C) else None
+    if x_cap is not None:
+        _check_support(X, x_cap)
+
+    field = X if window is None else X.truncate_x(window)
+    factors = []
+    steps = []
+    for idx in iter_l_indices(n, 0, cap - 1):
+        g = field.coefficient_at(idx)
+        if g.is_zero():
+            continue
+        s = pairing(mu, idx.K)
+        f, residual = g.euler_solve(s)
+        if f.is_zero():
+            continue
+        W = VectorField.monomial(n, cap, idx, f)
+        field = exp_ad(W, field, x_window=window)
+        factors.append((W, G.ONE, window))
+        steps.append(idx)
+        if field.coefficient_at(idx) != residual:
+            raise AssertionError(
+                f"elimination at {idx} left an unexpected coefficient"
+            )
+
+    if field.a != TransverseSeries.x_series(n, cap):
+        raise AssertionError("the sweep disturbed the d/dx component")
+    normalizer = _from_factors(n, cap, factors)
+
+    resonant = []
+    for idx, poly in field.l_terms():
+        K, j = idx.K, idx.j
+        if K == (0,) * n:
+            if poly != LaurentPoly.constant(mu[j - 1]):
+                raise AssertionError("diagonal slot deviates from mu")
+            continue
+        s = pairing(mu, K)
+        if not s.is_integer():
+            raise AssertionError(f"nonresonant coefficient survived at {idx}")
+        s_int = int(s.re)
+        if not (poly.is_monomial() and poly.support() == [-s_int]):
+            raise AssertionError(f"resonant slot {idx} is not a pure x^{-s_int} term")
+        coeff = poly.coefficient(-s_int)
+        if (
+            s_int == 0
+            and sum(K) == 0
+            and j >= 2
+            and K == tuple(1 if p == j - 2 else (-1 if p == j - 1 else 0) for p in range(n))
+        ):
+            continue  # adjacent Jordan entry, reported through eps
+        resonant.append(ResonantTerm(K, j, -s_int, coeff))
+    return field, normalizer, tuple(resonant), tuple(steps)
+
+
+def ref_centralizer_solve(mu, x_window, degree):
+    mu = as_eigenvalues(mu)
+    lo, hi = int(x_window[0]), int(x_window[1])
+    n = len(mu)
+    cap = degree
+    elements = [
+        CentralizerElement("euler", None, 0, VectorField.euler(n, cap))
+    ]
+    for idx in iter_l_indices(n, 0, degree - 1):
+        s = pairing(mu, idx.K)
+        if not s.is_integer():
+            continue
+        l = -int(s.re)
+        if not lo <= l <= hi:
+            continue
+        fieldv = VectorField.monomial(n, cap, idx, LaurentPoly.x(l))
+        elements.append(CentralizerElement("monomial", idx, l, fieldv))
+    return CentralizerResult(mu, (lo, hi), degree, tuple(elements))
 
 
 def semisimple(mu, cap):
@@ -150,6 +249,81 @@ class TestNormalizeExamples:
             }
             for t in res.resonant:
                 assert t.K in table and table[t.K] == t.x_exp
+
+
+
+FIELD_A = "x*dx + 1/2*z1*dz1 - 3*z2*dz2 + z1^2*dz1 + x*z1*z2*dz2 + z2^2*dz1 + z1^3*dz2"
+FIELD_B = (
+    "x*dx + 1/2*z1*dz1 - 3*z2*dz2 + i*z3*dz3 + z1^2*dz1 + x*z1*z2*dz2"
+    " + z2^2*dz3 + z1*z3*dz2"
+)
+# equal eigenvalues with the adjacent entry z1 dz2: the step at z2^2 dz1
+# (slot K = (-1, 2), j = 1) brackets with it into z1 z2 dz1 and z2^2 dz2,
+# slots of the same degree later in the order that the input does not have
+JORDAN = "x*dx - z1*dz1 - z2*dz2 + z1*dz2 + z2^2*dz1"
+
+
+def sweep_cases():
+    """(X, mu, x_cap): fields A and B, seeded exact fields (Laurent and
+    triangular off-diagonal terms among them), resonant eigenvalues, the
+    Jordan input and seeded windowed fields."""
+    for text, n, cap in ((FIELD_A, 2, 6), (FIELD_B, 3, 5), (JORDAN, 2, 5)):
+        X = parse_field(text, n, cap)
+        yield X, [X.constant_linear_matrix()[i][i] for i in range(n)], None
+    rng = random.Random(59)
+    for k in range(12):
+        n = 1 + k % 3
+        cap = rng.choice([3, 4, 5]) if n < 3 else 3
+        mu = rand_mu(rng, n, span=3, den=2)
+        X = rand_x_normalized(rng, mu, cap, terms=3, max_exp=2)
+        X = X + VectorField(
+            TransverseSeries.zero(n, cap),
+            [rand_series(rng, n, cap, terms=1, min_deg=2, min_exp=-2, max_exp=0) for _ in range(n)],
+        )
+        if n > 1:
+            X = X + mono(n, cap, (1, -1) + (0,) * (n - 2), 2, rand_laurent(rng, 1, 2, 1))
+        yield X, mu, None
+    for mu in ([G(-1)], [G(1), G(-1)], [G(Fraction(1, 2)), G(Fraction(-1, 2))], [G(-1), G(-2)]):
+        n, cap = len(mu), 5
+        yield rand_x_normalized(rng, mu, cap, terms=4, max_exp=3), mu, 6
+    for _ in range(4):
+        n = rng.choice([1, 2])
+        mu = rand_mu(rng, n, span=2, den=1)
+        X = rand_x_normalized(rng, mu, 4, terms=2, max_exp=1)
+        X = X + mono(n, 4, (0,) * n, 1, LaurentPoly({1: rand_gq_nonzero(rng)}))
+        yield X, mu, rng.randint(3, 6)
+
+
+class TestPresentSlotWalk:
+    def test_walk_matches_full_slot_loop(self):
+        modes = set()
+        resonant = 0
+        for X, mu, x_cap in sweep_cases():
+            res = normalize(X, mu, x_cap=x_cap)
+            field, normalizer, terms, steps = ref_normalize(X, mu, x_cap)
+            assert res.steps == steps
+            assert res.normal_field == field
+            assert res.normalizer == normalizer
+            assert res.normalizer._gens == normalizer._gens
+            assert res.resonant == terms
+            assert res.certified
+            modes.add(res.x_window is None)
+            resonant += bool(terms)
+        assert modes == {True, False}
+        assert resonant >= 4
+
+    def test_jordan_step_creates_slots_visited_later(self):
+        X = parse_field(JORDAN, 2, 5)
+        res = normalize(X, [G(-1), G(-1)])
+        present = {idx for idx, _ in X.l_terms()}
+        first = res.steps[0]
+        assert res.eps == (1,) and first == MonomialIndex((-1, 2), 1)
+        created = [
+            idx for idx in res.steps
+            if idx not in present and idx.degree() == first.degree()
+        ]
+        assert MonomialIndex((0, 1), 1) in created and MonomialIndex((0, 1), 2) in created
+        assert res.normal_field == parse_field("x*dx - z1*dz1 - z2*dz2 + z1*dz2", 2, 5)
 
 
 class TestNormalizeValidation:
@@ -378,6 +552,19 @@ class TestCentralizer:
                     W = VectorField.monomial(n, degree, idx, LaurentPoly.x(l))
                     if S.bracket(W).is_zero():
                         assert (idx.K, idx.j, l) in basis
+
+    def test_matches_pairing_walk(self):
+        rng = random.Random(60)
+        seen = set()
+        cases = [[G(0)], [G(0, 1), G(0, -1)], [G(-1), G(-1)], [G(1, 2), G(0), G(1, 2)]]
+        cases += [rand_mu(rng, rng.choice([1, 2, 3, 4]), span=3, den=3, imag_prob=0.4) for _ in range(30)]
+        cases += [[G(Fraction(1, 300))]]  # test_far_witnesses_answer_quickly's input
+        for mu in cases:
+            degree = 5 if len(mu) < 4 else 3
+            got = centralizer_solve(mu, (-4, 4), degree)
+            assert got == ref_centralizer_solve(mu, (-4, 4), degree), mu
+            seen.add(any(e.x_exp != 0 for e in got.elements))
+        assert seen == {True, False}
 
     def test_from_normal_form_result(self):
         X = semisimple([G(-1)], 4)

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -23,6 +23,8 @@ from crossfield.resonance import (
     pairing,
     _minimal_solutions,
 )
+
+from crossfield.series import iter_l_indices
 
 from helpers import rand_gq
 
@@ -201,6 +203,62 @@ def ref_find_witness(mu):
     raise AssertionError(
         "negative resonance decided feasible but no witness below degree 256"
     )
+
+
+
+# --- reference oracles: the walks before they decided integrality over the
+# integers, through the Q[i] pairing at every index ---------------------------
+
+
+def ref_enumerate_pairing(mu, d: int):
+    mu = resonance.as_eigenvalues(mu)
+    n = len(mu)
+    resonant = []
+    negative = []
+    for K in iter_l_indices(n, 0, d, with_direction=False):
+        s = pairing(mu, K)
+        if not s.is_integer():
+            continue
+        val = s.re
+        if sum(K) >= 1 and val <= 0:
+            resonant.append(resonance.ResonantIndex(K, int(val)))
+        if val >= 1:
+            negative.append(resonance.NegativeWitness(K, int(val)))
+    return resonance.ResonanceReport(mu, d, tuple(resonant), tuple(negative))
+
+
+def ref_witness_walk(mu):
+    walk = iter_l_indices(len(mu), 0, resonance._WITNESS_INDICES, with_direction=False)
+    for K in islice(walk, resonance._WITNESS_INDICES):
+        s = pairing(mu, K)
+        if s.is_integer() and s.re >= 1:
+            return resonance.NegativeWitness(K, int(s.re))
+    return None
+
+
+# the inputs of the CLI's test_far_witnesses_answer_quickly
+FAR_WITNESS_MU = ([F(1, 300)], [F(2, 301), F(-3)], [F(1, 301), F(1, 307), F(1, 311)])
+
+
+def seeded_mu():
+    """Seeded eigenvalues with n = 1..4: zero, pure-imaginary and repeated
+    (Jordan-equal) entries among them."""
+    rng = random.Random(57)
+    for _ in range(120):
+        n = rng.choice([1, 2, 3, 4])
+        mu = []
+        for _ in range(n):
+            kind = rng.random()
+            if kind < 0.15:
+                mu.append(G(0))
+            elif kind < 0.3:
+                mu.append(G(0, Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))))
+            elif kind < 0.45 and mu:
+                mu.append(mu[-1])
+            else:
+                im = Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.3 else 0
+                mu.append(G(Fraction(rng.randint(-6, 6), rng.randint(1, 5)), im))
+        yield mu
 
 
 class TestEnumerate:
@@ -604,3 +662,37 @@ class TestClassify3:
         c = classify_dim3(G(2), G(3))
         assert c.case == POINCARE
         assert not decide_ntnr([G(2), G(3)]).holds
+
+
+class TestIntegralPairing:
+    def test_enumeration_matches_pairing_walk(self):
+        hits = 0
+        for mu in [*seeded_mu(), *FAR_WITNESS_MU]:
+            d = 6 if len(mu) <= 3 else 4
+            got = enumerate_resonances(mu, d)
+            assert got == ref_enumerate_pairing(mu, d), mu
+            hits += bool(got.resonant) + bool(got.negative)
+        assert hits >= 100
+
+    def test_witness_matches_pairing_walk(self):
+        # a walk with no witness runs the whole budget, about 0.5 s in the
+        # reference: keep the seeded inputs with a hit by degree 8; the last
+        # far-witness input walks the whole budget
+        near = [mu for mu in seeded_mu() if enumerate_resonances(mu, 8).negative]
+        found = 0
+        for mu in [*near, *FAR_WITNESS_MU]:
+            got = resonance._find_witness(mu)
+            assert got == ref_witness_walk(mu), mu
+            found += got is not None
+        assert found >= 40
+
+    def test_agrees_with_pairing_on_every_index(self):
+        rng = random.Random(58)
+        for mu in [*seeded_mu(), *FAR_WITNESS_MU]:
+            pair = resonance.integral_pairing(mu)
+            for K in iter_l_indices(len(mu), 0, 4, with_direction=False):
+                s = pairing(mu, K)
+                assert pair(K) == (int(s.re) if s.is_integer() else None), (mu, K)
+            K = tuple(rng.randint(0, 400) for _ in mu)
+            s = pairing(mu, K)
+            assert pair(K) == (int(s.re) if s.is_integer() else None), (mu, K)
