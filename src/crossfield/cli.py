@@ -48,7 +48,7 @@ from .resonance import (
     decide_ntnr,
     enumerate_resonances,
 )
-from .series import TransverseSeries, grlex_key
+from .series import TransverseSeries
 
 __all__ = ["main", "FieldDocument", "MapDocument", "DocumentError"]
 
@@ -208,6 +208,9 @@ def _check_flags(args) -> None:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             _check_range("--" + key, value, *_HEADER_BOUNDS[key])
+    bound = getattr(args, "max_residual", None)
+    if bound is not None and not bound >= 0:
+        raise DocumentError(f"--max-residual must be a number >= 0, got {bound!r}")
 
 
 class MapDocument:
@@ -526,27 +529,18 @@ def _cmd_log(args):
 
 
 def _cmd_holonomy(args):
-    doc, X = _load_field(args)
-    if not X.is_x_normalized():
-        raise DocumentError("holonomy requires an x-normalized field")
+    _, X = _load_field(args)
     degree = args.degree if args.degree is not None else 2
-    if degree > X.cap:
-        raise DocumentError(
-            f"jet degree {degree} exceeds the document's truncation degree {X.cap}"
-        )
     jet = holonomy_jet(X, degree, tol=args.tol, windings=args.windings)
-    coeffs = {}
-    for i in range(1, jet.n + 1):
-        entries = []
-        for K in sorted(jet.coeffs.get(i, {}), key=grlex_key):
-            entries.append({"K": list(K), **_fmt_complex(jet.coeffs[i][K])})
-        coeffs[f"z{i}"] = entries
     report = {
         "degree": degree,
         "tol": _fmt_float(args.tol),
         "windings": args.windings,
         "base_point": "1",
-        "jet": coeffs,
+        "jet": {
+            f"z{i}": [{"K": list(K), **_fmt_complex(c)} for K, c in comp.items()]
+            for i, comp in jet.coeffs.items()
+        },
     }
     _emit(args, report)
 

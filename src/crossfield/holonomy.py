@@ -17,18 +17,22 @@ floating point: exact fields are converted at entry, and tolerances are
 explicit: every entry point rejects a tol that is not finite and positive
 with ValueError.
 
-The jet state is one packed complex vector (_jet_layout): block i holds the
-coefficients of z_i on the monomials of degree 1..d in grlex order.  The
-jet right-hand side (_jet_rhs) and the substitution behind HolonomyJet.after
-(_composer) are compiled kernels: _jet_kernel writes straight-line Python
-for one field or one jet, with the state unpacked into locals, every power
-z_j^k = z_j^(k-1) z_j and every monomial z^M (its powers multiplied left to
-right over j) built once, and each product entry written as 0j + A_a*B_b +
-... over the left factor's positions a ascending.  Nothing is compiled at
-import; the source names values by integer index only, and coefficients
-enter through the exec namespace or as arguments.  _UNIT_PRODUCTS caps the
-products per compile unit and _SUM_TERMS the terms per statement, so a
-dense field at the CLI's size budget builds in bounded memory.
+A jet is one packed complex vector (_jet_layout): block i holds the
+coefficients of z_i on the monomials of degree 1..d in grlex order.  That
+vector is the integrator's state and the compiled kernels' input and
+output, and a HolonomyJet wraps it as it is; only a {i: {K: c}} input is
+converted, once, when the jet is built.  The jet right-hand side
+(_jet_rhs) and the substitution behind HolonomyJet.after (_composer) are
+compiled kernels: _jet_kernel writes straight-line Python for one field
+or one jet, with the state unpacked into locals, every power
+z_j^k = z_j^(k-1) z_j and every monomial z^M (its powers multiplied left
+to right over j) built once, and each product entry written as
+0j + A_a*B_b + ... over the left factor's positions a ascending.  Nothing
+is compiled at import; the source names values by integer index only, and
+coefficients enter through the exec namespace or as arguments.
+_UNIT_PRODUCTS caps the products per compile unit and _SUM_TERMS the
+terms per statement, so a dense field at the CLI's size budget builds in
+bounded memory.
 
 For finite states the kernels give the same floats, bit for bit, as the
 interpreted loops they replaced: every sum keeps its order, and the only
@@ -77,127 +81,116 @@ class LeafEscapeError(RuntimeError):
 
 
 class HolonomyJet:
-    """Polynomial jet of a transversal map: per direction, {K: complex}.
+    """Polynomial jet z -> (sum_K c_{i,K} z^K)_i of a transversal map at x = base_point.
 
-    Keys K are z-exponent tuples with 1 <= |K| <= degree; the map is
-    z -> (sum_K coeffs[i][K] z^K)_i, based at x = base_point.
+    A jet is its packed vector in _jet_layout order: block i holds z_i's
+    coefficients on the monomials of degree 1..degree in grlex order, the
+    state the integrator and the compiled kernels read and write.  A
+    {i: {K: c}} input is packed once, here: a constant term is an error and
+    terms past the degree drop out.
     """
 
-    __slots__ = ("n", "degree", "coeffs", "base_point")
+    __slots__ = ("n", "degree", "vector", "base_point")
 
     def __init__(self, n, degree, coeffs, base_point=1.0 + 0j):
+        _, index = _jet_layout(n, degree)
+        self.vector = [0j] * len(index)
+        for i, comp in coeffs.items():
+            for K, c in comp.items():
+                if sum(K) == 0:
+                    raise ValueError(f"jet component z{i} has a constant term")
+                if sum(K) <= degree:
+                    self.vector[index[(i, tuple(K))]] = complex(c)
         self.n = n
         self.degree = degree
-        self.coeffs = {
-            i: {K: complex(c) for K, c in comp.items() if c != 0}
-            for i, comp in coeffs.items()
-        }
         self.base_point = complex(base_point)
 
     @classmethod
+    def _wrap(cls, n, degree, vector, base_point=1.0 + 0j):
+        """The jet whose packed vector is `vector`, taken as it is."""
+        jet = cls.__new__(cls)
+        jet.n, jet.degree, jet.vector = n, degree, vector
+        jet.base_point = complex(base_point)
+        return jet
+
+    @classmethod
     def identity(cls, n, degree):
-        return cls(
-            n,
-            degree,
-            {
-                i: {tuple(1 if p == i - 1 else 0 for p in range(n)): 1.0 + 0j}
-                for i in range(1, n + 1)
-            },
-        )
+        return cls(n, degree, {
+            i: {tuple(int(p == i - 1) for p in range(n)): 1} for i in range(1, n + 1)
+        })
 
     @classmethod
     def from_automorphism(cls, phi: Automorphism, degree: int, x: complex = 1.0 + 0j):
         """Restrict an x-normalized automorphism to the transversal at x."""
-        coeffs = {}
-        for i in range(1, phi.n + 1):
-            comp = {}
-            for K, poly in phi.img_z[i - 1].terms():
-                if 1 <= sum(K) <= degree:
-                    v = poly.evaluate(x)
-                    if v != 0:
-                        comp[K] = v
-            coeffs[i] = comp
-        return cls(phi.n, degree, coeffs, base_point=x)
+        return cls(phi.n, degree, {
+            i: {K: poly.evaluate(x) for K, poly in series.terms() if 1 <= sum(K) <= degree}
+            for i, series in enumerate(phi.img_z, 1)
+        }, base_point=x)
+
+    def _terms(self) -> list:
+        """Per direction, the (K, c) of the nonzero entries in grlex order."""
+        monos, _ = _jet_layout(self.n, self.degree)
+        m = len(monos)
+        return [
+            [(K, c) for K, c in zip(monos, self.vector[lo:lo + m]) if c != 0]
+            for lo in range(0, self.n * m, m)
+        ]
+
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero entries as {i: {K: c}}, in grlex order; a new dict per access."""
+        return {i: dict(comp) for i, comp in enumerate(self._terms(), 1)}
 
     def coefficient(self, i: int, K) -> complex:
-        return self.coeffs.get(i, {}).get(tuple(K), 0j)
+        pos = _jet_layout(self.n, self.degree)[1].get((i, tuple(K)))
+        return 0j if pos is None else self.vector[pos]
 
     def after(self, other: "HolonomyJet") -> "HolonomyJet":
         """Composition self o other: substitute other's jets into self.
 
         Runs the substitution kernel compiled from self's terms (_composer);
-        terms past the degree drop out.  Neither jet may have a constant term.
+        terms past the degree drop out.
         """
-        if self.n != other.n or self.degree != other.degree:
-            raise ValueError("jet shapes differ")
+        self._require_shape(other)
         return _composer(self)(other)
 
     def apply_point(self, z) -> tuple:
-        z = tuple(complex(v) for v in z)
-        out = []
-        for i in range(1, self.n + 1):
-            acc = 0j
-            for K, c in self.coeffs.get(i, {}).items():
-                m = c
-                for v, k in zip(z, K):
-                    for _ in range(k):
-                        m *= v
-                acc += m
-            out.append(acc)
-        return tuple(out)
+        z = [complex(v) for v in z]
+        if len(z) != self.n:
+            raise ValueError(f"expected {self.n} transverse coordinates, got {len(z)}")
+        return tuple(_point_map(self._terms(), z))
 
     def max_abs_diff(self, other: "HolonomyJet") -> float:
-        keys = set()
-        for i in range(1, self.n + 1):
-            keys |= {(i, K) for K in self.coeffs.get(i, {})}
-            keys |= {(i, K) for K in other.coeffs.get(i, {})}
-        best = 0.0
-        for i, K in keys:
-            best = max(best, abs(self.coefficient(i, K) - other.coefficient(i, K)))
-        return best
+        self._require_shape(other)
+        # the max starts from 0.0 and runs left to right, so NaN entries are skipped
+        return max([0.0, *(abs(a - b) for a, b in zip(self.vector, other.vector))])
+
+    def _require_shape(self, other: "HolonomyJet") -> None:
+        if self.n != other.n or self.degree != other.degree:
+            raise ValueError("jet shapes differ")
 
     def __repr__(self):
         return f"HolonomyJet(n={self.n}, degree={self.degree}, {self.coeffs!r})"
 
 
-def _pack_terms(comp, degree):
-    """The (K, c) of a jet component with |K| <= degree; a constant term is an error."""
-    out = []
-    for K, c in comp.items():
-        d = sum(K)
-        if d == 0:
-            raise ValueError("jets with a constant term cannot be composed")
-        if d <= degree:
-            out.append((K, c))
-    return out
-
-
 def _composer(f: HolonomyJet):
     """g -> f o g for jets g of f's shape, compiled once from f's terms.
 
-    The kernel sums each output entry over f's terms in f's dict order and
-    takes f's coefficients as an argument.
+    f's nonzero entries, in layout order, are the kernel's terms and enter as
+    an argument; g's packed vector is the kernel's state.
     """
     n, degree = f.n, f.degree
     monos, index = _jet_layout(n, degree)
-    comps = [_pack_terms(f.coeffs.get(i, {}), degree) for i in range(1, n + 1)]
+    comps = f._terms()
     coeffs = [c for comp in comps for _, c in comp]
     prog = _Program("cs, y", {})
     state = prog.unpack("y", len(index))
     cs = iter(prog.unpack("cs", len(coeffs)))
     terms = [[(K, next(cs)) for K, _ in comp] for comp in comps]
     kernel = _jet_kernel(prog, monos, degree, state, terms)
-    m = len(monos)
 
     def compose(g: HolonomyJet) -> HolonomyJet:
-        y = [0j] * len(index)
-        for i in range(1, n + 1):
-            for K, c in _pack_terms(g.coeffs.get(i, {}), degree):
-                y[index[(i, K)]] = c
-        out = kernel(coeffs, y)
-        return HolonomyJet(n, degree, {
-            i: dict(zip(monos, out[(i - 1) * m:i * m])) for i in range(1, n + 1)
-        }, f.base_point)
+        return HolonomyJet._wrap(n, degree, kernel(coeffs, g.vector), f.base_point)
 
     return compose
 
@@ -387,12 +380,12 @@ def _eval_coeff(xterms, x: complex) -> complex:
     return acc
 
 
-def _point_rhs(terms, x: complex, z) -> list:
+def _point_map(comps, z) -> list:
+    """Per direction, 0j + sum c z^M over its (M, c) in order, zero c skipped."""
     out = []
-    for comp in terms:
+    for comp in comps:
         acc = 0j
-        for M, xterms in comp:
-            m = _eval_coeff(xterms, x)
+        for M, m in comp:
             if m == 0:
                 continue
             for v, k in zip(z, M):
@@ -560,21 +553,13 @@ def holonomy_jet(X: VectorField, degree: int, tol: float = 1e-10,
     _require_windings(windings)
     if degree < 1:
         raise ValueError("jet degree must be >= 1")
-    n = X.n
     if degree > X.cap:
-        raise ValueError("jet degree exceeds the field's truncation cap")
-    _, index = _jet_layout(n, degree)
-    y0 = [0j] * len(index)
-    ident = HolonomyJet.identity(n, degree)
-    for (i, K), pos in index.items():
-        y0[pos] = ident.coefficient(i, K)
+        raise ValueError(
+            f"jet degree {degree} exceeds the field's truncation degree {X.cap}"
+        )
+    y0 = HolonomyJet.identity(X.n, degree).vector
     y1 = _integrate(_jet_rhs(X, degree, 1 if windings > 0 else -1), 0.0, 1.0, y0, tol)
-    coeffs = {i: {} for i in range(1, n + 1)}
-    for (i, K), pos in index.items():
-        if y1[pos] != 0:
-            coeffs[i][K] = y1[pos]
-    turn = HolonomyJet(n, degree, coeffs)
-    jet = turn
+    jet = turn = HolonomyJet._wrap(X.n, degree, y1)
     if abs(windings) > 1:
         # jet = turn.after(jet), with turn's substitution compiled once
         after_turn = _composer(turn)
@@ -665,8 +650,8 @@ def path_lift(X: VectorField, start, path: PathSpec, tol: float = 1e-10):
         if abs(x) < path.min_modulus:
             raise LeafEscapeError("path entered the forbidden disk around x = 0")
         rate = path.dgamma(t) / x
-        vals = _point_rhs(terms, x, z)
-        return [rate * v for v in vals]
+        coeffs = [[(M, _eval_coeff(xterms, x)) for M, xterms in comp] for comp in terms]
+        return [rate * v for v in _point_map(coeffs, z)]
 
     def watch(t, z):
         if max(abs(v) for v in z) > path.escape_radius:
@@ -722,6 +707,11 @@ def transport_conjugacy(X: VectorField, Y: VectorField, phi: HolonomyJet,
     |z| small enough that this dominates the integrator tolerance but not
     the comparison threshold.
     """
+    _require_tol(tol)
+    for F in (X, Y):
+        _require_x_normalized(F)
+    if not phi.n == X.n == Y.n:
+        raise ValueError(f"phi, X and Y must share n, got {phi.n}, {X.n} and {Y.n}")
     x0, z0 = point
     x0 = complex(x0)
     z = tuple(complex(v) for v in z0)

@@ -150,7 +150,6 @@ def normalize(
     X: VectorField,
     mu,
     x_cap: int | None = None,
-    certify: bool = True,
 ) -> NormalFormResult:
     """Eliminate every nonresonant monomial of X and certify the conjugation.
 
@@ -225,11 +224,8 @@ def normalize(
             continue  # adjacent Jordan entry, reported through eps
         resonant.append(ResonantTerm(K, j, -s_int, coeff))
 
-    certified = False
-    if certify:
-        certified = _intertwines(normalizer, X, field, window)
-        if not certified:
-            raise AssertionError("conjugation certificate failed")
+    if not _intertwines(normalizer, X, field, window):
+        raise AssertionError("conjugation certificate failed")
     return NormalFormResult(
         normal_field=field,
         normalizer=normalizer,
@@ -238,7 +234,7 @@ def normalize(
         mu=mu,
         steps=tuple(steps),
         x_window=window,
-        certified=certified,
+        certified=True,
     )
 
 

@@ -202,7 +202,7 @@ class TestCriterion3:
             keys = [s.pair_key() for s in res.steps]
             assert keys == sorted(keys) and len(keys) == len(set(keys))
             assert res.certified
-            again = normalize(res.normal_field, mu, x_cap=64, certify=False)
+            again = normalize(res.normal_field, mu, x_cap=64)
             assert again.steps == ()
 
 

@@ -743,3 +743,31 @@ def test_zero_field_document(tmp_path):
     assert (rc, err) == (0, "")
     report = json.loads(out)
     assert (report["x"], report["z"]) == ("x", ["z1", "z2"])
+
+
+CONJUGACY_SCALE = ["conjugacy-check", "--field", doc("resonant.vf"), "--map", doc("scale.map"),
+                   "--degree", "2", "--json"]
+
+
+@pytest.mark.parametrize("bound", ["nan", "-1", "-inf"])
+def test_max_residual_that_bounds_nothing_is_usage_error(bound):
+    rc, out, err = call(CONJUGACY_SCALE + [f"--max-residual={bound}"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --max-residual must be a number >= 0")
+
+
+@pytest.mark.parametrize("bound,code", [("0", 1), ("1e-20", 1), ("inf", 0)])
+def test_max_residual_bounds_stay_valid(bound, code):
+    rc, out, _ = call(CONJUGACY_SCALE + [f"--max-residual={bound}"])
+    assert rc == code
+    assert json.loads(out)["ok"] is (code == 0)
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("holonomy", []),
+    ("conjugacy-check", ["--map", doc("scale.map")]),
+])
+def test_jet_degree_past_the_truncation_degree_is_usage_error(command, extra):
+    rc, out, err = call([command, "--field", doc("resonant.vf"), *extra, "--degree", "5", "--json"])
+    assert (rc, out) == (2, "")
+    assert err == "error: jet degree 5 exceeds the field's truncation degree 4\n"

@@ -26,7 +26,6 @@ from crossfield.holonomy import (
     _jet_layout,
     _jet_rhs,
     _numeric_terms,
-    _pack_terms,
     conjugacy_residual,
     holonomy_jet,
     path_lift,
@@ -166,6 +165,10 @@ class TestJet:
         bad = VectorField.zero(1, 3)
         with pytest.raises(ValueError):
             holonomy_jet(bad, 2)
+
+    def test_degree_past_the_cap_names_both_degrees(self):
+        with pytest.raises(ValueError, match="jet degree 5 exceeds the field's truncation degree 4"):
+            holonomy_jet(field_resonant(4), 5)
 
 
 class TestPathLift:
@@ -382,7 +385,8 @@ def ref_rhs(X, degree, windings):
 
 
 # --- the interpreted product plan the compiled kernels replaced ---------------
-# _product_table, _dense_mul, _monomials, _pack, _jet_rhs and HolonomyJet.after
+# _product_table, _dense_mul, _monomials, _pack, _pack_terms, _jet_rhs and
+# HolonomyJet.after
 # as they were before the kernels were compiled, verbatim but for the loop_
 # names: the compiled kernels must match them bit for bit on finite states.
 
@@ -442,10 +446,22 @@ def loop_monomials(rows, m, blocks, exps):
     return out
 
 
+def loop_pack_terms(comp, degree):
+    """The (K, c) of a jet component with |K| <= degree; a constant term is an error."""
+    out = []
+    for K, c in comp.items():
+        d = sum(K)
+        if d == 0:
+            raise ValueError("jets with a constant term cannot be composed")
+        if d <= degree:
+            out.append((K, c))
+    return out
+
+
 def loop_pack(comp, pos, degree):
     """Dense block of a jet component over the grlex positions `pos`."""
     block = [0j] * len(pos)
-    for K, c in _pack_terms(comp, degree):
+    for K, c in loop_pack_terms(comp, degree):
         block[pos[K]] = c
     return block
 
@@ -503,7 +519,7 @@ def loop_after(self, other: "HolonomyJet") -> "HolonomyJet":
     m = len(monos)
     pos = {K: p for p, K in enumerate(monos)}
     blocks = [loop_pack(other.coeffs.get(i, {}), pos, degree) for i in range(1, n + 1)]
-    terms = [_pack_terms(self.coeffs.get(i, {}), degree) for i in range(1, n + 1)]
+    terms = [loop_pack_terms(self.coeffs.get(i, {}), degree) for i in range(1, n + 1)]
     z_K = loop_monomials(loop_product_table(monos, degree), m, blocks,
                          [K for comp in terms for K, _ in comp])
     out = {}
@@ -629,9 +645,10 @@ class TestProductPlanAgainstReference:
             assert_close(dict(enumerate(got)), dict(enumerate(want)))
 
     def test_after_rejects_constant_terms(self):
+        # the constant term is rejected when the jet is built
         f = HolonomyJet.identity(1, 2)
-        g = HolonomyJet(1, 2, {1: {(0,): 0.5, (1,): 1.0}})
         with pytest.raises(ValueError, match="constant"):
+            g = HolonomyJet(1, 2, {1: {(0,): 0.5, (1,): 1.0}})
             f.after(g)
 
 
@@ -827,6 +844,50 @@ class TestCompiledKernelsBitwise:
         assert all("= s[" in src and "s += (" in src for src, _ in seen[1:-1])
         # a sum past two terms goes on from the previous statement's value
         assert any(re.search(r"\n    v\d+ = v\d+ \+ v\d+\*v\d+", src) for src, _ in seen)
+
+
+class TestPackedJet:
+    def test_construction_packs_once(self):
+        # terms past the degree drop out; coeffs reads the nonzero entries
+        jet = HolonomyJet(1, 2, {1: {(3,): 5.0, (2,): 0.5, (1,): 1}})
+        assert jet.vector == [1 + 0j, 0.5 + 0j]
+        assert jet.coeffs == {1: {(1,): 1, (2,): 0.5}}
+        assert list(HolonomyJet(2, 1, {2: {(1, 0): 3}}).coeffs.items()) == [(1, {}), (2, {(1, 0): 3})]
+
+    def test_after_ignores_dict_order(self):
+        # the same dense jet in two key orders sums in one order: the layout's
+        rng = random.Random(7600)
+        monos, _ = _jet_layout(2, 4)
+        for _ in range(20):
+            f = {i: {K: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for K in monos}
+                 for i in (1, 2)}
+            flipped = {i: dict(reversed(comp.items())) for i, comp in reversed(f.items())}
+            g = rand_jet(rng, 2, 4)
+            forward = HolonomyJet(2, 4, f).after(g)
+            backward = HolonomyJet(2, 4, flipped).after(g)
+            assert jet_hexes(forward) == jet_hexes(backward)
+
+    def test_apply_point_rejects_a_point_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="expected 2 transverse coordinates"):
+            HolonomyJet.identity(2, 2).apply_point((0.1,))
+
+    def test_max_abs_diff_rejects_other_shapes(self):
+        for other in (HolonomyJet.identity(2, 2), HolonomyJet.identity(1, 3)):
+            with pytest.raises(ValueError, match="jet shapes differ"):
+                HolonomyJet.identity(1, 2).max_abs_diff(other)
+
+    def test_transport_checks_shapes_before_lifting(self):
+        # at x0 = 1 with no extra windings no path is lifted
+        X = _golden_field("twovar.vf")
+        phi = HolonomyJet.identity(2, 2)
+        with pytest.raises(ValueError, match="expected 2 transverse coordinates"):
+            transport_conjugacy(X, X, phi, (1.0, (0.01,)))
+        with pytest.raises(ValueError, match="share n"):
+            transport_conjugacy(X, X, HolonomyJet.identity(1, 2), (1.0, (0.01, 0.02)))
+        with pytest.raises(ValueError, match="tol"):
+            transport_conjugacy(X, X, phi, (1.0, (0.01, 0.02)), tol=math.nan)
+        with pytest.raises(ValueError, match="x-normalized"):
+            transport_conjugacy(X, VectorField.zero(2, 3), phi, (1.0, (0.01, 0.02)))
 
 
 def code_objects(code):

@@ -387,7 +387,7 @@ class TestSweepInvariants:
             assert keys == sorted(keys)
             assert len(keys) == len(set(keys))
             # no nonresonant term is left: a second sweep does nothing
-            again = normalize(res.normal_field, mu, x_cap=64, certify=False)
+            again = normalize(res.normal_field, mu, x_cap=64)
             assert again.steps == ()
 
     def test_certificate_zero_on_random_fields(self):
