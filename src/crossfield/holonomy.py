@@ -18,10 +18,14 @@ explicit: every entry point rejects a tol that is not finite and positive
 with ValueError.
 
 A jet is one packed complex vector (_jet_layout): block i holds the
-coefficients of z_i on the monomials of degree 1..d in grlex order.  That
-vector is the integrator's state and the compiled kernels' input and
-output, and a HolonomyJet wraps it as it is; only a {i: {K: c}} input is
-converted, once, when the jet is built.  The jet right-hand side
+coefficients of z_i on the monomials of degree 1..d in grlex order.  A
+HolonomyJet wraps that full vector, and the composition kernel reads and
+writes it as it is; only a {i: {K: c}} input is converted, once, when the
+jet is built.  Most entries of a holonomy jet are zero by construction:
+block i can only reach the identity's e_i and the support of the field's
+monomials z^M in direction i.  _jet_support closes that set, and the
+integrator's state is the subvector on it; holonomy_jet scatters the
+final state back into the full vector.  The jet right-hand side
 (_jet_rhs) and the substitution behind HolonomyJet.after (_composer) are
 compiled kernels: _jet_kernel writes straight-line Python for one field
 or one jet, with the state unpacked into locals, every power
@@ -36,11 +40,15 @@ bounded memory.
 
 For finite states the kernels give the same floats, bit for bit, as the
 interpreted loops they replaced: every sum keeps its order, and the only
-terms dropped (entries zero by construction, runtime zeros the loops
-skipped) are exact zeros.  A sum that starts at 0j is never -0.0, and
-adding +-0 to it changes nothing, which is why each sum keeps its 0j.  The
-integrator is an adaptive embedded Dormand-Prince 5(4) pair on complex
-state vectors, first-same-as-last: six right-hand side calls per step.
+terms dropped (entries zero by construction, off-support entries, runtime
+zeros the loops skipped) are exact zeros.  A sum that starts at 0j is
+never -0.0, and adding +-0 to it changes nothing, which is why each sum
+keeps its 0j.  On the full vector the off-support entries would stay
+exactly 0j and add 0 to the error norm, so the support-packed integration
+takes the same steps and ends on the same floats.  The integrator is an
+adaptive embedded Dormand-Prince 5(4) pair on complex state vectors,
+first-same-as-last: six right-hand side calls per step.  A state that is
+no longer finite (an overflowing jet) raises IntegrationError.
 """
 
 from __future__ import annotations
@@ -70,7 +78,8 @@ MAX_WINDINGS = 64
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive step-size control failed (step underflow or step budget)."""
+    """Integration failed: step underflow, step budget, or a state or jet that
+    is not finite (it overflowed)."""
 
 
 class LeafEscapeError(RuntimeError):
@@ -85,7 +94,8 @@ class HolonomyJet:
 
     A jet is its packed vector in _jet_layout order: block i holds z_i's
     coefficients on the monomials of degree 1..degree in grlex order, the
-    state the integrator and the compiled kernels read and write.  A
+    vector the composition kernel reads and writes (the integrator carries
+    only its support, and holonomy_jet scatters it back).  A
     {i: {K: c}} input is packed once, here: a constant term is an error and
     terms past the degree drop out.
     """
@@ -161,9 +171,10 @@ class HolonomyJet:
         return tuple(_point_map(self._terms(), z))
 
     def max_abs_diff(self, other: "HolonomyJet") -> float:
+        """The largest entry of |self - other|; NaN if any entry is NaN."""
         self._require_shape(other)
-        # the max starts from 0.0 and runs left to right, so NaN entries are skipped
-        return max([0.0, *(abs(a - b) for a, b in zip(self.vector, other.vector))])
+        diffs = [abs(a - b) for a, b in zip(self.vector, other.vector)]
+        return math.nan if any(map(math.isnan, diffs)) else max(diffs)
 
     def _require_shape(self, other: "HolonomyJet") -> None:
         if self.n != other.n or self.degree != other.degree:
@@ -187,7 +198,7 @@ def _composer(f: HolonomyJet):
     state = prog.unpack("y", len(index))
     cs = iter(prog.unpack("cs", len(coeffs)))
     terms = [[(K, next(cs)) for K, _ in comp] for comp in comps]
-    kernel = _jet_kernel(prog, monos, degree, state, terms)
+    kernel = _jet_kernel(prog, _product_rows(monos, degree), state, terms)
 
     def compose(g: HolonomyJet) -> HolonomyJet:
         return HolonomyJet._wrap(n, degree, kernel(coeffs, g.vector), f.base_point)
@@ -301,52 +312,99 @@ class _Program:
         self.start, self.products = self.count, 0
 
 
-def _jet_kernel(prog: _Program, monos, degree: int, state, terms):
+def _product_rows(monos, degree: int) -> list:
+    """Per position a of a packed block (monomials `monos`, grlex), the pairs
+    (o, b) over the positions b with |K_a| + |K_b| <= degree, in grlex order:
+    o is the position of K_a + K_b."""
+    pos = {K: p for p, K in enumerate(monos)}
+    return [
+        [(pos[tuple(x + y for x, y in zip(Ka, Kb))], b)
+         for b, Kb in enumerate(monos) if sum(Ka) + sum(Kb) <= degree]
+        for Ka in monos
+    ]
+
+
+def _monomials(mul, blocks, exps) -> dict:
+    """{M: z^M} for each M in exps (1 <= |M|) over the blocks z_j, under mul.
+
+    Powers follow z_j^k = z_j^(k-1) z_j and z^M multiplies its powers left
+    to right over j; every power and every distinct M is built once.
+    """
+    powers = [[block] for block in blocks]
+    z = {}
+    for M in exps:
+        if M in z:
+            continue
+        acc = None
+        for j, k in enumerate(M):
+            if k:
+                pw = powers[j]
+                while len(pw) < k:
+                    pw.append(mul(pw[-1], pw[0]))
+                acc = pw[k - 1] if acc is None else mul(acc, pw[k - 1])
+        z[M] = acc
+    return z
+
+
+def _jet_kernel(prog: _Program, rows, state, terms):
     """Finish prog as sum_t c_t z^{M_t} per direction over the packed state.
 
-    state holds the value of each state entry (blocks of len(monos) per
-    direction), and terms per direction the (M, value of c) of its terms in
-    summation order.  Powers follow z_j^k = z_j^(k-1) z_j and z^M multiplies
-    its powers left to right over j; each is built once.  A product entry is
-    0j + sum A_a B_b over the left factor's positions a ascending, and an
-    output entry 0j + sum c_t z^{M_t} over the terms; entries that are zero
-    by construction (degree below the power or monomial) are left out.
+    rows is the _product_rows table of one block.  state holds the value of
+    each state entry (blocks of len(rows) per direction), None for an entry
+    that is zero by construction, and terms per direction the (M, value of
+    c) of its terms in summation order.  The kernel returns the outputs at
+    the positions whose state entry is not None, in layout order; every other
+    output must be zero by construction, as it is when the None entries are
+    off the jet's support (_jet_support).  A product entry is 0j + sum A_a B_b
+    over the left factor's positions a ascending, and an output entry
+    0j + sum c_t z^{M_t} over the terms; entries that are zero by
+    construction (a None factor, or degree below the power or monomial) are
+    left out.
     """
-    m = len(monos)
-    pos = {K: p for p, K in enumerate(monos)}
-    rows = [
-        (a, [(pos[tuple(x + y for x, y in zip(Ka, Kb))], b)
-             for b, Kb in enumerate(monos) if sum(Ka) + sum(Kb) <= degree])
-        for a, Ka in enumerate(monos)
-    ]
+    m = len(rows)
 
     def mul(A, B):
         entries = [[] for _ in range(m)]
-        for a, pairs in rows:
+        for a, pairs in enumerate(rows):
             if A[a] is not None:
                 for o, b in pairs:
                     if B[b] is not None:
                         entries[o].append((A[a], B[b]))
         return [prog.sum(pairs) for pairs in entries]
 
-    powers = [[list(state[j * m:(j + 1) * m])] for j in range(len(terms))]
-    z = {}
-    for comp in terms:
-        for M, _ in comp:
-            if M in z:
-                continue
-            acc = None
-            for j, k in enumerate(M):
-                if k:
-                    pw = powers[j]
-                    while len(pw) < k:
-                        pw.append(mul(pw[-1], pw[0]))
-                    acc = pw[k - 1] if acc is None else mul(acc, pw[k - 1])
-            z[M] = acc
+    blocks = [state[j * m:(j + 1) * m] for j in range(len(terms))]
+    z = _monomials(mul, blocks, [M for comp in terms for M, _ in comp])
     return prog.finish([
         prog.sum([(c, z[M][p]) for M, c in comp if z[M][p] is not None])
-        for comp in terms for p in range(m)
+        for j, comp in enumerate(terms) for p in range(m) if state[j * m + p] is not None
     ])
+
+
+def _jet_support(rows, exps, y0) -> list:
+    """Positions of the packed state that the jet ODE can make nonzero from y0.
+
+    exps holds per direction the z-exponents M of the field's terms.  The
+    support starts at y0's nonzero entries, and block i gains the support of
+    z^M for each M of direction i (truncated by rows) until nothing changes;
+    a full block gains nothing, so a dense field stops after one round.  The
+    entries off the support stay exactly 0j under the kernel, which is why
+    the integrator carries only these positions.
+    """
+    m = len(rows)
+
+    def mul(A, B):
+        return {o for a in A for o, b in rows[a] if b in B}
+
+    supp = [{p for p in range(m) if y0[j * m + p]} for j in range(len(exps))]
+    while True:
+        grow = [j for j, s in enumerate(supp) if len(s) < m]
+        z = _monomials(mul, supp, [M for j in grow for M in exps[j]])
+        new = list(supp)
+        for j in grow:
+            new[j] = supp[j].union(*(z[M] for M in exps[j]))
+        if new == supp:
+            return [j * m + p for j, s in enumerate(supp) for p in sorted(s)]
+        supp = new
 
 
 # --- numeric view of a field -------------------------------------------------
@@ -420,7 +478,8 @@ def _integrate(f, t0: float, t1: float, y0, tol: float, max_steps: int = 200_000
     accepted step hands it on as the next step's first stage and a rejected
     step keeps its own, and a run of s steps costs 6 s + 1 calls of f.  Each
     stage argument and the pair (y4, error norm) take one pass over the
-    state, summing the terms left to right in stage order.
+    state, summing the terms left to right in stage order.  An accepted
+    state that is not finite raises IntegrationError.
     """
     if t1 == t0:
         return list(y0)
@@ -466,9 +525,10 @@ def _integrate(f, t0: float, t1: float, y0, tol: float, max_steps: int = 200_000
             / (tol + tol * max(abs(v), abs(u)))
             for v, u, p1, p3, p4, p5, p6, p7 in zip(y, y5, k1, k3, k4, k5, k6, k7)
         ]
-        # the max starts from 0.0 and runs left to right, so NaN entries are skipped
-        err = max([0.0, *ratios])
+        err = max(ratios)
         if err <= 1.0:
+            if not all(map(cmath.isfinite, y5)):
+                raise IntegrationError(f"state is not finite at t={t + h:.6g}")
             t += h
             y = y5
             k1 = k7
@@ -495,26 +555,35 @@ def _jet_layout(n: int, degree: int):
 
 
 def _jet_rhs(X: VectorField, degree: int, windings: int):
-    """Right-hand side of the jet ODE on the packed state of _jet_layout.
+    """Right-hand side of the jet ODE on the support of the packed state.
 
-    dz/dtheta = 2 pi i w B(e^{2 pi i w theta}, z), compiled by _jet_kernel:
-    per call x = e^{2 pi i w theta}, each x**e once, each field coefficient
+    Returns (support, rhs).  support lists, in layout order, the positions
+    of _jet_layout that the ODE can make nonzero from the identity jet
+    (_jet_support); rhs maps the state on those positions to its derivative
+    there.  dz/dtheta = 2 pi i w B(e^{2 pi i w theta}, z) is compiled by
+    _jet_kernel with None at every other position: per call
+    x = e^{2 pi i w theta}, each x**e once, each field coefficient
     2 pi i w (0j + sum k x**e), then each field monomial z^M once for all
     directions, summed into the block of its direction in field order.
     """
     monos, index = _jet_layout(X.n, degree)
+    rows = _product_rows(monos, degree)
+    # terms of degree 0 or past the jet degree leave no trace in degrees 1..d
+    comps = [[(M, xterms) for M, xterms in comp if xterms and 1 <= sum(M) <= degree]
+             for comp in _numeric_terms(X)]
+    support = _jet_support(rows, [[M for M, _ in comp] for comp in comps],
+                           HolonomyJet.identity(X.n, degree).vector)
     namespace = {"exp": cmath.exp, "f": TWO_PI_I * windings}
     prog = _Program("theta, y", namespace)
-    state = prog.unpack("y", len(index))
+    state = [None] * len(index)
+    for p, v in zip(support, prog.unpack("y", len(support))):
+        state[p] = v
     x = prog.define("exp(f * theta)")
     x_pows, consts = {}, []
     terms = []
-    for comp in _numeric_terms(X):
+    for comp in comps:
         row = []
-        # terms of degree 0 or past the jet degree leave no trace in degrees 1..d
         for M, xterms in comp:
-            if not (xterms and 1 <= sum(M) <= degree):
-                continue
             pairs = []
             for e, c in xterms:
                 if e not in x_pows:
@@ -525,7 +594,7 @@ def _jet_rhs(X: VectorField, degree: int, windings: int):
                 pairs.append((name, x_pows[e]))
             row.append((M, prog.sum(pairs, "f * ({})")))
         terms.append(row)
-    return _jet_kernel(prog, monos, degree, state, terms)
+    return support, _jet_kernel(prog, rows, state, terms)
 
 
 def _require_windings(windings) -> None:
@@ -557,14 +626,19 @@ def holonomy_jet(X: VectorField, degree: int, tol: float = 1e-10,
         raise ValueError(
             f"jet degree {degree} exceeds the field's truncation degree {X.cap}"
         )
-    y0 = HolonomyJet.identity(X.n, degree).vector
-    y1 = _integrate(_jet_rhs(X, degree, 1 if windings > 0 else -1), 0.0, 1.0, y0, tol)
-    jet = turn = HolonomyJet._wrap(X.n, degree, y1)
+    support, rhs = _jet_rhs(X, degree, 1 if windings > 0 else -1)
+    vector = HolonomyJet.identity(X.n, degree).vector
+    y1 = _integrate(rhs, 0.0, 1.0, [vector[p] for p in support], tol)
+    for p, v in zip(support, y1):
+        vector[p] = v
+    jet = turn = HolonomyJet._wrap(X.n, degree, vector)
     if abs(windings) > 1:
         # jet = turn.after(jet), with turn's substitution compiled once
         after_turn = _composer(turn)
         for _ in range(abs(windings) - 1):
             jet = after_turn(jet)
+        if not all(map(cmath.isfinite, jet.vector)):
+            raise IntegrationError(f"the {abs(windings)}-fold jet is not finite")
     return jet
 
 

@@ -8,6 +8,7 @@ the module tests.
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -727,12 +728,30 @@ def test_document_fuzz(doc_dir, docs):
          "--degree", str(jet_degree), "--json"],
     ):
         t0 = time.perf_counter()
-        rc, _, err = call(argv)
+        rc, out, err = call(argv)
         elapsed = time.perf_counter() - t0
         case = (argv[0], field_text, map_text)
         assert rc in (0, 1, 2), case
         assert "Traceback" not in err, case
         assert elapsed < 5, (elapsed, case)
+        if rc == 0:
+            assert all(math.isfinite(v) for v in printed_floats(json.loads(out))), case
+
+
+def printed_floats(report):
+    """Every number in a JSON report, and every string that reads as a float."""
+    if isinstance(report, dict):
+        report = list(report.values())
+    if isinstance(report, list):
+        for item in report:
+            yield from printed_floats(item)
+    elif isinstance(report, (int, float)) and not isinstance(report, bool):
+        yield float(report)
+    elif isinstance(report, str):
+        try:
+            yield float(report)
+        except ValueError:
+            pass
 
 
 def test_zero_field_document(tmp_path):
@@ -743,6 +762,41 @@ def test_zero_field_document(tmp_path):
     assert (rc, err) == (0, "")
     report = json.loads(out)
     assert (report["x"], report["z"]) == ("x", ["z1", "z2"])
+
+
+# |e^{2 pi i w mu}| = e^{-2 pi w Im mu} = e^{240 pi} is past the largest float:
+# the one-turn jet overflows in the integrator
+OVERFLOW_DOCS = {
+    "negative-im": ("n: 1\ndegree: 4\nmu: -120*i\n"
+                    "field: x*dx - 120*i*z1*dz1 + x*z1^2*dz1\n", "1"),
+    # positive Im mu contracts forward, so the backward turn overflows
+    "positive-im": ("n: 1\ndegree: 4\nmu: 120*i\n"
+                    "field: x*dx + 120*i*z1*dz1 + x*z1^2*dz1\n", "-1"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OVERFLOW_DOCS))
+def test_overflowing_holonomy_is_an_error(tmp_path, key):
+    text, windings = OVERFLOW_DOCS[key]
+    path = tmp_path / "overflow.vf"
+    path.write_text(text)
+    argv = ["holonomy", "--field", str(path), "--degree", "2", "--json"]
+    rc, out, err = call(argv + ["--windings", windings])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "not finite" in err
+    # the other direction contracts and prints a finite jet
+    rc, out, _ = call(argv + ["--windings", str(-int(windings))])
+    assert rc == 0
+    assert all(math.isfinite(v) for v in printed_floats(json.loads(out)))
+
+
+def test_overflowing_conjugacy_check_is_an_error(tmp_path):
+    path = tmp_path / "overflow.vf"
+    path.write_text(OVERFLOW_DOCS["negative-im"][0])
+    rc, out, err = call(["conjugacy-check", "--field", str(path), "--map", doc("scale.map"),
+                         "--degree", "2", "--max-residual", "1e-9", "--json"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "not finite" in err
 
 
 CONJUGACY_SCALE = ["conjugacy-check", "--field", doc("resonant.vf"), "--map", doc("scale.map"),

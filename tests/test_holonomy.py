@@ -3,6 +3,7 @@ import math
 import random
 import re
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,7 @@ from crossfield.holonomy import (
     transport_conjugacy,
 )
 from crossfield.lie import Automorphism, VectorField, exp
-from crossfield.series import MonomialIndex
+from crossfield.series import MonomialIndex, TransverseSeries
 
 from helpers import linear_matrix, rand_mu, rand_x_normalized, rand_x_normalized_automorphism
 
@@ -141,7 +142,7 @@ class TestJet:
             _, index = _jet_layout(X.n, degree)
             y0 = identity_state(X.n, degree)
             for windings in (2, 3, -2):
-                y = _integrate(_jet_rhs(X, degree, windings), 0.0, 1.0, y0, tol)
+                y = _integrate(full_layout_rhs(X, degree, windings), 0.0, 1.0, y0, tol)
                 direct = HolonomyJet(X.n, degree, {
                     i: {K: y[pos] for (j, K), pos in index.items() if j == i}
                     for i in range(1, X.n + 1)
@@ -638,9 +639,10 @@ class TestProductPlanAgainstReference:
         X = rand_x_normalized(rng, rand_mu(rng, n), degree + 1, terms=4)
         _, index = _jet_layout(n, degree)
         for windings in (1, -1, 2):
-            y = rand_block(rng, len(index))
+            support, _ = _jet_rhs(X, degree, windings)
+            y = on_support(rand_block(rng, len(index)), support)
             theta = rng.random()
-            got = _jet_rhs(X, degree, windings)(theta, y)
+            got = full_layout_rhs(X, degree, windings)(theta, y)
             want = ref_rhs(X, degree, windings)(theta, y)
             assert_close(dict(enumerate(got)), dict(enumerate(want)))
 
@@ -655,6 +657,27 @@ class TestProductPlanAgainstReference:
 def _golden_field(name):
     path = DATA / name
     return FieldDocument.parse(path.read_text(encoding="utf-8"), source=str(path)).field(None)
+
+
+def on_support(y, support):
+    """y with every entry off `support` replaced by 0j."""
+    keep = set(support)
+    return [v if p in keep else 0j for p, v in enumerate(y)]
+
+
+def full_layout_rhs(X, degree, windings):
+    """_jet_rhs read and written on the whole packed layout: the state's
+    entries off the support are ignored and their derivative is 0j."""
+    support, rhs = _jet_rhs(X, degree, windings)
+    size = len(_jet_layout(X.n, degree)[1])
+
+    def full(theta, y):
+        out = [0j] * size
+        for p, v in zip(support, rhs(theta, [y[p] for p in support])):
+            out[p] = v
+        return out
+
+    return full
 
 
 def identity_state(n, degree):
@@ -689,7 +712,7 @@ class TestIntegrationAgainstReference:
     def test_same_steps_and_state(self, X, degree):
         y0 = identity_state(X.n, degree)
         finals, counts = [], []
-        for rhs in (ref_rhs(X, degree, 1), _jet_rhs(X, degree, 1)):
+        for rhs in (ref_rhs(X, degree, 1), full_layout_rhs(X, degree, 1)):
             calls = [0]
             finals.append(counting(_integrate, calls)(rhs, 0.0, 1.0, y0, 1e-10))
             counts.append(calls[0])
@@ -711,8 +734,8 @@ class TestIntegratorAgainstReference:
         pytest.param(_golden_field("twovar.vf"), 3, id="twovar"),
     ])
     def test_jet_state_bit_identical(self, X, degree):
-        y0 = identity_state(X.n, degree)
-        rhs = _jet_rhs(X, degree, 1)
+        support, rhs = _jet_rhs(X, degree, 1)
+        y0 = [identity_state(X.n, degree)[p] for p in support]
         ref_calls, calls = [0], [0]
         want = counting(ref_integrate, ref_calls)(rhs, 0.0, 1.0, y0, 1e-10)
         got = counting(_integrate, calls)(rhs, 0.0, 1.0, y0, 1e-10)
@@ -791,6 +814,27 @@ def recorded_compiles(monkeypatch):
     return seen
 
 
+def _sparse_jet_case(seed):
+    """A field of the holonomy benchmark's shape: n = 2, jet degree 5, a
+    diagonal linear part with Im mu in {-1/4, 0, 1/4}, and 1-3 terms
+    c x^e z^K dz_j with 2 <= |K| <= 5 and e in {0, 1}."""
+    rng = random.Random(seed)
+    n, degree = 2, 5
+    mu = [G(Fraction(rng.randint(-4, 4), 2), Fraction(rng.choice((-1, 0, 0, 1)), 4))
+          for _ in range(n)]
+    higher = _jet_layout(n, degree)[0][n:]
+    extra = [{} for _ in range(n)]
+    for _ in range(rng.randint(1, 3)):
+        coeff = G(Fraction(rng.randint(1, 5), 3), Fraction(rng.randint(-1, 1), 2))
+        extra[rng.randrange(n)][rng.choice(higher)] = LaurentPoly.x(rng.randint(0, 1), coeff)
+    X = VectorField.semisimple(mu, degree) + VectorField(
+        TransverseSeries.zero(n, degree), [TransverseSeries(n, degree, e) for e in extra])
+    return pytest.param(X, degree, id=f"sparse-{seed}")
+
+
+SPARSE_CASES = [_sparse_jet_case(seed) for seed in (7700, 7701, 7702, 7703)]
+
+
 class TestCompiledKernelsBitwise:
     @pytest.mark.parametrize("n,degree", JET_SHAPES)
     def test_rhs(self, n, degree, caps):
@@ -798,11 +842,15 @@ class TestCompiledKernelsBitwise:
         X = rand_x_normalized(rng, rand_mu(rng, n), degree + 1, terms=4)
         _, index = _jet_layout(n, degree)
         for windings in (1, -1, 2):
-            rhs, ref = _jet_rhs(X, degree, windings), loop_jet_rhs(X, degree, windings)
+            (support, rhs), ref = _jet_rhs(X, degree, windings), loop_jet_rhs(X, degree, windings)
+            off = sorted(set(range(len(index))) - set(support))
             for _ in range(3):
-                y = [rand_signed_entry(rng) for _ in index]
+                y = on_support([rand_signed_entry(rng) for _ in index], support)
                 theta = rng.random()
-                assert hexes(rhs(theta, y)) == hexes(ref(theta, y)), windings
+                want = ref(theta, y)
+                got = rhs(theta, [y[p] for p in support])
+                assert hexes(got) == hexes([want[p] for p in support]), windings
+                assert hexes([want[p] for p in off]) == hexes([0j] * len(off)), windings
 
     @pytest.mark.parametrize("n,degree", JET_SHAPES)
     def test_after(self, n, degree, caps):
@@ -815,6 +863,7 @@ class TestCompiledKernelsBitwise:
         pytest.param(_golden_field("resonant.vf"), 4, id="resonant"),
         pytest.param(_golden_field("twovar.vf"), 3, id="twovar"),
         _seeded_jet_case(3, 2),
+        *SPARSE_CASES,
     ])
     def test_holonomy_jet(self, X, degree, caps):
         # one turn integrated with the loop RHS, composed with the loop after
@@ -837,13 +886,90 @@ class TestCompiledKernelsBitwise:
         monkeypatch.setattr(holonomy, "_UNIT_PRODUCTS", 3)
         monkeypatch.setattr(holonomy, "_SUM_TERMS", 2)
         seen = recorded_compiles(monkeypatch)
-        X = _golden_field("twovar.vf")
-        _jet_rhs(X, 3, 1)
+        # twovar.vf with z2 coupled into dz1 and z1^2*dz2: its support is 17
+        # of the 18 state entries, so the kernel stays large
+        X = FieldDocument.parse(
+            "n: 2\ndegree: 3\nfield: x*dx + i*z1*dz1 - z2*dz2 + z2*dz1 + x*z2^2*dz2"
+            " + z1*z2*dz1 + z1^2*dz2\n", source="coupled").field(None)
+        assert len(_jet_rhs(X, 3, 1)[0]) == 17
         assert len(seen) > 10
         # a later unit loads from the value list and appends to it
         assert all("= s[" in src and "s += (" in src for src, _ in seen[1:-1])
         # a sum past two terms goes on from the previous statement's value
         assert any(re.search(r"\n    v\d+ = v\d+ \+ v\d+\*v\d+", src) for src, _ in seen)
+
+
+class TestSupport:
+    """The integrator carries only the entries the field can reach."""
+
+    @pytest.mark.parametrize("X,degree", SPARSE_CASES + [
+        pytest.param(_golden_field("twovar.vf"), 3, id="twovar"),
+        _seeded_jet_case(3, 2),
+    ])
+    def test_off_support_entries_stay_zero(self, X, degree):
+        # the full layout under the loop RHS: every accepted state is +0j off
+        # the support, bit for bit
+        support, _ = _jet_rhs(X, degree, 1)
+        off = sorted(set(range(len(_jet_layout(X.n, degree)[1]))) - set(support))
+        assert off
+        states = []
+        final = _integrate(loop_jet_rhs(X, degree, 1), 0.0, 1.0, identity_state(X.n, degree),
+                           1e-10, on_step=lambda t, y: states.append(y))
+        assert states[-1] is final
+        for y in states:
+            assert hexes([y[p] for p in off]) == hexes([0j] * len(off))
+
+    def test_integrator_sees_only_the_support(self, monkeypatch):
+        X, degree = SPARSE_CASES[0].values
+        sizes = []
+
+        def recording(f, t0, t1, y0, tol):
+            sizes.append(len(y0))
+            return _integrate(f, t0, t1, y0, tol)
+
+        monkeypatch.setattr(holonomy, "_integrate", recording)
+        jet = holonomy_jet(X, degree, 1e-10, windings=2)
+        full = len(_jet_layout(X.n, degree)[1])
+        assert len(jet.vector) == full
+        assert sizes == [len(_jet_rhs(X, degree, 1)[0])] and sizes[0] < full
+
+    def test_dense_field_reaches_all_but_the_other_linear_entries(self):
+        # every z^K dz_j with 2 <= |K| <= 3 reaches every entry of degree >= 2;
+        # with no linear coupling, z_i's linear part stays on z_i
+        monos, index = _jet_layout(2, 3)
+        higher = {K: LaurentPoly.constant(G(1)) for K in monos[2:]}
+        X = VectorField.semisimple([G(0, 1), G(-2)], 3) + VectorField(
+            TransverseSeries.zero(2, 3), [TransverseSeries(2, 3, higher)] * 2)
+        support, _ = _jet_rhs(X, 3, 1)
+        unreached = {index[(1, (0, 1))], index[(2, (1, 0))]}
+        assert support == sorted(set(range(len(index))) - unreached)
+
+
+class TestNonFinite:
+    """An overflowing jet is an IntegrationError, never NaN with success."""
+
+    def test_overflowing_turn_raises(self):
+        # |e^{2 pi i mu}| = e^{240 pi} is past the largest float
+        X = FieldDocument.parse("n: 1\ndegree: 4\nmu: -120*i\n"
+                                "field: x*dx - 120*i*z1*dz1 + x*z1^2*dz1\n", source="o").field(None)
+        with pytest.raises(IntegrationError, match="not finite"):
+            holonomy_jet(X, 2)
+
+    def test_overflowing_composition_raises(self):
+        # one turn is e^{120 pi} ~ 5e163; two turns are past the largest float
+        X = VectorField.semisimple([G(0, -60)], 4)
+        assert math.isfinite(abs(holonomy_jet(X, 2).coefficient(1, (1,))))
+        with pytest.raises(IntegrationError, match="2-fold jet is not finite"):
+            holonomy_jet(X, 2, windings=2)
+
+    def test_max_abs_diff_propagates_nan(self):
+        nan_jet = HolonomyJet(1, 2, {1: {(1,): complex(math.nan, math.nan), (2,): math.nan}})
+        assert math.isnan(nan_jet.max_abs_diff(nan_jet))
+        assert math.isnan(HolonomyJet.identity(1, 2).max_abs_diff(nan_jet))
+        assert math.isnan(nan_jet.max_abs_diff(HolonomyJet.identity(1, 2)))
+        half = HolonomyJet(1, 2, {1: {(1,): 1, (2,): math.nan}})
+        assert math.isnan(half.max_abs_diff(HolonomyJet.identity(1, 2)))
+        assert HolonomyJet.identity(1, 2).max_abs_diff(HolonomyJet(1, 2, {1: {(1,): 3}})) == 2.0
 
 
 class TestPackedJet:
