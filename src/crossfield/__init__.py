@@ -18,6 +18,7 @@ from .series import (
 )
 from .lie import (
     Automorphism,
+    CertificateError,
     NotNilpotentError,
     NotTangentToIdentityError,
     SingularLinearPartError,
@@ -47,6 +48,7 @@ __all__ = [
     "exp_decomposition",
     "grlex_compare",
     "iter_l_indices",
+    "CertificateError",
     "CoefficientSyntaxError",
     "DimensionMismatchError",
     "NotNilpotentError",

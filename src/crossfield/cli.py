@@ -10,19 +10,25 @@ digits.
 
 Exit codes: 0 success, 1 a mathematical finding flagged as a failure (a
 noncommuting pair under check-commute, a centralizer monomial violating the
-no-negative-resonance expectation, a conjugacy residual over the bound), 2
-usage errors including syntax errors with positions and sizes above the
-MAX_* bounds below.
+no-negative-resonance expectation, a conjugacy residual over the bound, an
+exact result failing its own check, lie.CertificateError), 2 usage errors
+including syntax errors with positions and sizes above the MAX_* bounds
+below.
 
 One table, _COMMANDS, gives each command its help text, its flags (keys
 into the ordered _FLAGS table) and its handler; build_parser() and main()
 both read it.  Both document kinds go through one header reader,
 _read_header, and every report through one envelope, _emit, which puts
-"schema" and "command" in front.
+"schema" and "command" in front.  Its JSON comes from a small recursive
+writer, _json, with exactly the bytes of json.dumps(report, indent=2) but
+without the pure-Python encoder that indent selects.
 
 main() builds its argparse tree on its first call and reuses it for every
 later call in the process; the tree holds no per-call state, so repeated
-calls behave exactly like calls on a fresh build_parser().
+calls behave exactly like calls on a fresh build_parser().  An argv that
+starts with a command's name goes straight to that command's subparser,
+which is all the top-level parser would do with it; any other argv (no
+command, -h, an unknown name) takes the full two-level parse.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .coeff import CoefficientSyntaxError, GaussianRational
 from .holonomy import (
@@ -39,7 +46,7 @@ from .holonomy import (
     conjugacy_residual,
     holonomy_jet,
 )
-from .lie import Automorphism, VectorField, exp, log
+from .lie import Automorphism, CertificateError, VectorField, exp, log
 from .normalform import centralizer_check, normalize
 from .parsing import parse_field, parse_series
 from .resonance import (
@@ -262,12 +269,45 @@ def _emit(args, report: dict) -> None:
     """Print a command's report, behind "schema" and "command"."""
     report = {"schema": 1, "command": args.command, **report}
     if args.json:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(_json(report) + "\n")
         return
     for key, value in report.items():
         if key == "schema":
             continue
         sys.stdout.write(_text_block(key, value))
+
+
+def _json(value, newline="\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for a report: dict keys
+    are str.  newline is the line break and indentation of value's line.
+
+    Strings and keys go through json's own (C) ASCII escaper, and json.dumps
+    sees only scalars other than str, None, bool and int.  With indent set,
+    json.dumps runs its pure-Python encoder, which takes about twice as long
+    and leaves reference cycles behind.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value)
 
 
 def _text_block(key, value, indent="") -> str:
@@ -612,6 +652,11 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The top-level parser and the map from command name to its subparser."""
     parser = argparse.ArgumentParser(
         prog="crossfield",
         description="Exact normal forms, resonance classification and numeric "
@@ -624,25 +669,45 @@ def build_parser() -> argparse.ArgumentParser:
         for key, option, kwargs in _FLAGS:
             if key in taken:
                 p.add_argument(option, **kwargs)
-    return parser
+    return parser, sub.choices
 
 
 _PARSER = None  # built by the first main() call, not at import
+_SUBPARSERS = {}  # command name -> subparser, built with _PARSER
+
+
+def _parse(argv):
+    """The Namespace _PARSER.parse_args(argv) gives, or its SystemExit.
+
+    When argv starts with a command's name, the top-level parser would only
+    hand the rest to that command's subparser, so the subparser reads it
+    directly and leftovers go to the top-level error, as they would there.
+    Any other argv (no command, -h, an unknown name) takes the full parse.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER, subparsers = _build_parsers()
+        _SUBPARSERS.update(subparsers)
+    if not argv or argv[0] not in _SUBPARSERS:
+        return _PARSER.parse_args(argv)
+    args, extras = _SUBPARSERS[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extras:
+        _PARSER.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
         _check_flags(args)
         _COMMANDS[args.command][2](args)
         return 0
-    except Finding as e:
+    except (Finding, CertificateError) as e:
         sys.stderr.write(f"finding: {e}\n")
         return 1
     except (ValueError, IntegrationError, LeafEscapeError) as e:

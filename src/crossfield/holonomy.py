@@ -82,6 +82,10 @@ class IntegrationError(RuntimeError):
     is not finite (it overflowed)."""
 
 
+class _NotFiniteError(IntegrationError):
+    """An accepted integrator state that is not finite."""
+
+
 class LeafEscapeError(RuntimeError):
     """The lifted leaf left the numerical domain (|z| exceeded the bound)."""
 
@@ -479,7 +483,7 @@ def _integrate(f, t0: float, t1: float, y0, tol: float, max_steps: int = 200_000
     step keeps its own, and a run of s steps costs 6 s + 1 calls of f.  Each
     stage argument and the pair (y4, error norm) take one pass over the
     state, summing the terms left to right in stage order.  An accepted
-    state that is not finite raises IntegrationError.
+    state that is not finite raises _NotFiniteError, an IntegrationError.
     """
     if t1 == t0:
         return list(y0)
@@ -528,7 +532,7 @@ def _integrate(f, t0: float, t1: float, y0, tol: float, max_steps: int = 200_000
         err = max(ratios)
         if err <= 1.0:
             if not all(map(cmath.isfinite, y5)):
-                raise IntegrationError(f"state is not finite at t={t + h:.6g}")
+                raise _NotFiniteError(f"state is not finite at t={t + h:.6g}")
             t += h
             y = y5
             k1 = k7
@@ -626,9 +630,13 @@ def holonomy_jet(X: VectorField, degree: int, tol: float = 1e-10,
         raise ValueError(
             f"jet degree {degree} exceeds the field's truncation degree {X.cap}"
         )
-    support, rhs = _jet_rhs(X, degree, 1 if windings > 0 else -1)
+    sign = 1 if windings > 0 else -1
+    support, rhs = _jet_rhs(X, degree, sign)
     vector = HolonomyJet.identity(X.n, degree).vector
-    y1 = _integrate(rhs, 0.0, 1.0, [vector[p] for p in support], tol)
+    try:
+        y1 = _integrate(rhs, 0.0, 1.0, [vector[p] for p in support], tol)
+    except _NotFiniteError as e:
+        raise IntegrationError(f"{e}{_overflow_note(X, sign)}") from None
     for p, v in zip(support, y1):
         vector[p] = v
     jet = turn = HolonomyJet._wrap(X.n, degree, vector)
@@ -638,8 +646,29 @@ def holonomy_jet(X: VectorField, degree: int, tol: float = 1e-10,
         for _ in range(abs(windings) - 1):
             jet = after_turn(jet)
         if not all(map(cmath.isfinite, jet.vector)):
-            raise IntegrationError(f"the {abs(windings)}-fold jet is not finite")
+            raise IntegrationError(f"the {abs(windings)}-fold jet is not finite"
+                                   + _overflow_note(X, windings))
     return jet
+
+
+def _overflow_note(X: VectorField, windings: int) -> str:
+    """The largest linear jet entry predicted for `windings` turns, as text.
+
+    With a triangular linear part the entry of z_j at z_j is
+    e^(2 pi i w mu_j), of modulus e^(-2 pi w Im mu_j): written as a power
+    of ten, which tells how far past the largest float (about 10^308) the
+    jet went.  Empty when the linear part is not triangular.
+    """
+    A = X.constant_linear_matrix()
+    n = len(A)
+    if any(A[i][j] for i in range(n) for j in range(i)) and any(
+            A[i][j] for j in range(n) for i in range(j)):
+        return ""
+    tens = [-2 * math.pi * windings * A[j][j].as_complex().imag / math.log(10)
+            for j in range(n)]
+    j = max(range(n), key=tens.__getitem__)
+    return (f"; z{j + 1}'s linear entry |e^(2 pi i w mu_{j + 1})| = e^(-2 pi w Im mu_{j + 1})"
+            f" is predicted at about 10^{tens[j]:.0f} for w = {windings}")
 
 
 @dataclass

@@ -34,6 +34,7 @@ __all__ = [
     "NotNilpotentError",
     "NotTangentToIdentityError",
     "SingularLinearPartError",
+    "CertificateError",
     "bracket",
     "exp",
     "log",
@@ -57,6 +58,12 @@ class NotTangentToIdentityError(ValueError):
 
 class SingularLinearPartError(ValueError):
     """Inversion requires an invertible (constant) z-linear part."""
+
+
+class CertificateError(AssertionError):
+    """An exact result failed its own check: a certificate or invariant of
+    normalize, or a Lie or log series past its iteration guard.  It is an
+    AssertionError, so callers that catch those keep working."""
 
 
 class VectorField:
@@ -756,7 +763,7 @@ def _lie_series(step, start, t, x_window):
     while True:
         k += 1
         if k > _GUARD:
-            raise AssertionError("Lie series failed to terminate; nilpotency is violated")
+            raise CertificateError("Lie series failed to terminate; nilpotency is violated")
         c = t / k
         term = step(term)
         if c != 1:
@@ -786,7 +793,7 @@ def log(phi: Automorphism) -> VectorField:
         m = 1
         while not u.is_zero():
             if m > _GUARD:
-                raise AssertionError("log failed to terminate")
+                raise CertificateError("log failed to terminate")
             acc = acc + u.scale(Fraction(1, m) if m % 2 == 1 else Fraction(-1, m))
             u = phi.apply(u) - u
             m += 1

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeff import GaussianRational, LaurentPoly
-from .lie import Automorphism, VectorField, _from_factors, exp_ad
+from .lie import Automorphism, CertificateError, VectorField, _from_factors, exp_ad
 from .resonance import NtnrResult, as_eigenvalues, decide_ntnr, integral_pairing, pairing
 from .series import MonomialIndex, TransverseSeries, iter_l_indices
 
@@ -193,12 +193,12 @@ def normalize(
         factors.append((W, GaussianRational.ONE, window))
         steps.append(idx)
         if field.coefficient_at(idx) != residual:
-            raise AssertionError(
+            raise CertificateError(
                 f"elimination at {idx} left an unexpected coefficient"
             )
 
     if field.a != TransverseSeries.x_series(n, cap):
-        raise AssertionError("the sweep disturbed the d/dx component")
+        raise CertificateError("the sweep disturbed the d/dx component")
     normalizer = _from_factors(n, cap, factors)
 
     resonant = []
@@ -206,14 +206,14 @@ def normalize(
         K, j = idx.K, idx.j
         if K == (0,) * n:
             if poly != LaurentPoly.constant(mu[j - 1]):
-                raise AssertionError("diagonal slot deviates from mu")
+                raise CertificateError("diagonal slot deviates from mu")
             continue
         s = pairing(mu, K)
         if not s.is_integer():
-            raise AssertionError(f"nonresonant coefficient survived at {idx}")
+            raise CertificateError(f"nonresonant coefficient survived at {idx}")
         s_int = int(s.re)
         if not (poly.is_monomial() and poly.support() == [-s_int]):
-            raise AssertionError(f"resonant slot {idx} is not a pure x^{-s_int} term")
+            raise CertificateError(f"resonant slot {idx} is not a pure x^{-s_int} term")
         coeff = poly.coefficient(-s_int)
         if (
             s_int == 0
@@ -225,7 +225,7 @@ def normalize(
         resonant.append(ResonantTerm(K, j, -s_int, coeff))
 
     if not _intertwines(normalizer, X, field, window):
-        raise AssertionError("conjugation certificate failed")
+        raise CertificateError("conjugation certificate failed")
     return NormalFormResult(
         normal_field=field,
         normalizer=normalizer,

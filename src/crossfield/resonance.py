@@ -63,7 +63,7 @@ SIEGEL_REAL_3B = "SiegelReal3b"
 
 # The exact n <= 3 decision scans integer boxes of side about max|S|, S the
 # imaginary parts over a common denominator, so its cost grows like
-# max|S|^n: 9.7e5 points (1-1/7*i, 3/2-1/6*i, -1-i) take about 1.1 s on a
+# max|S|^n: 9.7e5 points (1-1/7*i, 3/2-1/6*i, -1-i) take about 0.5 s on a
 # 2-core x86 machine, and 1/31*i, -1/37*i+1/2, 1/41*i spans 7.2e10.  Past
 # this many points decide_ntnr takes the bounded branch.
 MAX_BOX_POINTS = 2_000_000
@@ -104,9 +104,11 @@ def integral_pairing(mu):
     <mu, K> is an integer exactly when sum im_i k_i = 0 and D divides
     sum re_i k_i; each call is two integer dot products.
     """
-    den = math.lcm(*(m.re.denominator for m in mu), *(m.im.denominator for m in mu))
-    re = [int(m.re * den) for m in mu]
-    im = [int(m.im * den) for m in mu]
+    # a canonical triple (a, b, d) has gcd(a, b, d) = 1, so d is already the
+    # lcm of the denominators of a/d and b/d
+    den = math.lcm(*(m._d for m in mu))
+    re = [m._a * (den // m._d) for m in mu]
+    im = [m._b * (den // m._d) for m in mu]
 
     def pair(K):
         if sum(map(operator.mul, im, K)):
@@ -241,9 +243,14 @@ def decide_ntnr(mu, fallback_bound: int = 8) -> NtnrResult:
 
 
 def _imaginary_integers(mu):
-    """The imaginary parts of mu over their least common denominator."""
-    den = math.lcm(*(m.im.denominator for m in mu))
-    return [int(m.im * den) for m in mu]
+    """The imaginary parts of mu over their least common denominator.
+
+    Im m = b/d reduces to (b/g)/(d/g) with g = gcd(b, d), so the common
+    denominator is the lcm of the reduced d/g, not of the triples' d: S
+    sets the box side.
+    """
+    den = math.lcm(*(m._d // math.gcd(m._b, m._d) for m in mu))
+    return [m._b * den // m._d for m in mu]
 
 
 def _box_points(S) -> int:
@@ -284,7 +291,7 @@ def _minimal_solutions(S, T, side):
     the brute-force tests check; minimal in the box is minimal globally.
     """
     box = _cartesian(range(side + 1), repeat=len(S))
-    sols = [p for p in box if any(p) and sum(s * v for s, v in zip(S, p)) == T]
+    sols = [p for p in box if sum(map(operator.mul, S, p)) == T and any(p)]
     return _minimal_elements(sols)
 
 

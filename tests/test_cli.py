@@ -6,10 +6,12 @@ the module tests.
 """
 
 import argparse
+import gc
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -784,6 +786,8 @@ def test_overflowing_holonomy_is_an_error(tmp_path, key):
     rc, out, err = call(argv + ["--windings", windings])
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and "not finite" in err
+    # the predicted cut-off: 240 pi / ln 10 = 327.4 decades
+    assert "z1's linear entry" in err and "about 10^327 for w = " in err
     # the other direction contracts and prints a finite jet
     rc, out, _ = call(argv + ["--windings", str(-int(windings))])
     assert rc == 0
@@ -825,3 +829,127 @@ def test_jet_degree_past_the_truncation_degree_is_usage_error(command, extra):
     rc, out, err = call([command, "--field", doc("resonant.vf"), *extra, "--degree", "5", "--json"])
     assert (rc, out) == (2, "")
     assert err == "error: jet degree 5 exceeds the field's truncation degree 4\n"
+
+
+def test_emit_leaves_no_cyclic_garbage():
+    call(["classify2", "--lambda=-1", "--json"])
+    gc.collect()
+    gc.disable()
+    try:
+        rc, out, _ = call(["classify2", "--lambda=-1", "--json"])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert rc == 0 and json.loads(out)["case"] == "ClassifiedByHolonomy"
+
+
+def test_failed_certificate_is_a_finding(monkeypatch):
+    from crossfield import normalform
+
+    monkeypatch.setattr(normalform, "_intertwines", lambda *args: False)
+    assert call(["normalize", "--field", doc("resonant.vf"), "--json"]) == (
+        1, "", "finding: conjugation certificate failed\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["exp", "--field", doc("nilpotent.vf")], "Lie series failed to terminate; nilpotency is violated"),
+    (["log", "--map", doc("tangent.map")], "log failed to terminate"),
+])
+def test_series_guard_is_a_finding(monkeypatch, argv, message):
+    from crossfield import lie
+
+    monkeypatch.setattr(lie, "_GUARD", 0)
+    assert call(argv) == (1, "", f"finding: {message}\n")
+    assert issubclass(lie.CertificateError, AssertionError)
+
+
+# --- the JSON writer against json.dumps(value, indent=2) ----------------------
+
+JSON_TEXT = ["", "z1", "x^-2", "1/2*i", "\u00e9", "\u2028", "\U0001f600", "\x00", "\x1f",
+             "\x7f", '"', "\\", "/", "\n\t\r\b\f", "\ud800"]
+JSON_NUMBERS = [0, -1, 7, 2**70, -(3**50), 0.0, -0.0, 1.5, -2.25e-300, 1e300,
+                math.inf, -math.inf, math.nan]
+
+
+def rand_json(rng, depth=3):
+    kind = rng.random() if depth else 0.0
+    if kind < 0.45:
+        return rng.choice([
+            lambda: "".join(rng.choice(JSON_TEXT) for _ in range(rng.randint(0, 3))),
+            lambda: rng.choice([True, False, None]),
+            lambda: rng.choice(JSON_NUMBERS),
+            lambda: rng.randint(-10**6, 10**6),
+            lambda: rng.random(),
+        ])()
+    size = rng.randint(0, 4)
+    if kind < 0.6:
+        return [rand_json(rng, depth - 1) for _ in range(size)]
+    if kind < 0.7:
+        return tuple(rand_json(rng, depth - 1) for _ in range(size))
+    if kind < 0.8:  # a list of dicts, as the reports' "resonant" and "jet"
+        return [{"K": [rng.randint(0, 3)], "re": rand_json(rng, 0)} for _ in range(size)]
+    return {rng.choice(JSON_TEXT) + str(k): rand_json(rng, depth - 1) for k in range(size)}
+
+
+def test_json_writer_matches_indented_dumps():
+    rng = random.Random(71)
+    values = [{}, [], (), [{}], {"a": []}, {"a": {}}, [[], [[]]], ("t", (1,)),
+              {"\u00e9\x00": None}, *(rand_json(rng) for _ in range(600))]
+    for value in values:
+        assert cli._json(value) == json.dumps(value, indent=2), value
+    assert {type(v) for v in values} >= {dict, list, tuple, str, bool, int, float, type(None)}
+
+
+# --- direct subcommand dispatch against the full two-level parse -------------
+
+FLAG_VALUES = {"--field": doc("resonant.vf"), "--field2": doc("diag.vf"),
+               "--map": doc("scale.map"), "--lambda": "-1", "--degree": "3",
+               "--x-cap": "4", "--x-window": "-5,5", "--tol": "1e-9", "--time": "1/2",
+               "--windings": "-2", "--max-residual": "1e-6"}
+
+
+def dispatch_argvs():
+    """Every command with all of its flags, in both spellings and orders,
+    with none of them, and with bad or extra arguments; then argvs that do
+    not start with a command."""
+    for name, (_, keys, _) in cli._COMMANDS.items():
+        taken = {"json", *keys.split()}
+        flags = [option for key, option, _ in cli._FLAGS if key in taken]
+        values = {**FLAG_VALUES, "--mu": "-3" if "mu1" in taken else "1/2,-3"}
+        spaced = [[f] if f not in values else [f, values[f]] for f in flags]
+        yield [name, *(a for pair in spaced for a in pair)]
+        yield [name, *(f if f not in values else f"{f}={values[f]}" for f in reversed(flags))]
+        yield [name]
+        yield [name, "-h"]
+        yield [name, "--json", "extra", "more"]
+        yield [name, "--bogus", "--json"]
+        yield [name, "--degree", "three"]
+    yield from ([], ["frobnicate"], ["--json", "classify2", "--lambda=1"],
+                ["classify2", "--lambda=1", "extra"], ["classify2"], ["-h"], ["normalize", "-h"],
+                ["classify2", "--lam=1"], ["classify2", "--lambda=--"],
+                ["classify2", "--", "--lambda=1"], ["--help"], ["--he"], ["Classify2"])
+
+
+def parse_outcome(parse, argv):
+    """(Namespace or None, its attribute order, SystemExit code or None,
+    stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    args = code = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = parse(list(argv))
+        except SystemExit as e:
+            code = e.code
+    order = list(vars(args)) if args is not None else None
+    return args, order, code, out.getvalue(), err.getvalue()
+
+
+def test_direct_dispatch_parses_as_the_full_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parsed = exits = 0
+    for argv in dispatch_argvs():
+        got = parse_outcome(cli._parse, argv)
+        assert got == parse_outcome(cli.build_parser().parse_args, argv), argv
+        parsed += got[0] is not None
+        exits += got[2] is not None
+    assert parsed >= 20 and exits >= 40, (parsed, exits)

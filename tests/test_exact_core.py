@@ -11,6 +11,8 @@ A fourth scan keeps one fold from Lie factors to images: in every module,
 only ``lie._from_factors`` and ``lie.exp_ad`` call ``_lie_series``.
 A fifth keeps the sweep on the slots that are present: ``normalize`` does
 not walk ``iter_l_indices``.
+A sixth keeps JSON on the CLI's writer: no module calls ``json.dumps`` with
+``indent``, which runs json's pure-Python encoder.
 """
 
 import ast
@@ -200,3 +202,30 @@ def test_slot_scan_sees_a_full_walk():
         "    return series.iter_l_indices(1, 0, 2)\n"
     )
     assert callers_of(source, "iter_l_indices") == [("normalize", 2), ("normalize", 4)]
+
+
+def dumps_calls(source: str):
+    """(line, passes indent) of each call of ``dumps`` or ``<obj>.dumps``."""
+    return [
+        (node.lineno, any(k.arg == "indent" for k in node.keywords))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "dumps" or getattr(node.func, "attr", None) == "dumps")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_indented_json_dumps(path):
+    indented = [line for line, indent in dumps_calls(path.read_text(encoding="utf-8")) if indent]
+    assert not indented, f"{path.name} calls json.dumps with indent at lines {indented}"
+
+
+def test_dumps_scan_sees_an_indented_call():
+    source = (
+        "json.dumps(report, indent=2)\n"
+        "def emit(v):\n"
+        "    return dumps(v, sort_keys=True, indent=None) + json.dumps(v)\n"
+    )
+    assert sorted(dumps_calls(source)) == [(1, True), (3, False), (3, True)]
+    cli = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert dumps_calls(cli)  # the scan sees the writer's scalar call

@@ -959,8 +959,20 @@ class TestNonFinite:
         # one turn is e^{120 pi} ~ 5e163; two turns are past the largest float
         X = VectorField.semisimple([G(0, -60)], 4)
         assert math.isfinite(abs(holonomy_jet(X, 2).coefficient(1, (1,))))
-        with pytest.raises(IntegrationError, match="2-fold jet is not finite"):
+        with pytest.raises(IntegrationError, match=r"2-fold jet is not finite; z1's linear "
+                           r"entry .* about 10\^327 for w = 2$"):
             holonomy_jet(X, 2, windings=2)
+
+    def test_cut_off_names_the_largest_predicted_entry(self):
+        X = VectorField.semisimple([G(0, 1), G(0, -60)], 3)
+        assert holonomy._overflow_note(X, 2).startswith("; z2's linear entry")
+        assert holonomy._overflow_note(X, 2).endswith(" about 10^327 for w = 2")
+        # backwards the first direction grows: 4 pi / ln 10 = 5.5 decades
+        backwards = holonomy._overflow_note(X, -2)
+        assert backwards.startswith("; z1's") and backwards.endswith(" about 10^5 for w = -2")
+        # with coupled directions the diagonal predicts nothing
+        coupled = FieldDocument.parse("n: 2\ndegree: 2\nfield: x*dx + z2*dz1 + z1*dz2\n")
+        assert holonomy._overflow_note(coupled.field(), 1) == ""
 
     def test_max_abs_diff_propagates_nan(self):
         nan_jet = HolonomyJet(1, 2, {1: {(1,): complex(math.nan, math.nan), (2,): math.nan}})

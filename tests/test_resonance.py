@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations, islice, product
@@ -696,3 +697,78 @@ class TestIntegralPairing:
             K = tuple(rng.randint(0, 400) for _ in mu)
             s = pairing(mu, K)
             assert pair(K) == (int(s.re) if s.is_integer() else None), (mu, K)
+
+
+# --- reference oracles: the box scan's point test and the eigenvalue reads
+# before they read integers from the canonical triples ------------------------
+
+
+def ref_integral_pairing(mu):
+    den = math.lcm(*(m.re.denominator for m in mu), *(m.im.denominator for m in mu))
+    re = [int(m.re * den) for m in mu]
+    im = [int(m.im * den) for m in mu]
+
+    def pair(K):
+        if sum(map(operator.mul, im, K)):
+            return None
+        q, r = divmod(sum(map(operator.mul, re, K)), den)
+        return None if r else q
+
+    return pair
+
+
+def ref_imaginary_integers(mu):
+    den = math.lcm(*(m.im.denominator for m in mu))
+    return [int(m.im * den) for m in mu]
+
+
+def ref_minimal_solutions(S, T, side):
+    box = product(range(side + 1), repeat=len(S))
+    sols = [p for p in box if any(p) and sum(s * v for s, v in zip(S, p)) == T]
+    return resonance._minimal_elements(sols)
+
+
+def triple_mu(rng, n):
+    """n eigenvalues (a + b*i)/d: zero, real and pure-imaginary entries, and
+    parts a/d, b/d that reduce to different denominators."""
+    mu = []
+    for _ in range(n):
+        d = rng.randint(1, 12)
+        a = 0 if rng.random() < 0.3 else rng.randint(-24, 24)
+        b = 0 if rng.random() < 0.3 else rng.randint(-24, 24)
+        mu.append(G(Fraction(a, d), Fraction(b, d)))
+    return mu
+
+
+class TestIntegerReads:
+    """The triple reads and the lighter point test agree with the Fraction
+    reads and the generator scan they replaced."""
+
+    def test_eigenvalue_reads_match_the_fraction_reads(self):
+        rng = random.Random(61)
+        kinds = {"zero": 0, "pure_imaginary": 0, "unreduced": 0}
+        hits = 0
+        for i in range(2000):
+            mu = triple_mu(rng, 1 + i % 4)
+            kinds["zero"] += any(m.is_zero() for m in mu)
+            kinds["pure_imaginary"] += any(m.re == 0 and m.im != 0 for m in mu)
+            kinds["unreduced"] += any(m.re.denominator != m.im.denominator for m in mu)
+            assert resonance._imaginary_integers(mu) == ref_imaginary_integers(mu), mu
+            got, want = resonance.integral_pairing(mu), ref_integral_pairing(mu)
+            for K in [(1,) * len(mu), *(tuple(rng.randint(-2, 12) for _ in mu) for _ in range(4))]:
+                assert got(K) == want(K), (mu, K)
+                hits += want(K) is not None
+        assert min(kinds.values()) >= 200 and hits >= 500, (kinds, hits)
+
+    def test_box_scan_matches_the_generator_scan(self):
+        rng = random.Random(62)
+        found = 0
+        for i in range(2000):
+            n = 1 + i % 4
+            S = [0 if rng.random() < 0.2 else rng.randint(-5, 5) for _ in range(n)]
+            T = 0 if rng.random() < 0.3 else rng.randint(-6, 6)
+            side = rng.randint(0, (6, 5, 4, 3)[n - 1])
+            got = _minimal_solutions(S, T, side)
+            assert got == ref_minimal_solutions(S, T, side), (S, T, side)
+            found += bool(got)
+        assert found >= 600
