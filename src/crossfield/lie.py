@@ -126,7 +126,7 @@ class VectorField:
 
     # -- derivation action -------------------------------------------------
 
-    def apply(self, f: TransverseSeries) -> TransverseSeries:
+    def apply(self, f: TransverseSeries, x_window: int | None = None) -> TransverseSeries:
         """X(f) = a df/dx + sum_i b_i df/dz_i, truncated at the cap.
 
         The terms of a meet the x-derivatives of f's coefficients, and the
@@ -135,16 +135,18 @@ class VectorField:
         :func:`~crossfield.series.accumulate_products`.  Every product lands
         in one raw integer accumulator, made canonical once at the end; no
         derivative series, scaled copy, partial product or partial sum is
-        built.
+        built.  With ``x_window`` every product is also cut at that
+        x-degree, which gives exactly X(f).truncate_x(x_window): the
+        x-derivatives are taken before the products.
         """
         if f.n != self.n or f.cap != self.cap:
             raise DimensionMismatchError("field and series shapes differ")
         data = {}
-        self._apply_into(data, f, 1)
+        self._apply_into(data, f, 1, x_window)
         return _ts_raw(self.n, self.cap, finish_products(data))
 
-    def _apply_into(self, data: dict, f: TransverseSeries, sign: int) -> None:
-        """Add sign * X(f) to the raw accumulator data."""
+    def _apply_into(self, data: dict, f: TransverseSeries, sign: int, x_window) -> None:
+        """Add sign * X(f), cut at x-degree x_window, to the raw accumulator data."""
         terms = graded_terms(f)
         if self.a._terms:
             dx = []
@@ -153,7 +155,7 @@ class VectorField:
                 if c._terms:
                     dx.append((K, d, c))
             if dx:
-                accumulate_products(data, self.cap, graded_terms(self.a), dx, sign)
+                accumulate_products(data, self.cap, graded_terms(self.a), dx, sign, x_window)
         for i, comp in enumerate(self.b):
             if not comp._terms:
                 continue
@@ -166,21 +168,23 @@ class VectorField:
             if by_k:
                 left = graded_terms(comp)
                 for k, lowered in by_k.items():
-                    accumulate_products(data, self.cap, left, lowered, sign * k)
+                    accumulate_products(data, self.cap, left, lowered, sign * k, x_window)
 
-    def bracket(self, other: "VectorField") -> "VectorField":
+    def bracket(self, other: "VectorField", x_window: int | None = None) -> "VectorField":
         """[X, Y] = X o Y - Y o X, componentwise X(Y_c) - Y(X_c).
 
         Both halves of each component accumulate into one raw accumulator,
         the second with its integer factors negated, and the component is
-        made canonical once; no negated or partial series is built.
+        made canonical once; no negated or partial series is built.  With
+        ``x_window`` the result is exactly [X, Y].truncate_x(x_window), as
+        in :meth:`apply`.
         """
         self._compat(other)
         comps = []
         for own, their in zip((self.a,) + self.b, (other.a,) + other.b):
             data = {}
-            self._apply_into(data, their, 1)
-            other._apply_into(data, own, -1)
+            self._apply_into(data, their, 1, x_window)
+            other._apply_into(data, own, -1, x_window)
             comps.append(_ts_raw(self.n, self.cap, finish_products(data)))
         return VectorField(comps[0], comps[1:])
 
@@ -390,8 +394,8 @@ class Automorphism:
     two factors on inversion.  A map caches its inverse; the inverse holds
     no link back, so inverting it again recomputes the map, and the pair
     forms no reference cycle.  Powers of the z-images that :meth:`apply`
-    substitutes are cached as they are first needed.  Every cached value
-    derives from immutable inputs.
+    substitutes are cached as they are first needed, per x-window.  Every
+    cached value derives from immutable inputs.
     """
 
     __slots__ = ("n", "cap", "img_x", "img_z", "_inv", "_gens", "_zpows", "__weakref__")
@@ -410,7 +414,7 @@ class Automorphism:
         object.__setattr__(self, "img_z", img_z)
         object.__setattr__(self, "_inv", None)  # composed inverse
         object.__setattr__(self, "_gens", None)  # Lie generators, innermost first
-        object.__setattr__(self, "_zpows", None)  # per i: [img_z[i], img_z[i]^2, ...]
+        object.__setattr__(self, "_zpows", {})  # window -> per i: [img_z[i], img_z[i]^2, ...]
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
@@ -447,22 +451,25 @@ class Automorphism:
     def _one(self) -> TransverseSeries:
         return TransverseSeries.constant(self.n, self.cap, LaurentPoly.one())
 
-    def _zpow(self, i: int, k: int) -> TransverseSeries:
-        """img_z[i]**k for k >= 1, caching every lower power on the way."""
-        if self._zpows is None:
-            object.__setattr__(self, "_zpows", [[comp] for comp in self.img_z])
-        pows = self._zpows[i]
+    def _zpow(self, i: int, k: int, x_window) -> TransverseSeries:
+        """img_z[i]**k for k >= 1, its products cut at x_window, caching
+        every lower power on the way."""
+        pows = self._zpows.get(x_window)
+        if pows is None:
+            pows = self._zpows[x_window] = [[comp] for comp in self.img_z]
+        pows = pows[i]
         while len(pows) < k:
-            pows.append(pows[-1] * self.img_z[i])
+            pows.append(_product(pows[-1], self.img_z[i], x_window))
         return pows[k - 1]
 
-    def _zmonomial(self, K) -> TransverseSeries:
-        """The image z'^K: one product per nonzero exponent after the first."""
+    def _zmonomial(self, K, x_window) -> TransverseSeries:
+        """The image z'^K: one product per nonzero exponent after the first,
+        each cut at x_window."""
         out = None
         for i, k in enumerate(K):
             if k:
-                p = self._zpow(i, k)
-                out = p if out is None else out * p
+                p = self._zpow(i, k, x_window)
+                out = p if out is None else _product(out, p, x_window)
         return self._one() if out is None else out
 
     def _coordinate(self, i: int) -> TransverseSeries:
@@ -471,7 +478,7 @@ class Automorphism:
             return TransverseSeries.x_series(self.n, self.cap)
         return TransverseSeries.variable(self.n, self.cap, i)
 
-    def apply(self, f: TransverseSeries) -> TransverseSeries:
+    def apply(self, f: TransverseSeries, x_window: int | None = None) -> TransverseSeries:
         """Substitute the images into f, truncated.
 
         The x-image may differ from x by an element u of m; the Laurent
@@ -486,6 +493,13 @@ class Automorphism:
         accumulator, with the powers of u built as they are needed; that
         accumulator is made canonical once, as the result.  With u = 0 only
         layer 0 exists and no product by a power of u is formed.
+
+        With ``x_window`` every product of the chain z'^K, times f_K, is cut
+        at that x-degree, which gives exactly apply(f).truncate_x(x_window)
+        when no factor has a negative x-exponent: a term cut early could
+        otherwise come back under the window.  So a window needs Taylor f
+        and z-images and u = 0 (an x-derivative lowers x-degrees), and
+        raises ``ValueError`` otherwise.
         """
         if f.n != self.n or f.cap != self.cap:
             raise DimensionMismatchError("series and automorphism shapes differ")
@@ -496,11 +510,16 @@ class Automorphism:
             if not comp.is_zero() and comp.madic_order() < 1:
                 raise ValueError("z-images must lie in m")
         shift = not u.is_zero()
+        if x_window is not None:
+            if shift:
+                raise ValueError("an x-window needs the x-image x")
+            if not (f.is_taylor() and all(comp.is_taylor() for comp in self.img_z)):
+                raise ValueError("an x-window needs Taylor coefficients")
         n, cap = self.n, self.cap
         const = (0,) * n
         layers = [{}]  # layers[m]: sum_K f_K^(m)/m! z'^K, raw
         for K, poly in f._terms.items():
-            zpart = graded_terms(self._zmonomial(K))
+            zpart = graded_terms(self._zmonomial(K, x_window))
             coeff = poly
             for m in range(cap - sum(K) + 1 if shift else 1):
                 if m:
@@ -509,7 +528,7 @@ class Automorphism:
                         break
                     if m == len(layers):
                         layers.append({})
-                accumulate_products(layers[m], cap, zpart, [(const, 0, coeff)])
+                accumulate_products(layers[m], cap, zpart, [(const, 0, coeff)], 1, x_window)
         acc = layers[0]
         upow = u
         for m in range(1, len(layers)):
@@ -656,6 +675,15 @@ class Automorphism:
         return f"Automorphism({self.__str__()!r})"
 
 
+def _product(f: TransverseSeries, g: TransverseSeries, x_window) -> TransverseSeries:
+    """f * g, cut at x-degree x_window when it is an int."""
+    if x_window is None:
+        return f * g
+    data = {}
+    accumulate_products(data, f.cap, graded_terms(f), graded_terms(g), 1, x_window)
+    return _ts_raw(f.n, f.cap, finish_products(data))
+
+
 def _coordinates(n: int, cap: int):
     """The coordinate series [x, z_1, ..., z_n]."""
     zs = [TransverseSeries.variable(n, cap, i + 1) for i in range(n)]
@@ -709,7 +737,11 @@ def exp(X: VectorField, t=1, x_window: int | None = None) -> Automorphism:
     With ``x_window`` the computation runs in the ring truncated at x-degree
     x_window as well; fields like f(x) z_j d/dz_j with f(0) = 0, whose
     exponential scales z_j by the transcendental e^{f}, are nilpotent there
-    and get their (polynomial) truncated exponential.
+    and get their (polynomial) truncated exponential.  The truncation is
+    made inside the product kernel: each X^k(coordinate) is formed only up
+    to x-degree x_window, and no term above it is built and then dropped.
+    The coordinates themselves are not truncated, so window 0 keeps x as the
+    x-image.
     """
     if isinstance(t, (int, Fraction)):
         t = GaussianRational(t)
@@ -729,34 +761,38 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
     """f_k o ... o f_1 from its Lie factors (f_1, ..., f_k), recorded as _gens.
 
     From the coordinates, innermost factor first: an exp factor (W, t, w)
-    runs the Lie series sum_k t^k/k! W^k on each running image in window w
-    (truncated first once an exp factor has run, so window 0 keeps x as the
-    x-image), and a linear factor (M, None, None) substitutes z -> M z.  The
-    factors are trusted: each W must be nilpotent in its window.
+    runs the Lie series sum_k t^k/k! W^k on each running image in window w,
+    and a linear factor (M, None, None) substitutes z -> M z.  The series
+    forms its terms inside window w, so the images an exp factor leaves lie
+    in its window, but for the coordinate x when w = 0; they are truncated
+    again only where a later exp factor's window is narrower.  The factors
+    are trusted: each W must be nilpotent in its window.
     """
     factors = tuple(factors)
     images = _coordinates(n, cap)
     raw = True  # the images are still the coordinates or their linear images
+    prev = None  # the window of the last exp factor, once one has run
     for W, t, w in factors:
         if t is None:
             L = Automorphism.linear(W, cap)
             images = [L.apply(s) for s in images]
             continue
-        if not raw:
-            images = [_in_window(s, w) for s in images]
+        if not raw and w is not None and (prev is None or w < prev):
+            images = [s.truncate_x(w) for s in images]
         images = [_lie_series(W.apply, s, t, w) for s in images]
-        raw = False
+        raw, prev = False, w
     phi = Automorphism(images[0], images[1:])
     object.__setattr__(phi, "_gens", factors)
     return phi
 
 
 def _lie_series(step, start, t, x_window):
-    """start + sum_{k>=1} term_k with term_k = step(term_{k-1}) * t/k.
+    """start + sum_{k>=1} term_k with term_k = step(term_{k-1}, x_window) * t/k.
 
-    Each term is scaled once by the scalar t/k, in the caller's scalar type,
-    unless t/k is 1, and truncated to x_window; the sum stops at the first
-    zero term.
+    step is a field's apply or bracket, which forms each term only up to
+    x-degree x_window, exactly its truncation there; start itself is taken
+    as it is.  Each term is scaled once by the scalar t/k, in the caller's
+    scalar type, unless t/k is 1; the sum stops at the first zero term.
     """
     acc = term = start
     k = 0
@@ -765,10 +801,9 @@ def _lie_series(step, start, t, x_window):
         if k > _GUARD:
             raise CertificateError("Lie series failed to terminate; nilpotency is violated")
         c = t / k
-        term = step(term)
+        term = step(term, x_window)
         if c != 1:
             term = term.scale(c)
-        term = _in_window(term, x_window)
         if term.is_zero():
             return acc
         acc = acc + term
@@ -805,7 +840,8 @@ def exp_ad(W: VectorField, X: VectorField, x_window: int | None = None) -> Vecto
     """exp(ad_W)(X) = sum_k ad_W^k(X)/k!, finite at the cap for nilpotent W.
 
     Equals pushforward(exp(W), X); the two routes are kept independent so one
-    can certify the other.  ``x_window`` truncates in x as in :func:`exp`.
+    can certify the other.  ``x_window`` truncates X first and then forms
+    each bracket only up to that x-degree, as in :func:`exp`.
     """
     W._compat(X)
     return _lie_series(W.bracket, _in_window(X, x_window), Fraction(1), x_window)

@@ -21,7 +21,11 @@ x-dependent diagonal linear terms exponentiate to transcendental scalings
 (z -> e^{f(x)} z), so fields carrying them are processed in the x-truncated
 ring through degree x_cap, where the whole story is polynomial again and the
 retained window is exact; fields without them run fully exact, Laurent
-coefficients included.
+coefficients included.  The window lives in the product kernel: the sweep's
+brackets, the normalizer's Lie series and the certificate's substitutions
+form only the cells of x-degree <= x_cap, never a cell they would then
+truncate.  That is exact because the mode requires Taylor data and the d/dx
+component x, so no factor has a negative x-exponent and no x-image moves.
 
 Every run is certified through the substitution route, independent of the
 adjoint series the sweep uses: normalize() checks the intertwining relation
@@ -274,13 +278,16 @@ def _intertwines(phi: Automorphism, X: VectorField, Y: VectorField, window) -> b
     composition of exponentials), but needs no inversion, so it is the cheap
     certificate normalize() runs on every call; like the sweep's adjoint
     series it never touches exp(ad), making the two routes independent.
+
+    In the x-truncated mode both sides are formed only up to x-degree
+    window, which is exactly the truncated defect.  Automorphism.apply's
+    window needs Taylor data and the x-image x: normalize() has checked that
+    X is Taylor, so the sweep's factors are Taylor too, and none of them has
+    a d/dx part, so phi moves no x.
     """
     pieces = [(X.a, phi.img_x)] + [(X.b[i], phi.img_z[i]) for i in range(X.n)]
     for comp, img in pieces:
-        defect = phi.apply(comp) - Y.apply(img)
-        if window is not None:
-            defect = defect.truncate_x(window)
-        if not defect.is_zero():
+        if not (phi.apply(comp, window) - Y.apply(img, window)).is_zero():
             return False
     return True
 

@@ -18,6 +18,7 @@ graded lexicographic pair order implemented here.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 from operator import add
@@ -379,7 +380,9 @@ def graded_terms(s: TransverseSeries):
     return [(K, sum(K), c) for K, c in s._terms.items()]
 
 
-def accumulate_products(data: dict, cap: int, left, right, k: int = 1) -> None:
+def accumulate_products(
+    data: dict, cap: int, left, right, k: int = 1, x_window: int | None = None
+) -> None:
     """Add k*c1*c2*z^(K1+K2) to the raw accumulator data for every pair of
     (K1, d1, c1) in left and (K2, d2, c2) in right with d1 + d2 <= cap.
 
@@ -391,6 +394,16 @@ def accumulate_products(data: dict, cap: int, left, right, k: int = 1) -> None:
     the sign of a bracket half) multiplies the numerators of each left
     coefficient once per call.
 
+    With an int ``x_window`` the product is a short product in x as well:
+    a cell pair x^e1 * x^e2 with e1 + e2 > x_window is skipped before it is
+    formed, so the call adds exactly the truncate_x(x_window) of what it
+    adds without a window.  Truncating between chained products is exact
+    only when no factor has a negative x-exponent and no later step lowers
+    an x-degree (an x-derivative, or a moving x-image); the callers that
+    pass a window see to that.  The window is tested once per call, and
+    each left cell reads its cut of the right cells, sorted by exponent,
+    with one bisection per right monomial.
+
     data maps K -> {e: [a, b, d]}, the value (a + b*i)/d with d > 0 and no
     common factor removed.  A term pair adds its Gaussian-integer numerator
     over d1*d2: directly when the cell already has that denominator, over
@@ -398,6 +411,9 @@ def accumulate_products(data: dict, cap: int, left, right, k: int = 1) -> None:
     and no common factor is sought; :func:`finish_products` makes each cell
     canonical once the accumulation of a result is complete.
     """
+    if x_window is not None:
+        _accumulate_windowed(data, cap, left, right, k, x_window)
+        return
     right = [
         (K2, d2, [(e, c._a, c._b, c._d) for e, c in p2._terms.items()])
         for K2, d2, p2 in right
@@ -416,6 +432,48 @@ def accumulate_products(data: dict, cap: int, left, right, k: int = 1) -> None:
                 row = data[K] = {}
             for e1, a1, b1, q1 in cells1:
                 for e2, a2, b2, q2 in cells2:
+                    e = e1 + e2
+                    a = a1 * a2 - b1 * b2
+                    b = a1 * b2 + b1 * a2
+                    q = q1 * q2
+                    cell = row.get(e)
+                    if cell is None:
+                        row[e] = [a, b, q]
+                    elif cell[2] == q:
+                        cell[0] += a
+                        cell[1] += b
+                    else:
+                        d = cell[2]
+                        m = math.lcm(d, q)
+                        s, t = m // d, m // q
+                        cell[0] = cell[0] * s + a * t
+                        cell[1] = cell[1] * s + b * t
+                        cell[2] = m
+
+
+def _accumulate_windowed(data: dict, cap: int, left, right, k: int, x_window: int) -> None:
+    """accumulate_products with its x-window: the same loop, with each left
+    cell x^e1 meeting only the right cells of exponent <= x_window - e1."""
+    sides = []
+    for K2, d2, p2 in right:
+        cells2 = sorted([(e, c._a, c._b, c._d) for e, c in p2._terms.items()])
+        sides.append((K2, d2, cells2, [cell[0] for cell in cells2]))
+    for K1, d1, p1 in left:
+        room = cap - d1
+        if room < 0:
+            continue
+        cells1 = [
+            (e, k * c._a, k * c._b, c._d, x_window - e) for e, c in p1._terms.items()
+        ]
+        for K2, d2, cells2, exps2 in sides:
+            if d2 > room:
+                continue
+            K = tuple(map(add, K1, K2))
+            row = data.get(K)
+            if row is None:
+                row = data[K] = {}
+            for e1, a1, b1, q1, lim in cells1:
+                for e2, a2, b2, q2 in cells2[: bisect_right(exps2, lim)]:
                     e = e1 + e2
                     a = a1 * a2 - b1 * b2
                     b = a1 * b2 + b1 * a2

@@ -54,6 +54,8 @@ CASES = [
     ("noncommute", ["check-commute", "--field", doc("resonant.vf"), "--field2", doc("nilpotent.vf"), "--json"], 1, True),
     ("exp_nilpotent", ["exp", "--field", doc("nilpotent.vf"), "--json"], 0, False),
     ("exp_window", ["exp", "--field", doc("xlin.vf"), "--x-cap", "4", "--json"], 0, False),
+    ("exp_window_dx", ["exp", "--field", doc("exp_dx.vf"), "--x-cap", "2", "--json"], 0, False),
+    ("exp_window_laurent", ["exp", "--field", doc("exp_laurent.vf"), "--x-cap", "2", "--json"], 0, False),
     ("exp_halftime", ["exp", "--field", doc("nilpotent.vf"), "--time", "1/2", "--json"], 0, False),
     ("log_map", ["log", "--map", doc("tangent.map"), "--json"], 0, False),
     ("holonomy_resonant", ["holonomy", "--field", doc("resonant.vf"), "--degree", "2", "--tol", "1e-10", "--json"], 0, False),

@@ -13,6 +13,9 @@ A fifth keeps the sweep on the slots that are present: ``normalize`` does
 not walk ``iter_l_indices``.
 A sixth keeps JSON on the CLI's writer: no module calls ``json.dumps`` with
 ``indent``, which runs json's pure-Python encoder.
+A seventh keeps the x-window in the product kernel: ``lie._lie_series`` and
+``normalform._intertwines`` call neither ``truncate_x`` nor ``_in_window``,
+so they form no term above the window only to drop it.
 """
 
 import ast
@@ -202,6 +205,40 @@ def test_slot_scan_sees_a_full_walk():
         "    return series.iter_l_indices(1, 0, 2)\n"
     )
     assert callers_of(source, "iter_l_indices") == [("normalize", 2), ("normalize", 4)]
+
+
+WINDOWED = {"lie.py": "_lie_series", "normalform.py": "_intertwines"}
+POST_TRUNCATIONS = ("truncate_x", "_in_window")
+
+
+def post_truncations(source: str, functions):
+    """(function, line) of each truncate_x or _in_window call inside one of
+    the named functions."""
+    return sorted(
+        (fn, line)
+        for name in POST_TRUNCATIONS
+        for fn, line in callers_of(source, name)
+        if fn in functions
+    )
+
+
+@pytest.mark.parametrize("module,function", sorted(WINDOWED.items()))
+def test_window_stays_in_the_kernel(module, function):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert post_truncations(source, {function}) == []
+    assert any(fn == function for fn, _ in callers_of(source, "apply") + callers_of(source, "step"))
+
+
+def test_truncation_scan_sees_a_post_truncation():
+    source = (
+        "def _lie_series(step, start, t, x_window):\n"
+        "    term = _in_window(step(start), x_window)\n"
+        "    return term.truncate_x(x_window)\n"
+        "def _from_factors(images, w):\n"
+        "    return [s.truncate_x(w) for s in images]\n"
+    )
+    assert post_truncations(source, {"_lie_series"}) == [("_lie_series", 2), ("_lie_series", 3)]
+    assert post_truncations(source, {"_intertwines"}) == []
 
 
 def dumps_calls(source: str):

@@ -765,10 +765,10 @@ def count_products(monkeypatch):
     calls = [0]
     kernel = series.accumulate_products
 
-    def counting(data, cap, left, right, k=1):
+    def counting(data, cap, left, right, k=1, x_window=None):
         if not (len(right) == 1 and right[0][1] == 0):
             calls[0] += 1
-        return kernel(data, cap, left, right, k)
+        return kernel(data, cap, left, right, k, x_window)
 
     monkeypatch.setattr(series, "accumulate_products", counting)
     monkeypatch.setattr(lie, "accumulate_products", counting)
