@@ -393,12 +393,12 @@ class Automorphism:
     exp factor's window.  A map built bare from its images is split into
     two factors on inversion.  A map caches its inverse; the inverse holds
     no link back, so inverting it again recomputes the map, and the pair
-    forms no reference cycle.  Powers of the z-images that :meth:`apply`
-    substitutes are cached as they are first needed, per x-window.  Every
-    cached value derives from immutable inputs.
+    forms no reference cycle.  The monomials z'^K in the z-images that
+    :meth:`apply` substitutes are memoized as they are first needed, one
+    memo per x-window.  Every cached value derives from immutable inputs.
     """
 
-    __slots__ = ("n", "cap", "img_x", "img_z", "_inv", "_gens", "_zpows", "__weakref__")
+    __slots__ = ("n", "cap", "img_x", "img_z", "_inv", "_gens", "_zmonos", "__weakref__")
 
     def __init__(self, img_x: TransverseSeries, img_z):
         img_z = tuple(img_z)
@@ -414,7 +414,7 @@ class Automorphism:
         object.__setattr__(self, "img_z", img_z)
         object.__setattr__(self, "_inv", None)  # composed inverse
         object.__setattr__(self, "_gens", None)  # Lie generators, innermost first
-        object.__setattr__(self, "_zpows", {})  # window -> per i: [img_z[i], img_z[i]^2, ...]
+        object.__setattr__(self, "_zmonos", {})  # window -> {K: z'^K}
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
@@ -448,29 +448,28 @@ class Automorphism:
 
     # -- substitution ------------------------------------------------------
 
-    def _one(self) -> TransverseSeries:
-        return TransverseSeries.constant(self.n, self.cap, LaurentPoly.one())
-
-    def _zpow(self, i: int, k: int, x_window) -> TransverseSeries:
-        """img_z[i]**k for k >= 1, its products cut at x_window, caching
-        every lower power on the way."""
-        pows = self._zpows.get(x_window)
-        if pows is None:
-            pows = self._zpows[x_window] = [[comp] for comp in self.img_z]
-        pows = pows[i]
-        while len(pows) < k:
-            pows.append(_product(pows[-1], self.img_z[i], x_window))
-        return pows[k - 1]
-
     def _zmonomial(self, K, x_window) -> TransverseSeries:
-        """The image z'^K: one product per nonzero exponent after the first,
-        each cut at x_window."""
-        out = None
-        for i, k in enumerate(K):
-            if k:
-                p = self._zpow(i, k, x_window)
-                out = p if out is None else _product(out, p, x_window)
-        return self._one() if out is None else out
+        """The image z'^K, memoized per x-window.
+
+        z'^K is z'^(K - e_i) * z'_i with i the last nonzero index of K: one
+        product per monomial, cut at x_window, against one z-image.  The
+        memo starts from z'^0 = 1 and z'^(e_i) = z'_i.
+        """
+        memo = self._zmonos.get(x_window)
+        if memo is None:
+            n = self.n
+            memo = self._zmonos[x_window] = {(0,) * n: TransverseSeries.constant(n, self.cap, 1)}
+            for i, comp in enumerate(self.img_z):
+                memo[tuple(int(p == i) for p in range(n))] = comp
+        chain = []
+        while K not in memo:
+            i = max(p for p, k in enumerate(K) if k)
+            chain.append((K, i))
+            K = K[:i] + (K[i] - 1,) + K[i + 1:]
+        out = memo[K]
+        for K, i in reversed(chain):
+            out = memo[K] = _product(out, self.img_z[i], x_window)
+        return out
 
     def _coordinate(self, i: int) -> TransverseSeries:
         """Reference coordinate series: x for i = 0, z_i otherwise."""
@@ -485,7 +484,8 @@ class Automorphism:
         coefficients are then shifted by the finite Taylor sum, taken in
         layers by the power of u:
         f(x + u, z') = sum_m u^m sum_K f_K^(m)(x)/m! z'^K.
-        Each z'^K is built once and multiplied into the layers
+        Each z'^K is built once per map and window, with one product
+        (:meth:`_zmonomial`), and multiplied into the layers
         m <= cap - |K| (z'^K lies in m^|K| and u^m in m^m) by
         :func:`~crossfield.series.accumulate_products`, with the degree-0
         coefficient f_K^(m)/m! as its right side.  Each layer is made
@@ -635,11 +635,12 @@ class Automorphism:
     def truncate_x(self, max_deg: int) -> "Automorphism":
         """The images truncated at x-degree max_deg.
 
-        Every exp factor's window is lowered to at most max_deg, so the
-        inverse is computed in the ring the result lives in.
+        The x-image is truncated as img_x - x, plus x, so max_deg = 0 keeps
+        x itself.  Every exp factor's window is lowered to at most max_deg,
+        so the inverse is computed in the ring the result lives in.
         """
         out = Automorphism(
-            self.img_x.truncate_x(max_deg),
+            _truncate_x_image(self.img_x, max_deg),
             [c.truncate_x(max_deg) for c in self.img_z],
         )
         if self._gens is not None:
@@ -682,6 +683,12 @@ def _product(f: TransverseSeries, g: TransverseSeries, x_window) -> TransverseSe
     data = {}
     accumulate_products(data, f.cap, graded_terms(f), graded_terms(g), 1, x_window)
     return _ts_raw(f.n, f.cap, finish_products(data))
+
+
+def _truncate_x_image(img_x: TransverseSeries, max_deg: int) -> TransverseSeries:
+    """img_x - x truncated at x-degree max_deg, plus x: window 0 keeps x."""
+    x = TransverseSeries.x_series(img_x.n, img_x.cap)
+    return (img_x - x).truncate_x(max_deg) + x
 
 
 def _coordinates(n: int, cap: int):
@@ -765,8 +772,9 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
     and a linear factor (M, None, None) substitutes z -> M z.  The series
     forms its terms inside window w, so the images an exp factor leaves lie
     in its window, but for the coordinate x when w = 0; they are truncated
-    again only where a later exp factor's window is narrower.  The factors
-    are trusted: each W must be nilpotent in its window.
+    again only where a later exp factor's window is narrower, the x-image
+    as img_x - x, plus x, so that a window narrowing to 0 keeps x.  The
+    factors are trusted: each W must be nilpotent in its window.
     """
     factors = tuple(factors)
     images = _coordinates(n, cap)
@@ -778,7 +786,9 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
             images = [L.apply(s) for s in images]
             continue
         if not raw and w is not None and (prev is None or w < prev):
-            images = [s.truncate_x(w) for s in images]
+            images = [_truncate_x_image(images[0], w)] + [
+                s.truncate_x(w) for s in images[1:]
+            ]
         images = [_lie_series(W.apply, s, t, w) for s in images]
         raw, prev = False, w
     phi = Automorphism(images[0], images[1:])

@@ -8,15 +8,16 @@ has a *transverse negative resonance* when some <mu, K> over the degree->= 0
 index set is an integer >= 1, equivalently when some cone element
 sum p_i mu_i (p in N^n, |p| >= 1) equals mu_j + q with q >= 1.
 
-Everything here is exact.  For n <= 3 the negative-resonance question is
+Everything here is exact.  For every n the negative-resonance question is
 decided outright: with S the imaginary parts over a common denominator, one
 box scan lists the minimal nonzero solutions of <S, p> = T in a bounded
-box (the Hilbert basis for T = 0, then T = S_j per direction j), and on
-the real part hitting Z_{>=1} from alpha + M, M the monoid of the basis,
-is a single congruence when M has a positive generator and one knapsack
-table when all are negative.  For larger n, and for n <= 3 when the boxes
-would hold more than MAX_BOX_POINTS points, the verdict falls back to
-bounded enumeration with the bound recorded.  The Poincare/Siegel split
+box (the Hilbert basis for T = 0, then T = S_j per direction j; the box
+bound does not depend on n), and on the real part hitting Z_{>=1} from
+alpha + M, M the monoid of the basis, is a single congruence when M has a
+positive generator and one knapsack table when all are negative.  When the
+boxes would hold more than MAX_BOX_POINTS points, the verdict falls back to
+bounded enumeration with the bound recorded; a negative resonance found
+there is a witness, so that verdict is exact.  The Poincare/Siegel split
 asks whether 0 lies in the hull of points of the plane C, so by
 Caratheodory it tests single points, segments and triangles.
 """
@@ -61,7 +62,7 @@ SIEGEL_REAL_CLASSIFIED = "SiegelRealClassified"
 SIEGEL_REAL_3A = "SiegelReal3a"
 SIEGEL_REAL_3B = "SiegelReal3b"
 
-# The exact n <= 3 decision scans integer boxes of side about max|S|, S the
+# The exact decision scans integer boxes of side about max|S|, S the
 # imaginary parts over a common denominator, so its cost grows like
 # max|S|^n: 9.7e5 points (1-1/7*i, 3/2-1/6*i, -1-i) take about 0.5 s on a
 # 2-core x86 machine, and 1/31*i, -1/37*i+1/2, 1/41*i spans 7.2e10.  Past
@@ -221,22 +222,20 @@ class NtnrResult:
 def decide_ntnr(mu, fallback_bound: int = 8) -> NtnrResult:
     """Decide "no transverse negative resonance" with a certificate.
 
-    Exact and unbounded for n <= 3 within MAX_BOX_POINTS; otherwise returns
-    the bounded-degree verdict of :func:`enumerate_resonances` with the
-    bound recorded.  An exact failure carries the first witness of the
-    graded walk, or None when it lies past _WITNESS_INDICES indices.
+    Exact and unbounded for every n within MAX_BOX_POINTS; past it, the
+    :func:`enumerate_resonances` verdict to degree fallback_bound.  A
+    witness found there proves failure, so that verdict is exact; one that
+    holds is bounded, with the bound recorded.  An exact failure carries
+    the first witness of the graded walk, or None when it lies past
+    _WITNESS_INDICES indices.
     """
     mu = as_eigenvalues(mu)
-    n = len(mu)
     S = _imaginary_integers(mu)
-    if n > 3 or _box_points(S) > MAX_BOX_POINTS:
-        report = enumerate_resonances(mu, fallback_bound)
-        return NtnrResult(
-            holds=not report.negative_resonance_found,
-            exact=False,
-            bound=fallback_bound,
-            witness=report.witness(),
-        )
+    if _box_points(S) > MAX_BOX_POINTS:
+        witness = enumerate_resonances(mu, fallback_bound).witness()
+        if witness is not None:
+            return NtnrResult(False, True, None, witness)
+        return NtnrResult(True, False, fallback_bound, None)
     if _negative_resonance_exists(mu, S):
         return NtnrResult(False, True, None, _find_witness(mu))
     return NtnrResult(True, True, None, None)

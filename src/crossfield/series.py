@@ -400,9 +400,10 @@ def accumulate_products(
     adds without a window.  Truncating between chained products is exact
     only when no factor has a negative x-exponent and no later step lowers
     an x-degree (an x-derivative, or a moving x-image); the callers that
-    pass a window see to that.  The window is tested once per call, and
-    each left cell reads its cut of the right cells, sorted by exponent,
-    with one bisection per right monomial.
+    pass a window see to that.  With a window each right monomial's cells
+    are sorted by exponent once, and each left cell x^e1 reads their prefix
+    of exponent <= x_window - e1, found with one bisection.  Without one
+    the right cells keep their insertion order and are not sorted or cut.
 
     data maps K -> {e: [a, b, d]}, the value (a + b*i)/d with d > 0 and no
     common factor removed.  A term pair adds its Gaussian-integer numerator
@@ -411,60 +412,20 @@ def accumulate_products(
     and no common factor is sought; :func:`finish_products` makes each cell
     canonical once the accumulation of a result is complete.
     """
-    if x_window is not None:
-        _accumulate_windowed(data, cap, left, right, k, x_window)
-        return
-    right = [
-        (K2, d2, [(e, c._a, c._b, c._d) for e, c in p2._terms.items()])
-        for K2, d2, p2 in right
-    ]
+    windowed = x_window is not None
+    sides = []
+    for K2, d2, p2 in right:
+        cells2 = [(e, c._a, c._b, c._d) for e, c in p2._terms.items()]
+        exps2 = None
+        if windowed:
+            cells2.sort()
+            exps2 = [cell[0] for cell in cells2]
+        sides.append((K2, d2, cells2, exps2))
     for K1, d1, p1 in left:
         room = cap - d1
         if room < 0:
             continue
         cells1 = [(e, k * c._a, k * c._b, c._d) for e, c in p1._terms.items()]
-        for K2, d2, cells2 in right:
-            if d2 > room:
-                continue
-            K = tuple(map(add, K1, K2))
-            row = data.get(K)
-            if row is None:
-                row = data[K] = {}
-            for e1, a1, b1, q1 in cells1:
-                for e2, a2, b2, q2 in cells2:
-                    e = e1 + e2
-                    a = a1 * a2 - b1 * b2
-                    b = a1 * b2 + b1 * a2
-                    q = q1 * q2
-                    cell = row.get(e)
-                    if cell is None:
-                        row[e] = [a, b, q]
-                    elif cell[2] == q:
-                        cell[0] += a
-                        cell[1] += b
-                    else:
-                        d = cell[2]
-                        m = math.lcm(d, q)
-                        s, t = m // d, m // q
-                        cell[0] = cell[0] * s + a * t
-                        cell[1] = cell[1] * s + b * t
-                        cell[2] = m
-
-
-def _accumulate_windowed(data: dict, cap: int, left, right, k: int, x_window: int) -> None:
-    """accumulate_products with its x-window: the same loop, with each left
-    cell x^e1 meeting only the right cells of exponent <= x_window - e1."""
-    sides = []
-    for K2, d2, p2 in right:
-        cells2 = sorted([(e, c._a, c._b, c._d) for e, c in p2._terms.items()])
-        sides.append((K2, d2, cells2, [cell[0] for cell in cells2]))
-    for K1, d1, p1 in left:
-        room = cap - d1
-        if room < 0:
-            continue
-        cells1 = [
-            (e, k * c._a, k * c._b, c._d, x_window - e) for e, c in p1._terms.items()
-        ]
         for K2, d2, cells2, exps2 in sides:
             if d2 > room:
                 continue
@@ -472,8 +433,9 @@ def _accumulate_windowed(data: dict, cap: int, left, right, k: int, x_window: in
             row = data.get(K)
             if row is None:
                 row = data[K] = {}
-            for e1, a1, b1, q1, lim in cells1:
-                for e2, a2, b2, q2 in cells2[: bisect_right(exps2, lim)]:
+            for e1, a1, b1, q1 in cells1:
+                cut = cells2[: bisect_right(exps2, x_window - e1)] if windowed else cells2
+                for e2, a2, b2, q2 in cut:
                     e = e1 + e2
                     a = a1 * a2 - b1 * b2
                     b = a1 * b2 + b1 * a2

@@ -601,16 +601,28 @@ def test_resonances_counterexample_is_bounded():
 
 @pytest.mark.parametrize("degree,holds", [(8, True), (10, False)])
 def test_resonances_bounded_verdict_reaches_the_listed_degree(degree, holds):
-    """For n > 3 the verdict is enumerated to max(--degree, 8), so it never
-    says "ntnr" beside a listed negative hit: the first, 11*mu_4 - mu_1 = 1,
-    has degree 10."""
-    argv = ["resonances", "--mu=1/10,1/10,1/10,1/10", "--degree", str(degree), "--json"]
-    rc, out, err = call(argv)
+    """Past the box budget (S = (11, 39, 0, 1), 56,769,073 points) the
+    verdict is enumerated to max(--degree, 8), so it never says "ntnr"
+    beside a listed negative hit: the first, 11*mu_4 - mu_1 = 1, has degree
+    10.  A hit found that way is a witness, so the failure is exact."""
+    mu = "--mu=1/10+11/40*i,1/10+39/40*i,1/10,1/10+1/40*i"
+    rc, out, err = call(["resonances", mu, "--degree", str(degree), "--json"])
     assert (rc, err) == (0, "")
     doc = json.loads(out)
-    assert doc["exact"] is False and doc["bound"] == degree
+    assert doc["exact"] is not holds and doc["bound"] == degree
     assert doc["ntnr"] is holds and doc["ntnr"] is not bool(doc["negative"])
     assert (doc["witness"] and doc["witness"]["K"]) == (None if holds else [-1, 0, 0, 11])
+
+
+def test_resonances_exact_for_four_eigenvalues():
+    """The exact decision has no limit on n: with S = 0 the degree-10
+    witness 11*mu_4 - mu_1 = 1 is found past the listed degree."""
+    argv = ["resonances", "--mu=1/10,1/10,1/10,1/10", "--degree", "8", "--json"]
+    rc, out, err = call(argv)
+    assert (rc, err) == (0, "")
+    assert '"ntnr": false,\n  "exact": true' in out
+    doc = json.loads(out)
+    assert doc["negative"] == [] and doc["witness"]["K"] == [-1, 0, 0, 11]
 
 
 @pytest.mark.parametrize("argv,witness_K", [

@@ -750,7 +750,7 @@ def shifted_map(rng, n, cap, min_exp=0):
 
 
 def fresh(phi):
-    """The same map with no cached powers or inverse."""
+    """The same map with no memoized monomials or inverse."""
     return Automorphism(phi.img_x, phi.img_z)
 
 
@@ -840,8 +840,8 @@ class TestSubstitutionOracle:
                     assert phi.compose(got) == ident and got.compose(phi) == ident
 
     def test_apply_product_count(self, monkeypatch):
-        # one product per power of u and per layer, plus z'^K and the image
-        # powers; ref_apply makes two per (term K, Taylor order m) pair
+        # one product per power of u and per layer, plus one per z'^K;
+        # ref_apply makes two per (term K, Taylor order m) pair
         rng = random.Random(109)
         calls = count_products(monkeypatch)
         cases = 0
@@ -869,6 +869,21 @@ class TestSubstitutionOracle:
         mixed = cap * (cap - 1) // 2  # z'^K with both exponents nonzero
         layers = cap + (cap - 1)  # layer m times u^m; u^2 .. u^cap
         assert calls[0] == powers + mixed + layers
+        monkeypatch.undo()
+        assert got == ref_apply(phi, f)
+
+    def test_apply_one_product_per_monomial(self, monkeypatch):
+        # z'^K is z'^(K - e_i) * z'_i, memoized per window: one product for
+        # each monomial of degree 2..cap, and none when the map is reused
+        n, cap = 3, 4
+        phi = fresh(exp(rand_z_one_flat(random.Random(113), n, cap, terms=3)))
+        f = TransverseSeries(n, cap, {K: LaurentPoly.one() for K in iter_exponents(n, 0, cap)})
+        calls = []
+        product = lie._product
+        monkeypatch.setattr(lie, "_product", lambda g, h, w: calls.append(w) or product(g, h, w))
+        got = phi.apply(f)
+        assert len(calls) == len(list(iter_exponents(n, 2, cap))) == 31
+        assert phi.apply(f) == got and len(calls) == 31
         monkeypatch.undo()
         assert got == ref_apply(phi, f)
 

@@ -355,9 +355,22 @@ class TestDecideNtnr:
         rep = enumerate_resonances([F(1, 2), F(-3)], max(d, 1))
         assert any(w.K == r.witness.K for w in rep.negative)
 
+    # n = 4 with S = (11, 39, 0, 1): 56,769,073 box points, past the budget;
+    # the first negative resonance is 11*mu_4 - mu_1 = 1, of degree 10
+    MU4 = [G(Fraction(1, 10), Fraction(k, 40)) for k in (11, 39, 0, 1)]
+
     def test_bounded_fallback_for_large_n(self):
-        r = decide_ntnr([F(-1), F(-2, 3), G(0, 1), F(-5)], fallback_bound=6)
-        assert not r.exact and r.bound == 6
+        assert resonance._box_points(resonance._imaginary_integers(self.MU4)) == 56_769_073
+        r = decide_ntnr(self.MU4, fallback_bound=6)
+        assert (r.holds, r.exact, r.bound, r.witness) == (True, False, 6, None)
+        # a negative resonance found by the enumeration proves that NTNR fails
+        r = decide_ntnr(self.MU4, fallback_bound=10)
+        assert (r.holds, r.exact, r.bound) == (False, True, None)
+        assert r.witness.K == (-1, 0, 0, 11) and r.witness.q == 1
+
+    def test_exact_for_large_n(self):
+        holds = [F(-1, 3), F(-1, 2), G(0, 1), F(-2, 3)]
+        assert decide_ntnr(holds) == resonance.NtnrResult(True, True, None, None)
 
     def test_box_point_count_is_what_the_scans_visit(self, monkeypatch):
         # decisions that hold run every scan to the end, so the predicted

@@ -169,6 +169,19 @@ def test_window_zero_keeps_x_through_several_factors():
     assert folded.invert().img_x == x
 
 
+def test_window_narrowing_to_zero_keeps_x():
+    # x*z1*dz1 + z1^2*dz1 at cap 3: at window 0 only z1^2*dz1 acts, and a
+    # window lowered to 0 truncates img_x - x, not img_x
+    z = TransverseSeries(1, 3, {(1,): LaurentPoly.x(1), (2,): LaurentPoly.one()})
+    X = VectorField(TransverseSeries.zero(1, 3), [z])
+    assert str(exp(X, x_window=0).truncate_x(0)) == "x -> x; z1 -> z1 + z1^2 + z1^3"
+    phi = exp(X, x_window=0).compose(exp(X, x_window=3))
+    folded = lie._from_factors(1, 3, phi._gens)
+    assert str(folded) == "x -> x; z1 -> z1 + 2*z1^2 + 4*z1^3"
+    z1 = TransverseSeries.variable(1, 3, 1)
+    assert folded.apply(z1) == folded.img_z[0]
+
+
 # --- windowed normalize, pinned by digest ------------------------------------
 
 
@@ -213,16 +226,17 @@ def windowed_document(i):
             "field: " + " + ".join(terms) + "\n")
 
 
-def dense_windowed_document(d):
-    """D_d^x: x*dx + 1/2*z1*dz1 - 3*z2*dz2 + i*z3*dz3 + x*z1*dz1, plus
-    every z^M dz_j and its x* twin for 2 <= |M| <= d, at x-cap 8."""
-    terms = ["x*dx", "1/2*z1*dz1", "-3*z2*dz2", "i*z3*dz3", "x*z1*dz1"]
+def dense_document(d, windowed):
+    """D_d: x*dx + 1/2*z1*dz1 - 3*z2*dz2 + i*z3*dz3 plus every z^M dz_j and
+    its x* twin for 2 <= |M| <= d, normalized exactly.  D_d^x (windowed)
+    adds x*z1*dz1 and is normalized at x-cap 8."""
+    terms = ["x*dx", "1/2*z1*dz1", "-3*z2*dz2", "i*z3*dz3"] + ["x*z1*dz1"] * windowed
     for deg in range(2, d + 1):
         for M in sorted(K for K in product(range(deg + 1), repeat=3) if sum(K) == deg):
             for j in (1, 2, 3):
                 terms += [_mono(0, M, f"dz{j}"), _mono(1, M, f"dz{j}")]
-    return (f"name: D{d}x\nn: 3\ndegree: {d}\nx-cap: 8\nmu: 1/2,-3,i\n"
-            "field: " + " + ".join(terms) + "\n")
+    header = f"name: D{d}{'x' * windowed}\nn: 3\ndegree: {d}\n" + "x-cap: 8\n" * windowed
+    return header + "mu: 1/2,-3,i\nfield: " + " + ".join(terms) + "\n"
 
 
 def normalize_json(path, text):
@@ -245,7 +259,15 @@ def test_windowed_documents_digest(tmp_path):
 
 
 def test_dense_windowed_field_digest(tmp_path):
-    rc, out, _ = normalize_json(tmp_path / "d5x.vf", dense_windowed_document(5))
+    rc, out, _ = normalize_json(tmp_path / "d5x.vf", dense_document(5, windowed=True))
     assert rc == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "5a6e1db412745647f9f2f7d7b0d55e74035e14b6dea05f3026241b18c1822bbc"
+
+
+def test_dense_exact_field_digest(tmp_path):
+    # recorded before apply built each z'^K with one product
+    rc, out, _ = normalize_json(tmp_path / "d5.vf", dense_document(5, windowed=False))
+    assert rc == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "5cf6e3d6afe4692204ac13ec18c5da5d95b0251a48cd6b037a4e1763f681905d"
