@@ -47,8 +47,13 @@ keeps its 0j.  On the full vector the off-support entries would stay
 exactly 0j and add 0 to the error norm, so the support-packed integration
 takes the same steps and ends on the same floats.  The integrator is an
 adaptive embedded Dormand-Prince 5(4) pair on complex state vectors,
-first-same-as-last: six right-hand side calls per step.  A state that is
-no longer finite (an overflowing jet) raises IntegrationError.
+first-same-as-last: six right-hand side calls per step.  Its stage
+arithmetic and error norm are, like the kernels, straight-line Python
+(_dp5_step), compiled once per state width on first use and kept for the
+process; every sum keeps the order of the loop it replaced, so the floats
+are the same bit for bit.  Step-size control stays in the Python loop.  A
+state that is no longer finite (an overflowing jet) raises
+IntegrationError.
 """
 
 from __future__ import annotations
@@ -474,29 +479,82 @@ _DP_A = (
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
+_DP5_STEPS = {}  # state width -> its compiled step (_dp5_step)
+
+
+def _dp5_step(m: int):
+    """The DP5(4) step on states of width m, compiled on its first use.
+
+    step(f, t, h, y, k1, tol) -> (err, y5, k7) is straight-line Python: the
+    state unpacks into locals v{i}, stage k into p{k}_{i}, and the
+    fifth-order solution into u{i}.  Each stage argument, y5 and each error
+    ratio is the sum the loop it replaced wrote, in the same left-to-right
+    order, so the floats are the same bit for bit; err is max over a list
+    in state order, which keeps its NaN behaviour.  f is called six times,
+    the last on (t + h, y5).  The weights enter through the exec namespace.
+    """
+    step = _DP5_STEPS.get(m)
+    if step is not None:
+        return step
+    namespace = {f"a{s}_{k}": a for s, row in enumerate(_DP_A[1:], 2)
+                 for k, a in enumerate(row, 1)}
+    namespace.update({f"e{k}": e for k, e in enumerate(_DP_B4, 1)})
+    namespace.update({f"c{s}": c for s, c in enumerate(_DP_C[1:5], 2)})
+
+    def unpack(name, source):
+        return "[" + ", ".join(f"{name}{i}" for i in range(m)) + "] = " + source
+
+    def weights(ks, prefix):
+        return ", ".join(f"g{k}" for k in ks) + " = " + ", ".join(f"h * {prefix}{k}" for k in ks)
+
+    def sums(ks):
+        return [f"v{i}" + "".join(f" + g{k} * p{k}_{i}" for k in ks) for i in range(m)]
+
+    lines = [unpack("v", "y"), unpack("p1_", "k1")]
+    for s, at in enumerate(("c2 * h", "c3 * h", "c4 * h", "c5 * h", "h"), 2):
+        ks = range(1, s)
+        lines.append(weights(ks, f"a{s}_"))
+        lines.append(unpack(f"p{s}_", f"f(t + {at}, [{', '.join(sums(ks))}])"))
+    # the seventh stage's argument is the fifth-order solution; the last row
+    # of _DP_A doubles as its weights, and both weight rows skip the zero k = 2
+    ks = (1, 3, 4, 5, 6)
+    lines += [weights(ks, "a7_"),
+              f"y5 = [{', '.join(sums(ks))}]",
+              "k7 = f(t + h, y5)",
+              unpack("u", "y5"),
+              unpack("p7_", "k7")]
+    ks = (1, 3, 4, 5, 6, 7)
+    lines.append(weights(ks, "e"))
+    ratios = [f"abs(u{i} - ({est})) / (tol + tol * max(abs(v{i}), abs(u{i})))"
+              for i, est in enumerate(sums(ks))]
+    lines.append(f"return max([{', '.join(ratios)}]), y5, k7")
+    source = "\n    ".join(["def step(f, t, h, y, k1, tol):", *lines])
+    exec(compile(source, "<dp5 step>", "exec"), namespace)
+    step = _DP5_STEPS[m] = namespace["step"]
+    return step
+
+
 def _integrate(f, t0: float, t1: float, y0, tol: float, max_steps: int = 200_000,
                on_step=None):
     """Adaptive DP5(4) from t0 to t1 on a complex state vector.
 
     The pair is first-same-as-last: the seventh stage is f(t + h, y5), so an
     accepted step hands it on as the next step's first stage and a rejected
-    step keeps its own, and a run of s steps costs 6 s + 1 calls of f.  Each
-    stage argument and the pair (y4, error norm) take one pass over the
-    state, summing the terms left to right in stage order.  An accepted
-    state that is not finite raises _NotFiniteError, an IntegrationError.
+    step keeps its own, and a run of s steps costs 6 s + 1 calls of f.  The
+    stage arithmetic and the error norm run in the straight-line step
+    compiled once per state width (_dp5_step); step-size control, the step
+    budget and on_step stay here.  An accepted state that is not finite
+    raises _NotFiniteError, an IntegrationError.
     """
     if t1 == t0:
         return list(y0)
-    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _DP_A[1:]
-    e1, _, e3, e4, e5, e6, e7 = _DP_B4
-    c2, c3, c4, c5 = _DP_C[1:5]
     span = t1 - t0
     t = t0
     y = list(y0)
     h = span / 16.0
     hmin = abs(span) * 1e-14
     steps = 0
+    step = _dp5_step(len(y))
     k1 = f(t, y)
     while (span > 0 and t < t1) or (span < 0 and t > t1):
         steps += 1
@@ -505,31 +563,7 @@ def _integrate(f, t0: float, t1: float, y0, tol: float, max_steps: int = 200_000
         if (span > 0 and t + h > t1) or (span < 0 and t + h < t1):
             h = t1 - t
         # f never mutates its state argument, so the stages share y and k1
-        g1 = h * a21
-        k2 = f(t + c2 * h, [v + g1 * p1 for v, p1 in zip(y, k1)])
-        g1, g2 = h * a31, h * a32
-        k3 = f(t + c3 * h, [v + g1 * p1 + g2 * p2 for v, p1, p2 in zip(y, k1, k2)])
-        g1, g2, g3 = h * a41, h * a42, h * a43
-        k4 = f(t + c4 * h, [v + g1 * p1 + g2 * p2 + g3 * p3
-                            for v, p1, p2, p3 in zip(y, k1, k2, k3)])
-        g1, g2, g3, g4 = h * a51, h * a52, h * a53, h * a54
-        k5 = f(t + c5 * h, [v + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4
-                            for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-        g1, g2, g3, g4, g5 = h * a61, h * a62, h * a63, h * a64, h * a65
-        k6 = f(t + h, [v + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4 + g5 * p5
-                       for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-        # the seventh stage's argument is the fifth-order solution
-        g1, g3, g4, g5, g6 = h * b1, h * b3, h * b4, h * b5, h * b6
-        y5 = [v + g1 * p1 + g3 * p3 + g4 * p4 + g5 * p5 + g6 * p6
-              for v, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-        k7 = f(t + h, y5)
-        g1, g3, g4, g5, g6, g7 = h * e1, h * e3, h * e4, h * e5, h * e6, h * e7
-        ratios = [
-            abs(u - (v + g1 * p1 + g3 * p3 + g4 * p4 + g5 * p5 + g6 * p6 + g7 * p7))
-            / (tol + tol * max(abs(v), abs(u)))
-            for v, u, p1, p3, p4, p5, p6, p7 in zip(y, y5, k1, k3, k4, k5, k6, k7)
-        ]
-        err = max(ratios)
+        err, y5, k7 = step(f, t, h, y, k1, tol)
         if err <= 1.0:
             if not all(map(cmath.isfinite, y5)):
                 raise _NotFiniteError(f"state is not finite at t={t + h:.6g}")

@@ -228,7 +228,9 @@ def normalize(
             continue  # adjacent Jordan entry, reported through eps
         resonant.append(ResonantTerm(K, j, -s_int, coeff))
 
-    if not _intertwines(normalizer, X, field, window):
+    # a bare copy of the images: the z'^K memo the certificate fills goes
+    # with the copy, and the returned normalizer keeps its factors
+    if not _intertwines(Automorphism(normalizer.img_x, normalizer.img_z), X, field, window):
         raise CertificateError("conjugation certificate failed")
     return NormalFormResult(
         normal_field=field,

@@ -1,7 +1,10 @@
 import cmath
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -720,6 +723,26 @@ class TestIntegrationAgainstReference:
         assert_close(dict(enumerate(finals[1])), dict(enumerate(finals[0])))
 
 
+def dense_field(n, degree, seed):
+    """A seeded diagonal linear part plus every z^K dz_j with 2 <= |K| <= degree,
+    each with a nonzero Q[i] coefficient: the support is the whole layout but
+    the other directions' linear entries."""
+    rng = random.Random(seed)
+    higher = _jet_layout(n, degree)[0][n:]
+
+    def coefficient():
+        return LaurentPoly.constant(G(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), 4),
+                                      Fraction(rng.randint(-3, 3), 4)))
+
+    return VectorField.semisimple(rand_mu(rng, n), degree) + VectorField(
+        TransverseSeries.zero(n, degree),
+        [TransverseSeries(n, degree, {K: coefficient() for K in higher}) for _ in range(n)])
+
+
+# |e^{2 pi i mu}| = e^{240 pi} is past the largest float
+OVERFLOW_DOCUMENT = "n: 1\ndegree: 4\nmu: -120*i\nfield: x*dx - 120*i*z1*dz1 + x*z1^2*dz1\n"
+
+
 def _seeded_jet_case(n, degree):
     rng = random.Random(7300 + 10 * n + degree)
     X = rand_x_normalized(rng, rand_mu(rng, n), degree + 1, terms=4)
@@ -729,23 +752,69 @@ def _seeded_jet_case(n, degree):
 class TestIntegratorAgainstReference:
     """_integrate gives bit-identical floats to the seven-call loop, in 6 s + 1 calls."""
 
+    @staticmethod
+    def assert_same_run(f, y0):
+        ref_calls, calls = [0], [0]
+        want = counting(ref_integrate, ref_calls)(f, 0.0, 1.0, y0, 1e-10)
+        got = counting(_integrate, calls)(f, 0.0, 1.0, y0, 1e-10)
+        assert got == want
+        steps, rest = divmod(ref_calls[0], 7)
+        assert rest == 0 and calls[0] == 6 * steps + 1
+
     @pytest.mark.parametrize("X,degree", [_seeded_jet_case(n, d) for n, d in JET_SHAPES] + [
         pytest.param(_golden_field("resonant.vf"), 4, id="resonant"),
         pytest.param(_golden_field("twovar.vf"), 3, id="twovar"),
     ])
     def test_jet_state_bit_identical(self, X, degree):
         support, rhs = _jet_rhs(X, degree, 1)
-        y0 = [identity_state(X.n, degree)[p] for p in support]
-        ref_calls, calls = [0], [0]
-        want = counting(ref_integrate, ref_calls)(rhs, 0.0, 1.0, y0, 1e-10)
-        got = counting(_integrate, calls)(rhs, 0.0, 1.0, y0, 1e-10)
-        assert got == want
-        steps, rest = divmod(ref_calls[0], 7)
-        assert rest == 0 and calls[0] == 6 * steps + 1
+        self.assert_same_run(rhs, [identity_state(X.n, degree)[p] for p in support])
 
-    def test_path_lift_bit_identical(self, monkeypatch):
-        X = _golden_field("twovar.vf")
-        start = (0.8 + 0.3j, (0.05 - 0.02j, 0.03j))
+    @pytest.mark.parametrize("n,degree,width", [(2, 5, 38), (3, 4, 96)])
+    def test_dense_field_bit_identical(self, n, degree, width):
+        X = dense_field(n, degree, 7900 + n)
+        support, rhs = _jet_rhs(X, degree, 1)
+        assert len(support) == width
+        self.assert_same_run(rhs, [identity_state(n, degree)[p] for p in support])
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_every_width_bit_identical(self, m):
+        # from width 6 on, an entry local named like the list y5 would clash
+        rng = random.Random(7800 + m)
+        rates = [complex(rng.uniform(-1, 1), rng.uniform(-4, 4)) for _ in range(m)]
+
+        def f(t, y):
+            return [r * v + 0.5j * t * y[i - 1] ** 2 for i, (r, v) in enumerate(zip(rates, y))]
+
+        self.assert_same_run(f, [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                 for _ in range(m)])
+
+    def test_equal_widths_share_one_step(self, monkeypatch):
+        monkeypatch.setattr(holonomy, "_DP5_STEPS", {})
+        seen = recorded_compiles(monkeypatch)
+        _integrate(lambda t, y: [1j * v for v in y], 0.0, 1.0, [1j, 2.0, 0.5], 1e-10)
+        step = holonomy._DP5_STEPS[3]
+        _integrate(lambda t, y: [t - v for v in y], 0.0, -0.5, [0j, 1.0, -1j], 1e-8)
+        assert holonomy._DP5_STEPS == {3: step}
+        assert len(seen) == 1
+
+    def test_overflow_stops_where_the_reference_state_does(self):
+        # the item-16 document: the reference loop's first accepted state that
+        # is not finite is where holonomy_jet raises
+        X = FieldDocument.parse(OVERFLOW_DOCUMENT, source="o").field(None)
+        support, rhs = _jet_rhs(X, 2, 1)
+
+        def watch(t, y):
+            if not all(map(cmath.isfinite, y)):
+                raise IntegrationError(f"state is not finite at t={t:.6g}")
+
+        with pytest.raises(IntegrationError) as ref:
+            ref_integrate(rhs, 0.0, 1.0, [identity_state(1, 2)[p] for p in support], 1e-10,
+                          on_step=watch)
+        with pytest.raises(IntegrationError, match=re.escape(f"{ref.value};")):
+            holonomy_jet(X, 2)
+
+    @staticmethod
+    def assert_same_lift(monkeypatch, X, start):
         path = PathSpec.segment_log(start[0], 1.5 - 0.4j)
         results, counts = [], []
         for integrate in (ref_integrate, _integrate):
@@ -756,6 +825,39 @@ class TestIntegratorAgainstReference:
         assert results[1] == results[0]
         steps, rest = divmod(counts[0], 7)
         assert rest == 0 and counts[1] == 6 * steps + 1
+
+    def test_path_lift_bit_identical(self, monkeypatch):
+        self.assert_same_lift(monkeypatch, _golden_field("twovar.vf"),
+                              (0.8 + 0.3j, (0.05 - 0.02j, 0.03j)))
+
+    def test_path_lift_bit_identical_at_n3(self, monkeypatch):
+        X = rand_x_normalized(random.Random(75), rand_mu(random.Random(76), 3), 4)
+        self.assert_same_lift(monkeypatch, X, (0.8 + 0.3j, (0.05 - 0.02j, 0.03j, -0.04 + 0.01j)))
+
+
+IMPORT_PROBE = """
+import builtins
+real, names = builtins.compile, []
+
+def recording(source, filename, *args, **kwargs):
+    names.append(filename)
+    return real(source, filename, *args, **kwargs)
+
+builtins.compile = recording
+import crossfield, crossfield.cli
+from crossfield import holonomy
+assert holonomy._DP5_STEPS == {}, holonomy._DP5_STEPS
+assert not {"<dp5 step>", "<holonomy kernel>"} & set(names), names
+"""
+
+
+def test_import_compiles_no_kernel():
+    # kernels are built on first use, so import time holds none of their cost
+    src = str(Path(holonomy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 # --- compiled kernels against the loop plan, bit for bit ----------------------
@@ -949,9 +1051,7 @@ class TestNonFinite:
     """An overflowing jet is an IntegrationError, never NaN with success."""
 
     def test_overflowing_turn_raises(self):
-        # |e^{2 pi i mu}| = e^{240 pi} is past the largest float
-        X = FieldDocument.parse("n: 1\ndegree: 4\nmu: -120*i\n"
-                                "field: x*dx - 120*i*z1*dz1 + x*z1^2*dz1\n", source="o").field(None)
+        X = FieldDocument.parse(OVERFLOW_DOCUMENT, source="o").field(None)
         with pytest.raises(IntegrationError, match="not finite"):
             holonomy_jet(X, 2)
 
