@@ -40,12 +40,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .coeff import CoefficientSyntaxError, GaussianRational
-from .holonomy import (
-    IntegrationError,
-    LeafEscapeError,
-    conjugacy_residual,
-    holonomy_jet,
-)
+from .holonomy import IntegrationError, conjugacy_residual, holonomy_jet
 from .lie import Automorphism, CertificateError, VectorField, exp, log
 from .normalform import centralizer_check, normalize
 from .parsing import parse_field, parse_series
@@ -713,7 +708,7 @@ def main(argv=None) -> int:
     except (Finding, CertificateError) as e:
         sys.stderr.write(f"finding: {e}\n")
         return 1
-    except (ValueError, IntegrationError, LeafEscapeError) as e:
+    except (ValueError, IntegrationError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

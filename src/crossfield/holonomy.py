@@ -7,12 +7,14 @@ punctured x-plane lifts by
 
     dz/dt = (gamma'(t)/gamma(t)) * B(gamma(t), z),
 
-and for the base loop gamma(theta) = e^{2 pi i theta} the factor is just
-2 pi i.  holonomy_jet() integrates this system on the truncated jet space
-(coefficients of the map zeta -> z(theta) through total degree d), so the
-theta = 1 state is the holonomy's polynomial jet; for w windings it
-integrates one turn and composes that jet with itself |w| times.
-path_lift() integrates the plain pointwise system.  Everything here is
+and every path lifted here is x(t) = x0 e^{rate t} for t in [0, 1], on
+which the factor gamma'/gamma is the constant rate.  For the base loop,
+x0 = 1 and rate = 2 pi i.  holonomy_jet() integrates this system on the
+truncated jet space (coefficients of the map zeta -> z(theta) through
+total degree d), so the theta = 1 state is the holonomy's polynomial jet;
+for w windings it integrates one turn and composes that jet with itself
+|w| times.  path_lift() integrates the plain pointwise system, and
+transport_conjugacy() lifts one such path each way.  Everything here is
 floating point: exact fields are converted at entry, and tolerances are
 explicit: every entry point rejects a tol that is not finite and positive
 with ValueError.
@@ -46,28 +48,26 @@ never -0.0, and adding +-0 to it changes nothing, which is why each sum
 keeps its 0j.  On the full vector the off-support entries would stay
 exactly 0j and add 0 to the error norm, so the support-packed integration
 takes the same steps and ends on the same floats.  The integrator is an
-adaptive embedded Dormand-Prince 5(4) pair on complex state vectors,
-first-same-as-last: six right-hand side calls per step.  Its stage
-arithmetic and error norm are, like the kernels, straight-line Python
-(_dp5_step), compiled once per state width on first use and kept for the
-process; every sum keeps the order of the loop it replaced, so the floats
-are the same bit for bit.  Step-size control stays in the Python loop.  A
-state that is no longer finite (an overflowing jet) raises
-IntegrationError.
+adaptive embedded Dormand-Prince 5(4) pair on complex state vectors, run
+from t = 0 to t = 1, first-same-as-last: six right-hand side calls per
+step.  Its stage arithmetic and error norm are, like the kernels,
+straight-line Python (_dp5_step), compiled once per state width on first
+use and kept for the process; every sum keeps the order of the loop it
+replaced, so the floats are the same bit for bit.  Step-size control stays
+in the Python loop.  A state or an error norm that is no longer finite (an
+overflowing jet) raises IntegrationError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 
 from .lie import Automorphism, VectorField
 from .series import iter_exponents
 
 __all__ = [
     "HolonomyJet",
-    "PathSpec",
     "IntegrationError",
     "LeafEscapeError",
     "holonomy_jet",
@@ -80,6 +80,9 @@ TWO_PI_I = 2j * math.pi
 # |windings| bound for holonomy_jet, an input check only: one turn is
 # integrated and then composed, so the cost past the first turn is small
 MAX_WINDINGS = 64
+# path_lift's bound on |z|, and _integrate's step budget
+_ESCAPE_RADIUS = 8.0
+_MAX_STEPS = 200_000
 
 
 class IntegrationError(RuntimeError):
@@ -99,7 +102,7 @@ class LeafEscapeError(RuntimeError):
 
 
 class HolonomyJet:
-    """Polynomial jet z -> (sum_K c_{i,K} z^K)_i of a transversal map at x = base_point.
+    """Polynomial jet z -> (sum_K c_{i,K} z^K)_i of a map of the transversal at x = 1.
 
     A jet is its packed vector in _jet_layout order: block i holds z_i's
     coefficients on the monomials of degree 1..degree in grlex order, the
@@ -109,9 +112,9 @@ class HolonomyJet:
     terms past the degree drop out.
     """
 
-    __slots__ = ("n", "degree", "vector", "base_point")
+    __slots__ = ("n", "degree", "vector")
 
-    def __init__(self, n, degree, coeffs, base_point=1.0 + 0j):
+    def __init__(self, n, degree, coeffs):
         _, index = _jet_layout(n, degree)
         self.vector = [0j] * len(index)
         for i, comp in coeffs.items():
@@ -122,14 +125,12 @@ class HolonomyJet:
                     self.vector[index[(i, tuple(K))]] = complex(c)
         self.n = n
         self.degree = degree
-        self.base_point = complex(base_point)
 
     @classmethod
-    def _wrap(cls, n, degree, vector, base_point=1.0 + 0j):
+    def _wrap(cls, n, degree, vector):
         """The jet whose packed vector is `vector`, taken as it is."""
         jet = cls.__new__(cls)
         jet.n, jet.degree, jet.vector = n, degree, vector
-        jet.base_point = complex(base_point)
         return jet
 
     @classmethod
@@ -139,12 +140,12 @@ class HolonomyJet:
         })
 
     @classmethod
-    def from_automorphism(cls, phi: Automorphism, degree: int, x: complex = 1.0 + 0j):
-        """Restrict an x-normalized automorphism to the transversal at x."""
+    def from_automorphism(cls, phi: Automorphism, degree: int):
+        """Restrict an x-normalized automorphism to the transversal at x = 1."""
         return cls(phi.n, degree, {
-            i: {K: poly.evaluate(x) for K, poly in series.terms() if 1 <= sum(K) <= degree}
+            i: {K: poly.evaluate(1.0 + 0j) for K, poly in series.terms() if 1 <= sum(K) <= degree}
             for i, series in enumerate(phi.img_z, 1)
-        }, base_point=x)
+        })
 
     def _terms(self) -> list:
         """Per direction, the (K, c) of the nonzero entries in grlex order."""
@@ -210,7 +211,7 @@ def _composer(f: HolonomyJet):
     kernel = _jet_kernel(prog, _product_rows(monos, degree), state, terms)
 
     def compose(g: HolonomyJet) -> HolonomyJet:
-        return HolonomyJet._wrap(n, degree, kernel(coeffs, g.vector), f.base_point)
+        return HolonomyJet._wrap(n, degree, kernel(coeffs, g.vector))
 
     return compose
 
@@ -534,39 +535,37 @@ def _dp5_step(m: int):
     return step
 
 
-def _integrate(f, t0: float, t1: float, y0, tol: float, max_steps: int = 200_000,
-               on_step=None):
-    """Adaptive DP5(4) from t0 to t1 on a complex state vector.
+def _integrate(f, y0, tol: float, on_step=None):
+    """Adaptive DP5(4) from t = 0 to t = 1 on a complex state vector.
 
-    The pair is first-same-as-last: the seventh stage is f(t + h, y5), so an
+    The first step tries h = 1/16; a step is clipped to end at t = 1, and h
+    below 1e-14 or more than _MAX_STEPS steps is an IntegrationError.  The
+    pair is first-same-as-last: the seventh stage is f(t + h, y5), so an
     accepted step hands it on as the next step's first stage and a rejected
     step keeps its own, and a run of s steps costs 6 s + 1 calls of f.  The
     stage arithmetic and the error norm run in the straight-line step
     compiled once per state width (_dp5_step); step-size control, the step
-    budget and on_step stay here.  An accepted state that is not finite
-    raises _NotFiniteError, an IntegrationError.
+    budget and on_step stay here.  An error norm that is NaN (a stage
+    overflowed) or an accepted state that is not finite raises
+    _NotFiniteError, an IntegrationError; a finite run never has a NaN norm.
     """
-    if t1 == t0:
-        return list(y0)
-    span = t1 - t0
-    t = t0
+    t = 0.0
     y = list(y0)
-    h = span / 16.0
-    hmin = abs(span) * 1e-14
+    h = 1 / 16
     steps = 0
     step = _dp5_step(len(y))
     k1 = f(t, y)
-    while (span > 0 and t < t1) or (span < 0 and t > t1):
+    while t < 1.0:
         steps += 1
-        if steps > max_steps:
+        if steps > _MAX_STEPS:
             raise IntegrationError(f"step budget exhausted at t={t:.6g}")
-        if (span > 0 and t + h > t1) or (span < 0 and t + h < t1):
-            h = t1 - t
+        if t + h > 1.0:
+            h = 1.0 - t
         # f never mutates its state argument, so the stages share y and k1
         err, y5, k7 = step(f, t, h, y, k1, tol)
+        if math.isnan(err) or err <= 1.0 and not all(map(cmath.isfinite, y5)):
+            raise _NotFiniteError(f"state is not finite at t={t + h:.6g}")
         if err <= 1.0:
-            if not all(map(cmath.isfinite, y5)):
-                raise _NotFiniteError(f"state is not finite at t={t + h:.6g}")
             t += h
             y = y5
             k1 = k7
@@ -574,7 +573,7 @@ def _integrate(f, t0: float, t1: float, y0, tol: float, max_steps: int = 200_000
                 on_step(t, y)
         factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
-        if abs(h) < hmin:
+        if h < 1e-14:
             raise IntegrationError(f"step size underflow at t={t:.6g} (h={h:.3g})")
     return y
 
@@ -668,7 +667,7 @@ def holonomy_jet(X: VectorField, degree: int, tol: float = 1e-10,
     support, rhs = _jet_rhs(X, degree, sign)
     vector = HolonomyJet.identity(X.n, degree).vector
     try:
-        y1 = _integrate(rhs, 0.0, 1.0, [vector[p] for p in support], tol)
+        y1 = _integrate(rhs, [vector[p] for p in support], tol)
     except _NotFiniteError as e:
         raise IntegrationError(f"{e}{_overflow_note(X, sign)}") from None
     for p, v in zip(support, y1):
@@ -705,98 +704,40 @@ def _overflow_note(X: VectorField, windings: int) -> str:
             f" is predicted at about 10^{tens[j]:.0f} for w = {windings}")
 
 
-@dataclass
-class PathSpec:
-    """Sampled curve in the punctured x-plane with step-size control.
+def path_lift(X: VectorField, start, rate: complex, tol: float = 1e-10):
+    """Lift x(t) = x0 e^(rate t), t from 0 to 1, through the leaves from start = (x0, z0).
 
-    gamma maps [t0, t1] to C \\ {0} and dgamma is its derivative.
-    escape_radius bounds |z| during lifts and min_modulus guards against
-    paths that graze x = 0.
-    """
-
-    gamma: object
-    dgamma: object
-    t0: float = 0.0
-    t1: float = 1.0
-    escape_radius: float = 8.0
-    min_modulus: float = 1e-9
-    max_steps: int = 200_000
-
-    @classmethod
-    def circle(cls, windings: float = 1.0, radius: float = 1.0, phase: float = 0.0):
-        w = complex(TWO_PI_I * windings)
-
-        def gamma(t):
-            return radius * cmath.exp(1j * phase + w * t)
-
-        def dgamma(t):
-            return w * gamma(t)
-
-        return cls(gamma=gamma, dgamma=dgamma)
-
-    @classmethod
-    def segment_log(cls, x0: complex, x1: complex):
-        """Path x0 -> x1 along x0 * (x1/x0)^t (constant logarithmic speed)."""
-        x0 = complex(x0)
-        x1 = complex(x1)
-        if x0 == 0 or x1 == 0:
-            raise ValueError("path endpoints must avoid x = 0")
-        rate = cmath.log(x1 / x0)
-
-        def gamma(t):
-            return x0 * cmath.exp(rate * t)
-
-        def dgamma(t):
-            return rate * gamma(t)
-
-        return cls(gamma=gamma, dgamma=dgamma)
-
-    def reversed(self) -> "PathSpec":
-        g, dg = self.gamma, self.dgamma
-        t0, t1 = self.t0, self.t1
-
-        def gamma(t):
-            return g(t0 + t1 - t)
-
-        def dgamma(t):
-            return -dg(t0 + t1 - t)
-
-        return replace(self, gamma=gamma, dgamma=dgamma)
-
-
-def path_lift(X: VectorField, start, path: PathSpec, tol: float = 1e-10):
-    """Lift `path` through the leaves from start = (x0, z0).
-
-    x follows the path exactly; z integrates dz/dt = (gamma'/gamma) B(gamma, z).
-    Returns (gamma(t1), z(t1)).  Raises LeafEscapeError when |z| leaves the
-    path's escape radius.
+    x follows the path exactly; z integrates dz/dt = rate B(x(t), z), since
+    x'/x = rate on this path.  Returns (x(1), z(1)).  Both endpoints must be
+    nonzero and finite (ValueError); |x(t)| is monotone between them, so the
+    path avoids x = 0.  Raises LeafEscapeError when |z| passes
+    _ESCAPE_RADIUS.
     """
     _require_x_normalized(X)
     _require_tol(tol)
     x0, z0 = start
+    x0, rate = complex(x0), complex(rate)
     z0 = tuple(complex(v) for v in z0)
     if len(z0) != X.n:
         raise ValueError(f"expected {X.n} transverse coordinates")
-    g0 = path.gamma(path.t0)
-    if abs(complex(x0) - g0) > 1e-9 * max(1.0, abs(g0)):
-        raise ValueError("start point does not sit on the path")
+    try:
+        x1 = x0 * cmath.exp(rate)
+    except OverflowError:
+        x1 = math.inf
+    if not (x0 and x1 and cmath.isfinite(x0) and cmath.isfinite(x1)):
+        raise ValueError(f"path endpoints must be nonzero and finite, got {x0} and {x1}")
     terms = _numeric_terms(X)
 
     def rhs(t, z):
-        x = path.gamma(t)
-        if abs(x) < path.min_modulus:
-            raise LeafEscapeError("path entered the forbidden disk around x = 0")
-        rate = path.dgamma(t) / x
+        x = x0 * cmath.exp(rate * t)
         coeffs = [[(M, _eval_coeff(xterms, x)) for M, xterms in comp] for comp in terms]
         return [rate * v for v in _point_map(coeffs, z)]
 
     def watch(t, z):
-        if max(abs(v) for v in z) > path.escape_radius:
-            raise LeafEscapeError(f"leaf escaped (|z| > {path.escape_radius}) at t={t:.6g}")
+        if max(abs(v) for v in z) > _ESCAPE_RADIUS:
+            raise LeafEscapeError(f"leaf escaped (|z| > {_ESCAPE_RADIUS}) at t={t:.6g}")
 
-    z1 = _integrate(rhs, path.t0, path.t1, list(z0), tol,
-                    max_steps=path.max_steps, on_step=watch)
-    return path.gamma(path.t1), tuple(z1)
+    return x1, tuple(_integrate(rhs, list(z0), tol, on_step=watch))
 
 
 def conjugacy_residual(X: VectorField, psi: Automorphism, degree: int,
@@ -821,7 +762,7 @@ def conjugacy_residual(X: VectorField, psi: Automorphism, degree: int,
     Y = psi.pushforward(X)
     h_x = holonomy_jet(X, degree, tol)
     h_y = holonomy_jet(Y, degree, tol)
-    p = HolonomyJet.from_automorphism(psi, degree, x=1.0 + 0j)
+    p = HolonomyJet.from_automorphism(psi, degree)
     lhs = p.after(h_y)
     rhs = h_x.after(p)
     return lhs.max_abs_diff(rhs)
@@ -832,11 +773,14 @@ def transport_conjugacy(X: VectorField, Y: VectorField, phi: HolonomyJet,
     """Evaluate the path-composed conjugating map at one point.
 
     phi must conjugate X's holonomy to Y's (phi o h_X = h_Y o phi).  The
-    point (x0, z0) is lifted through X's leaves radially to |x| = 1, rotated
-    to x = 1, mapped by phi on the transversal, then lifted back through Y's
-    leaves along the reversed rotation and radial paths.  extra_windings adds
-    full turns to the rotation; if phi fails to conjugate the holonomies the
-    result depends on that choice, which is the detection mechanism.
+    point (x0, z0) is lifted through X's leaves to x = 1 along one path
+    x0 e^(rate t) with rate = -ln|x0| - i (arg x0 + 2 pi extra_windings),
+    arg x0 in [0, 2 pi): the radial path to |x| = 1 followed by the rotation
+    to x = 1, up to homotopy.  It is then mapped by phi on the transversal
+    and lifted back through Y's leaves from x = 1 with -rate.  A rate of 0
+    lifts nothing.  extra_windings adds full turns to the path; if phi fails
+    to conjugate the holonomies the result depends on that choice, which is
+    the detection mechanism.
 
     When phi is the jet of a degree-d algebraic conjugation, the two fields
     are conjugated only modulo m^{d+1}, so the transport agrees with the jet
@@ -854,28 +798,11 @@ def transport_conjugacy(X: VectorField, Y: VectorField, phi: HolonomyJet,
     z = tuple(complex(v) for v in z0)
     if x0 == 0:
         raise ValueError("the transport point must avoid x = 0")
-    u0 = x0 / abs(x0)
-    theta0 = cmath.phase(u0) % (2 * math.pi)
-    radial = None
-    if abs(abs(x0) - 1.0) > 1e-15:
-        radial = PathSpec.segment_log(x0, u0)
-        _, z = path_lift(X, (x0, z), radial, tol)
-    total = theta0 + 2 * math.pi * extra_windings
-    if total != 0.0:
-
-        def gamma(t, _u0=u0, _total=total):
-            return _u0 * cmath.exp(-1j * _total * t)
-
-        def dgamma(t, _u0=u0, _total=total):
-            return -1j * _total * _u0 * cmath.exp(-1j * _total * t)
-
-        beta = PathSpec(gamma=gamma, dgamma=dgamma)
-        _, z = path_lift(X, (u0, z), beta, tol)
-    else:
-        beta = None
+    turn = cmath.phase(x0) % (2 * math.pi) + 2 * math.pi * extra_windings
+    rate = complex(-math.log(abs(x0)), -turn)
+    if rate:
+        _, z = path_lift(X, (x0, z), rate, tol)
     z = phi.apply_point(z)
-    if beta is not None:
-        _, z = path_lift(Y, (1.0 + 0j, z), beta.reversed(), tol)
-    if radial is not None:
-        _, z = path_lift(Y, (u0, z), radial.reversed(), tol)
+    if rate:
+        _, z = path_lift(Y, (1.0 + 0j, z), -rate, tol)
     return x0, z

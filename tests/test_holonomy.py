@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from crossfield import holonomy
-from crossfield.cli import FieldDocument
+from crossfield.cli import FieldDocument, main
 from crossfield.coeff import GaussianRational as G
 from crossfield.coeff import LaurentPoly
 from crossfield.holonomy import (
@@ -24,7 +25,6 @@ from crossfield.holonomy import (
     IntegrationError,
     LeafEscapeError,
     TWO_PI_I,
-    PathSpec,
     _eval_coeff,
     _integrate,
     _jet_layout,
@@ -145,7 +145,7 @@ class TestJet:
             _, index = _jet_layout(X.n, degree)
             y0 = identity_state(X.n, degree)
             for windings in (2, 3, -2):
-                y = _integrate(full_layout_rhs(X, degree, windings), 0.0, 1.0, y0, tol)
+                y = _integrate(full_layout_rhs(X, degree, windings), y0, tol)
                 direct = HolonomyJet(X.n, degree, {
                     i: {K: y[pos] for (j, K), pos in index.items() if j == i}
                     for i in range(1, X.n + 1)
@@ -160,8 +160,8 @@ class TestJet:
         h = holonomy_jet(X, 1, tol=tol)
         # eps must sit above the integrator's absolute error floor (~tol)
         eps = 1e-4
-        plus = path_lift(X, (1.0, (eps,)), PathSpec.circle(), tol)[1][0]
-        minus = path_lift(X, (1.0, (-eps,)), PathSpec.circle(), tol)[1][0]
+        plus = path_lift(X, (1.0, (eps,)), TWO_PI_I, tol)[1][0]
+        minus = path_lift(X, (1.0, (-eps,)), TWO_PI_I, tol)[1][0]
         fd = (plus - minus) / (2 * eps)
         assert abs(fd - h.coefficient(1, (1,))) < math.sqrt(tol)
 
@@ -178,49 +178,55 @@ class TestJet:
 class TestPathLift:
     def test_trivial_transverse_dynamics(self):
         X = VectorField.euler(1, 4)
-        _, z = path_lift(X, (1.0, (0.5,)), PathSpec.circle(), 1e-12)
+        _, z = path_lift(X, (1.0, (0.5,)), TWO_PI_I, 1e-12)
         assert abs(z[0] - 0.5) < 1e-12
 
     def test_radial_exponential(self):
         X = VectorField.euler(1, 4) + VectorField.diagonal([G(1)], 4)
-        _, z = path_lift(X, (1.0, (0.01,)), PathSpec.segment_log(1.0, math.e), 1e-12)
+        _, z = path_lift(X, (1.0, (0.01,)), 1.0, 1e-12)
         assert abs(z[0] / 0.01 - math.e) < 1e-9
 
     def test_circle_matches_jet_linear_part(self):
         X = field_mu_i()
-        _, z = path_lift(X, (1.0, (1e-3,)), PathSpec.circle(), 1e-12)
+        _, z = path_lift(X, (1.0, (1e-3,)), TWO_PI_I, 1e-12)
         h = holonomy_jet(X, 1, tol=1e-12)
         assert abs(z[0] / 1e-3 - h.coefficient(1, (1,))) < 1e-6
 
-    def test_reversed_keeps_settings(self):
-        base = PathSpec.segment_log(1.0, 2.0 + 1.0j)
-        path = PathSpec(base.gamma, base.dgamma, t0=0.25, t1=2.0,
-                        escape_radius=3.0, min_modulus=1e-6, max_steps=1234)
-        rev = path.reversed()
-        for name in ("t0", "t1", "escape_radius", "min_modulus", "max_steps"):
-            assert getattr(rev, name) == getattr(path, name), name
-        for t in (0.25, 1.0, 2.0):
-            assert rev.gamma(t) == path.gamma(2.25 - t)
-            assert rev.dgamma(t) == -path.dgamma(2.25 - t)
-
     def test_start_validation(self):
+        # both endpoints must be nonzero and finite: x0 = 0, an end that
+        # underflows to 0, an end that overflows, and x0 = inf
         X = field_mu_i()
-        with pytest.raises(ValueError):
-            path_lift(X, (2.0, (0.1,)), PathSpec.circle(), 1e-10)
+        for x0, rate in ((0.0, TWO_PI_I), (1.0, -1e4), (1.0, 1e4), (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="nonzero and finite"):
+                path_lift(X, (x0, (0.1,)), rate, 1e-10)
 
     def test_leaf_escape(self):
+        # z = z0 x passes the escape radius 8 on the way from x = 1 to 1e4
         X = VectorField.euler(1, 3) + VectorField.diagonal([G(1)], 3)
-        path = PathSpec.segment_log(1.0, 1e4)
-        path.escape_radius = 2.0
-        with pytest.raises(LeafEscapeError):
-            path_lift(X, (1.0, (1.0,)), path, 1e-10)
+        with pytest.raises(LeafEscapeError, match=r"\|z\| > 8\.0"):
+            path_lift(X, (1.0, (1.0,)), math.log(1e4), 1e-10)
 
-    def test_step_budget(self):
-        X = field_resonant()
-        path = PathSpec.circle()
-        path.max_steps = 2
-        with pytest.raises(IntegrationError):
-            path_lift(X, (1.0, (0.3,)), path, 1e-13)
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(holonomy, "_MAX_STEPS", 2)
+        with pytest.raises(IntegrationError, match="step budget"):
+            path_lift(field_resonant(), (1.0, (0.3,)), TWO_PI_I, 1e-13)
+
+    @pytest.mark.parametrize("name,start", [
+        ("resonant.vf", (0.7 - 0.2j, (0.03 + 0.01j,))),
+        ("twovar.vf", (0.8 + 0.3j, (0.05 - 0.02j, 0.03j))),
+    ])
+    def test_one_leg_matches_radial_then_rotation(self, name, start):
+        # transport_conjugacy's single leg to x = 1 against the radial leg to
+        # |x| = 1 followed by the rotation: the same homotopy class, so the
+        # same end point up to the integrator's error
+        X = _golden_field(name)
+        x0 = start[0]
+        radial, turn = -math.log(abs(x0)), cmath.phase(x0) % (2 * math.pi)
+        x1, one = path_lift(X, start, complex(radial, -turn), 1e-12)
+        u0, z = path_lift(X, start, radial, 1e-12)
+        x2, two = path_lift(X, (u0, z), -1j * turn, 1e-12)
+        assert abs(x1 - 1) < 1e-14 and abs(x2 - 1) < 1e-14
+        assert max(abs(a - b) for a, b in zip(one, two)) < 1e-10
 
 
 class TestToleranceValidation:
@@ -230,7 +236,7 @@ class TestToleranceValidation:
         with pytest.raises(ValueError, match="tol"):
             holonomy_jet(X, 2, tol=tol)
         with pytest.raises(ValueError, match="tol"):
-            path_lift(X, (1.0, (0.1,)), PathSpec.circle(), tol)
+            path_lift(X, (1.0, (0.1,)), TWO_PI_I, tol)
         with pytest.raises(ValueError, match="tol"):
             conjugacy_residual(X, Automorphism.identity(1, 4), 2, tol=tol)
 
@@ -359,7 +365,7 @@ def ref_after(f, g):
             for K2, c2 in pows.monomial(K).items():
                 acc[K2] = acc.get(K2, 0j) + c * c2
         out[i] = acc
-    return HolonomyJet(f.n, f.degree, out, f.base_point)
+    return HolonomyJet(f.n, f.degree, out)
 
 
 def ref_rhs(X, degree, windings):
@@ -534,7 +540,7 @@ def loop_after(self, other: "HolonomyJet") -> "HolonomyJet":
                 if v:
                     acc[o] += c * v
         out[i] = dict(zip(monos, acc))
-    return HolonomyJet(n, degree, out, self.base_point)
+    return HolonomyJet(n, degree, out)
 
 
 # the fifth-order weights, spelled out: _integrate takes them from _DP_A[6]
@@ -588,6 +594,11 @@ def ref_integrate(f, t0, t1, y0, tol, max_steps=200_000, on_step=None):
         if abs(h) < hmin:
             raise IntegrationError(f"step size underflow at t={t:.6g} (h={h:.3g})")
     return y
+
+
+def ref_integrate_unit(f, y0, tol, on_step=None):
+    """ref_integrate from t = 0 to t = 1, called as _integrate is."""
+    return ref_integrate(f, 0.0, 1.0, y0, tol, on_step=on_step)
 
 
 def rand_block(rng, m, zero_prob=0.3):
@@ -717,7 +728,7 @@ class TestIntegrationAgainstReference:
         finals, counts = [], []
         for rhs in (ref_rhs(X, degree, 1), full_layout_rhs(X, degree, 1)):
             calls = [0]
-            finals.append(counting(_integrate, calls)(rhs, 0.0, 1.0, y0, 1e-10))
+            finals.append(counting(_integrate, calls)(rhs, y0, 1e-10))
             counts.append(calls[0])
         assert counts[0] == counts[1]
         assert_close(dict(enumerate(finals[1])), dict(enumerate(finals[0])))
@@ -756,7 +767,7 @@ class TestIntegratorAgainstReference:
     def assert_same_run(f, y0):
         ref_calls, calls = [0], [0]
         want = counting(ref_integrate, ref_calls)(f, 0.0, 1.0, y0, 1e-10)
-        got = counting(_integrate, calls)(f, 0.0, 1.0, y0, 1e-10)
+        got = counting(_integrate, calls)(f, y0, 1e-10)
         assert got == want
         steps, rest = divmod(ref_calls[0], 7)
         assert rest == 0 and calls[0] == 6 * steps + 1
@@ -791,9 +802,9 @@ class TestIntegratorAgainstReference:
     def test_equal_widths_share_one_step(self, monkeypatch):
         monkeypatch.setattr(holonomy, "_DP5_STEPS", {})
         seen = recorded_compiles(monkeypatch)
-        _integrate(lambda t, y: [1j * v for v in y], 0.0, 1.0, [1j, 2.0, 0.5], 1e-10)
+        _integrate(lambda t, y: [1j * v for v in y], [1j, 2.0, 0.5], 1e-10)
         step = holonomy._DP5_STEPS[3]
-        _integrate(lambda t, y: [t - v for v in y], 0.0, -0.5, [0j, 1.0, -1j], 1e-8)
+        _integrate(lambda t, y: [t - v for v in y], [0j, 1.0, -1j], 1e-8)
         assert holonomy._DP5_STEPS == {3: step}
         assert len(seen) == 1
 
@@ -815,12 +826,12 @@ class TestIntegratorAgainstReference:
 
     @staticmethod
     def assert_same_lift(monkeypatch, X, start):
-        path = PathSpec.segment_log(start[0], 1.5 - 0.4j)
+        rate = cmath.log((1.5 - 0.4j) / start[0])
         results, counts = [], []
-        for integrate in (ref_integrate, _integrate):
+        for integrate in (ref_integrate_unit, _integrate):
             calls = [0]
             monkeypatch.setattr(holonomy, "_integrate", counting(integrate, calls))
-            results.append(path_lift(X, start, path, 1e-11))
+            results.append(path_lift(X, start, rate, 1e-11))
             counts.append(calls[0])
         assert results[1] == results[0]
         steps, rest = divmod(counts[0], 7)
@@ -972,8 +983,7 @@ class TestCompiledKernelsBitwise:
         _, index = _jet_layout(X.n, degree)
         y0 = identity_state(X.n, degree)
         for windings in (-1, 2, 3):
-            y = _integrate(loop_jet_rhs(X, degree, 1 if windings > 0 else -1),
-                           0.0, 1.0, y0, 1e-10)
+            y = _integrate(loop_jet_rhs(X, degree, 1 if windings > 0 else -1), y0, 1e-10)
             turn = HolonomyJet(X.n, degree, {
                 i: {K: y[pos] for (j, K), pos in index.items() if j == i}
                 for i in range(1, X.n + 1)
@@ -1015,8 +1025,8 @@ class TestSupport:
         off = sorted(set(range(len(_jet_layout(X.n, degree)[1]))) - set(support))
         assert off
         states = []
-        final = _integrate(loop_jet_rhs(X, degree, 1), 0.0, 1.0, identity_state(X.n, degree),
-                           1e-10, on_step=lambda t, y: states.append(y))
+        final = _integrate(loop_jet_rhs(X, degree, 1), identity_state(X.n, degree), 1e-10,
+                           on_step=lambda t, y: states.append(y))
         assert states[-1] is final
         for y in states:
             assert hexes([y[p] for p in off]) == hexes([0j] * len(off))
@@ -1025,9 +1035,9 @@ class TestSupport:
         X, degree = SPARSE_CASES[0].values
         sizes = []
 
-        def recording(f, t0, t1, y0, tol):
+        def recording(f, y0, tol):
             sizes.append(len(y0))
-            return _integrate(f, t0, t1, y0, tol)
+            return _integrate(f, y0, tol)
 
         monkeypatch.setattr(holonomy, "_integrate", recording)
         jet = holonomy_jet(X, degree, 1e-10, windings=2)
@@ -1073,6 +1083,22 @@ class TestNonFinite:
         # with coupled directions the diagonal predicts nothing
         coupled = FieldDocument.parse("n: 2\ndegree: 2\nfield: x*dx + z2*dz1 + z1*dz2\n")
         assert holonomy._overflow_note(coupled.field(), 1) == ""
+
+    @pytest.mark.parametrize("document", [
+        "n: 1\ndegree: 2\nmu: -120*i\nfield: x*dx - 120*i*z1*dz1\n",
+        "n: 2\ndegree: 2\nmu: -120*i, 0\nfield: x*dx - 120*i*z1*dz1 + z1^2*dz2\n",
+    ], ids=["n1", "n2"])
+    def test_nan_error_norm_raises_with_the_cut_off(self, document, tmp_path, capsys):
+        # a stage overflows before any accepted state does, so the step's
+        # error norm is NaN; that ends the run at once, not at the step budget
+        path = tmp_path / "overflow.vf"
+        path.write_text(document, encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["holonomy", "--field", str(path), "--degree", "2"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: state is not finite at t=\S+; z1's linear entry .*"
+                            r" about 10\^327 for w = 1\n", err), err
 
     def test_max_abs_diff_propagates_nan(self):
         nan_jet = HolonomyJet(1, 2, {1: {(1,): complex(math.nan, math.nan), (2,): math.nan}})

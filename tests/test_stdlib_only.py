@@ -1,6 +1,7 @@
 """The runtime imports nothing outside the standard library."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -30,6 +31,15 @@ def test_imports_are_stdlib_only(path):
     allowed = sys.stdlib_module_names | {"crossfield"}
     foreign = sorted(set(absolute_imports(path)) - allowed)
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    # a name dropped from a module but left in its __all__ fails here
+    module = importlib.import_module(
+        "crossfield" if path.stem == "__init__" else f"crossfield.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{path.name} exports missing names {missing}"
 
 
 # Each module's module-level imports of the package reach only lower layers.
