@@ -13,7 +13,6 @@ from .series import (
     DimensionMismatchError,
     MonomialIndex,
     TransverseSeries,
-    grlex_compare,
     iter_l_indices,
 )
 from .lie import (
@@ -23,12 +22,10 @@ from .lie import (
     NotTangentToIdentityError,
     SingularLinearPartError,
     VectorField,
-    bracket,
     exp,
     exp_ad,
     exp_decomposition,
     log,
-    pushforward,
 )
 
 __version__ = "0.1.0"
@@ -40,13 +37,10 @@ __all__ = [
     "MonomialIndex",
     "VectorField",
     "Automorphism",
-    "bracket",
     "exp",
     "log",
     "exp_ad",
-    "pushforward",
     "exp_decomposition",
-    "grlex_compare",
     "iter_l_indices",
     "CertificateError",
     "CoefficientSyntaxError",

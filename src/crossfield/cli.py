@@ -90,10 +90,10 @@ def _fmt_complex(v: complex) -> dict:
 
 
 class FieldDocument:
-    """n / degree / optional x-cap, mu, name, plus the field expression."""
+    """n / degree / optional x-cap and mu, plus the field expression; any
+    other header key, such as ``name``, is ignored."""
 
-    def __init__(self, n, degree, field_text, field_line, field_col, x_cap=None, mu=None,
-                 name=None):
+    def __init__(self, n, degree, field_text, field_line, field_col, x_cap=None, mu=None):
         self.n = n
         self.degree = degree
         self.field_text = field_text
@@ -101,7 +101,6 @@ class FieldDocument:
         self.field_col = field_col  # characters before the value on its line
         self.x_cap = x_cap
         self.mu = mu
-        self.name = name
 
     @classmethod
     def parse(cls, text: str, source: str = "<document>") -> "FieldDocument":
@@ -123,9 +122,8 @@ class FieldDocument:
                 raise DocumentError(
                     f"{source}:{lineno}: mu lists {len(mu)} values for n = {n}"
                 )
-        name = header.get("name", (None, 0))[0]
         return cls(n, degree, field_text, field_line, _value_col(lines[field_line - 1]),
-                   x_cap=x_cap, mu=mu, name=name)
+                   x_cap=x_cap, mu=mu)
 
     def field(self, degree=None) -> VectorField:
         cap = degree if degree is not None else self.degree

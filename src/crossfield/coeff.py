@@ -251,7 +251,6 @@ def _parts(v):
 
 GaussianRational.ZERO = GaussianRational(0)
 GaussianRational.ONE = GaussianRational(1)
-GaussianRational.I = GaussianRational(0, 1)
 
 
 def as_scalar(v):

@@ -108,8 +108,9 @@ class HolonomyJet:
     coefficients on the monomials of degree 1..degree in grlex order, the
     vector the composition kernel reads and writes (the integrator carries
     only its support, and holonomy_jet scatters it back).  A
-    {i: {K: c}} input is packed once, here: a constant term is an error and
-    terms past the degree drop out.
+    {i: {K: c}} input is packed once, here: a direction outside 1..n, an
+    exponent that is not n nonnegative entries, or a constant term is an
+    error, and terms past the degree drop out.
     """
 
     __slots__ = ("n", "degree", "vector")
@@ -118,11 +119,18 @@ class HolonomyJet:
         _, index = _jet_layout(n, degree)
         self.vector = [0j] * len(index)
         for i, comp in coeffs.items():
+            if i not in range(1, n + 1):
+                raise ValueError(f"jet direction {i!r} is outside 1..{n}")
             for K, c in comp.items():
+                K = tuple(K)
+                if len(K) != n or min(K) < 0:
+                    raise ValueError(
+                        f"jet component z{i} has exponent {K}; expected {n} nonnegative entries"
+                    )
                 if sum(K) == 0:
                     raise ValueError(f"jet component z{i} has a constant term")
                 if sum(K) <= degree:
-                    self.vector[index[(i, tuple(K))]] = complex(c)
+                    self.vector[index[(i, K)]] = complex(c)
         self.n = n
         self.degree = degree
 
@@ -742,7 +750,7 @@ def path_lift(X: VectorField, start, rate: complex, tol: float = 1e-10):
 
 def conjugacy_residual(X: VectorField, psi: Automorphism, degree: int,
                        tol: float = 1e-10) -> float:
-    """Size of the holonomy conjugation defect for Y = pushforward(psi, X).
+    """Size of the holonomy conjugation defect for Y = psi.pushforward(X).
 
     The transversal restriction p of psi satisfies p o h_Y = h_X o p when psi
     really conjugates the fields (pushforward here is operator conjugation,
@@ -778,9 +786,9 @@ def transport_conjugacy(X: VectorField, Y: VectorField, phi: HolonomyJet,
     arg x0 in [0, 2 pi): the radial path to |x| = 1 followed by the rotation
     to x = 1, up to homotopy.  It is then mapped by phi on the transversal
     and lifted back through Y's leaves from x = 1 with -rate.  A rate of 0
-    lifts nothing.  extra_windings adds full turns to the path; if phi fails
-    to conjugate the holonomies the result depends on that choice, which is
-    the detection mechanism.
+    lifts nothing.  extra_windings, an int, adds full turns to the path; if
+    phi fails to conjugate the holonomies the result depends on that choice,
+    which is the detection mechanism.
 
     When phi is the jet of a degree-d algebraic conjugation, the two fields
     are conjugated only modulo m^{d+1}, so the transport agrees with the jet
@@ -789,6 +797,8 @@ def transport_conjugacy(X: VectorField, Y: VectorField, phi: HolonomyJet,
     the comparison threshold.
     """
     _require_tol(tol)
+    if isinstance(extra_windings, bool) or not isinstance(extra_windings, int):
+        raise ValueError(f"extra_windings must be an integer, got {extra_windings!r}")
     for F in (X, Y):
         _require_x_normalized(F)
     if not phi.n == X.n == Y.n:

@@ -35,11 +35,9 @@ __all__ = [
     "NotTangentToIdentityError",
     "SingularLinearPartError",
     "CertificateError",
-    "bracket",
     "exp",
     "log",
     "exp_ad",
-    "pushforward",
     "exp_decomposition",
 ]
 
@@ -374,10 +372,6 @@ def _linear_action_nilpotent(C, cap: int) -> bool:
     return all(p.is_zero() for row in power for p in row)
 
 
-def bracket(X: VectorField, Y: VectorField) -> VectorField:
-    return X.bracket(Y)
-
-
 class Automorphism:
     """Ring substitution map, given by the images of x and of each z_i.
 
@@ -555,19 +549,16 @@ class Automorphism:
             object.__setattr__(out, "_gens", other._gens + self._gens)
         return out
 
-    def z_linear_matrix(self):
-        return [comp.linear_part() for comp in self.img_z]
-
-    def constant_z_matrix(self):
+    def constant_linear_matrix(self):
         """z-linear matrix as Q[i] scalars; None if x-dependent."""
-        return _constant_matrix(self.z_linear_matrix())
+        return _constant_matrix([comp.linear_part() for comp in self.img_z])
 
     def is_x_normalized(self) -> bool:
         if self.img_x != TransverseSeries.x_series(self.n, self.cap):
             return False
         if any(c.madic_order() < 1 for c in self.img_z if not c.is_zero()):
             return False
-        A = self.constant_z_matrix()
+        A = self.constant_linear_matrix()
         if A is None:
             return False
         try:
@@ -849,16 +840,12 @@ def log(phi: Automorphism) -> VectorField:
 def exp_ad(W: VectorField, X: VectorField, x_window: int | None = None) -> VectorField:
     """exp(ad_W)(X) = sum_k ad_W^k(X)/k!, finite at the cap for nilpotent W.
 
-    Equals pushforward(exp(W), X); the two routes are kept independent so one
+    Equals exp(W).pushforward(X); the two routes are kept independent so one
     can certify the other.  ``x_window`` truncates X first and then forms
     each bracket only up to that x-degree, as in :func:`exp`.
     """
     W._compat(X)
     return _lie_series(W.bracket, _in_window(X, x_window), Fraction(1), x_window)
-
-
-def pushforward(phi: Automorphism, X: VectorField) -> VectorField:
-    return phi.pushforward(X)
 
 
 def exp_decomposition(phi: Automorphism):
@@ -874,7 +861,7 @@ def exp_decomposition(phi: Automorphism):
     """
     if phi.img_x != TransverseSeries.x_series(phi.n, phi.cap):
         raise SingularLinearPartError("splitting a map needs img_x = x")
-    M = phi.constant_z_matrix()
+    M = phi.constant_linear_matrix()
     if M is None:
         raise SingularLinearPartError("z-linear part must be constant in x")
     A = Automorphism.linear(M, phi.cap)

@@ -29,9 +29,8 @@ component x, so no factor has a negative x-exponent and no x-image moves.
 
 Every run is certified through the substitution route, independent of the
 adjoint series the sweep uses: normalize() checks the intertwining relation
-Phi o X = X_normal o Phi on the coordinates, and verify_conjugation()
-exposes the full pushforward difference pushforward(Phi, X) - Y for callers
-who want the residual object itself.
+Phi o X = X_normal o Phi on the coordinates.  A caller who wants the
+residual field itself forms Phi.pushforward(X) - X_normal.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "CentralizerCheck",
     "LinearPartError",
     "normalize",
-    "verify_conjugation",
     "centralizer_solve",
     "centralizer_check",
 ]
@@ -276,7 +274,7 @@ def _check_support(X: VectorField, x_cap: int):
 def _intertwines(phi: Automorphism, X: VectorField, Y: VectorField, window) -> bool:
     """Check phi o X = Y o phi on the coordinates, by pure substitution.
 
-    Equivalent to pushforward(phi, X) = Y because phi is invertible (it is a
+    Equivalent to phi.pushforward(X) = Y because phi is invertible (it is a
     composition of exponentials), but needs no inversion, so it is the cheap
     certificate normalize() runs on every call; like the sweep's adjoint
     series it never touches exp(ad), making the two routes independent.
@@ -294,21 +292,6 @@ def _intertwines(phi: Automorphism, X: VectorField, Y: VectorField, window) -> b
     return True
 
 
-def verify_conjugation(
-    phi: Automorphism, X: VectorField, Y: VectorField, x_window: int | None = None
-) -> VectorField:
-    """pushforward(phi, X) - Y along the substitution route; zero certifies.
-
-    Independent of the adjoint-series route normalize() uses internally.  In
-    the x-truncated mode the difference is taken on the retained window.
-    """
-    pushed = phi.pushforward(X)
-    diff = pushed - Y
-    if x_window is not None:
-        diff = diff.truncate_x(x_window)
-    return diff
-
-
 # --- centralizer of the semisimple part -------------------------------------
 
 
@@ -319,16 +302,13 @@ class CentralizerElement:
     x_exp: int
     field: VectorField
 
-    def text(self) -> str:
-        return str(self.field)
-
     def to_json(self):
         return {
             "kind": self.kind,
             "K": list(self.index.K) if self.index else None,
             "j": self.index.j if self.index else None,
             "x_exp": self.x_exp,
-            "field": self.text(),
+            "field": str(self.field),
         }
 
 
@@ -344,16 +324,16 @@ class CentralizerResult:
         return tuple(e for e in self.elements if e.x_exp < 0)
 
 
-def centralizer_solve(source, x_window, degree: int) -> CentralizerResult:
+def centralizer_solve(mu, x_window, degree: int) -> CentralizerResult:
     """Monomial basis of x-normalized fields commuting with x d/dx + L(mu).
 
-    source is a NormalFormResult or an eigenvalue sequence.  A monomial
+    mu is an eigenvalue sequence, such as a NormalFormResult's.  A monomial
     x^l z^K L(e_j) commutes with the semisimple part iff l + <mu,K> = 0, so
     the basis is x d/dx together with every index K of z-degree |K|+1 <=
     degree whose pairing is an integer -l inside the requested x-window;
     negative l witnesses a field that is not Taylor in x.
     """
-    mu = source.mu if isinstance(source, NormalFormResult) else as_eigenvalues(source)
+    mu = as_eigenvalues(mu)
     lo, hi = int(x_window[0]), int(x_window[1])
     if lo > hi:
         raise ValueError("empty x-window")

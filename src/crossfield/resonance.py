@@ -176,10 +176,6 @@ class ResonanceReport:
     resonant: tuple
     negative: tuple
 
-    @property
-    def negative_resonance_found(self) -> bool:
-        return bool(self.negative)
-
     def witness(self):
         return self.negative[0] if self.negative else None
 

@@ -38,7 +38,6 @@ __all__ = [
     "MonomialIndex",
     "DimensionMismatchError",
     "grlex_key",
-    "grlex_compare",
     "iter_exponents",
     "iter_l_indices",
 ]
@@ -58,14 +57,6 @@ def _check_exponent(n, K):
 def grlex_key(K):
     """Sort key for graded lexicographic order: total degree, then lex."""
     return (sum(K), tuple(K))
-
-
-def grlex_compare(a, b) -> int:
-    """-1, 0 or 1 comparing (K, j) monomial indices in graded-lex pair order."""
-    if a.n != b.n:
-        raise DimensionMismatchError("cannot compare indices of different arity")
-    ka, kb = a.pair_key(), b.pair_key()
-    return (ka > kb) - (ka < kb)
 
 
 def iter_exponents(n: int, min_degree: int, max_degree: int):
@@ -115,13 +106,6 @@ class MonomialIndex:
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIndex is immutable")
-
-    @property
-    def n(self) -> int:
-        return len(self.K)
-
-    def degree(self) -> int:
-        return sum(self.K)
 
     def z_exponent(self):
         """The actual monomial exponent K + e_j (all entries >= 0)."""

@@ -16,9 +16,14 @@ A sixth keeps JSON on the CLI's writer: no module calls ``json.dumps`` with
 A seventh keeps the x-window in the product kernel: ``lie._lie_series`` and
 ``normalform._intertwines`` call neither ``truncate_x`` nor ``_in_window``,
 so they form no term above the window only to drop it.
+An eighth keeps every public name read: each public def and public method
+is read, as a name or an attribute, by the package outside the def itself,
+by ``perfbench/*.py`` or by README's quick start, or it sits on a short
+list with its reason.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -266,3 +271,99 @@ def test_dumps_scan_sees_an_indented_call():
     assert sorted(dumps_calls(source)) == [(1, True), (3, False), (3, True)]
     cli = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert dumps_calls(cli)  # the scan sees the writer's scalar call
+
+
+# public names that no program code reads yet, each with its reason
+UNREAD_ALLOWED = {
+    ("cli.py", None, "build_parser"),  # tests build a fresh parser with it
+    ("holonomy.py", None, "transport_conjugacy"),  # ROADMAP's leafwise check will read it
+    ("lie.py", "VectorField", "semisimple"),  # the tests' reference field
+}
+
+
+def public_defs(source: str):
+    """(class, name, first line, last line) of each public module-level def
+    and each public method of a public module-level class."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found += [
+                (node.name, item.name, item.lineno, item.end_lineno)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+            ]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            found.append((None, node.name, node.lineno, node.end_lineno))
+    return found
+
+
+def name_reads(source: str, strings: bool = False):
+    """(name, line) of each loaded name and attribute, and with ``strings``
+    of each string constant that is an identifier.  An import binds a name
+    and ``__all__`` lists it as a string, so neither reads it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.append((node.attr, node.lineno))
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found.append((node.value, node.lineno))
+    return found
+
+
+def unread_defs(sources: dict, outside: set):
+    """(module, class, name) of each public def in ``sources`` (module ->
+    source) that no module reads outside the def's own lines and that is not
+    in ``outside``, the names read beyond the package."""
+    reads = {module: name_reads(source) for module, source in sources.items()}
+    return {
+        (module, cls, name)
+        for module, source in sources.items()
+        for cls, name, first, last in public_defs(source)
+        if name not in outside
+        and not any(
+            read == name and not (other == module and first <= line <= last)
+            for other, found in reads.items()
+            for read, line in found
+        )
+    }
+
+
+def test_every_public_name_has_a_reader():
+    root = PACKAGE.parent.parent
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    # perfbench names the methods it wraps as strings
+    outside = {
+        name
+        for p in (root / "perfbench").glob("*.py")
+        for name, _ in name_reads(p.read_text(encoding="utf-8"), strings=True)
+    }
+    (block,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(encoding="utf-8"), re.S)
+    outside |= {name for name, _ in name_reads(block)}
+    assert unread_defs(sources, outside) == UNREAD_ALLOWED
+
+
+def test_reader_scan_flags_an_unread_def():
+    sources = {
+        "a.py": (
+            "__all__ = ['used', 'unused']\n"
+            "def used():\n"
+            "    return C().m()\n"
+            "def unused(k):\n"
+            "    return unused(k - 1)\n"
+            "class C:\n"
+            "    def m(self):\n"
+            "        return self._p()\n"
+            "    def _p(self):\n"
+            "        return 'gone'\n"
+            "    def wrapped(self):\n"
+            "        return 0\n"
+            "    def gone(self):\n"
+            "        return 0\n"
+        ),
+        "b.py": "from a import unused, used\nused()\n",
+    }
+    assert unread_defs(sources, {"wrapped"}) == {("a.py", None, "unused"), ("a.py", "C", "gone")}

@@ -298,6 +298,15 @@ class TestTransport:
         _, zb = transport_conjugacy(Y, X, bad, pt, 1e-12, extra_windings=1)
         assert abs(za[0] - zb[0]) > 1e-9
 
+    @pytest.mark.parametrize("extra", [0.5, True])
+    def test_rejects_windings_that_are_not_ints(self, extra):
+        # with 0.5 the leg to x = 1 would end at x = -1, and the leg back
+        # would still start from x = 1
+        X = field_resonant()
+        with pytest.raises(ValueError, match="extra_windings"):
+            transport_conjugacy(X, X, HolonomyJet.identity(1, 4), (0.7 + 0.2j, (0.01,)),
+                                extra_windings=extra)
+
 
 class TestWindingsValidation:
     @pytest.mark.parametrize("windings", [0, MAX_WINDINGS + 1, -MAX_WINDINGS - 1, 10**6, 1.0, True])
@@ -1117,6 +1126,16 @@ class TestPackedJet:
         assert jet.vector == [1 + 0j, 0.5 + 0j]
         assert jet.coeffs == {1: {(1,): 1, (2,): 0.5}}
         assert list(HolonomyJet(2, 1, {2: {(1, 0): 3}}).coeffs.items()) == [(1, {}), (2, {(1, 0): 3})]
+
+    @pytest.mark.parametrize("n,coeffs,match", [
+        (1, {2: {(1,): 1}}, "direction 2"),
+        (1, {1: {(1, 0): 1}}, r"exponent \(1, 0\)"),
+        (1, {1: {(-1,): 1}}, r"exponent \(-1,\)"),
+        (2, {1: {(4, -1): 1}}, r"exponent \(4, -1\)"),  # past the degree, not dropped
+    ], ids=["direction", "length", "negative", "negative-past-degree"])
+    def test_construction_rejects_bad_entries(self, n, coeffs, match):
+        with pytest.raises(ValueError, match=match):
+            HolonomyJet(n, 2, coeffs)
 
     def test_after_ignores_dict_order(self):
         # the same dense jet in two key orders sums in one order: the layout's

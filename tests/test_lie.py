@@ -722,7 +722,7 @@ def ref_invert(phi):
     each at the full cap: sigma = A^-1 (z - high(sigma)), substituted
     through ref_apply."""
     n, cap = phi.n, phi.cap
-    A = phi.constant_z_matrix()
+    A = phi.constant_linear_matrix()
     Ainv = _invert_matrix(A)
     x = TransverseSeries.x_series(n, cap)
     zs = [var(n, cap, j + 1) for j in range(n)]

@@ -17,7 +17,6 @@ from crossfield.normalform import (
     centralizer_check,
     centralizer_solve,
     normalize,
-    verify_conjugation,
 )
 from crossfield.parsing import parse_field
 from crossfield.resonance import as_eigenvalues, pairing
@@ -320,7 +319,7 @@ class TestPresentSlotWalk:
         assert res.eps == (1,) and first == MonomialIndex((-1, 2), 1)
         created = [
             idx for idx in res.steps
-            if idx not in present and idx.degree() == first.degree()
+            if idx not in present and sum(idx.K) == sum(first.K)
         ]
         assert MonomialIndex((0, 1), 1) in created and MonomialIndex((0, 1), 2) in created
         assert res.normal_field == parse_field("x*dx - z1*dz1 - z2*dz2 + z1*dz2", 2, 5)
@@ -403,14 +402,14 @@ class TestSweepInvariants:
             X = semisimple(mu, cap) + VectorField(TransverseSeries.zero(n, cap), extra)
             res = normalize(X, mu, x_cap=20)
             assert res.certified
-            diff = verify_conjugation(res.normalizer, X, res.normal_field)
+            diff = res.normalizer.pushforward(X) - res.normal_field
             assert diff.is_zero()
 
     def test_planted_defect_detected(self):
         n, cap = 1, 4
         X = semisimple([G(-1)], cap)
         bad = X + mono(n, cap, (3,), 1, LaurentPoly.one())
-        diff = verify_conjugation(Automorphism.identity(n, cap), X, bad)
+        diff = Automorphism.identity(n, cap).pushforward(X) - bad
         assert not diff.is_zero()
         assert abs_bound(diff) == Fraction(1)
 
@@ -514,12 +513,12 @@ class TestSymmetryCoefficients:
 class TestCentralizer:
     def test_imaginary_mu(self):
         cr = centralizer_solve([G(0, 1)], (-5, 5), 4)
-        assert [e.text() for e in cr.elements] == ["x*dx", "z1*dz1"]
+        assert [str(e.field) for e in cr.elements] == ["x*dx", "z1*dz1"]
         assert not cr.negative
 
     def test_negative_integer_mu(self):
         cr = centralizer_solve([G(-1)], (-5, 5), 4)
-        texts = [e.text() for e in cr.elements]
+        texts = [str(e.field) for e in cr.elements]
         assert "x*z1^2*dz1" in texts and "x^2*z1^3*dz1" in texts
         assert not cr.negative
 
@@ -569,7 +568,7 @@ class TestCentralizer:
     def test_from_normal_form_result(self):
         X = semisimple([G(-1)], 4)
         res = normalize(X, [G(-1)])
-        cr = centralizer_solve(res, (-3, 3), 4)
+        cr = centralizer_solve(res.mu, (-3, 3), 4)
         assert any(e.kind == "euler" for e in cr.elements)
 
 

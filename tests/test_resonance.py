@@ -267,7 +267,7 @@ class TestEnumerate:
         rep = enumerate_resonances([F(-1)], 3)
         assert [r.K for r in rep.resonant] == [(1,), (2,), (3,)]
         assert [r.x_exp for r in rep.resonant] == [1, 2, 3]
-        assert not rep.negative_resonance_found
+        assert not rep.negative
 
     def test_imaginary_eigenvalue(self):
         rep = enumerate_resonances([G(0, 1)], 5)
@@ -342,7 +342,7 @@ class TestDecideNtnr:
             exact = decide_ntnr(mu)
             bounded = enumerate_resonances(mu, 9)
             if exact.holds:
-                assert not bounded.negative_resonance_found
+                assert not bounded.negative
             else:
                 w = exact.witness
                 s = pairing(mu, w.K)

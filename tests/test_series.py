@@ -17,7 +17,6 @@ from crossfield.series import (
     accumulate_products,
     finish_products,
     graded_terms,
-    grlex_compare,
     iter_exponents,
     iter_l_indices,
 )
@@ -116,22 +115,22 @@ class TestGrlex:
     def test_lex_within_degree(self):
         a = MonomialIndex((1, 0), 1)
         b = MonomialIndex((0, 1), 1)
-        assert grlex_compare(a, b) > 0
+        assert a.pair_key() > b.pair_key()
 
     def test_degree_dominates(self):
         a = MonomialIndex((1, 0), 2)
         b = MonomialIndex((1, 1), 1)
-        assert grlex_compare(a, b) < 0
+        assert a.pair_key() < b.pair_key()
 
     def test_equal(self):
         a = MonomialIndex((2, -1), 2)
         b = MonomialIndex((2, -1), 2)
-        assert grlex_compare(a, b) == 0
+        assert a.pair_key() == b.pair_key()
 
     def test_direction_tiebreak(self):
         a = MonomialIndex((1, 1), 1)
         b = MonomialIndex((1, 1), 2)
-        assert grlex_compare(a, b) < 0
+        assert a.pair_key() < b.pair_key()
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -142,7 +141,7 @@ class TestGrlex:
             MonomialIndex((0, 0), 3)
         idx = MonomialIndex((-1, 2), 1)
         assert idx.z_exponent() == (0, 2)
-        assert idx.degree() == 1
+        assert sum(idx.K) == 1
 
 
 class TestIndexEnumeration:
