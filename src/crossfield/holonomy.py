@@ -56,6 +56,13 @@ use and kept for the process; every sum keeps the order of the loop it
 replaced, so the floats are the same bit for bit.  Step-size control stays
 in the Python loop.  A state or an error norm that is no longer finite (an
 overflowing jet) raises IntegrationError.
+
+The bit identity also rests on two facts of CPython's complex arithmetic,
+which let the kernels do less work.  x**0 is exactly 1+0j for every x, so
+_jet_rhs folds a field coefficient's x-free leading term when it builds
+the kernel.  On CPython 3.10-3.13 a float g times a complex p is the
+complex product of (g, 0.0) and p, so _dp5_step multiplies every stage by
+a complex weight.
 """
 
 from __future__ import annotations
@@ -119,14 +126,9 @@ class HolonomyJet:
         _, index = _jet_layout(n, degree)
         self.vector = [0j] * len(index)
         for i, comp in coeffs.items():
-            if i not in range(1, n + 1):
-                raise ValueError(f"jet direction {i!r} is outside 1..{n}")
+            _require_direction(n, i)
             for K, c in comp.items():
-                K = tuple(K)
-                if len(K) != n or min(K) < 0:
-                    raise ValueError(
-                        f"jet component z{i} has exponent {K}; expected {n} nonnegative entries"
-                    )
+                K = _require_exponent(n, i, K)
                 if sum(K) == 0:
                     raise ValueError(f"jet component z{i} has a constant term")
                 if sum(K) <= degree:
@@ -170,7 +172,11 @@ class HolonomyJet:
         return {i: dict(comp) for i, comp in enumerate(self._terms(), 1)}
 
     def coefficient(self, i: int, K) -> complex:
-        pos = _jet_layout(self.n, self.degree)[1].get((i, tuple(K)))
+        """The entry of z_i at z^K: 0j when |K| is 0 or past the degree, and
+        the constructor's ValueError for a K or an i it would reject."""
+        _require_direction(self.n, i)
+        K = _require_exponent(self.n, i, K)
+        pos = _jet_layout(self.n, self.degree)[1].get((i, K))
         return 0j if pos is None else self.vector[pos]
 
     def after(self, other: "HolonomyJet") -> "HolonomyJet":
@@ -200,6 +206,19 @@ class HolonomyJet:
 
     def __repr__(self):
         return f"HolonomyJet(n={self.n}, degree={self.degree}, {self.coeffs!r})"
+
+
+def _require_direction(n: int, i) -> None:
+    if i not in range(1, n + 1):
+        raise ValueError(f"jet direction {i!r} is outside 1..{n}")
+
+
+def _require_exponent(n: int, i, K) -> tuple:
+    """K as a tuple, checked to be n nonnegative entries."""
+    K = tuple(K)
+    if len(K) != n or min(K) < 0:
+        raise ValueError(f"jet component z{i} has exponent {K}; expected {n} nonnegative entries")
+    return K
 
 
 def _composer(f: HolonomyJet):
@@ -278,8 +297,8 @@ class _Program:
             self.count += count
         return values
 
-    def sum(self, pairs, wrap: str = "{}"):
-        """The value wrap(0j + a*b + ...) over (a, b) in order, or None for no pairs.
+    def sum(self, pairs, wrap: str = "{}", start: str = "0j"):
+        """The value wrap(start + a*b + ...) over (a, b) in order, or None for no pairs.
 
         Each statement sums at most _SUM_TERMS pairs; a longer sum goes on
         from the previous statement's value, left to right as before.
@@ -287,7 +306,7 @@ class _Program:
         acc = None
         for lo in range(0, len(pairs), _SUM_TERMS):
             chunk = pairs[lo:lo + _SUM_TERMS]
-            expr = ("0j" if acc is None else self.ref(acc)) + "".join(
+            expr = (start if acc is None else self.ref(acc)) + "".join(
                 f" + {self.ref(a)}*{self.ref(b)}" for a, b in chunk)
             if lo + _SUM_TERMS >= len(pairs):
                 expr = wrap.format(expr)
@@ -499,27 +518,32 @@ def _dp5_step(m: int):
     fifth-order solution into u{i}.  Each stage argument, y5 and each error
     ratio is the sum the loop it replaced wrote, in the same left-to-right
     order, so the floats are the same bit for bit; err is max over a list
-    in state order, which keeps its NaN behaviour.  f is called six times,
-    the last on (t + h, y5).  The weights enter through the exec namespace.
+    in state order, which keeps its NaN behaviour, and each max(av, au)
+    inside a ratio is spelled au if au > av else av, which is what max
+    returns, ties and NaN included.  f is called six times, the last on
+    (t + h, y5).  The weights enter through the exec namespace as complex
+    constants and h as complex(h), so each stage weight g is (g, 0.0) and
+    each g * p is a complex product: the one a float g times p computes on
+    CPython 3.10-3.13, without float's failed __mul__ first.
     """
     step = _DP5_STEPS.get(m)
     if step is not None:
         return step
-    namespace = {f"a{s}_{k}": a for s, row in enumerate(_DP_A[1:], 2)
+    namespace = {f"a{s}_{k}": complex(a) for s, row in enumerate(_DP_A[1:], 2)
                  for k, a in enumerate(row, 1)}
-    namespace.update({f"e{k}": e for k, e in enumerate(_DP_B4, 1)})
+    namespace.update({f"e{k}": complex(e) for k, e in enumerate(_DP_B4, 1)})
     namespace.update({f"c{s}": c for s, c in enumerate(_DP_C[1:5], 2)})
 
     def unpack(name, source):
         return "[" + ", ".join(f"{name}{i}" for i in range(m)) + "] = " + source
 
     def weights(ks, prefix):
-        return ", ".join(f"g{k}" for k in ks) + " = " + ", ".join(f"h * {prefix}{k}" for k in ks)
+        return ", ".join(f"g{k}" for k in ks) + " = " + ", ".join(f"hc * {prefix}{k}" for k in ks)
 
     def sums(ks):
         return [f"v{i}" + "".join(f" + g{k} * p{k}_{i}" for k in ks) for i in range(m)]
 
-    lines = [unpack("v", "y"), unpack("p1_", "k1")]
+    lines = ["hc = complex(h)", unpack("v", "y"), unpack("p1_", "k1")]
     for s, at in enumerate(("c2 * h", "c3 * h", "c4 * h", "c5 * h", "h"), 2):
         ks = range(1, s)
         lines.append(weights(ks, f"a{s}_"))
@@ -534,7 +558,9 @@ def _dp5_step(m: int):
               unpack("p7_", "k7")]
     ks = (1, 3, 4, 5, 6, 7)
     lines.append(weights(ks, "e"))
-    ratios = [f"abs(u{i} - ({est})) / (tol + tol * max(abs(v{i}), abs(u{i})))"
+    # max(av, au), spelled out: au only when it is strictly larger
+    lines += [f"av{i}, au{i} = abs(v{i}), abs(u{i})" for i in range(m)]
+    ratios = [f"abs(u{i} - ({est})) / (tol + tol * (au{i} if au{i} > av{i} else av{i}))"
               for i, est in enumerate(sums(ks))]
     lines.append(f"return max([{', '.join(ratios)}]), y5, k7")
     source = "\n    ".join(["def step(f, t, h, y, k1, tol):", *lines])
@@ -610,6 +636,13 @@ def _jet_rhs(X: VectorField, degree: int, windings: int):
     x = e^{2 pi i w theta}, each x**e once, each field coefficient
     2 pi i w (0j + sum k x**e), then each field monomial z^M once for all
     directions, summed into the block of its direction in field order.
+
+    x**0 is exactly 1+0j for every x, so a sum whose first term (in
+    ascending x-exponent) is k x**0 starts from the constant 0j + k*(1+0j),
+    computed here with the same operations, and a coefficient with no other
+    term is the constant 2 pi i w (0j + k*(1+0j)).  x is computed only when
+    some term still needs it.  Every other x**e stays a power: x**1 is not
+    bitwise x when x has a -0.0 part.
     """
     monos, index = _jet_layout(X.n, degree)
     rows = _product_rows(monos, degree)
@@ -618,26 +651,43 @@ def _jet_rhs(X: VectorField, degree: int, windings: int):
              for comp in _numeric_terms(X)]
     support = _jet_support(rows, [[M for M, _ in comp] for comp in comps],
                            HolonomyJet.identity(X.n, degree).vector)
-    namespace = {"exp": cmath.exp, "f": TWO_PI_I * windings}
+    f = TWO_PI_I * windings
+    namespace = {"exp": cmath.exp, "f": f}
     prog = _Program("theta, y", namespace)
     state = [None] * len(index)
     for p, v in zip(support, prog.unpack("y", len(support))):
         state[p] = v
-    x = prog.define("exp(f * theta)")
-    x_pows, consts = {}, []
+
+    consts = []
+
+    def const(value) -> str:
+        name = f"k{len(consts)}"
+        consts.append(value)
+        namespace[name] = value
+        return name
+
+    x, x_pows = None, {}
     terms = []
     for comp in comps:
         row = []
         for M, xterms in comp:
+            (e, c), *rest = xterms
+            start = "0j"
+            if e == 0:
+                # x**0 is 1+0j for every x, so the sum's first step is known
+                first = 0j + c * (1 + 0j)
+                if not rest:
+                    row.append((M, const(f * first)))
+                    continue
+                start, xterms = const(first), rest
             pairs = []
             for e, c in xterms:
                 if e not in x_pows:
+                    if x is None:
+                        x = prog.define("exp(f * theta)")
                     x_pows[e] = prog.define(f"{prog.ref(x)}**{int(e)}")
-                name = f"k{len(consts)}"
-                consts.append(c)
-                namespace[name] = c
-                pairs.append((name, x_pows[e]))
-            row.append((M, prog.sum(pairs, "f * ({})")))
+                pairs.append((const(c), x_pows[e]))
+            row.append((M, prog.sum(pairs, "f * ({})", start)))
         terms.append(row)
     return support, _jet_kernel(prog, rows, state, terms)
 
