@@ -112,12 +112,7 @@ class FieldDocument:
         mu = None
         if "mu" in header:
             raw, lineno = header["mu"]
-            try:
-                mu = tuple(
-                    GaussianRational.from_string(part) for part in raw.split(",")
-                )
-            except CoefficientSyntaxError as e:
-                raise DocumentError(f"{source}:{lineno}: bad mu value: {e}")
+            mu = _coeffs(raw.split(","), "mu", f"{source}:{lineno}: ")
             if len(mu) != n:
                 raise DocumentError(
                     f"{source}:{lineno}: mu lists {len(mu)} values for n = {n}"
@@ -145,9 +140,10 @@ def _read_header(lines, source, last=None):
     """(header, n, degree) of a document's lines.
 
     Blank and '#' lines are skipped; every other line reads 'key: value' and
-    goes into header as key -> (value, line number).  The entry keyed `last`,
-    when given, is required and ends the header; the lines after it are the
-    caller's.  n and degree are required and bounded.
+    goes into header as key -> (value, line number); a key given twice is an
+    error.  The entry keyed `last`, when given, is required and ends the
+    header; the lines after it are the caller's.  n and degree are required
+    and bounded.
     """
     header = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -162,6 +158,10 @@ def _read_header(lines, source, last=None):
         key = key.strip().lower()
         if key.startswith("map "):  # 'map  z1' is 'map z1'
             key = "map " + key[4:].strip()
+        if key in header:
+            raise DocumentError(
+                f"{source}:{lineno}: repeated '{key}:' entry, first given on line {header[key][1]}"
+            )
         header[key] = (value.strip(), lineno)
         if key == last:
             break
@@ -346,7 +346,8 @@ def _load(cls, path, flag, command="this command"):
     if path is None:
         raise DocumentError(f"{command} requires {flag} <path>")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte order mark is not part of the first key
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e}")
@@ -381,20 +382,19 @@ def _mu_from(args, doc=None):
         parts = args.mu.split(",")
         if len(parts) > MAX_N:
             raise DocumentError(f"--mu lists {len(parts)} values, at most {MAX_N}")
-        try:
-            return tuple(GaussianRational.from_string(part) for part in parts)
-        except CoefficientSyntaxError as e:
-            raise DocumentError(f"bad --mu value: {e}")
+        return _coeffs(parts, "--mu")
     if doc is not None and doc.mu is not None:
         return doc.mu
     raise DocumentError("eigenvalues required: pass --mu or declare mu in the document")
 
 
-def _coeff_arg(value: str, flag: str) -> GaussianRational:
+def _coeffs(parts, name: str, where: str = "") -> tuple:
+    """The Q[i] values of the strings parts: the values of a 'mu:' header or
+    a flag.  A bad one raises DocumentError '<where>bad <name> value: ...'."""
     try:
-        return GaussianRational.from_string(value)
+        return tuple(GaussianRational.from_string(part) for part in parts)
     except CoefficientSyntaxError as e:
-        raise DocumentError(f"bad {flag} value: {e}")
+        raise DocumentError(f"{where}bad {name} value: {e}")
 
 
 def _window_arg(raw: str):
@@ -405,27 +405,16 @@ def _window_arg(raw: str):
         raise DocumentError(f"--x-window expects 'lo,hi', got {raw!r}")
 
 
-def _validate_declared_mu(doc, X):
-    if doc.mu is None:
-        return
-    diag = X.constant_linear_matrix()
-    if diag is None:
-        return
-    for i, m in enumerate(doc.mu):
-        if diag[i][i] != m:
-            raise DocumentError(
-                f"declared mu[{i+1}] = {m} does not match the linear part "
-                f"diagonal {diag[i][i]}"
-            )
-
-
 # --- commands ------------------------------------------------------------------
 
 
 def _cmd_normalize(args):
     doc, X = _load_field(args, use_degree_flag=True)
     mu = _mu_from(args, doc) if (args.mu or doc.mu) else _diagonal_mu(X)
-    _validate_declared_mu(doc, X)
+    if doc.mu is not None and mu != doc.mu:
+        raise DocumentError(
+            f"--mu={args.mu} differs from the document's mu: {', '.join(map(str, doc.mu))}"
+        )
     x_cap = args.x_cap if args.x_cap is not None else doc.x_cap
     result = normalize(X, mu, x_cap=x_cap)
     report = {
@@ -437,7 +426,7 @@ def _cmd_normalize(args):
             [str(p) for p in row] for row in result.normal_field.z_linear_matrix()
         ],
         "eps": list(result.eps),
-        "resonant": result.resonant_json(),
+        "resonant": [t.to_json() for t in result.resonant],
         "normal_field": str(result.normal_field),
         "normalizer": {
             "x": str(result.normalizer.img_x),
@@ -480,7 +469,7 @@ def _cmd_resonances(args):
 
 
 def _cmd_classify2(args):
-    lam = _coeff_arg(args.lam, "--lambda")
+    (lam,) = _coeffs([args.lam], "--lambda")
     report = {
         "lambda": str(lam),
         "case": classify_dim2(lam),
@@ -489,8 +478,8 @@ def _cmd_classify2(args):
 
 
 def _cmd_classify3(args):
-    lam = _coeff_arg(args.lam, "--lambda")
-    mu = _coeff_arg(args.mu, "--mu")
+    (lam,) = _coeffs([args.lam], "--lambda")
+    (mu,) = _coeffs([args.mu], "--mu")
     c = classify_dim3(lam, mu)
     report = {
         "lambda": str(lam),
@@ -542,7 +531,7 @@ def _cmd_check_commute(args):
 
 def _cmd_exp(args):
     doc, X = _load_field(args, use_degree_flag=True)
-    t = _coeff_arg(args.time, "--time")
+    (t,) = _coeffs([args.time], "--time")
     x_cap = args.x_cap if args.x_cap is not None else doc.x_cap
     phi = exp(X, t, x_window=x_cap)
     report = {

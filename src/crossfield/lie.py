@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import GaussianRational, LaurentPoly
+from .coeff import GaussianRational, LaurentPoly, as_scalar
 from .series import (
     DimensionMismatchError,
     MonomialIndex,
     TransverseSeries,
+    _terms_text,
     _ts_raw,
     accumulate_products,
     finish_products,
@@ -71,14 +72,7 @@ class VectorField:
 
     def __init__(self, a: TransverseSeries, b):
         b = tuple(b)
-        n, cap = a.n, a.cap
-        if len(b) != n:
-            raise DimensionMismatchError(
-                f"expected {n} z-components, got {len(b)}"
-            )
-        for comp in b:
-            if comp.n != n or comp.cap != cap:
-                raise DimensionMismatchError("component shapes differ")
+        n, cap = _shape(a, b)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "a", a)
@@ -203,10 +197,7 @@ class VectorField:
     def __sub__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
-        self._compat(other)
-        return VectorField(
-            self.a - other.a, [x - y for x, y in zip(self.b, other.b)]
-        )
+        return self + -other
 
     def __neg__(self):
         return VectorField(-self.a, [-c for c in self.b])
@@ -237,11 +228,7 @@ class VectorField:
 
     def is_x_normalized(self) -> bool:
         """x d/dx + constant linear z-part + z-components in m (nonlinear in m^2)."""
-        if self.a != TransverseSeries.x_series(self.n, self.cap):
-            return False
-        if any(c.madic_order() < 1 for c in self.b if not c.is_zero()):
-            return False
-        return self.constant_linear_matrix() is not None
+        return _x_normalized_matrix(self.a, self.b) is not None
 
     def is_nilpotent(self) -> bool:
         """Decide nilpotency at the truncation cap.
@@ -311,26 +298,33 @@ class VectorField:
         return hash((self.n, self.cap, self.a, self.b))
 
     def __str__(self):
-        from .coeff import format_term, join_terms, x_power_text
-        from .series import z_power_text
-
-        pieces = []
-        comps = [("dx", self.a)] + [
-            (f"dz{i+1}", self.b[i]) for i in range(self.n)
-        ]
-        for dvar, comp in comps:
-            for K, poly in comp.terms():
-                zt = z_power_text(K)
-                for e, c in poly.terms():
-                    var = "*".join(t for t in (x_power_text(e), zt) if t) or ""
-                    var = f"{var}*{dvar}" if var else dvar
-                    pieces.append(format_term(c, var))
-        if not pieces:
-            return "0"
-        return join_terms(pieces)
+        return _terms_text([(self.a, "dx")] + [(c, f"dz{i}") for i, c in enumerate(self.b, 1)])
 
     def __repr__(self):
         return f"VectorField(n={self.n}, cap={self.cap}, {self.__str__()!r})"
+
+
+def _shape(x_part: TransverseSeries, z_parts: tuple):
+    """(n, cap) of a field's or a map's parts: x_part's, which each of the
+    n z_parts must share."""
+    n, cap = x_part.n, x_part.cap
+    if len(z_parts) != n:
+        raise DimensionMismatchError(f"expected {n} z-parts, got {len(z_parts)}")
+    for comp in z_parts:
+        if comp.n != n or comp.cap != cap:
+            raise DimensionMismatchError("a z-part's shape differs from the x-part's")
+    return n, cap
+
+
+def _x_normalized_matrix(x_part: TransverseSeries, z_parts):
+    """The constant z-linear matrix of x-normalized parts, as Q[i] scalars;
+    None unless the x-part is x, every z-part lies in m and the z-linear
+    part is constant in x."""
+    if x_part != TransverseSeries.x_series(x_part.n, x_part.cap):
+        return None
+    if any(c.madic_order() < 1 for c in z_parts if not c.is_zero()):
+        return None
+    return _constant_matrix([c.linear_part() for c in z_parts])
 
 
 def _constant_matrix(C):
@@ -396,12 +390,7 @@ class Automorphism:
 
     def __init__(self, img_x: TransverseSeries, img_z):
         img_z = tuple(img_z)
-        n, cap = img_x.n, img_x.cap
-        if len(img_z) != n:
-            raise DimensionMismatchError(f"expected {n} z-images, got {len(img_z)}")
-        for comp in img_z:
-            if comp.n != n or comp.cap != cap:
-                raise DimensionMismatchError("image shapes differ")
+        n, cap = _shape(img_x, img_z)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "img_x", img_x)
@@ -423,19 +412,10 @@ class Automorphism:
     def linear(cls, matrix, cap):
         """x -> x, z_i -> sum_j matrix[i][j] z_j with constant entries; its one
         Lie factor is the matrix."""
-        M = tuple(
-            tuple(GaussianRational(c) if isinstance(c, (int, Fraction)) else c for c in row)
-            for row in matrix
-        )
+        M = tuple(tuple(map(as_scalar, row)) for row in matrix)
         n = len(M)
-        img_z = []
-        for i in range(n):
-            s = TransverseSeries.zero(n, cap)
-            for j in range(n):
-                c = M[i][j]
-                if not (isinstance(c, GaussianRational) and c.is_zero()):
-                    s = s + TransverseSeries.variable(n, cap, j + 1).scale(c)
-            img_z.append(s)
+        units = [tuple(int(p == j) for p in range(n)) for j in range(n)]
+        img_z = [TransverseSeries(n, cap, dict(zip(units, row))) for row in M]
         phi = cls(TransverseSeries.x_series(n, cap), img_z)
         object.__setattr__(phi, "_gens", ((M, None, None),))
         return phi
@@ -554,11 +534,8 @@ class Automorphism:
         return _constant_matrix([comp.linear_part() for comp in self.img_z])
 
     def is_x_normalized(self) -> bool:
-        if self.img_x != TransverseSeries.x_series(self.n, self.cap):
-            return False
-        if any(c.madic_order() < 1 for c in self.img_z if not c.is_zero()):
-            return False
-        A = self.constant_linear_matrix()
+        """x -> x, z-images in m, and a constant invertible z-linear part."""
+        A = _x_normalized_matrix(self.img_x, self.img_z)
         if A is None:
             return False
         try:
@@ -732,14 +709,21 @@ def exp(X: VectorField, t=1, x_window: int | None = None) -> Automorphism:
     x_window), so its inverse is exp(-tX) in the same window, built on the
     first invert().
 
-    With ``x_window`` the computation runs in the ring truncated at x-degree
-    x_window as well; fields like f(x) z_j d/dz_j with f(0) = 0, whose
-    exponential scales z_j by the transcendental e^{f}, are nilpotent there
-    and get their (polynomial) truncated exponential.  The truncation is
-    made inside the product kernel: each X^k(coordinate) is formed only up
-    to x-degree x_window, and no term above it is built and then dropped.
-    The coordinates themselves are not truncated, so window 0 keeps x as the
-    x-image.
+    With ``x_window`` each term t^k/k! X^k(coordinate) is formed only up to
+    x-degree x_window, from the previous term as cut, inside the product
+    kernel; the result is that term-truncated series.  When X has Taylor
+    coefficients and no x-free term in its d/dx coefficient, X lowers no
+    x-degree, so the result is exp(tX) truncated at x-degree x_window;
+    fields like f(x) z_j d/dz_j with f(0) = 0, whose exponential scales z_j
+    by the transcendental e^{f}, are nilpotent there and get their
+    (polynomial) truncated exponential.  A negative x-exponent, or an
+    x-free term in the d/dx coefficient, lowers x-degrees, so a term cut
+    at one step would come back under the window at a later one: the
+    result is then not exp(tX) truncated, even where exp(tX) exists
+    exactly.  For z1*dx + x^2*z2^2*dz1 + x^3*z1^2*dz2 at window 2, z2 maps
+    to z2; exp(X) truncated at x-degree 2 maps it to
+    z2 + 3/2*x^2*z1^3 + x*z1^4.  The coordinates themselves are not
+    truncated, so window 0 keeps x as the x-image.
     """
     if isinstance(t, (int, Fraction)):
         t = GaussianRational(t)
@@ -842,7 +826,11 @@ def exp_ad(W: VectorField, X: VectorField, x_window: int | None = None) -> Vecto
 
     Equals exp(W).pushforward(X); the two routes are kept independent so one
     can certify the other.  ``x_window`` truncates X first and then forms
-    each bracket only up to that x-degree, as in :func:`exp`.
+    each bracket only up to that x-degree, from the previous bracket as
+    cut: the term-truncated series.  As in :func:`exp`, that is exp(ad_W)(X)
+    truncated at x-degree x_window only when ad_W lowers no x-degree: not
+    when W has a negative x-exponent or an x-free term in its d/dx
+    coefficient, whatever X holds.
     """
     W._compat(X)
     return _lie_series(W.bracket, _in_window(X, x_window), Fraction(1), x_window)
@@ -855,14 +843,14 @@ def exp_decomposition(phi: Automorphism):
     is the 1-flat logarithm of the tangent-to-identity remainder.  Point maps
     factor as phi = A o exp(Z); these substitution operators compose in the
     opposite order, so the recomposition identity reads
-    ``exp(Z).compose(A) == phi``.  A map that is not x-normalized raises a
-    ValueError: SingularLinearPartError unless img_x = x and the z-linear
-    part is constant and invertible.
+    ``exp(Z).compose(A) == phi``.  A map that is not x-normalized (img_x =
+    x, z-images in m, a constant invertible z-linear part) raises
+    SingularLinearPartError, a ValueError.
     """
-    if phi.img_x != TransverseSeries.x_series(phi.n, phi.cap):
-        raise SingularLinearPartError("splitting a map needs img_x = x")
-    M = phi.constant_linear_matrix()
+    M = _x_normalized_matrix(phi.img_x, phi.img_z)
     if M is None:
-        raise SingularLinearPartError("z-linear part must be constant in x")
+        raise SingularLinearPartError(
+            "splitting a map needs x -> x, z-images in m and a z-linear part constant in x"
+        )
     A = Automorphism.linear(M, phi.cap)
     return A, log(phi.compose(A.invert()))

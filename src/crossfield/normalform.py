@@ -86,9 +86,6 @@ class NormalFormResult:
     x_window: int | None
     certified: bool
 
-    def resonant_json(self):
-        return [t.to_json() for t in self.resonant]
-
 
 def _linear_matrix_or_error(X: VectorField, mu):
     """Validate the pre-normal shape and return the linear coefficient matrix.

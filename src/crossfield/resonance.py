@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from itertools import product as _cartesian
 
-from .coeff import GaussianRational
+from .coeff import GaussianRational, as_scalar
 from .series import iter_l_indices
 
 __all__ = [
@@ -77,17 +77,10 @@ _WITNESS_INDICES = 100_000
 
 def as_eigenvalues(mu):
     """Coerce to a tuple of exact Q[i] eigenvalues (n >= 1)."""
-    out = []
-    for m in mu:
-        if isinstance(m, GaussianRational):
-            out.append(m)
-        elif isinstance(m, (int, Fraction)):
-            out.append(GaussianRational(m))
-        else:
-            raise TypeError("eigenvalues must be exact Q[i] scalars")
+    out = tuple(map(as_scalar, mu))
     if not out:
         raise ValueError("need at least one transverse eigenvalue")
-    return tuple(out)
+    return out
 
 
 def pairing(mu, K) -> GaussianRational:

@@ -344,16 +344,7 @@ class TransverseSeries:
         return bool(self._terms)
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        pieces = []
-        for K, poly in self.terms():
-            zt = z_power_text(K)
-            for e, c in poly.terms():
-                xt = x_power_text(e)
-                var = "*".join(t for t in (xt, zt) if t)
-                pieces.append(format_term(c, var))
-        return join_terms(pieces)
+        return _terms_text([(self, "")])
 
     def __repr__(self):
         return f"TransverseSeries(n={self.n}, cap={self.cap}, {self.__str__()!r})"
@@ -459,6 +450,20 @@ def _ts_raw(n, cap, data) -> TransverseSeries:
     object.__setattr__(s, "cap", cap)
     object.__setattr__(s, "_terms", data)
     return s
+
+
+def _terms_text(parts) -> str:
+    """The terms of every (series, suffix) in parts as one sum, "0" when
+    there are none: each term is coefficient*x^e*z^K, then *suffix when
+    the suffix is not empty (a field's dx or dz_j)."""
+    pieces = []
+    for s, suffix in parts:
+        for K, poly in s.terms():
+            zt = z_power_text(K)
+            for e, c in poly.terms():
+                var = "*".join(t for t in (x_power_text(e), zt, suffix) if t)
+                pieces.append(format_term(c, var))
+    return join_terms(pieces) if pieces else "0"
 
 
 def z_power_text(K) -> str:

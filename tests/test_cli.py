@@ -171,7 +171,102 @@ def test_declared_mu_mismatch_rejected(tmp_path, capsys):
     rc = main(["normalize", "--field", str(p), "--json"])
     _, err = capsys.readouterr()
     assert rc == 2
-    assert "does not match" in err
+    assert err == "error: diagonal entry 1 is -1, declared mu is 2\n"
+
+
+# --mu that disagrees with the document's mu: is rejected whatever the
+# linear part; with an x-dependent diagonal a wrong mu: used to pass unread
+@pytest.mark.parametrize("field", ["x*dx - z1*dz1", "x*dx - z1*dz1 + x*z1*dz1"])
+def test_mu_flag_disagreeing_with_document_rejected(field, tmp_path, capsys):
+    p = tmp_path / "declared.vf"
+    p.write_text(f"n: 1\ndegree: 3\nx-cap: 2\nmu: 2\nfield: {field}\n", encoding="utf-8")
+    rc = main(["normalize", "--field", str(p), "--mu=-1", "--json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "error: --mu=-1 differs from the document's mu: 2\n"
+    p.write_text(f"n: 1\ndegree: 3\nx-cap: 2\nmu: -1\nfield: {field}\n", encoding="utf-8")
+    assert main(["normalize", "--field", str(p), "--mu=-1", "--json"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("n: 1\ndegree: 3\nmu: 1/2,\nfield: x*dx\n", ":3: bad mu value: bad coefficient syntax: ''"),
+    ("n: 2\ndegree: 3\nmu: 1/2\nfield: x*dx\n", ":3: mu lists 1 values for n = 2"),
+])
+def test_bad_mu_header_is_usage_error(text, message, tmp_path, capsys):
+    p = tmp_path / "mu.vf"
+    p.write_text(text, encoding="utf-8")
+    rc = main(["normalize", "--field", str(p), "--json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == f"error: {p}{message}\n"
+
+
+# a repeated header key used to override the first silently
+@pytest.mark.parametrize("name,text,argv,message", [
+    ("n.vf", "n: 1\nn: 2\ndegree: 3\nfield: x*dx - z1*dz1\n", ["normalize", "--field"],
+     ":2: repeated 'n:' entry, first given on line 1"),
+    ("mu.vf", "n: 1\ndegree: 3\nmu: -1\n\nmu: 2\nfield: x*dx - z1*dz1\n", ["normalize", "--field"],
+     ":5: repeated 'mu:' entry, first given on line 3"),
+    ("z1.map", "n: 1\ndegree: 3\nmap z1: z1 + z1^2\nmap  z1: z1 + z1^3\n", ["log", "--map"],
+     ":4: repeated 'map z1:' entry, first given on line 3"),
+], ids=["n", "mu", "map-z1"])
+def test_repeated_header_key_is_usage_error(name, text, argv, message, tmp_path, capsys):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    rc = main([*argv, str(p), "--json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == f"error: {p}{message}\n"
+
+
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path, capsys):
+    plain = (DATA / "resonant.vf").read_bytes()
+    p = tmp_path / "bom.vf"
+    p.write_bytes(b"\xef\xbb\xbf" + plain)
+    rc = main(["normalize", "--field", str(p), "--json"])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    assert out == (GOLDEN / "normalize_resonant.out").read_text(encoding="utf-8")
+
+
+# The holonomy and conjugacy goldens hold floats whose last bits depend on
+# the interpreter's complex arithmetic.  Each interpreter replays them in a
+# child process: this one always, and every path in CROSSFIELD_PYTHONS
+# (os.pathsep-separated), such as other CPython versions.
+FLOAT_CASES = [c for c in CASES if c[0].startswith(("holonomy_", "conjugacy_"))]
+REPLAY = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from crossfield.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    runs.append([rc, out.getvalue(), err.getvalue()])
+sys.stdout.write(json.dumps(runs))
+"""
+PYTHONS = [sys.executable] + [
+    p for p in os.environ.get("CROSSFIELD_PYTHONS", "").split(os.pathsep) if p
+]
+
+
+@pytest.mark.parametrize("python", PYTHONS, ids=["running"] + PYTHONS[1:])
+def test_float_goldens_replay_in_a_child_interpreter(python):
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argvs = [argv for _, argv, _, _ in FLOAT_CASES]
+    proc = subprocess.run([python, "-c", REPLAY, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert len(FLOAT_CASES) >= 7
+    for (name, _, code, check_err), (rc, out, err) in zip(FLOAT_CASES, runs):
+        assert rc == code, (name, err)
+        assert out.replace(str(DATA), "data") == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
+        if check_err:
+            assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8"), name
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

@@ -212,6 +212,16 @@ class TestPathLift:
         with pytest.raises(IntegrationError, match="step budget"):
             path_lift(field_resonant(), (1.0, (0.3,)), TWO_PI_I, 1e-13)
 
+    def test_step_size_underflow(self, monkeypatch):
+        # every step is rejected with a finite error norm: h shrinks fivefold
+        # per rejection from 1/16 until it is below 1e-14
+        def step(f, t, h, y, k1, tol):
+            return 1e300, y, k1
+
+        monkeypatch.setattr(holonomy, "_dp5_step", lambda m: step)
+        with pytest.raises(IntegrationError, match="step size underflow at t=0 "):
+            path_lift(field_resonant(), (1.0, (0.3,)), TWO_PI_I, 1e-10)
+
     @pytest.mark.parametrize("name,start", [
         ("resonant.vf", (0.7 - 0.2j, (0.03 + 0.01j,))),
         ("twovar.vf", (0.8 + 0.3j, (0.05 - 0.02j, 0.03j))),
