@@ -230,6 +230,7 @@ class MapDocument:
         header, n, degree = _read_header(lines, source)
         maps = {key[4:]: entry for key, entry in header.items() if key.startswith("map ")}
         images = {}
+        first = {}  # target index -> line it was first given on
         for var, (expr, lineno) in maps.items():
             if var == "x":
                 if expr.replace(" ", "") != "x":
@@ -237,13 +238,18 @@ class MapDocument:
                         f"{source}:{lineno}: only 'map x: x' is supported"
                     )
                 continue
-            if not (var.startswith("z") and var[1:].isdigit()):
+            if not (var.startswith("z") and var[1:].isdecimal()):
                 raise DocumentError(f"{source}:{lineno}: unknown map target {var!r}")
             idx = int(var[1:])
             if not 1 <= idx <= n:
                 raise DocumentError(
                     f"{source}:{lineno}: map target {var!r} out of range (n = {n})"
                 )
+            if idx in first:
+                raise DocumentError(
+                    f"{source}:{lineno}: repeated target z{idx}, first given on line {first[idx]}"
+                )
+            first[idx] = lineno
             images[idx] = parse_series(expr, n, degree, line_offset=lineno - 1,
                                        col_offset=_value_col(lines[lineno - 1]))
         for idx in range(1, n + 1):

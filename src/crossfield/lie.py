@@ -61,8 +61,9 @@ class SingularLinearPartError(ValueError):
 
 class CertificateError(AssertionError):
     """An exact result failed its own check: a certificate or invariant of
-    normalize, or a Lie or log series past its iteration guard.  It is an
-    AssertionError, so callers that catch those keep working."""
+    normalize, the inverse of a bare map, or a Lie or log series past its
+    iteration guard.  It is an AssertionError, so callers that catch those
+    keep working."""
 
 
 class VectorField:
@@ -375,13 +376,13 @@ class Automorphism:
     A map keeps its Lie generators when it is built from them: a tuple of
     factors, innermost first, for the map f_k o ... o f_1.  A factor
     (W, t, x_window) is exp(t W) computed in its x-window, and a factor
-    (M, None, None) is the constant linear map z -> M z.
-    :func:`_from_factors` folds the images from the factors; compose()
-    concatenates the factors of both operands and truncate_x() lowers every
-    exp factor's window.  A map built bare from its images is split into
-    two factors on inversion.  A map caches its inverse; the inverse holds
-    no link back, so inverting it again recomputes the map, and the pair
-    forms no reference cycle.  The monomials z'^K in the z-images that
+    (M, None, None) is the constant linear map z -> M z.  A map lives in
+    one x-window: its exp factors all share it.  :func:`_from_factors`
+    folds the images from the factors, and compose() concatenates the
+    factors of both operands.  A map built bare from its images is split
+    into two factors on inversion.  A map caches its inverse; the inverse
+    holds no link back, so inverting it again recomputes the map, and the
+    pair forms no reference cycle.  The monomials z'^K in the z-images that
     :meth:`apply` substitutes are memoized as they are first needed, one
     memo per x-window.  Every cached value derives from immutable inputs.
     """
@@ -521,12 +522,18 @@ class Automorphism:
 
         When both operands have Lie generators, the result has other's
         followed by self's; otherwise it has none and is split on inversion.
+        Maps whose exp factors carry different x-windows live in different
+        rings, so composing them raises ``ValueError``.
         """
         if self.n != other.n or self.cap != other.cap:
             raise DimensionMismatchError("automorphism shapes differ")
-        out = Automorphism(self.apply(other.img_x), [self.apply(c) for c in other.img_z])
+        gens = None
         if self._gens is not None and other._gens is not None:
-            object.__setattr__(out, "_gens", other._gens + self._gens)
+            gens = other._gens + self._gens
+            if len({w for _, t, w in gens if t is not None}) > 1:
+                raise ValueError("the two maps' Lie factors lie in different x-windows")
+        out = Automorphism(self.apply(other.img_x), [self.apply(c) for c in other.img_z])
+        object.__setattr__(out, "_gens", gens)
         return out
 
     def constant_linear_matrix(self):
@@ -569,7 +576,8 @@ class Automorphism:
         factors A and Z that :func:`exp_decomposition` returns; this needs
         img_x = x and a constant invertible z-linear part A.  Such a map may
         come from outside the program, so its inverse is certified by
-        composing it with the map at the full cap.
+        composing it with the map at the full cap; a failed check raises
+        :class:`CertificateError`.
 
         The result is cached on this map only.  The inverse holds no link
         back, so inverting it again folds its factors into a map equal to
@@ -587,7 +595,7 @@ class Automorphism:
         )
         inv = _from_factors(self.n, self.cap, inv_gens)
         if self._gens is None and self.compose(inv) != Automorphism.identity(self.n, self.cap):
-            raise SingularLinearPartError("inversion failed at the cap")
+            raise CertificateError("inversion failed at the cap")
         object.__setattr__(self, "_inv", inv)
         return inv
 
@@ -599,25 +607,6 @@ class Automorphism:
         a = self.apply(X.apply(inv.img_x))
         b = [self.apply(X.apply(inv.img_z[i])) for i in range(self.n)]
         return VectorField(a, b)
-
-    def truncate_x(self, max_deg: int) -> "Automorphism":
-        """The images truncated at x-degree max_deg.
-
-        The x-image is truncated as img_x - x, plus x, so max_deg = 0 keeps
-        x itself.  Every exp factor's window is lowered to at most max_deg,
-        so the inverse is computed in the ring the result lives in.
-        """
-        out = Automorphism(
-            _truncate_x_image(self.img_x, max_deg),
-            [c.truncate_x(max_deg) for c in self.img_z],
-        )
-        if self._gens is not None:
-            lowered = tuple(
-                (W, t, w) if t is None else (W, t, max_deg if w is None else min(w, max_deg))
-                for W, t, w in self._gens
-            )
-            object.__setattr__(out, "_gens", lowered)
-        return out
 
     # -- protocol ----------------------------------------------------------
 
@@ -651,12 +640,6 @@ def _product(f: TransverseSeries, g: TransverseSeries, x_window) -> TransverseSe
     data = {}
     accumulate_products(data, f.cap, graded_terms(f), graded_terms(g), 1, x_window)
     return _ts_raw(f.n, f.cap, finish_products(data))
-
-
-def _truncate_x_image(img_x: TransverseSeries, max_deg: int) -> TransverseSeries:
-    """img_x - x truncated at x-degree max_deg, plus x: window 0 keeps x."""
-    x = TransverseSeries.x_series(img_x.n, img_x.cap)
-    return (img_x - x).truncate_x(max_deg) + x
 
 
 def _coordinates(n: int, cap: int):
@@ -693,11 +676,6 @@ def _invert_matrix(A):
 
 
 # --- exponential, logarithm, adjoint ---------------------------------------
-
-
-def _in_window(obj, x_window):
-    """obj truncated at x-degree x_window; obj itself when x_window is None."""
-    return obj if x_window is None else obj.truncate_x(x_window)
 
 
 def exp(X: VectorField, t=1, x_window: int | None = None) -> Automorphism:
@@ -744,28 +722,20 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
 
     From the coordinates, innermost factor first: an exp factor (W, t, w)
     runs the Lie series sum_k t^k/k! W^k on each running image in window w,
-    and a linear factor (M, None, None) substitutes z -> M z.  The series
-    forms its terms inside window w, so the images an exp factor leaves lie
-    in its window, but for the coordinate x when w = 0; they are truncated
-    again only where a later exp factor's window is narrower, the x-image
-    as img_x - x, plus x, so that a window narrowing to 0 keeps x.  The
-    factors are trusted: each W must be nilpotent in its window.
+    and a linear factor (M, None, None) substitutes z -> M z.  All exp
+    factors of one fold share one window, so the series takes the images as
+    they are: the images an exp factor leaves already lie in that window,
+    but for the coordinate x when w = 0, which stays x.  The factors are
+    trusted: each W must be nilpotent in its window.
     """
     factors = tuple(factors)
     images = _coordinates(n, cap)
-    raw = True  # the images are still the coordinates or their linear images
-    prev = None  # the window of the last exp factor, once one has run
     for W, t, w in factors:
         if t is None:
             L = Automorphism.linear(W, cap)
             images = [L.apply(s) for s in images]
-            continue
-        if not raw and w is not None and (prev is None or w < prev):
-            images = [_truncate_x_image(images[0], w)] + [
-                s.truncate_x(w) for s in images[1:]
-            ]
-        images = [_lie_series(W.apply, s, t, w) for s in images]
-        raw, prev = False, w
+        else:
+            images = [_lie_series(W.apply, s, t, w) for s in images]
     phi = Automorphism(images[0], images[1:])
     object.__setattr__(phi, "_gens", factors)
     return phi
@@ -825,15 +795,17 @@ def exp_ad(W: VectorField, X: VectorField, x_window: int | None = None) -> Vecto
     """exp(ad_W)(X) = sum_k ad_W^k(X)/k!, finite at the cap for nilpotent W.
 
     Equals exp(W).pushforward(X); the two routes are kept independent so one
-    can certify the other.  ``x_window`` truncates X first and then forms
-    each bracket only up to that x-degree, from the previous bracket as
-    cut: the term-truncated series.  As in :func:`exp`, that is exp(ad_W)(X)
-    truncated at x-degree x_window only when ad_W lowers no x-degree: not
-    when W has a negative x-exponent or an x-free term in its d/dx
-    coefficient, whatever X holds.
+    can certify the other.  ``x_window`` truncates X first, once, and then
+    forms each bracket only up to that x-degree, from the previous bracket
+    as cut: the term-truncated series.  As in :func:`exp`, that is
+    exp(ad_W)(X) truncated at x-degree x_window only when ad_W lowers no
+    x-degree: not when W has a negative x-exponent or an x-free term in its
+    d/dx coefficient, whatever X holds.
     """
     W._compat(X)
-    return _lie_series(W.bracket, _in_window(X, x_window), Fraction(1), x_window)
+    if x_window is not None:
+        X = X.truncate_x(x_window)
+    return _lie_series(W.bracket, X, Fraction(1), x_window)
 
 
 def exp_decomposition(phi: Automorphism):

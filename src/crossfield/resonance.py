@@ -253,20 +253,23 @@ def _box_points(S) -> int:
 
 def _negative_resonance_exists(mu, S) -> bool:
     n = len(mu)
-    rs = [m.re for m in mu]
+    # the real parts as integers R over one denominator D, as S is for the
+    # imaginary parts
+    D = math.lcm(*(m._d // math.gcd(m._a, m._d) for m in mu))
+    R = [m._a * D // m._d for m in mu]
     if any(S):
         side = max(abs(s) for s in S)
         hilbert = _minimal_solutions(S, 0, side)
     else:
         hilbert = [tuple(1 if p == i else 0 for p in range(n)) for i in range(n)]
-    gens = [sum((r * h for r, h in zip(rs, hv)), Fraction(0)) for hv in hilbert]
+    gens = [sum(map(operator.mul, R, hv)) for hv in hilbert]
     for j in range(n):
         # p = 0 is excluded (|p| >= 1): for S_j = 0 the minimal nonzero
         # solutions are the Hilbert basis itself.
         bases = _minimal_solutions(S, S[j], side + abs(S[j]) + 1) if any(S) else hilbert
         for b in bases:
-            alpha = sum((r * p for r, p in zip(rs, b)), Fraction(0)) - rs[j]
-            if _monoid_hits_positive_integer(alpha, gens):
+            alpha = sum(map(operator.mul, R, b)) - R[j]
+            if _monoid_hits_positive_integer(alpha, gens, D):
                 return True
     return False
 
@@ -291,41 +294,31 @@ def _minimal_elements(sols):
     return out
 
 
-def _monoid_hits_positive_integer(alpha: Fraction, gens) -> bool:
-    """Does alpha + (N-combination of gens) land in Z_{>=1}?"""
-    gens = [g for g in gens if g != 0]
+def _monoid_hits_positive_integer(alpha: int, gens, D: int) -> bool:
+    """Does (alpha + N-combination of gens) / D land in Z_{>=1}?  All ints."""
+    gens = [g for g in gens if g]
     if not gens:
-        return alpha.denominator == 1 and alpha >= 1
+        return alpha % D == 0 and alpha >= D
     if any(g > 0 for g in gens):
         # Mixed signs generate the full group e*Z; all-positive generators
         # reach every sufficiently large multiple of e.  Either way targets
-        # q - alpha with q ranging over large integers leave only a
-        # congruence: q*m = alpha*m + k*(e*m) solvable over Z.
-        e = _fraction_gcd(gens)
-        m = math.lcm(alpha.denominator, e.denominator)
-        A = int(alpha * m)
-        E = int(e * m)
-        return A % math.gcd(E, m) == 0
-    # All generators negative: q <= alpha, finitely many targets, one
-    # unbounded-knapsack table over the scaled gaps alpha - q.
-    if alpha < 1:
+        # q*D - alpha with q ranging over large integers leave only a
+        # congruence: q*D = alpha + k*e solvable over Z.
+        return alpha % math.gcd(math.gcd(*gens), D) == 0
+    # All generators negative: q*D <= alpha, finitely many targets, one
+    # unbounded-knapsack table over the gaps alpha - q*D, after dividing
+    # out the common factor so the table is no longer than it must be.
+    if alpha < D:
         return False
-    scale = math.lcm(alpha.denominator, *(g.denominator for g in gens))
-    top = int((alpha - 1) * scale)
+    g = math.gcd(D, alpha, *gens)
+    alpha, D = alpha // g, D // g
+    top = alpha - D
     reach = [True] + [False] * top
-    for w in (int(-g * scale) for g in gens):
+    for w in (-v // g for v in gens):
         for v in range(w, top + 1):
             if reach[v - w]:
                 reach[v] = True
-    return any(reach[int((alpha - q) * scale)] for q in range(1, math.floor(alpha) + 1))
-
-
-def _fraction_gcd(vals) -> Fraction:
-    den = math.lcm(*(v.denominator for v in vals))
-    g = 0
-    for v in vals:
-        g = math.gcd(g, abs(int(v * den)))
-    return Fraction(g, den)
+    return any(reach[alpha - q * D] for q in range(1, alpha // D + 1))
 
 
 def _find_witness(mu):

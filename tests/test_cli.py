@@ -6,6 +6,7 @@ the module tests.
 """
 
 import argparse
+import dataclasses
 import gc
 import io
 import json
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossfield import cli
+from crossfield import LaurentPoly, MonomialIndex, VectorField, cli, lie
 from crossfield.cli import MAX_MONOMIALS, main
 
 DATA = Path(__file__).parent / "data"
@@ -210,7 +211,10 @@ def test_bad_mu_header_is_usage_error(text, message, tmp_path, capsys):
      ":5: repeated 'mu:' entry, first given on line 3"),
     ("z1.map", "n: 1\ndegree: 3\nmap z1: z1 + z1^2\nmap  z1: z1 + z1^3\n", ["log", "--map"],
      ":4: repeated 'map z1:' entry, first given on line 3"),
-], ids=["n", "mu", "map-z1"])
+    # the same target under another spelling used to keep only its last image
+    ("z01.map", "n: 1\ndegree: 3\nmap z1: z1 + z1^2\nmap z01: z1 + z1^3\n", ["log", "--map"],
+     ":4: repeated target z1, first given on line 3"),
+], ids=["n", "mu", "map-z1", "map-z01"])
 def test_repeated_header_key_is_usage_error(name, text, argv, message, tmp_path, capsys):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -218,6 +222,16 @@ def test_repeated_header_key_is_usage_error(name, text, argv, message, tmp_path,
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
     assert err == f"error: {p}{message}\n"
+
+
+# a non-decimal digit in a map target used to end in an unpositioned int() error
+def test_map_target_with_a_superscript_digit_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "sup.map"
+    p.write_text("n: 1\ndegree: 3\nmap z\u00b9: z1 + z1^2\n", encoding="utf-8")
+    rc = main(["log", "--map", str(p), "--json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == f"error: {p}:3: unknown map target 'z\u00b9'\n"
 
 
 def test_byte_order_mark_is_not_part_of_the_header(tmp_path, capsys):
@@ -914,6 +928,28 @@ def test_overflowing_conjugacy_check_is_an_error(tmp_path):
 
 CONJUGACY_SCALE = ["conjugacy-check", "--field", doc("resonant.vf"), "--map", doc("scale.map"),
                    "--degree", "2", "--json"]
+
+
+def test_failed_map_inversion_is_a_finding(monkeypatch):
+    # a wrong logarithm splits the bare map into factors whose fold is not
+    # its inverse; the inverse's own check reports it
+    one_flat = VectorField.monomial(1, 4, MonomialIndex((1,), 1), LaurentPoly.one())
+    real_log = lie.log
+    monkeypatch.setattr(lie, "log", lambda phi: real_log(phi) + one_flat)
+    rc, out, err = call(CONJUGACY_SCALE)
+    assert (rc, out) == (1, "")
+    assert err == "finding: inversion failed at the cap\n"
+
+
+def test_centralizer_counterexample_is_a_finding(monkeypatch):
+    real = cli.centralizer_check
+    monkeypatch.setattr(cli, "centralizer_check",
+                        lambda *a: dataclasses.replace(real(*a), ok=False))
+    rc, out, err = call(CENTRALIZER)
+    assert rc == 1
+    assert json.loads(out)["taylor_centralizer_ok"] is False
+    assert err == ("finding: no-negative-resonance holds but the centralizer has "
+                   "negative x-exponents\n")
 
 
 @pytest.mark.parametrize("bound", ["nan", "-1", "-inf"])

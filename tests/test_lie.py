@@ -517,24 +517,34 @@ class TestExp:
     @pytest.mark.parametrize("window", [None, 1])
     def test_compose_matches_eager_composition(self, window):
         # folding N's factor and then (W, 1, window) gives exp(W) o N,
-        # truncated in the window; truncated, it has the factors and the
-        # inverse of the eager map.  Some eager maps reach past the window,
-        # so the truncation is exercised
+        # truncated in the window, with the factors and the inverse of the
+        # eager map.  Some eager maps reach past the window, so the
+        # truncation is exercised
         rng = random.Random(74)
         beyond = 0
         for _ in range(20):
             W = rand_one_flat(rng, 2, 4, max_exp=1)
-            N = exp(rand_one_flat(rng, 2, 4, max_exp=1))
+            N = exp(rand_one_flat(rng, 2, 4, max_exp=1), 1, x_window=window)
             eager = exp(W, 1, x_window=window).compose(N)
-            if window is not None:
-                beyond += eager != eager.truncate_x(window)
-                eager = eager.truncate_x(window)
             got = lie._from_factors(2, 4, N._gens + ((W, G(1), window),))
-            assert got == eager
-            got = _in_window(got, window)
             assert got._gens == eager._gens
             assert got.invert() == eager.invert()
+            beyond += eager != _in_window(eager, window)
+            assert got == _in_window(eager, window)
         assert window is None or beyond
+
+    def test_compose_refuses_two_windows(self):
+        # maps whose factors lie in different x-windows live in different
+        # rings; a map without factors composes with either
+        X = rand_one_flat(random.Random(75), 2, 4, max_exp=1)
+        for first, second in ((1, 3), (None, 2), (0, None)):
+            phi, psi = exp(X, 1, x_window=first), exp(X, 1, x_window=second)
+            with pytest.raises(ValueError, match="x-windows"):
+                phi.compose(psi)
+            with pytest.raises(ValueError, match="x-windows"):
+                Automorphism.linear([[G(2), G(0)], [G(0), G(1)]], 4).compose(phi).compose(psi)
+            out = phi.compose(Automorphism(psi.img_x, psi.img_z))
+            assert out._gens is None and out.img_z == tuple(phi.apply(c) for c in psi.img_z)
 
     def test_window_zero_keeps_x(self):
         # the x-image stays x in window 0, in exp and in its inverse
@@ -1042,14 +1052,11 @@ def eager_sweep(X, res):
         f, _ = field.coefficient_at(idx).euler_solve(pairing(res.mu, idx.K))
         W = VectorField.monomial(n, cap, idx, f)
         field = exp_ad(W, field, x_window=window)
-        normalizer = exp(W, 1, x_window=window).compose(normalizer)
+        normalizer = _in_window(exp(W, 1, x_window=window).compose(normalizer), window)
         step = exp(W, -1, x_window=window)
-        inv = Automorphism(inv.apply(step.img_x), [inv.apply(c) for c in step.img_z])
-        if window is not None:
-            normalizer = normalizer.truncate_x(window)
-            inv = Automorphism(
-                inv.img_x.truncate_x(window), [c.truncate_x(window) for c in inv.img_z]
-            )
+        inv = _in_window(
+            Automorphism(inv.apply(step.img_x), [inv.apply(c) for c in step.img_z]), window
+        )
     return normalizer, inv
 
 
@@ -1100,9 +1107,7 @@ class TestLazyInverse:
             assert inv.invert() == res.normalizer
             ident = Automorphism.identity(X.n, X.cap)
             for one_way in (res.normalizer.compose(inv), inv.compose(res.normalizer)):
-                if res.x_window is not None:
-                    one_way = one_way.truncate_x(res.x_window)
-                assert one_way == ident
+                assert _in_window(one_way, res.x_window) == ident
 
     def test_generators_hold_no_normalizer(self):
         # the normalizer keeps one Lie generator (W, 1, window) per sweep
@@ -1139,8 +1144,7 @@ class TestLazyInverse:
             Xs = [rand_one_flat(rng, 2, 4, max_exp=1) for _ in range(3)]
             steps = [exp(X, 1, x_window=window) for X in Xs]
             phi = steps[1].compose(steps[0])
-            if window is not None:
-                phi = phi.truncate_x(window)
+            assert phi == _in_window(phi, window)  # cap 4 reaches no x^4
             phi = steps[2].compose(phi)
             psi = phi.compose(steps[0])
             expected = exp(Xs[0], -1, x_window=window).compose(phi.invert())
@@ -1148,30 +1152,40 @@ class TestLazyInverse:
             ident = Automorphism.identity(2, 4)
             for one_way in (psi.compose(psi.invert()), psi.invert().compose(psi)):
                 assert _in_window(one_way, window) == ident
-        # two different windows, and Laurent coefficients under a window: the
-        # inverse holds modulo the smallest window
+        # two different windows do not compose; in one window, with Taylor
+        # or Laurent coefficients, the inverse holds modulo the window
         for first, second, min_exp in ((1, 3, 0), (3, 1, 0), (2, 2, -1), (1, 3, -1)):
             X, Y = (rand_one_flat(rng, 2, 4, min_exp=min_exp, max_exp=1) for _ in range(2))
-            psi = exp(X, 1, x_window=first).compose(exp(Y, 1, x_window=second))
+            if first != second:
+                with pytest.raises(ValueError, match="x-windows"):
+                    exp(X, 1, x_window=first).compose(exp(Y, 1, x_window=second))
             window = min(first, second)
-            eager = exp(Y, -1, x_window=second).compose(exp(X, -1, x_window=first))
+            psi = exp(X, 1, x_window=window).compose(exp(Y, 1, x_window=window))
+            eager = exp(Y, -1, x_window=window).compose(exp(X, -1, x_window=window))
             inv = psi.invert()
-            assert inv.truncate_x(window) == eager.truncate_x(window)
-            assert psi.compose(inv).truncate_x(window) == ident
+            assert _in_window(inv, window) == _in_window(eager, window)
+            assert _in_window(psi.compose(inv), window) == ident
 
 
 def _in_window(phi, window):
-    return phi if window is None else phi.truncate_x(window)
+    """phi's images truncated at x-degree window, the x-image as img_x - x,
+    plus x, so window 0 keeps x; a map without factors.  phi itself when
+    window is None."""
+    if window is None:
+        return phi
+    x = TransverseSeries.x_series(phi.n, phi.cap)
+    return Automorphism((phi.img_x - x).truncate_x(window) + x,
+                        [c.truncate_x(window) for c in phi.img_z])
 
 
 def ref_exp_compose(W: VectorField, N: Automorphism, x_window: int | None = None) -> Automorphism:
     """exp(W) o N, as the Lie series sum_k W^k(N's images)/k!.
 
-    The same map as ``exp(W, 1, x_window).compose(N)``, followed by
-    ``truncate_x(x_window)`` when a window is given; but neither exp(W) nor
-    a substitution into N is formed.  The result has N's Lie generators,
-    their windows lowered to x_window, followed by (W, 1, x_window); or
-    none if N has none.
+    The same map as ``exp(W, 1, x_window).compose(N)``, with its images
+    truncated at x-degree x_window when a window is given; but neither
+    exp(W) nor a substitution into N is formed.  N's factors lie in that
+    window too.  The result has N's Lie generators followed by
+    (W, 1, x_window); or none if N has none.
     For a monomial field W = f(x) z^K z_j d/dz_j, as in every sweep step of
     normalize(), each term is one d/dz_j and one one-term product.
     """
@@ -1179,12 +1193,10 @@ def ref_exp_compose(W: VectorField, N: Automorphism, x_window: int | None = None
         raise DimensionMismatchError("field and automorphism shapes differ")
     ref_require_nilpotent(W, x_window)
     one = G.ONE
-    images = [lie._in_window(s, x_window) for s in (N.img_x,) + N.img_z]
-    images = ref_exp_images(W, one, x_window, images)
+    images = ref_exp_images(W, one, x_window, (N.img_x,) + N.img_z)
     phi = Automorphism(images[0], images[1:])
-    gens = ref_lowered(N._gens, x_window)
-    if gens is not None:
-        object.__setattr__(phi, "_gens", gens + ((W, one, x_window),))
+    if N._gens is not None:
+        object.__setattr__(phi, "_gens", N._gens + ((W, one, x_window),))
     return phi
 
 
@@ -1206,17 +1218,6 @@ def ref_exp_images(X: VectorField, t: G, x_window, series):
     those of exp(tX) o N.  The sum is finite for nilpotent X.
     """
     return [lie._lie_series(X.apply, s, t, x_window) for s in series]
-
-
-def ref_lowered(gens, x_window):
-    """Lie generators with every exp factor's window lowered to at most
-    x_window; a linear factor has none.  gens itself when either is None."""
-    if gens is None or x_window is None:
-        return gens
-    return tuple(
-        (W, t, w) if t is None else (W, t, x_window if w is None else min(w, x_window))
-        for W, t, w in gens
-    )
 
 
 class TestOneFold:

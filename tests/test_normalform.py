@@ -12,6 +12,7 @@ from crossfield.normalform import (
     LinearPartError,
     ResonantTerm,
     _check_support,
+    _intertwines,
     _linear_matrix_or_error,
     _needs_x_window,
     centralizer_check,
@@ -404,6 +405,23 @@ class TestSweepInvariants:
             assert res.certified
             diff = res.normalizer.pushforward(X) - res.normal_field
             assert diff.is_zero()
+
+    @pytest.mark.parametrize("text,x_cap", [
+        ("x*dx - 1/2*z1*dz1 + z1^2*dz1 + 3*z1^3*dz1", None),
+        ("x*dx - z1*dz1 + x*z1*dz1 + x*z1^2*dz1 + 2*x^2*z1^3*dz1", 4),
+    ], ids=["exact", "window"])
+    def test_certificate_rejects_a_perturbed_normalizer(self, text, x_cap):
+        # the certificate normalize() runs holds for its normalizer and fails
+        # once one coefficient of the normalizer is off
+        cap = 4
+        X = parse_field(text, 1, cap)
+        res = normalize(X, [G(Fraction(-1, 2) if x_cap is None else -1)], x_cap=x_cap)
+        assert (res.x_window is None) == (x_cap is None) and res.steps
+        phi = res.normalizer
+        assert _intertwines(Automorphism(phi.img_x, phi.img_z), X, res.normal_field, res.x_window)
+        off = phi.img_z[0] + TransverseSeries.monomial(1, cap, (3,), LaurentPoly.x(1))
+        bad = Automorphism(phi.img_x, [off])
+        assert not _intertwines(bad, X, res.normal_field, res.x_window)
 
     def test_planted_defect_detected(self):
         n, cap = 1, 4

@@ -131,7 +131,7 @@ def ref_monoid_hits_positive_integer(alpha: Fraction, gens) -> bool:
     if not gens:
         return alpha.denominator == 1 and alpha >= 1
     if any(g > 0 for g in gens):
-        e = resonance._fraction_gcd(gens)
+        e = ref_fraction_gcd(gens)
         m = math.lcm(alpha.denominator, e.denominator)
         A = int(alpha * m)
         E = int(e * m)
@@ -146,6 +146,14 @@ def ref_monoid_hits_positive_integer(alpha: Fraction, gens) -> bool:
         if ref_reachable(target, weights):
             return True
     return False
+
+
+def ref_fraction_gcd(vals) -> Fraction:
+    den = math.lcm(*(v.denominator for v in vals))
+    g = 0
+    for v in vals:
+        g = math.gcd(g, abs(int(v * den)))
+    return Fraction(g, den)
 
 
 def ref_reachable(target: int, weights) -> bool:
@@ -592,7 +600,9 @@ class TestReferenceOracles:
         for _ in range(3000):
             alpha = Fraction(rng.randint(-4, 24), rng.randint(1, 6))
             gens = [Fraction(-rng.randint(1, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
-            got = resonance._monoid_hits_positive_integer(alpha, gens)
+            D = math.lcm(alpha.denominator, *(g.denominator for g in gens))
+            ints = [int(g * D) for g in gens]
+            got = resonance._monoid_hits_positive_integer(int(alpha * D), ints, D)
             assert got == ref_monoid_hits_positive_integer(alpha, gens), (alpha, gens)
             hits += got
         assert 300 < hits < 2700
