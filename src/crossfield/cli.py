@@ -62,10 +62,10 @@ __all__ = ["main", "FieldDocument", "MapDocument", "DocumentError"]
 # value alone is not enough (a 16-term field at n = 6, degree 12, 111,384
 # slots, ran past 60 s), so MAX_MONOMIALS bounds the slot count too.  Inside
 # it an exact field with every slot filled normalizes in under 8 s on a
-# 2-core x86 machine (n = 3, d = 8: 5.2 s); the x-cap window is not counted.
-# With every slot and its x* twin filled at x-cap 8 (ROADMAP's D_d^x), n = 3
-# took 2.3 s at d = 6 and 13 s at d = 8 on that machine, once each
-# substituted monomial z'^K took one product (3.3 s and 28 s before).
+# 2-core x86 machine (ROADMAP's D_8, n = 3 with every slot and its x* twin:
+# 4.3 s); the x-cap window is not counted.  The same slots plus x*z1*dz1 at
+# x-cap 8 (ROADMAP's D_d^x) took 1.8 s at d = 6 and 10 s at d = 8 on that
+# machine.
 MAX_N = 6  # the 'n' header, and the number of --mu values
 MAX_DEGREE = 12  # the 'degree' header and --degree
 MAX_X_CAP = 64  # the 'x-cap' header and --x-cap

@@ -209,17 +209,14 @@ class GaussianRational:
         return not self.is_zero()
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        mag = abs(im)
-        imag = "i" if mag == 1 else f"{mag}*i"
-        if not re:
-            return imag if im > 0 else "-" + imag
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{imag}"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio_text(a, d)
+        imag = _imag_text(abs(b), d)
+        if not a:
+            return imag if b > 0 else "-" + imag
+        sign = "+" if b > 0 else "-"
+        return f"{_ratio_text(a, d)}{sign}{imag}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -240,6 +237,20 @@ def _gq(a: int, b: int, d: int) -> GaussianRational:
     v._b = b
     v._d = d
     return v
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """p/q for q > 0 in lowest terms, printed as ``str(Fraction(p, q))``."""
+    g = gcd(p, q)
+    if g != 1:
+        p //= g
+        q //= g
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+def _imag_text(p: int, q: int) -> str:
+    """(p/q)*i for p, q > 0: ``i`` when p/q is 1."""
+    return "i" if p == q else f"{_ratio_text(p, q)}*i"
 
 
 def _parts(v):
@@ -474,16 +485,15 @@ def format_term(coeff, var_text: str):
     printer can join with " + " / " - "; mixed coefficients stay inside
     parentheses, which is also the only form the grammar accepts for them.
     """
-    if not coeff.im:
-        neg = coeff.re < 0
-        mag = abs(coeff.re)
-        if mag == 1 and var_text:
+    a, b, d = coeff._a, coeff._b, coeff._d
+    if not b:
+        neg = a < 0
+        if abs(a) == d and var_text:
             return neg, var_text
-        body = str(mag)
-    elif not coeff.re:
-        neg = coeff.im < 0
-        mag = abs(coeff.im)
-        body = "i" if mag == 1 else f"{mag}*i"
+        body = _ratio_text(abs(a), d)
+    elif not a:
+        neg = b < 0
+        body = _imag_text(abs(b), d)
     else:
         body = f"({coeff})"
         neg = False

@@ -16,6 +16,8 @@ Phi* X = Phi o X o Phi^{-1}.  Composition is operator composition:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import groupby
 
 from .coeff import GaussianRational, LaurentPoly, as_scalar
 from .series import (
@@ -722,23 +724,45 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
 
     From the coordinates, innermost factor first: an exp factor (W, t, w)
     runs the Lie series sum_k t^k/k! W^k on each running image in window w,
-    and a linear factor (M, None, None) substitutes z -> M z.  All exp
-    factors of one fold share one window, so the series takes the images as
-    they are: the images an exp factor leaves already lie in that window,
-    but for the coordinate x when w = 0, which stays x.  The factors are
-    trusted: each W must be nilpotent in its window.
+    and a linear factor (M, None, None) substitutes z -> M z.  A run of two
+    or more consecutive exp factors that act additively
+    (:func:`_acts_additively`), such as the upper half of a normalize sweep
+    or the start of its inverse's reversed list, maps each image s to
+    s + V(s) with V = sum t*W, exactly the product of their Lie series at
+    the cap.  All exp factors of one fold share one window, so the series
+    takes the images as they are: the images an exp factor leaves already
+    lie in that window, but for the coordinate x when w = 0, which stays x.
+    The factors are trusted: each W must be nilpotent in its window.
     """
     factors = tuple(factors)
     images = _coordinates(n, cap)
-    for W, t, w in factors:
-        if t is None:
-            L = Automorphism.linear(W, cap)
-            images = [L.apply(s) for s in images]
-        else:
-            images = [_lie_series(W.apply, s, t, w) for s in images]
+    for additive, run in groupby(factors, key=lambda f: _acts_additively(f, cap)):
+        run = list(run)
+        if additive and len(run) > 1:
+            V = reduce(VectorField.__add__, (W if t == 1 else W.scale(t) for W, t, _ in run))
+            w = run[0][2]
+            images = [s + V.apply(s, w) for s in images]
+            continue
+        for W, t, w in run:
+            if t is None:
+                L = Automorphism.linear(W, cap)
+                images = [L.apply(s) for s in images]
+            else:
+                images = [_lie_series(W.apply, s, t, w) for s in images]
     phi = Automorphism(images[0], images[1:])
     object.__setattr__(phi, "_gens", factors)
     return phi
+
+
+def _acts_additively(factor, cap: int) -> bool:
+    """Is factor an exp factor (W, t, w) with no d/dx part whose every term
+    raises z-degree by some k with 2k >= cap?
+
+    Then W applied twice, or after another such factor, lands above the
+    cap, so a run of them acts on a series s as s + V(s), V = sum t*W.
+    """
+    W, t, _ = factor
+    return t is not None and W.a.is_zero() and all(2 * c.madic_order() >= cap + 2 for c in W.b)
 
 
 def _lie_series(step, start, t, x_window):
@@ -795,7 +819,8 @@ def exp_ad(W: VectorField, X: VectorField, x_window: int | None = None) -> Vecto
     """exp(ad_W)(X) = sum_k ad_W^k(X)/k!, finite at the cap for nilpotent W.
 
     Equals exp(W).pushforward(X); the two routes are kept independent so one
-    can certify the other.  ``x_window`` truncates X first, once, and then
+    can certify the other: normalize's certificate is pure substitution,
+    whether its sweep took a step by exp_ad or a level by one bracket.  ``x_window`` truncates X first, once, and then
     forms each bracket only up to that x-degree, from the previous bracket
     as cut: the term-truncated series.  As in :func:`exp`, that is
     exp(ad_W)(X) truncated at x-degree x_window only when ad_W lowers no

@@ -17,6 +17,14 @@ Lie factor (W, 1, window), and lie._from_factors folds the normalizer
 exp(W_k) o ... o exp(W_1) from them once the sweep is done, one derivative
 and one one-term product per term.
 
+The upper half of the sweep is linear.  A factor at slot degree k raises
+z-degree by k, so for 2k >= cap its ad_W^2 and its bracket with another
+such factor land above the top slot cap - 1: each slot degree k >= 1 with
+2k >= cap is solved slot by slot against the linear part and then applied
+as one bracket X + [sum W, X], with the same steps, factors and normal
+field as one exp(ad W) per slot.  The fold applies the run of those
+factors as one field in the same way.
+
 x-dependent diagonal linear terms exponentiate to transcendental scalings
 (z -> e^{f(x)} z), so fields carrying them are processed in the x-truncated
 ring through degree x_cap, where the whole story is polynomial again and the
@@ -28,13 +36,15 @@ truncate.  That is exact because the mode requires Taylor data and the d/dx
 component x, so no factor has a negative x-exponent and no x-image moves.
 
 Every run is certified through the substitution route, independent of the
-adjoint series the sweep uses: normalize() checks the intertwining relation
+brackets and adjoint series the sweep uses: normalize() checks the
+intertwining relation
 Phi o X = X_normal o Phi on the coordinates.  A caller who wants the
 residual field itself forms Phi.pushforward(X) - X_normal.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .coeff import GaussianRational, LaurentPoly
@@ -156,6 +166,10 @@ def normalize(
     x-support of the input (validated when given) and is mandatory when the
     diagonal has x-dependent linear terms, in which case all arithmetic runs
     in the ring truncated at x-degree x_cap and all statements hold there.
+
+    Slot degrees below cap/2 take one exp_ad each; each slot degree k >= 1
+    with 2k >= cap takes one bracket (:func:`_sweep_level`).  The
+    certificate stays pure substitution, independent of either route.
     """
     mu = as_eigenvalues(mu)
     n, cap = X.n, X.cap
@@ -179,8 +193,9 @@ def normalize(
     field = X if window is None else X.truncate_x(window)
     factors = []
     steps = []
+    half = (cap + 1) // 2  # the least slot degree k >= 1 with 2k >= cap
     key = (0,)  # below every slot of degree >= 0
-    while (key := _next_slot(field, key, cap)) is not None:
+    while (key := _next_slot(field, key, half)) is not None:
         idx = MonomialIndex(key[1], key[2])
         g = field.coefficient_at(idx)
         s = pairing(mu, idx.K)
@@ -191,10 +206,9 @@ def normalize(
         field = exp_ad(W, field, x_window=window)
         factors.append((W, GaussianRational.ONE, window))
         steps.append(idx)
-        if field.coefficient_at(idx) != residual:
-            raise CertificateError(
-                f"elimination at {idx} left an unexpected coefficient"
-            )
+        _check_residual(field, [(idx, residual)])
+    for k in range(half, cap):
+        field = _sweep_level(field, k, mu, window, factors, steps)
 
     if field.a != TransverseSeries.x_series(n, cap):
         raise CertificateError("the sweep disturbed the d/dx component")
@@ -239,14 +253,84 @@ def normalize(
     )
 
 
-def _next_slot(field: VectorField, after: tuple, cap: int):
+def _check_residual(field: VectorField, solved) -> None:
+    """Each (idx, residual) of a step must leave exactly residual at idx."""
+    for idx, residual in solved:
+        if field.coefficient_at(idx) != residual:
+            raise CertificateError(
+                f"elimination at {idx} left an unexpected coefficient"
+            )
+
+
+def _sweep_level(field: VectorField, k: int, mu, window, factors, steps) -> VectorField:
+    """Eliminate every slot of degree k, for k >= 1 with 2k >= cap, in one
+    bracket; append the steps and their factors, in slot order, as the
+    per-slot sweep would.
+
+    A level-k factor W raises z-degree by k, so ad_W^2 and the bracket of
+    two level-k factors land at degree 2k, above the top slot cap - 1:
+    the per-slot steps exp(ad W_b) ... exp(ad W_a) add up to X + [V, X]
+    with V = sum W.  While the level is walked, slot b sees an earlier W_a
+    only through [W_a, off], off the field's off-diagonal z-linear part
+    (Jordan entries and surviving x^m z_a dz_b terms), which moves a term
+    to a later slot of the same level; the residual check afterwards holds
+    the batch to that.
+    """
+    n, cap = field.n, field.cap
+    coeffs = _level_terms(field, k)
+    zero = TransverseSeries.zero(n, cap)
+    off = VectorField(zero, [
+        TransverseSeries(n, cap, {M: c for M, c in comp._terms.items() if sum(M) == 1 and not M[j]})
+        for j, comp in enumerate(field.b)
+    ])
+    off = None if off.is_zero() else off
+    keys = sorted(coeffs)  # a sorted list is a heap
+    parts = [{} for _ in range(n)]  # V's z-components
+    solved = []
+    while keys:
+        key = heapq.heappop(keys)
+        idx = MonomialIndex(key[1], key[2])
+        f, residual = coeffs[key].euler_solve(pairing(mu, idx.K))
+        if f.is_zero():
+            continue
+        W = VectorField.monomial(n, cap, idx, f)
+        factors.append((W, GaussianRational.ONE, window))
+        steps.append(idx)
+        solved.append((idx, residual))
+        parts[idx.j - 1][idx.z_exponent()] = f
+        if off is not None:
+            for later, c in _level_terms(W.bracket(off, window), k).items():
+                if later in coeffs:
+                    coeffs[later] = coeffs[later] + c
+                else:
+                    coeffs[later] = c
+                    heapq.heappush(keys, later)
+    if not solved:
+        return field
+    V = VectorField(zero, [TransverseSeries(n, cap, p) for p in parts])
+    field = field + V.bracket(field, window)
+    _check_residual(field, solved)
+    return field
+
+
+def _level_terms(field: VectorField, k: int) -> dict:
+    """{pair key (k, K, j): coefficient} of the terms of field at slot degree k."""
+    out = {}
+    for j, comp in enumerate(field.b, start=1):
+        for M, c in comp._terms.items():
+            if sum(M) == k + 1:
+                out[(k, M[: j - 1] + (M[j - 1] - 1,) + M[j:], j)] = c
+    return out
+
+
+def _next_slot(field: VectorField, after: tuple, top: int):
     """The least pair key (|K|, K, j) of a term of field above ``after``, or None.
 
     One pass over the z-terms: z^M d/dz_j sits at slot K = M - e_j, and only
-    slots with |K| < cap count (the sentinel (cap,) sorts above exactly those).
+    slots with |K| < top count (the sentinel (top,) sorts above exactly those).
     A term whose degree is out of range is passed over before its K is built.
     """
-    best = (cap,)
+    best = (top,)
     for j, comp in enumerate(field.b, start=1):
         for M in comp._terms:
             d = sum(M) - 1
@@ -254,7 +338,7 @@ def _next_slot(field: VectorField, after: tuple, cap: int):
                 key = (d, M[: j - 1] + (M[j - 1] - 1,) + M[j:], j)
                 if after < key < best:
                     best = key
-    return None if best == (cap,) else best
+    return None if best == (top,) else best
 
 
 def _check_support(X: VectorField, x_cap: int):

@@ -10,6 +10,7 @@ from crossfield import (
     TransverseSeries,
     VectorField,
     exp,
+    lie,
 )
 from crossfield.coeff import _gq, _lp_raw, as_scalar
 from crossfield.series import iter_exponents
@@ -168,6 +169,22 @@ def euler_apply(f, s):
         if v != 0:
             data[e] = v
     return _lp_raw(data)
+
+
+def ref_fold(n, cap, factors):
+    """f_k o ... o f_1 from its Lie factors, each on its own: one Lie series
+    per exp factor and one substitution per linear factor, innermost first.
+    The map has no factors."""
+    images = [TransverseSeries.x_series(n, cap)] + [
+        TransverseSeries.variable(n, cap, i + 1) for i in range(n)
+    ]
+    for W, t, w in factors:
+        if t is None:
+            L = Automorphism.linear(W, cap)
+            images = [L.apply(s) for s in images]
+        else:
+            images = [lie._lie_series(W.apply, s, t, w) for s in images]
+    return Automorphism(images[0], images[1:])
 
 
 def scale_series(X, f):

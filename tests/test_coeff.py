@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crossfield.coeff import CoefficientSyntaxError, GaussianRational, LaurentPoly
+from crossfield.coeff import CoefficientSyntaxError, GaussianRational, LaurentPoly, format_term
 
 from helpers import abs_bound, conjugate, euler_apply, rand_gq, rand_gq_nonzero, rand_laurent
 
@@ -223,6 +223,71 @@ class TestKernelProperties:
     def test_zero_is_one_triple(self):
         for z in (G(0), G(Fraction(0), 0), G(1) - G(1), G(0, 3) * 0):
             assert (z._a, z._b, z._d) == (0, 0, 1)
+
+
+def ref_str(v):
+    """GaussianRational.__str__ from the Fraction parts re and im."""
+    if v.is_zero():
+        return "0"
+    re, im = v.re, v.im
+    if not im:
+        return str(re)
+    mag = abs(im)
+    imag = "i" if mag == 1 else f"{mag}*i"
+    if not re:
+        return imag if im > 0 else "-" + imag
+    sign = "+" if im > 0 else "-"
+    return f"{re}{sign}{imag}"
+
+
+def ref_format_term(coeff, var_text):
+    """format_term from the Fraction parts re and im."""
+    if not coeff.im:
+        neg = coeff.re < 0
+        mag = abs(coeff.re)
+        if mag == 1 and var_text:
+            return neg, var_text
+        body = str(mag)
+    elif not coeff.re:
+        neg = coeff.im < 0
+        mag = abs(coeff.im)
+        body = "i" if mag == 1 else f"{mag}*i"
+    else:
+        body = f"({ref_str(coeff)})"
+        neg = False
+    if var_text:
+        body = f"{body}*{var_text}"
+    return neg, body
+
+
+class TestPrinter:
+    """str and format_term print from the integer triple, as the Fraction
+    parts printed."""
+
+    def values(self):
+        rng = random.Random(83)
+        big = 2**130 + 7
+        parts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-7, 3),
+                 Fraction(big, 3), Fraction(-3, big), Fraction(big, big + 2), Fraction(6)]
+        for re in parts:
+            for im in parts:
+                yield G(re, im)
+        for _ in range(200):
+            den = rng.choice([1, 2, 6, 12, 35, big])
+            yield G(Fraction(rng.randint(-40, 40), den), Fraction(rng.randint(-40, 40), rng.choice([1, den])))
+
+    def test_str_matches_fraction_parts(self):
+        for v in self.values():
+            assert str(v) == ref_str(v)
+
+    def test_format_term_matches_fraction_parts(self):
+        shown = set()
+        for v in self.values():
+            for var in ("", "x", "x^2*z1*dz2"):
+                got = format_term(v, var)
+                assert got == ref_format_term(v, var)
+                shown.add(got[1])
+        assert {"i*x", "x", "1", "i", "1/2*i", "(1/2-7/3*i)"} <= shown
 
 
 class TestLaurentPoly:

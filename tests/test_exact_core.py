@@ -20,6 +20,9 @@ An eighth keeps every public name read: each public def and public method
 is read, as a name or an attribute, by the package outside the def itself,
 by ``perfbench/*.py`` or by README's quick start, or it sits on a short
 list with its reason.
+A ninth keeps the printers on the integers: ``coeff.format_term``,
+``GaussianRational.__str__`` and ``series._terms_text`` read no ``.re`` or
+``.im``, each of which builds a reduced ``Fraction``.
 """
 
 import ast
@@ -33,13 +36,10 @@ EXACT_MODULES = ["series.py", "lie.py", "normalform.py", "resonance.py", "parsin
 BOUNDARY = {"coeff.py": {("GaussianRational", "as_complex"), ("LaurentPoly", "evaluate")}}
 
 
-def float_uses(source: str):
-    """(class, function, line) of each float entry point in the source.
-
-    Entry points are calls of the builtins ``complex`` and ``float`` and any
-    ``.as_complex`` attribute; class and function name the innermost
-    enclosing definitions (None at module level).
-    """
+def enclosed_hits(source: str, hit):
+    """(class, function, line) of each node of the source for which hit(node)
+    holds; class and function name the innermost enclosing definitions
+    (None at module level)."""
     found = []
 
     def visit(node, cls, fn):
@@ -50,16 +50,23 @@ def float_uses(source: str):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, cls, child.name)
                 continue
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Name)
-                and child.func.id in ("complex", "float")
-            ) or (isinstance(child, ast.Attribute) and child.attr == "as_complex"):
+            if hit(child):
                 found.append((cls, fn, child.lineno))
             visit(child, cls, fn)
 
     visit(ast.parse(source), None, None)
     return found
+
+
+def float_uses(source: str):
+    """(class, function, line) of each float entry point in the source:
+    calls of the builtins ``complex`` and ``float`` and any ``.as_complex``
+    attribute."""
+    return enclosed_hits(source, lambda node: (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("complex", "float")
+    ) or (isinstance(node, ast.Attribute) and node.attr == "as_complex"))
 
 
 @pytest.mark.parametrize("name", EXACT_MODULES + sorted(BOUNDARY))
@@ -367,3 +374,38 @@ def test_reader_scan_flags_an_unread_def():
         "b.py": "from a import unused, used\nused()\n",
     }
     assert unread_defs(sources, {"wrapped"}) == {("a.py", None, "unused"), ("a.py", "C", "gone")}
+
+
+PRINTERS = {
+    "coeff.py": {("GaussianRational", "__str__"), (None, "format_term")},
+    "series.py": {(None, "_terms_text")},
+}
+
+
+def part_reads(source: str):
+    """(class, function, line) of each read of a ``.re`` or ``.im`` attribute."""
+    return enclosed_hits(source, lambda node: (
+        isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in ("re", "im")
+    ))
+
+
+@pytest.mark.parametrize("module", sorted(PRINTERS))
+def test_printers_read_no_fraction_parts(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    reads = [(cls, fn, line) for cls, fn, line in part_reads(source) if (cls, fn) in PRINTERS[module]]
+    assert not reads, f"{module} prints from Fraction parts at {reads}"
+    returns = {(cls, fn) for cls, fn, _ in enclosed_hits(source, lambda node: isinstance(node, ast.Return))}
+    assert PRINTERS[module] <= returns  # the scan sees each printer's body
+
+
+def test_part_scan_sees_every_read():
+    source = (
+        "class GaussianRational:\n"
+        "    def __str__(self):\n"
+        "        return f'{self.re}+{self.im}*i'\n"
+        "def format_term(coeff, var):\n"
+        "    coeff.re = 0\n"
+        "    return abs(coeff.im) < 0\n"
+    )
+    assert part_reads(source) == [("GaussianRational", "__str__", 3), ("GaussianRational", "__str__", 3),
+                                  (None, "format_term", 6)]

@@ -48,6 +48,7 @@ from helpers import (
     rand_commuting_pair,
     rand_x_normalized_automorphism,
     rand_z_one_flat,
+    ref_fold,
 )
 
 
@@ -1254,3 +1255,81 @@ class TestOneFold:
             for W, t, window in res.normalizer._gens:
                 assert t == 1 and window == res.x_window
                 assert W.is_nilpotent() if window is None else W.is_nilpotent_mod_x()
+
+
+def upper_field(rng, n, cap, min_exp=0):
+    """A field with no d/dx part whose every term raises z-degree by some
+    k with 2k >= cap."""
+    zero = TransverseSeries.zero(n, cap)
+    deg = (cap + 3) // 2
+    return VectorField(zero, [
+        rand_series(rng, n, cap, terms=2, min_deg=deg, min_exp=min_exp, max_exp=2) for _ in range(n)
+    ])
+
+
+def shown(phi):
+    """Equality and the printed bytes."""
+    return phi, str(phi)
+
+
+class TestAdditiveRuns:
+    """_from_factors applies a run of two or more exp factors that raise
+    z-degree by k >= cap/2, and have no d/dx part, as one field V = sum t*W;
+    ref_fold runs one Lie series per factor."""
+
+    @pytest.mark.parametrize("window", [None, 0, 2])
+    def test_composed_upper_factors_fold_as_one_field(self, window):
+        rng = random.Random(76)
+        for n, cap in ((1, 4), (2, 4), (2, 5), (3, 4), (2, 6)):
+            V1 = upper_field(rng, n, cap, min_exp=0 if window is not None else -1)
+            V2 = upper_field(rng, n, cap)
+            t1, t2 = G(Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))), G(1)
+            phi = exp(V1, t1, x_window=window).compose(exp(V2, t2, x_window=window))
+            gens = ((V2, t2, window), (V1, t1, window))
+            assert phi._gens == gens
+            assert all(lie._acts_additively(f, cap) for f in gens)
+            folded = lie._from_factors(n, cap, gens)
+            assert shown(folded) == shown(ref_fold(n, cap, gens))
+            assert folded._gens == gens
+            if window is None:
+                assert folded == phi
+
+    def test_runs_break_at_other_factors(self):
+        # a linear factor, a factor with a d/dx part and one raising z-degree
+        # by k < cap/2 each end a run; x*z1^2*dx raises z-degree by 2 = cap/2,
+        # but exp of it moves x by a term of degree 4
+        rng = random.Random(77)
+        n, cap = 2, 4
+        one = G.ONE
+        U = [upper_field(rng, n, cap) for _ in range(4)]
+        dx = VectorField(TransverseSeries.monomial(n, cap, (2, 0), LaurentPoly.x(1)), U[0].b)
+        breakers = [
+            (dx, one, None),
+            (rand_z_one_flat(rng, n, cap), G(-1), None),
+            (rand_invertible_matrix(rng, n), None, None),
+        ]
+        for brk in breakers:
+            gens = ((U[0], one, None), (U[1], G(-1), None), brk, (U[2], one, None), (U[3], G(2), None))
+            assert [lie._acts_additively(f, cap) for f in gens if f is not brk] == [True] * 4
+            folded = lie._from_factors(n, cap, gens)
+            assert shown(folded) == shown(ref_fold(n, cap, gens))
+            assert folded._gens == gens
+        x = TransverseSeries.x_series(n, cap)
+        assert ref_fold(n, cap, [breakers[0]]).img_x != x + dx.a
+
+    @pytest.mark.parametrize("mode", ["exact", "window"])
+    def test_normalizer_inverse_starts_with_a_run(self, mode):
+        # invert() folds the reversed factors -t*W: the sweep's upper run
+        # comes first
+        cases = exact_fields() if mode == "exact" else window_fields()
+        runs = 0
+        for X, mu, x_cap in cases:
+            res = normalize(X, mu, x_cap=x_cap)
+            inv = res.normalizer.invert()
+            n, cap = X.n, X.cap
+            runs += all(lie._acts_additively(f, cap) for f in inv._gens[:2])
+            assert shown(inv) == shown(ref_fold(n, cap, inv._gens))
+            ident = Automorphism.identity(n, cap)
+            for one_way in (res.normalizer.compose(inv), inv.compose(res.normalizer)):
+                assert _in_window(one_way, res.x_window) == ident
+        assert runs >= 2

@@ -1,15 +1,18 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from crossfield import cli
 from crossfield.coeff import GaussianRational as G
 from crossfield.coeff import LaurentPoly
-from crossfield.lie import Automorphism, VectorField, _from_factors, exp_ad
+from crossfield.lie import Automorphism, VectorField, exp_ad
 from crossfield.normalform import (
     CentralizerElement,
     CentralizerResult,
     LinearPartError,
+    NormalFormResult,
     ResonantTerm,
     _check_support,
     _intertwines,
@@ -31,21 +34,25 @@ from helpers import (
     rand_mu,
     rand_series,
     rand_x_normalized,
+    ref_fold,
 )
+from test_x_window import _mono, dense_document, normalize_json
 
 
 def mono(n, cap, K, j, coeff):
     return VectorField.monomial(n, cap, MonomialIndex(K, j), coeff)
 
 
-# --- reference oracles: the sweep before it visited only the present slots,
-# and the centralizer before it decided integrality over the integers --------
+# --- reference oracles: the sweep before it visited only the present slots
+# and took its upper levels in one bracket each, and the centralizer before
+# it decided integrality over the integers ---------------------------------
 
 
 def ref_normalize(X, mu, x_cap=None):
-    """normalize's sweep over every slot of iter_l_indices(n, 0, cap - 1),
-    and its resonant-term readout; returns (field, normalizer, resonant,
-    steps).  Validation as in normalize; no certificate."""
+    """normalize's sweep one slot at a time, over every slot of
+    iter_l_indices(n, 0, cap - 1) with one exp_ad per step, the normalizer
+    folded one factor at a time, and the resonant-term readout and
+    certificate.  Validation as in normalize."""
     mu = as_eigenvalues(mu)
     n, cap = X.n, X.cap
     C, eps = _linear_matrix_or_error(X, mu)
@@ -75,7 +82,7 @@ def ref_normalize(X, mu, x_cap=None):
 
     if field.a != TransverseSeries.x_series(n, cap):
         raise AssertionError("the sweep disturbed the d/dx component")
-    normalizer = _from_factors(n, cap, factors)
+    normalizer = ref_fold(n, cap, factors)
 
     resonant = []
     for idx, poly in field.l_terms():
@@ -99,7 +106,11 @@ def ref_normalize(X, mu, x_cap=None):
         ):
             continue  # adjacent Jordan entry, reported through eps
         resonant.append(ResonantTerm(K, j, -s_int, coeff))
-    return field, normalizer, tuple(resonant), tuple(steps)
+    certified = _intertwines(normalizer, X, field, window)
+    object.__setattr__(normalizer, "_gens", tuple(factors))
+    return NormalFormResult(
+        field, normalizer, tuple(resonant), eps, mu, tuple(steps), window, certified
+    )
 
 
 def ref_centralizer_solve(mu, x_window, degree):
@@ -300,15 +311,15 @@ class TestPresentSlotWalk:
         resonant = 0
         for X, mu, x_cap in sweep_cases():
             res = normalize(X, mu, x_cap=x_cap)
-            field, normalizer, terms, steps = ref_normalize(X, mu, x_cap)
-            assert res.steps == steps
-            assert res.normal_field == field
-            assert res.normalizer == normalizer
-            assert res.normalizer._gens == normalizer._gens
-            assert res.resonant == terms
-            assert res.certified
+            ref = ref_normalize(X, mu, x_cap)
+            assert res.steps == ref.steps
+            assert res.normal_field == ref.normal_field
+            assert res.normalizer == ref.normalizer
+            assert res.normalizer._gens == ref.normalizer._gens
+            assert res.resonant == ref.resonant
+            assert res.certified and ref.certified
             modes.add(res.x_window is None)
-            resonant += bool(terms)
+            resonant += bool(ref.resonant)
         assert modes == {True, False}
         assert resonant >= 4
 
@@ -324,6 +335,78 @@ class TestPresentSlotWalk:
         ]
         assert MonomialIndex((0, 1), 1) in created and MonomialIndex((0, 1), 2) in created
         assert res.normal_field == parse_field("x*dx - z1*dz1 - z2*dz2 + z1*dz2", 2, 5)
+
+
+def level_document(i):
+    """A seeded normalize document: n 1-3, degree 3-7, generic or resonant
+    mu, exact (Laurent) or x-cap mode, and 2-7 terms of degree 2 up to the
+    degree, most of them in the upper half.  When n > 1, a third of the
+    documents carry a Jordan entry z_{i-1}*dz_i and a third a resonant
+    x^m*z_a*dz_b (a < b, mu_b = mu_a + m) that survives the sweep."""
+    rng = random.Random(f"level:{i}")
+    n = rng.randint(1, 3)
+    degree = rng.randint(3, 7)
+    window = rng.randint(2, 6) if rng.random() < 0.35 else None
+    if rng.random() < 0.5:
+        mu = [rand_gq_nonzero(rng, 3, 3) for _ in range(n)]
+    else:
+        mu = [G(Fraction(rng.choice([-3, -2, -1, 1, 2]), rng.choice([1, 1, 2]))) for _ in range(n)]
+    terms = []
+    kind = rng.choice(["plain", "jordan", "offdiag"]) if n > 1 else "plain"
+    if kind == "jordan":
+        b = rng.randint(2, n)
+        mu[b - 1] = mu[b - 2]
+        terms.append(f"z{b - 1}*dz{b}")
+    elif kind == "offdiag":
+        a, b = sorted(rng.sample(range(1, n + 1), 2))
+        m = rng.randint(1, 2)
+        mu[b - 1] = mu[a - 1] + m
+        terms.append(f"({rand_gq_nonzero(rng)})*" + _mono(m, [int(p == a - 1) for p in range(n)], f"dz{b}"))
+    if window is not None:
+        j = rng.randint(1, n)
+        terms.append(f"({rand_gq_nonzero(rng, 2, 2)})*x*z{j}*dz{j}")
+    for _ in range(rng.randint(2, 7)):
+        d = rng.randint(2, degree) if rng.random() < 0.3 else rng.randint(degree // 2 + 1, degree)
+        cuts = [0] + sorted(rng.randint(0, d) for _ in range(n - 1)) + [d]
+        K = [cuts[t + 1] - cuts[t] for t in range(n)]
+        e = rng.randint(0, min(2, window)) if window is not None else rng.randint(-1, 2)
+        terms.append(f"({rand_gq_nonzero(rng)})*x^{e}*" + _mono(0, K, f"dz{rng.randint(1, n)}"))
+    header = f"n: {n}\ndegree: {degree}\n" + (f"x-cap: {window}\n" if window is not None else "")
+    field = " + ".join(["x*dx"] + [f"({m})*z{j}*dz{j}" for j, m in enumerate(mu, 1)] + terms)
+    return header + f"mu: {','.join(map(str, mu))}\nfield: {field}\n"
+
+
+class TestUpperLevels:
+    """normalize takes each slot degree k >= 1 with 2k >= cap in one
+    bracket, and the normalizer's fold applies a run of such factors as one
+    field; ref_normalize steps one slot and folds one factor at a time."""
+
+    def oracle_json(self, monkeypatch, path, text):
+        real = normalize_json(path, text)
+        monkeypatch.setattr(cli, "normalize", ref_normalize)
+        ref = normalize_json(path, text)
+        monkeypatch.undo()
+        return real, ref
+
+    def test_seeded_documents_match_the_per_slot_sweep(self, monkeypatch, tmp_path):
+        seen = {"jordan": 0, "offdiag": 0, "window": 0, "upper": 0}
+        for i in range(200):
+            text = level_document(i)
+            real, ref = self.oracle_json(monkeypatch, tmp_path / "l.vf", text)
+            assert real == ref, text
+            rc, out, _ = real
+            assert rc == 0 and '"certified": true' in out, text
+            report = json.loads(out)
+            seen["jordan"] += 1 in report["eps"]
+            seen["offdiag"] += any(sum(t["K"]) == 0 for t in report["resonant"])
+            seen["window"] += report["x_window"] is not None
+            seen["upper"] += sum(2 * sum(s["K"]) >= report["degree"] for s in report["steps"]) >= 2
+        assert min(seen.values()) >= 30, seen
+
+    @pytest.mark.parametrize("d,windowed", [(5, False), (6, False), (5, True)])
+    def test_dense_documents_match_the_per_slot_sweep(self, monkeypatch, tmp_path, d, windowed):
+        real, ref = self.oracle_json(monkeypatch, tmp_path / "d.vf", dense_document(d, windowed))
+        assert real == ref and real[0] == 0
 
 
 class TestNormalizeValidation:
