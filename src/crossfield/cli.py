@@ -384,11 +384,20 @@ def _header_doc(args):
 
 
 def _mu_from(args, doc=None):
+    """The eigenvalues of --mu, else of the document's mu: header.  Beside a
+    document, --mu must list its n values and agree with its mu:."""
     if getattr(args, "mu", None):
         parts = args.mu.split(",")
         if len(parts) > MAX_N:
             raise DocumentError(f"--mu lists {len(parts)} values, at most {MAX_N}")
-        return _coeffs(parts, "--mu")
+        mu = _coeffs(parts, "--mu")
+        if doc is not None and len(mu) != doc.n:
+            raise DocumentError(f"--mu lists {len(mu)} values for n = {doc.n}")
+        if doc is not None and doc.mu is not None and mu != doc.mu:
+            raise DocumentError(
+                f"--mu={args.mu} differs from the document's mu: {', '.join(map(str, doc.mu))}"
+            )
+        return mu
     if doc is not None and doc.mu is not None:
         return doc.mu
     raise DocumentError("eigenvalues required: pass --mu or declare mu in the document")
@@ -401,6 +410,13 @@ def _coeffs(parts, name: str, where: str = "") -> tuple:
         return tuple(GaussianRational.from_string(part) for part in parts)
     except CoefficientSyntaxError as e:
         raise DocumentError(f"{where}bad {name} value: {e}")
+
+
+def _check_second(what: str, doc, X: VectorField) -> None:
+    """A second document (a --field2 or a --map) must have X's n and degree."""
+    for key, theirs, ours in (("n", doc.n, X.n), ("degree", doc.degree, X.cap)):
+        if theirs != ours:
+            raise DocumentError(f"{what} {key} {theirs} does not match field {key} {ours}")
 
 
 def _window_arg(raw: str):
@@ -417,10 +433,6 @@ def _window_arg(raw: str):
 def _cmd_normalize(args):
     doc, X = _load_field(args, use_degree_flag=True)
     mu = _mu_from(args, doc) if (args.mu or doc.mu) else _diagonal_mu(X)
-    if doc.mu is not None and mu != doc.mu:
-        raise DocumentError(
-            f"--mu={args.mu} differs from the document's mu: {', '.join(map(str, doc.mu))}"
-        )
     x_cap = args.x_cap if args.x_cap is not None else doc.x_cap
     result = normalize(X, mu, x_cap=x_cap)
     report = {
@@ -519,11 +531,10 @@ def _cmd_centralizer(args):
 
 
 def _cmd_check_commute(args):
-    doc, X = _load_field(args)
+    _, X = _load_field(args)
     doc2 = _load(FieldDocument, args.field2, "--field2", args.command)
-    if doc2.n != doc.n:
-        raise DocumentError("the two fields have different n")
-    Y = doc2.field(X.cap)
+    _check_second("--field2", doc2, X)
+    Y = doc2.field()
     br = X.bracket(Y)
     commute = br.is_zero()
     report = {
@@ -577,13 +588,11 @@ def _cmd_holonomy(args):
 
 
 def _cmd_conjugacy_check(args):
-    doc, X = _load_field(args)
-    psi = _load(MapDocument, args.map, "--map").automorphism()
+    _, X = _load_field(args)
+    mapdoc = _load(MapDocument, args.map, "--map")
+    _check_second("map", mapdoc, X)
+    psi = mapdoc.automorphism()
     degree = args.degree if args.degree is not None else 2
-    if psi.cap != X.cap:
-        raise DocumentError(
-            f"map degree {psi.cap} does not match field degree {X.cap}"
-        )
     residual = conjugacy_residual(X, psi, degree, tol=args.tol)
     ok = args.max_residual is None or residual <= args.max_residual
     report = {

@@ -10,20 +10,22 @@ monomials with everything already in the field land strictly later in the
 pair order (this is why the linear part must sit in the triangular cone
 z_a d/dz_b, a <= b), so a single ascending sweep terminates with the
 resonant monomials x^{-<mu,K>} z^K L(e_j), <mu,K> in Z_{<=0}, plus the
-linear reference part.  The sweep visits only the slots that hold a term:
-after each one it rescans the field for the least present slot above it,
-which also finds the slots a step has just created.  Each step records its
-Lie factor (W, 1, window), and lie._from_factors folds the normalizer
-exp(W_k) o ... o exp(W_1) from them once the sweep is done, one derivative
-and one one-term product per term.
+linear reference part.  The sweep visits only the slots that hold a term,
+one slot degree at a time: a step at degree k writes only to later slots
+of degree >= k, so each level's present slots are walked in key order,
+and a slot that a step creates in its own level joins the walk.  Each
+step records its Lie factor (W, 1, window), and lie._from_factors folds the
+normalizer exp(W_k) o ... o exp(W_1) from them once the sweep is done, one
+derivative and one one-term product per term.
 
 The upper half of the sweep is linear.  A factor at slot degree k raises
 z-degree by k, so for 2k >= cap its ad_W^2 and its bracket with another
 such factor land above the top slot cap - 1: each slot degree k >= 1 with
 2k >= cap is solved slot by slot against the linear part and then applied
 as one bracket X + [sum W, X], with the same steps, factors and normal
-field as one exp(ad W) per slot.  The fold applies the run of those
-factors as one field in the same way.
+field as one exp(ad W) per slot.  Below it each step is one exp(ad W),
+after which the level's slots above it are read again.  The fold applies
+the run of upper factors as one field in the same way.
 
 x-dependent diagonal linear terms exponentiate to transcendental scalings
 (z -> e^{f(x)} z), so fields carrying them are processed in the x-truncated
@@ -167,9 +169,10 @@ def normalize(
     diagonal has x-dependent linear terms, in which case all arithmetic runs
     in the ring truncated at x-degree x_cap and all statements hold there.
 
-    Slot degrees below cap/2 take one exp_ad each; each slot degree k >= 1
-    with 2k >= cap takes one bracket (:func:`_sweep_level`).  The
-    certificate stays pure substitution, independent of either route.
+    The sweep walks one slot degree at a time (:func:`_sweep_level`):
+    below cap/2 each step is one exp_ad, and each slot degree k >= 1 with
+    2k >= cap takes one bracket.  The certificate stays pure substitution,
+    independent of either route.
     """
     mu = as_eigenvalues(mu)
     n, cap = X.n, X.cap
@@ -188,26 +191,16 @@ def normalize(
             )
         window = x_cap
     if x_cap is not None:
+        if x_cap < 1:
+            raise LinearPartError(
+                f"x_cap must be at least 1, the x-degree of the d/dx component x; got {x_cap}"
+            )
         _check_support(X, x_cap)
 
     field = X if window is None else X.truncate_x(window)
     factors = []
     steps = []
-    half = (cap + 1) // 2  # the least slot degree k >= 1 with 2k >= cap
-    key = (0,)  # below every slot of degree >= 0
-    while (key := _next_slot(field, key, half)) is not None:
-        idx = MonomialIndex(key[1], key[2])
-        g = field.coefficient_at(idx)
-        s = pairing(mu, idx.K)
-        f, residual = g.euler_solve(s)
-        if f.is_zero():
-            continue
-        W = VectorField.monomial(n, cap, idx, f)
-        field = exp_ad(W, field, x_window=window)
-        factors.append((W, GaussianRational.ONE, window))
-        steps.append(idx)
-        _check_residual(field, [(idx, residual)])
-    for k in range(half, cap):
+    for k in range(cap):
         field = _sweep_level(field, k, mu, window, factors, steps)
 
     if field.a != TransverseSeries.x_series(n, cap):
@@ -263,27 +256,34 @@ def _check_residual(field: VectorField, solved) -> None:
 
 
 def _sweep_level(field: VectorField, k: int, mu, window, factors, steps) -> VectorField:
-    """Eliminate every slot of degree k, for k >= 1 with 2k >= cap, in one
-    bracket; append the steps and their factors, in slot order, as the
-    per-slot sweep would.
+    """Eliminate the slots of degree k in key order, appending each step and
+    its factor to steps and factors.
 
-    A level-k factor W raises z-degree by k, so ad_W^2 and the bracket of
-    two level-k factors land at degree 2k, above the top slot cap - 1:
-    the per-slot steps exp(ad W_b) ... exp(ad W_a) add up to X + [V, X]
-    with V = sum W.  While the level is walked, slot b sees an earlier W_a
-    only through [W_a, off], off the field's off-diagonal z-linear part
-    (Jordan entries and surviving x^m z_a dz_b terms), which moves a term
-    to a later slot of the same level; the residual check afterwards holds
-    the batch to that.
+    A step at degree k writes only to later slots, so the walk never
+    revisits one, and the residual check at the end holds every solved slot
+    of the level.  Below the linear levels (k = 0, or 2k < cap) each step is
+    one exp_ad, after which the level's slots above it are read again from
+    the field it leaves.
+
+    On a linear level (k >= 1, 2k >= cap) a factor W raises z-degree by k,
+    so ad_W^2 and the bracket of two level-k factors land at degree 2k,
+    above the top slot cap - 1: the steps exp(ad W_b) ... exp(ad W_a) add up
+    to X + [V, X] with V = sum W, applied once at the end.  While the level
+    is walked, slot b sees an earlier W_a only through [W_a, off], off the
+    field's off-diagonal z-linear part (Jordan entries and surviving
+    x^m z_a dz_b terms), which moves a term to a later slot of the level.
     """
     n, cap = field.n, field.cap
+    linear = k >= 1 and 2 * k >= cap
     coeffs = _level_terms(field, k)
     zero = TransverseSeries.zero(n, cap)
-    off = VectorField(zero, [
-        TransverseSeries(n, cap, {M: c for M, c in comp._terms.items() if sum(M) == 1 and not M[j]})
-        for j, comp in enumerate(field.b)
-    ])
-    off = None if off.is_zero() else off
+    off = None
+    if linear:
+        off = VectorField(zero, [
+            TransverseSeries(n, cap, {M: c for M, c in comp._terms.items() if sum(M) == 1 and not M[j]})
+            for j, comp in enumerate(field.b)
+        ])
+        off = None if off.is_zero() else off
     keys = sorted(coeffs)  # a sorted list is a heap
     parts = [{} for _ in range(n)]  # V's z-components
     solved = []
@@ -297,6 +297,11 @@ def _sweep_level(field: VectorField, k: int, mu, window, factors, steps) -> Vect
         factors.append((W, GaussianRational.ONE, window))
         steps.append(idx)
         solved.append((idx, residual))
+        if not linear:
+            field = exp_ad(W, field, x_window=window)
+            coeffs = _level_terms(field, k)
+            keys = sorted(later for later in coeffs if later > key)
+            continue
         parts[idx.j - 1][idx.z_exponent()] = f
         if off is not None:
             for later, c in _level_terms(W.bracket(off, window), k).items():
@@ -305,10 +310,9 @@ def _sweep_level(field: VectorField, k: int, mu, window, factors, steps) -> Vect
                 else:
                     coeffs[later] = c
                     heapq.heappush(keys, later)
-    if not solved:
-        return field
-    V = VectorField(zero, [TransverseSeries(n, cap, p) for p in parts])
-    field = field + V.bracket(field, window)
+    if linear and solved:
+        V = VectorField(zero, [TransverseSeries(n, cap, p) for p in parts])
+        field = field + V.bracket(field, window)
     _check_residual(field, solved)
     return field
 
@@ -323,27 +327,10 @@ def _level_terms(field: VectorField, k: int) -> dict:
     return out
 
 
-def _next_slot(field: VectorField, after: tuple, top: int):
-    """The least pair key (|K|, K, j) of a term of field above ``after``, or None.
-
-    One pass over the z-terms: z^M d/dz_j sits at slot K = M - e_j, and only
-    slots with |K| < top count (the sentinel (top,) sorts above exactly those).
-    A term whose degree is out of range is passed over before its K is built.
-    """
-    best = (top,)
-    for j, comp in enumerate(field.b, start=1):
-        for M in comp._terms:
-            d = sum(M) - 1
-            if after[0] <= d <= best[0]:
-                key = (d, M[: j - 1] + (M[j - 1] - 1,) + M[j:], j)
-                if after < key < best:
-                    best = key
-    return None if best == (top,) else best
-
-
 def _check_support(X: VectorField, x_cap: int):
-    polys = [X.a] + list(X.b)
-    for comp in polys:
+    """The z-components' x-support lies in [-x_cap, x_cap]; the d/dx
+    component is x, inside it for every x_cap >= 1."""
+    for comp in X.b:
         for _, poly in comp.terms():
             lo, hi = poly.min_exp(), poly.max_exp()
             if lo is not None and (lo < -x_cap or hi > x_cap):

@@ -190,6 +190,51 @@ def test_mu_flag_disagreeing_with_document_rejected(field, tmp_path, capsys):
     capsys.readouterr()
 
 
+# resonances and centralizer used to let --mu override the document's mu:,
+# and every command took a --mu with another count than the document's n
+@pytest.mark.parametrize("command", ["normalize", "resonances", "centralizer"])
+@pytest.mark.parametrize("header,mu,message", [
+    ("mu: 1/2\n", "-1", "--mu=-1 differs from the document's mu: 1/2"),
+    ("mu: 1/2\n", "1,2", "--mu lists 2 values for n = 1"),
+    ("", "1/2,1/2", "--mu lists 2 values for n = 1"),
+])
+def test_mu_flag_checked_against_the_document(command, header, mu, message, tmp_path):
+    p = tmp_path / "declared.vf"
+    p.write_text(f"n: 1\ndegree: 3\n{header}field: x*dx + 1/2*z1*dz1\n", encoding="utf-8")
+    assert call([command, "--field", str(p), f"--mu={mu}", "--json"]) == (2, "", f"error: {message}\n")
+    agreeing = call([command, "--field", str(p), "--mu=1/2", "--json"])
+    assert agreeing[0] == 0
+    if header:
+        assert agreeing == call([command, "--field", str(p), "--json"])
+
+
+# check-commute used to read --field2 at --field's degree, so its answer
+# turned on the order of the arguments; conjugacy-check reported another n
+# only through the library's shape check
+@pytest.mark.parametrize("argv,message", [
+    (["check-commute", "--field", "A.vf", "--field2", "B.vf"],
+     "--field2 degree 2 does not match field degree 5"),
+    (["check-commute", "--field", "B.vf", "--field2", "A.vf"],
+     "--field2 degree 5 does not match field degree 2"),
+    (["check-commute", "--field", "A.vf", "--field2", doc("twovar.vf")],
+     "--field2 n 2 does not match field n 1"),
+    (["conjugacy-check", "--field", doc("resonant.vf"), "--map", "two.map"],
+     "map n 2 does not match field n 1"),
+    (["conjugacy-check", "--field", doc("resonant.vf"), "--map", doc("tangent.map")],
+     "map degree 3 does not match field degree 4"),
+])
+def test_second_document_of_another_shape_is_usage_error(argv, message, tmp_path):
+    docs = {
+        "A.vf": "n: 1\ndegree: 5\nfield: x*dx + 1/2*z1*dz1\n",
+        "B.vf": "n: 1\ndegree: 2\nfield: z1^4*dz1\n",
+        "two.map": "n: 2\ndegree: 4\nmap z1: z1\nmap z2: z2\n",
+    }
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / a) if a in docs else a for a in argv]
+    assert call(argv + ["--json"]) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("text,message", [
     ("n: 1\ndegree: 3\nmu: 1/2,\nfield: x*dx\n", ":3: bad mu value: bad coefficient syntax: ''"),
     ("n: 2\ndegree: 3\nmu: 1/2\nfield: x*dx\n", ":3: mu lists 1 values for n = 2"),
@@ -385,6 +430,8 @@ def test_monomial_budget_is_usage_error(degree, flags, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["exp", "--field", doc("nilpotent.vf"), "--degree", "12"],
     ["normalize", "--field", doc("resonant.vf"), "--x-cap", "64"],
+    ["normalize", "--field", doc("resonant.vf"), "--x-cap", "1"],
+    ["exp", "--field", doc("nilpotent.vf"), "--x-cap", "0"],
 ])
 def test_flags_at_the_bound_run(argv, capsys):
     assert main(argv + ["--json"]) == 0
@@ -392,11 +439,14 @@ def test_flags_at_the_bound_run(argv, capsys):
 
 
 # below the lower bounds the commands used to exit 0 with garbage: a negative
-# x-cap dropped every Taylor term, degree 0 sent z1 to 0
+# x-cap dropped every Taylor term, degree 0 sent z1 to 0; normalize's x-cap 0
+# used to blame the support of the d/dx component x
 @pytest.mark.parametrize("argv,message", [
     (["exp", "--field", doc("nilpotent.vf"), "--x-cap", "-2"], "--x-cap must be at least 0, got -2"),
     (["exp", "--field", doc("nilpotent.vf"), "--degree", "0"], "--degree must be at least 1, got 0"),
     (["normalize", "--field", doc("resonant.vf"), "--x-cap", "-1"], "--x-cap must be at least 0"),
+    (["normalize", "--field", doc("resonant.vf"), "--x-cap", "0"],
+     "x_cap must be at least 1, the x-degree of the d/dx component x; got 0"),
 ])
 def test_undersized_flag_is_usage_error(argv, message, capsys):
     rc = main(argv + ["--json"])

@@ -23,6 +23,10 @@ list with its reason.
 A ninth keeps the printers on the integers: ``coeff.format_term``,
 ``GaussianRational.__str__`` and ``series._terms_text`` read no ``.re`` or
 ``.im``, each of which builds a reduced ``Fraction``.
+A tenth keeps the sweep to one slot walk: in ``normalform`` only
+``_sweep_level`` calls ``exp_ad``, so ``normalize``'s own body takes no
+step, and the module defines no ``_next_slot``, the rescan of the second
+walk.
 """
 
 import ast
@@ -217,6 +221,37 @@ def test_slot_scan_sees_a_full_walk():
         "    return series.iter_l_indices(1, 0, 2)\n"
     )
     assert callers_of(source, "iter_l_indices") == [("normalize", 2), ("normalize", 4)]
+
+
+def module_defs(source: str):
+    """The names of the module-level functions of the source."""
+    return {
+        node.name for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def test_sweep_has_one_walker():
+    source = (PACKAGE / "normalform.py").read_text(encoding="utf-8")
+    assert {fn for fn, _ in callers_of(source, "exp_ad")} == {"_sweep_level"}
+    assert "_next_slot" not in module_defs(source)
+    assert "normalize" in module_defs(source)  # the scan sees this module's defs
+
+
+def test_walker_scan_sees_a_second_walk():
+    source = (
+        "def normalize(X, mu):\n"
+        "    while (key := _next_slot(field, key, top)) is not None:\n"
+        "        field = exp_ad(W, field, x_window=window)\n"
+        "    return lie.exp_ad(W, field)\n"
+        "class A:\n"
+        "    def _next_slot(self):\n"
+        "        pass\n"
+        "def _next_slot(field, after, top):\n"
+        "    pass\n"
+    )
+    assert callers_of(source, "exp_ad") == [("normalize", 3), ("normalize", 4)]
+    assert module_defs(source) == {"normalize", "_next_slot"}
 
 
 WINDOWED = {"lie.py": "_lie_series", "normalform.py": "_intertwines"}

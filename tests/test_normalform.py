@@ -436,6 +436,18 @@ class TestNormalizeValidation:
         with pytest.raises(LinearPartError):
             normalize(X, [G(-1)])
 
+    # the window must hold the d/dx component x, in either mode; x_cap 0
+    # used to fail on x's support as if it were a z-coefficient's
+    @pytest.mark.parametrize("x_cap", [0, -1])
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_x_cap_below_x_degree_rejected(self, x_cap, windowed):
+        X = semisimple([G(-1)], 3)
+        if windowed:
+            X = X + mono(1, 3, (0,), 1, LaurentPoly.x())
+        with pytest.raises(LinearPartError, match=f"x-degree of the d/dx component x; got {x_cap}$"):
+            normalize(X, [G(-1)], x_cap=x_cap)
+        assert normalize(X, [G(-1)], x_cap=1).certified
+
     def test_constant_term_rejected(self):
         X = VectorField(
             TransverseSeries.x_series(1, 3),
