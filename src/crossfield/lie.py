@@ -477,16 +477,34 @@ class Automorphism:
         otherwise come back under the window.  So a window needs Taylor f
         and z-images and u = 0 (an x-derivative lowers x-degrees), and
         raises ``ValueError`` otherwise.
+
+        The work is :meth:`_apply_into`'s, as in :meth:`VectorField.apply`;
+        this method only makes its accumulator canonical.
         """
         if f.n != self.n or f.cap != self.cap:
             raise DimensionMismatchError("series and automorphism shapes differ")
-        u = self.img_x - self._coordinate(0)
-        if not u.is_zero() and u.madic_order() < 1:
+        data = {}
+        self._apply_into(data, f, 1, x_window)
+        return _ts_raw(self.n, self.cap, finish_products(data))
+
+    def _apply_into(self, data: dict, f: TransverseSeries, sign: int, x_window) -> None:
+        """Add sign * self(f), cut at x-degree x_window, to the raw
+        accumulator data: :meth:`apply`'s work and checks, which
+        normalize's certificate calls directly to add both sides of a
+        coordinate into one accumulator.
+
+        Layer 0 accumulates straight into data, with the integer sign on
+        its products; each layer m >= 1 of a moving x-image is made
+        canonical and multiplied by u^m into it.
+        """
+        x = self._coordinate(0)
+        shift = self.img_x != x
+        u = self.img_x - x if shift else None
+        if shift and u.madic_order() < 1:
             raise ValueError("x-image must differ from x by an element of m")
         for comp in self.img_z:
             if not comp.is_zero() and comp.madic_order() < 1:
                 raise ValueError("z-images must lie in m")
-        shift = not u.is_zero()
         if x_window is not None:
             if shift:
                 raise ValueError("an x-window needs the x-image x")
@@ -494,7 +512,7 @@ class Automorphism:
                 raise ValueError("an x-window needs Taylor coefficients")
         n, cap = self.n, self.cap
         const = (0,) * n
-        layers = [{}]  # layers[m]: sum_K f_K^(m)/m! z'^K, raw
+        layers = [data]  # layers[m]: sign * sum_K f_K^(m)/m! z'^K, raw
         for K, poly in f._terms.items():
             zpart = graded_terms(self._zmonomial(K, x_window))
             coeff = poly
@@ -505,8 +523,7 @@ class Automorphism:
                         break
                     if m == len(layers):
                         layers.append({})
-                accumulate_products(layers[m], cap, zpart, [(const, 0, coeff)], 1, x_window)
-        acc = layers[0]
+                accumulate_products(layers[m], cap, zpart, [(const, 0, coeff)], sign, x_window)
         upow = u
         for m in range(1, len(layers)):
             if m > 1:
@@ -514,8 +531,7 @@ class Automorphism:
             if upow.is_zero():
                 break
             layer = _ts_raw(n, cap, finish_products(layers[m]))
-            accumulate_products(acc, cap, graded_terms(layer), graded_terms(upow))
-        return _ts_raw(n, cap, finish_products(acc))
+            accumulate_products(data, cap, graded_terms(layer), graded_terms(upow))
 
     # -- group structure ----------------------------------------------------
 
@@ -696,7 +712,9 @@ def exp(X: VectorField, t=1, x_window: int | None = None) -> Automorphism:
     x-degree, so the result is exp(tX) truncated at x-degree x_window;
     fields like f(x) z_j d/dz_j with f(0) = 0, whose exponential scales z_j
     by the transcendental e^{f}, are nilpotent there and get their
-    (polynomial) truncated exponential.  A negative x-exponent, or an
+    (polynomial) truncated exponential, which the fold forms in closed
+    form: z_j -> E z_j with E = e^{t f} cut at x-degree x_window, the same
+    map as the series.  A negative x-exponent, or an
     x-free term in the d/dx coefficient, lowers x-degrees, so a term cut
     at one step would come back under the window at a later one: the
     result is then not exp(tX) truncated, even where exp(tX) exists
@@ -729,10 +747,15 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
     (:func:`_acts_additively`), such as the upper half of a normalize sweep
     or the start of its inverse's reversed list, maps each image s to
     s + V(s) with V = sum t*W, exactly the product of their Lie series at
-    the cap.  All exp factors of one fold share one window, so the series
-    takes the images as they are: the images an exp factor leaves already
-    lie in that window, but for the coordinate x when w = 0, which stays x.
-    The factors are trusted: each W must be nilpotent in its window.
+    the cap.  A diagonal factor W = f(x) z_j d/dz_j in a window
+    (:func:`_diagonal`), such as a level-0 step of an x-window sweep, takes
+    its closed form instead: W multiplies a term c z^M by M_j f, so its
+    series multiplies it by e^{t M_j f}, cut at x-degree w
+    (:func:`_exp_multiples`, :func:`_times_exp`).  All exp factors of one
+    fold share one window, so the series takes the images as they are: the
+    images an exp factor leaves already lie in that window, but for the
+    coordinate x when w = 0, which stays x.  The factors are trusted: each
+    W must be nilpotent in its window.
     """
     factors = tuple(factors)
     images = _coordinates(n, cap)
@@ -747,11 +770,85 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
             if t is None:
                 L = Automorphism.linear(W, cap)
                 images = [L.apply(s) for s in images]
-            else:
+                continue
+            diagonal = _diagonal(W, w)
+            if diagonal is None:
                 images = [_lie_series(W.apply, s, t, w) for s in images]
+            else:
+                j, f = diagonal
+                E = _exp_multiples(f, t, w, {M[j] for s in images for M in s._terms})
+                images = [_times_exp(s, j, 0, E, w) for s in images]
     phi = Automorphism(images[0], images[1:])
     object.__setattr__(phi, "_gens", factors)
     return phi
+
+
+def _diagonal(W: VectorField, x_window):
+    """(j, f), j 0-based, when W = f(x) z_j d/dz_j with f Taylor and
+    f(0) = 0 and x_window is an int; None otherwise.
+
+    Then f is nilpotent in the x-truncated ring, and W acts on a term
+    c z^M, whose coefficient it leaves alone, as multiplication by M_j f.
+    """
+    if x_window is None or W.a._terms:
+        return None
+    parts = [(j, comp._terms) for j, comp in enumerate(W.b) if comp._terms]
+    if len(parts) != 1:
+        return None
+    j, terms = parts[0]
+    f = terms.get(tuple(int(p == j) for p in range(W.n)))
+    if f is None or len(terms) != 1 or f.min_exp() < 1:
+        return None
+    return j, f
+
+
+def _exp_multiples(f: LaurentPoly, t, x_window: int, ms) -> dict:
+    """{m: e^{t*m*f} cut at x-degree x_window} for the nonzero ints m of ms.
+
+    f is Taylor with f(0) = 0, so f^k starts at x^k and each value is
+    1 + sum_{k <= x_window} (t*m)^k f^k/k!, from the powers f^k/k! built
+    once for every m.
+    """
+    powers = []  # the cells of f^k/k!, k >= 1, none of them at x^0
+    p = LaurentPoly.one()
+    for k in range(1, x_window + 1):
+        p = (p * f).truncate_x(x_window).scale(Fraction(1, k))
+        if not p:
+            break
+        powers.append(p._terms.items())
+    out = {}
+    for m in ms:
+        if m:
+            c = ck = t * m
+            cells = {0: GaussianRational.ONE}
+            for cells_k in powers:
+                for e, v in cells_k:
+                    v = v * ck
+                    cells[e] = cells[e] + v if e in cells else v
+                ck = ck * c
+            out[m] = LaurentPoly(cells)
+    return out
+
+
+def _times_exp(s: TransverseSeries, j: int, offset: int, E: dict, x_window) -> TransverseSeries:
+    """s with each term c z^M multiplied by E[M_j + offset], cut at x-degree
+    x_window in the product kernel; a term with M_j + offset = 0 is kept as
+    it is."""
+    keep = {}
+    runs = {}  # m -> the terms of s that E[m] multiplies
+    for M, c in s._terms.items():
+        m = M[j] + offset
+        if m:
+            runs.setdefault(m, []).append((M, sum(M), c))
+        else:
+            keep[M] = c
+    if runs:
+        data = {}
+        const = (0,) * s.n
+        for m, terms in runs.items():
+            accumulate_products(data, s.cap, terms, [(const, 0, E[m])], 1, x_window)
+        keep.update(finish_products(data))
+    return _ts_raw(s.n, s.cap, keep)
 
 
 def _acts_additively(factor, cap: int) -> bool:

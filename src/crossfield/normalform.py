@@ -36,12 +36,18 @@ brackets, the normalizer's Lie series and the certificate's substitutions
 form only the cells of x-degree <= x_cap, never a cell they would then
 truncate.  That is exact because the mode requires Taylor data and the d/dx
 component x, so no factor has a negative x-exponent and no x-image moves.
+The level-0 diagonal steps W = f(x) z_j d/dz_j of that mode take their
+closed form (:func:`_diagonal_step`): each term c z^M d/dz_i is multiplied
+by e^{(M_j - [i = j]) f}, and d/dz_j gains -x f'(x) z_j, in place of a
+Lie series of up to x_cap + 1 whole-field brackets; the fold takes the
+same factors in closed form.
 
 Every run is certified through the substitution route, independent of the
 brackets and adjoint series the sweep uses: normalize() checks the
 intertwining relation
-Phi o X = X_normal o Phi on the coordinates.  A caller who wants the
-residual field itself forms Phi.pushforward(X) - X_normal.
+Phi o X = X_normal o Phi on the coordinates, reading the numerators of one
+signed accumulator per coordinate.  A caller who wants the residual field
+itself forms Phi.pushforward(X) - X_normal.
 """
 
 from __future__ import annotations
@@ -50,7 +56,16 @@ import heapq
 from dataclasses import dataclass
 
 from .coeff import GaussianRational, LaurentPoly
-from .lie import Automorphism, CertificateError, VectorField, _from_factors, exp_ad
+from .lie import (
+    Automorphism,
+    CertificateError,
+    VectorField,
+    _diagonal,
+    _exp_multiples,
+    _from_factors,
+    _times_exp,
+    exp_ad,
+)
 from .resonance import NtnrResult, as_eigenvalues, decide_ntnr, integral_pairing, pairing
 from .series import MonomialIndex, TransverseSeries, iter_l_indices
 
@@ -298,7 +313,11 @@ def _sweep_level(field: VectorField, k: int, mu, window, factors, steps) -> Vect
         steps.append(idx)
         solved.append((idx, residual))
         if not linear:
-            field = exp_ad(W, field, x_window=window)
+            diagonal = _diagonal(W, window)
+            if diagonal is None:
+                field = exp_ad(W, field, x_window=window)
+            else:
+                field = _diagonal_step(field, *diagonal, window)
             coeffs = _level_terms(field, k)
             keys = sorted(later for later in coeffs if later > key)
             continue
@@ -315,6 +334,29 @@ def _sweep_level(field: VectorField, k: int, mu, window, factors, steps) -> Vect
         field = field + V.bracket(field, window)
     _check_residual(field, solved)
     return field
+
+
+def _diagonal_step(field: VectorField, j: int, f: LaurentPoly, window: int) -> VectorField:
+    """exp(ad W)(field) for W = f(x) z_j d/dz_j (j 0-based, f Taylor with
+    f(0) = 0) in the x-window, in closed form.
+
+    ad_W multiplies a term c z^M d/dz_i by (M_j - [i = j]) f, which W
+    leaves alone, so exp(ad W) multiplies it by e^{(M_j - [i = j]) f}, cut
+    at x-degree window.  The d/dx component x gives [W, x d/dx] =
+    -x f'(x) z_j d/dz_j, which ad_W kills: d/dz_j gains that one term, and
+    the d/dx component stays x.  The Lie series of up to window + 1 whole
+    brackets that exp_ad forms gives the same field.
+    """
+    n, cap = field.n, field.cap
+    offsets = [-int(i == j) for i in range(n)]
+    E = _exp_multiples(f, 1, window, {
+        M[j] + offsets[i] for i, comp in enumerate(field.b) for M in comp._terms
+    })
+    b = [_times_exp(comp, j, offsets[i], E, window) for i, comp in enumerate(field.b)]
+    unit = tuple(int(p == j) for p in range(n))
+    x_df = LaurentPoly({e: c * -e for e, c in f._terms.items()})  # -x f'(x)
+    b[j] = b[j] + TransverseSeries.monomial(n, cap, unit, x_df)
+    return VectorField(field.a, b)
 
 
 def _level_terms(field: VectorField, k: int) -> dict:
@@ -347,6 +389,12 @@ def _intertwines(phi: Automorphism, X: VectorField, Y: VectorField, window) -> b
     certificate normalize() runs on every call; like the sweep's adjoint
     series it never touches exp(ad), making the two routes independent.
 
+    For each coordinate c, phi(X_c) and -Y(phi_c) go into one raw
+    accumulator, through Automorphism._apply_into and
+    VectorField._apply_into, and the relation fails exactly when some cell
+    (a + b*i)/d is left with a or b nonzero: no cell is made canonical and
+    neither side is built as a series.
+
     In the x-truncated mode both sides are formed only up to x-degree
     window, which is exactly the truncated defect.  Automorphism.apply's
     window needs Taylor data and the x-image x: normalize() has checked that
@@ -355,7 +403,10 @@ def _intertwines(phi: Automorphism, X: VectorField, Y: VectorField, window) -> b
     """
     pieces = [(X.a, phi.img_x)] + [(X.b[i], phi.img_z[i]) for i in range(X.n)]
     for comp, img in pieces:
-        if not (phi.apply(comp, window) - Y.apply(img, window)).is_zero():
+        data = {}
+        phi._apply_into(data, comp, 1, window)
+        Y._apply_into(data, img, -1, window)
+        if any(a or b for row in data.values() for a, b, _ in row.values()):
             return False
     return True
 

@@ -255,6 +255,9 @@ def test_walker_scan_sees_a_second_walk():
 
 
 WINDOWED = {"lie.py": "_lie_series", "normalform.py": "_intertwines"}
+# the kernel route each windowed function takes: a Lie series term's step,
+# and the certificate's accumulation of both sides
+KERNEL_CALLS = {"_lie_series": "step", "_intertwines": "_apply_into"}
 POST_TRUNCATIONS = ("truncate_x", "_in_window")
 
 
@@ -273,7 +276,38 @@ def post_truncations(source: str, functions):
 def test_window_stays_in_the_kernel(module, function):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert post_truncations(source, {function}) == []
-    assert any(fn == function for fn, _ in callers_of(source, "apply") + callers_of(source, "step"))
+    assert any(fn == function for fn, _ in callers_of(source, KERNEL_CALLS[function]))
+
+
+# what the certificate must not call: it reads the numerators of one raw
+# accumulator, so it builds neither side as a series (apply) and makes no
+# cell canonical, and it stays independent of the sweep's brackets and
+# adjoint series
+NOT_IN_CERTIFICATE = ("apply", "finish_products", "exp_ad", "bracket", "_lie_series")
+
+
+def test_certificate_forms_no_series():
+    source = (PACKAGE / "normalform.py").read_text(encoding="utf-8")
+    assert [
+        name for name in NOT_IN_CERTIFICATE
+        if any(fn == "_intertwines" for fn, _ in callers_of(source, name))
+    ] == []
+    # the scan sees this module's calls
+    assert any(fn == "_sweep_level" for fn, _ in callers_of(source, "bracket"))
+
+
+def test_certificate_scan_sees_a_forbidden_call():
+    source = (
+        "def _intertwines(phi, X, Y, window):\n"
+        "    data = {}\n"
+        "    Y._apply_into(data, X.a, -1, window)\n"
+        "    return _ts_raw(1, 2, finish_products(data)).is_zero() and not X.bracket(Y)\n"
+        "def _from_factors(W, s, w):\n"
+        "    return W.apply(s, w)\n"
+    )
+    assert [(name, fn) for name in NOT_IN_CERTIFICATE for fn, _ in callers_of(source, name)] == [
+        ("apply", "_from_factors"), ("finish_products", "_intertwines"), ("bracket", "_intertwines")
+    ]
 
 
 def test_truncation_scan_sees_a_post_truncation():

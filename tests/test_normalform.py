@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from crossfield import cli
+from crossfield import cli, lie
 from crossfield.coeff import GaussianRational as G
 from crossfield.coeff import LaurentPoly
 from crossfield.lie import Automorphism, VectorField, exp_ad
@@ -15,6 +15,7 @@ from crossfield.normalform import (
     NormalFormResult,
     ResonantTerm,
     _check_support,
+    _diagonal_step,
     _intertwines,
     _linear_matrix_or_error,
     _needs_x_window,
@@ -24,7 +25,7 @@ from crossfield.normalform import (
 )
 from crossfield.parsing import parse_field
 from crossfield.resonance import as_eigenvalues, pairing
-from crossfield.series import MonomialIndex, TransverseSeries, iter_l_indices
+from crossfield.series import MonomialIndex, TransverseSeries, iter_exponents, iter_l_indices
 
 from helpers import (
     abs_bound,
@@ -525,6 +526,154 @@ class TestSweepInvariants:
         diff = Automorphism.identity(n, cap).pushforward(X) - bad
         assert not diff.is_zero()
         assert abs_bound(diff) == Fraction(1)
+
+
+# --- the certificate against the two-series route, kept as its oracle -------
+
+
+def ref_intertwines(phi, X, Y, window):
+    """The certificate as it was before it read one accumulator: phi(X_c)
+    and Y(phi_c) built as canonical series and subtracted, coordinate by
+    coordinate."""
+    pieces = [(X.a, phi.img_x)] + list(zip(X.b, phi.img_z))
+    return all((phi.apply(comp, window) - Y.apply(img, window)).is_zero() for comp, img in pieces)
+
+
+def perturbed(phi, i, K, e, delta):
+    """A bare map: phi's images with delta*x^e*z^K added to z-image i."""
+    img = list(phi.img_z)
+    img[i] = img[i] + TransverseSeries.monomial(phi.n, phi.cap, K, LaurentPoly({e: delta}))
+    return Automorphism(phi.img_x, img)
+
+
+def side_cells(phi, X, Y, window):
+    """[(phi's cells, -Y's cells)] per coordinate: the raw accumulators of
+    the two sides, each filled on its own."""
+    out = []
+    for comp, img in [(X.a, phi.img_x)] + list(zip(X.b, phi.img_z)):
+        left, right = {}, {}
+        phi._apply_into(left, comp, 1, window)
+        Y._apply_into(right, img, -1, window)
+        out.append((left, right))
+    return out
+
+
+# n = 1 at cap 4 with real data: the normal field is x*dx - 1/2*z1*dz1
+REAL_FIELD = "x*dx - 1/2*z1*dz1 + z1^2*dz1 + 3*z1^3*dz1"
+
+
+class TestCertificate:
+    def test_verdicts_match_the_two_series_route(self):
+        rng = random.Random(71)
+        seen = {"exact": 0, "window": 0, "rejected": 0, "passed": 0}
+        for X, mu, x_cap in [*sweep_cases(), *map(diagonal_case, range(12))]:
+            res = normalize(X, mu, x_cap=x_cap)
+            phi, Y, w = res.normalizer, res.normal_field, res.x_window
+            bare = Automorphism(phi.img_x, phi.img_z)
+            assert _intertwines(bare, X, Y, w) and ref_intertwines(bare, X, Y, w)
+            seen["exact" if w is None else "window"] += 1
+            deltas = [rand_gq_nonzero(rng), G(0, Fraction(rng.randint(1, 4), 7)), G(Fraction(1, 7))]
+            for delta in deltas:
+                K = rng.choice(list(iter_exponents(X.n, 1, X.cap)))
+                e = rng.randint(0, 2 if w is None else min(w, 2))
+                bad = perturbed(phi, rng.randrange(X.n), K, e, delta)
+                verdict = _intertwines(bad, X, Y, w)
+                assert verdict == ref_intertwines(bad, X, Y, w)
+                seen["passed" if verdict else "rejected"] += 1
+        assert seen["exact"] >= 10 and seen["window"] >= 12 and seen["rejected"] >= 60, seen
+
+    def test_purely_imaginary_defect(self):
+        X = parse_field(REAL_FIELD, 1, 4)
+        res = normalize(X, [G(Fraction(-1, 2))])
+        bad = perturbed(res.normalizer, 0, (4,), 0, G(0, Fraction(1, 7)))
+        defect = bad.apply(X.b[0]) - res.normal_field.apply(bad.img_z[0])
+        assert str(defect) == "3/14*i*z1^4"  # every real part cancels
+        assert not ref_intertwines(bad, X, res.normal_field, None)
+        assert not _intertwines(bad, X, res.normal_field, None)
+
+    def test_defect_in_a_cell_of_two_denominators(self):
+        X = parse_field(REAL_FIELD, 1, 4)
+        res = normalize(X, [G(Fraction(-1, 2))])
+        bad = perturbed(res.normalizer, 0, (3,), 0, G(Fraction(2, 5)))
+        met = [
+            (left[M][e][2], right[M][e][2])
+            for left, right in side_cells(bad, X, res.normal_field, None)
+            for M in left.keys() & right.keys()
+            for e in left[M].keys() & right[M].keys()
+            if left[M][e][2] != right[M][e][2]
+        ]
+        assert met == [(10, 2)]  # z1^4: -152/10 + 32/2 = 4/5
+        assert not ref_intertwines(bad, X, res.normal_field, None)
+        assert not _intertwines(bad, X, res.normal_field, None)
+
+
+# --- the x-window's diagonal steps in closed form -----------------------------
+
+
+def diagonal_case(i):
+    """A seeded windowed field at x-cap 1 + i % 8: n 1-3, degree 3-5, each
+    diagonal entry mu_j + Taylor terms of x-degree 1-2, and higher terms,
+    among them (for n > 1) terms of each b_j free of z_j."""
+    rng = random.Random(f"diagonal:{i}")
+    n, cap, x_cap = rng.randint(1, 3), rng.randint(3, 5), 1 + i % 8
+    mu = rand_mu(rng, n, span=3, den=2)
+    X = rand_x_normalized(rng, mu, cap, terms=3, max_exp=min(x_cap, 3))
+    for j in range(1, n + 1):
+        X = X + mono(n, cap, (0,) * n, j, rand_laurent(rng, 1, min(x_cap, 2), terms=2))
+        if n > 1:
+            other = rng.choice([p for p in range(n) if p != j - 1])
+            K = tuple(2 if p == other else (-1 if p == j - 1 else 0) for p in range(n))
+            X = X + mono(n, cap, K, j, rand_laurent(rng, 0, min(x_cap, 2), terms=1))
+    return X, mu, x_cap
+
+
+def free_of_z_j(field, j):
+    """The number of terms of b_j (j 0-based) free of z_j."""
+    return sum(1 for M in field.b[j]._terms if not M[j])
+
+
+class TestDiagonalSteps:
+    def test_step_matches_exp_ad(self):
+        free = 0
+        for i in range(48):
+            X, mu, w = diagonal_case(i)
+            rng = random.Random(f"diagonal-step:{i}")
+            field = X.truncate_x(w)
+            j = rng.randrange(X.n)
+            f = LaurentPoly.x(1, rand_gq_nonzero(rng)) + rand_laurent(rng, 2, 3, terms=1)
+            W = VectorField.monomial(X.n, X.cap, MonomialIndex((0,) * X.n, j + 1), f)
+            assert lie._diagonal(W, w) == (j, f)
+            got = _diagonal_step(field, j, f.truncate_x(w), w)
+            want = exp_ad(W, field, x_window=w)
+            assert (got, str(got)) == (want, str(want)), (i, str(X))
+            free += free_of_z_j(field, j)
+        assert free >= 30
+
+    def test_normalizer_and_inverse_match_the_per_factor_fold(self):
+        diagonal = 0
+        for i in range(32):
+            X, mu, x_cap = diagonal_case(i)
+            res = normalize(X, mu, x_cap=x_cap)
+            phi = res.normalizer
+            assert res.x_window == x_cap
+            assert phi == ref_fold(X.n, X.cap, phi._gens)
+            inv = phi.invert()
+            assert {t for _, t, _ in inv._gens} == {G(-1)}
+            assert inv == ref_fold(X.n, X.cap, inv._gens)
+            diagonal += sum(lie._diagonal(W, w) is not None for W, _, w in phi._gens)
+        assert diagonal >= 40
+
+    def test_only_diagonal_factors_in_a_window_take_the_closed_form(self):
+        n, cap = 2, 4
+        f = LaurentPoly({1: G(1), 2: G(Fraction(1, 3))})
+        W = mono(n, cap, (0, 0), 2, f)
+        assert lie._diagonal(W, 3) == (1, f)
+        assert lie._diagonal(W, None) is None  # the exact mode has no window to cut at
+        assert lie._diagonal(mono(n, cap, (0, 0), 2, f + LaurentPoly.one()), 3) is None  # f(0) != 0
+        assert lie._diagonal(mono(n, cap, (0, 0), 2, LaurentPoly.x(-1)), 3) is None  # Laurent
+        off = mono(n, cap, (1, -1), 2, LaurentPoly.x())
+        assert lie._diagonal(W + off, 3) is None  # an off-diagonal term too
+        assert lie._diagonal(W + mono(n, cap, (0, 0), 1, f), 3) is None  # two directions
 
 
 class TestDeeperCases:
