@@ -563,6 +563,15 @@ def _cmd_exp(args):
 def _cmd_log(args):
     phi = _load(MapDocument, args.map, "--map").automorphism()
     X = log(phi)
+    # exp(X) is a Lie series over X.apply and shares no loop with the
+    # substitution that log runs, so exp(X) == phi certifies X
+    if not X.is_nilpotent():
+        raise CertificateError("log: the logarithm is not nilpotent")
+    back = exp(X)
+    for i, (got, want) in enumerate(zip((back.img_x,) + back.img_z, (phi.img_x,) + phi.img_z)):
+        if got != want:
+            where = f"z{i}" if i else "x"
+            raise CertificateError(f"log: exp of the logarithm differs from the map at {where}")
     report = {
         "field": str(X),
         "one_flat": X.is_k_flat(1),

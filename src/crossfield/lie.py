@@ -384,12 +384,14 @@ class Automorphism:
     factors of both operands.  A map built bare from its images is split
     into two factors on inversion.  A map caches its inverse; the inverse
     holds no link back, so inverting it again recomputes the map, and the
-    pair forms no reference cycle.  The monomials z'^K in the z-images that
-    :meth:`apply` substitutes are memoized as they are first needed, one
-    memo per x-window.  Every cached value derives from immutable inputs.
+    pair forms no reference cycle.  What :meth:`apply` needs of the map
+    itself is built once per map: the checks on its images, the shift
+    u = img_x - x with its powers u^m, and, one memo per x-window, the
+    monomials z'^K in the z-images, each power and monomial as it is first
+    needed.  Every cached value derives from immutable inputs.
     """
 
-    __slots__ = ("n", "cap", "img_x", "img_z", "_inv", "_gens", "_zmonos", "__weakref__")
+    __slots__ = ("n", "cap", "img_x", "img_z", "_inv", "_gens", "_zmonos", "_upows", "__weakref__")
 
     def __init__(self, img_x: TransverseSeries, img_z):
         img_z = tuple(img_z)
@@ -401,6 +403,7 @@ class Automorphism:
         object.__setattr__(self, "_inv", None)  # composed inverse
         object.__setattr__(self, "_gens", None)  # Lie generators, innermost first
         object.__setattr__(self, "_zmonos", {})  # window -> {K: z'^K}
+        object.__setattr__(self, "_upows", None)  # [u, u^2, ...], [] for x -> x
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
@@ -425,19 +428,47 @@ class Automorphism:
 
     # -- substitution ------------------------------------------------------
 
-    def _zmonomial(self, K, x_window) -> TransverseSeries:
-        """The image z'^K, memoized per x-window.
+    def _substitution(self, x_window):
+        """(memo, upows): the z'^K memo of x_window and the powers of u.
 
-        z'^K is z'^(K - e_i) * z'_i with i the last nonzero index of K: one
-        product per monomial, cut at x_window, against one z-image.  The
-        memo starts from z'^0 = 1 and z'^(e_i) = z'_i.
+        The images are checked on the first call for the map, and once more
+        on the first call for each x-window: u = img_x - x and every z-image
+        must lie in m, and a window needs u = 0 and Taylor z-images.  A
+        failed check raises ``ValueError`` and caches nothing, so it raises
+        again on the next call.  upows starts as [u], or [] for the x-image
+        x, and :meth:`_apply_into` extends it; the memo starts from z'^0 = 1
+        and z'^(e_i) = z'_i.
         """
         memo = self._zmonos.get(x_window)
-        if memo is None:
-            n = self.n
-            memo = self._zmonos[x_window] = {(0,) * n: TransverseSeries.constant(n, self.cap, 1)}
-            for i, comp in enumerate(self.img_z):
-                memo[tuple(int(p == i) for p in range(n))] = comp
+        if memo is not None:
+            return memo, self._upows
+        n, cap = self.n, self.cap
+        upows = self._upows
+        if upows is None:
+            x = TransverseSeries.x_series(n, cap)
+            upows = [self.img_x - x] if self.img_x != x else []
+            if upows and upows[0].madic_order() < 1:
+                raise ValueError("x-image must differ from x by an element of m")
+            for comp in self.img_z:
+                if not comp.is_zero() and comp.madic_order() < 1:
+                    raise ValueError("z-images must lie in m")
+            object.__setattr__(self, "_upows", upows)
+        if x_window is not None:
+            if upows:
+                raise ValueError("an x-window needs the x-image x")
+            if not all(comp.is_taylor() for comp in self.img_z):
+                raise ValueError("an x-window needs Taylor coefficients")
+        memo = self._zmonos[x_window] = {(0,) * n: TransverseSeries.constant(n, cap, 1)}
+        for i, comp in enumerate(self.img_z):
+            memo[tuple(int(p == i) for p in range(n))] = comp
+        return memo, upows
+
+    def _zmonomial(self, memo, K, x_window) -> TransverseSeries:
+        """The image z'^K, from x_window's memo.
+
+        z'^K is z'^(K - e_i) * z'_i with i the last nonzero index of K: one
+        product per monomial, cut at x_window, against one z-image.
+        """
         chain = []
         while K not in memo:
             i = max(p for p, k in enumerate(K) if k)
@@ -447,12 +478,6 @@ class Automorphism:
         for K, i in reversed(chain):
             out = memo[K] = _product(out, self.img_z[i], x_window)
         return out
-
-    def _coordinate(self, i: int) -> TransverseSeries:
-        """Reference coordinate series: x for i = 0, z_i otherwise."""
-        if i == 0:
-            return TransverseSeries.x_series(self.n, self.cap)
-        return TransverseSeries.variable(self.n, self.cap, i)
 
     def apply(self, f: TransverseSeries, x_window: int | None = None) -> TransverseSeries:
         """Substitute the images into f, truncated.
@@ -467,9 +492,11 @@ class Automorphism:
         :func:`~crossfield.series.accumulate_products`, with the degree-0
         coefficient f_K^(m)/m! as its right side.  Each layer is made
         canonical and multiplied by u^m once, into layer 0's raw
-        accumulator, with the powers of u built as they are needed; that
-        accumulator is made canonical once, as the result.  With u = 0 only
-        layer 0 exists and no product by a power of u is formed.
+        accumulator; that accumulator is made canonical once, as the
+        result.  Like z'^K, u and each power u^m are built once per map, the
+        first time a layer needs them, and the images are checked once per
+        map and window (:meth:`_substitution`).  With u = 0 only layer 0
+        exists and no product by a power of u is formed.
 
         With ``x_window`` every product of the chain z'^K, times f_K, is cut
         at that x-degree, which gives exactly apply(f).truncate_x(x_window)
@@ -490,33 +517,25 @@ class Automorphism:
     def _apply_into(self, data: dict, f: TransverseSeries, sign: int, x_window) -> None:
         """Add sign * self(f), cut at x-degree x_window, to the raw
         accumulator data: :meth:`apply`'s work and checks, which
-        normalize's certificate calls directly to add both sides of a
-        coordinate into one accumulator.
+        normalize's certificate and :func:`log` call directly to add more
+        than one series into one accumulator.
 
         Layer 0 accumulates straight into data, with the integer sign on
         its products; each layer m >= 1 of a moving x-image is made
-        canonical and multiplied by u^m into it.
+        canonical and multiplied by u^m into it.  The map's own checks,
+        u^m and z'^K are built once per map (:meth:`_substitution`); only
+        f's Taylor check runs on every windowed call.
         """
-        x = self._coordinate(0)
-        shift = self.img_x != x
-        u = self.img_x - x if shift else None
-        if shift and u.madic_order() < 1:
-            raise ValueError("x-image must differ from x by an element of m")
-        for comp in self.img_z:
-            if not comp.is_zero() and comp.madic_order() < 1:
-                raise ValueError("z-images must lie in m")
-        if x_window is not None:
-            if shift:
-                raise ValueError("an x-window needs the x-image x")
-            if not (f.is_taylor() and all(comp.is_taylor() for comp in self.img_z)):
-                raise ValueError("an x-window needs Taylor coefficients")
+        memo, upows = self._substitution(x_window)
+        if x_window is not None and not f.is_taylor():
+            raise ValueError("an x-window needs Taylor coefficients")
         n, cap = self.n, self.cap
         const = (0,) * n
         layers = [data]  # layers[m]: sign * sum_K f_K^(m)/m! z'^K, raw
         for K, poly in f._terms.items():
-            zpart = graded_terms(self._zmonomial(K, x_window))
+            zpart = graded_terms(self._zmonomial(memo, K, x_window))
             coeff = poly
-            for m in range(cap - sum(K) + 1 if shift else 1):
+            for m in range(cap - sum(K) + 1 if upows else 1):
                 if m:
                     coeff = coeff.derivative().scale(Fraction(1, m))
                     if coeff.is_zero():
@@ -524,10 +543,10 @@ class Automorphism:
                     if m == len(layers):
                         layers.append({})
                 accumulate_products(layers[m], cap, zpart, [(const, 0, coeff)], sign, x_window)
-        upow = u
         for m in range(1, len(layers)):
-            if m > 1:
-                upow = upow * u
+            if m > len(upows):
+                upows.append(upows[-1] * upows[0])
+            upow = upows[m - 1]
             if upow.is_zero():
                 break
             layer = _ts_raw(n, cap, finish_products(layers[m]))
@@ -577,9 +596,9 @@ class Automorphism:
         exactly the class where Phi - id raises the m-adic order, so the
         logarithm series terminates at the cap.
         """
-        for i, comp in enumerate((self.img_x,) + self.img_z):
-            d = comp - self._coordinate(i)
-            if d.madic_order() < (2 if i else 1):
+        images = (self.img_x,) + self.img_z
+        for i, (comp, coord) in enumerate(zip(images, _coordinates(self.n, self.cap))):
+            if (comp - coord).madic_order() < (2 if i else 1):
                 return False
         return True
 
@@ -892,23 +911,39 @@ def log(phi: Automorphism) -> VectorField:
     application of Phi - id raises the m-adic order, so the sum is finite at
     the cap and the result is a 1-flat (hence nilpotent) field with
     exp(log Phi) = Phi.
+
+    Each step u <- Phi(u) - u is formed in one raw accumulator: Phi's
+    substitution (:meth:`Automorphism._apply_into`), then -u as the
+    kernel's product of u by the constant 1 with integer factor -1.  The
+    partial sum goes into a second raw accumulator, each u as its product
+    by the constant 1/m with the sign as the integer factor, and is made
+    canonical once per coordinate.  No series is negated, subtracted,
+    scaled or added per step.
     """
     if not phi.tangent_to_identity():
         raise NotTangentToIdentityError(
             "log requires images equal to the coordinates through order 1"
         )
+    n, cap = phi.n, phi.cap
+    const = (0,) * n
+    one = [(const, 0, LaurentPoly.one())]
     comps = []
-    for coord in _coordinates(phi.n, phi.cap):
-        acc = TransverseSeries.zero(phi.n, phi.cap)
-        u = phi.apply(coord) - coord
-        m = 1
-        while not u.is_zero():
+    for coord in _coordinates(n, cap):
+        total = {}
+        u, m = coord, 0
+        while True:
+            data = {}
+            phi._apply_into(data, u, 1, None)
+            accumulate_products(data, cap, graded_terms(u), one, -1)
+            u = _ts_raw(n, cap, finish_products(data))
+            if u.is_zero():
+                break
+            m += 1
             if m > _GUARD:
                 raise CertificateError("log failed to terminate")
-            acc = acc + u.scale(Fraction(1, m) if m % 2 == 1 else Fraction(-1, m))
-            u = phi.apply(u) - u
-            m += 1
-        comps.append(acc)
+            inv_m = [(const, 0, LaurentPoly.constant(Fraction(1, m)))]
+            accumulate_products(total, cap, graded_terms(u), inv_m, 1 if m % 2 else -1)
+        comps.append(_ts_raw(n, cap, finish_products(total)))
     return VectorField(comps[0], comps[1:])
 
 

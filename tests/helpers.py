@@ -187,6 +187,54 @@ def ref_fold(n, cap, factors):
     return Automorphism(images[0], images[1:])
 
 
+def ref_apply(phi, f):
+    """Substitute phi's images into f with two full products per (term K of
+    f, Taylor order m): z'^K grown from 1 and u^m rebuilt for every K.
+    Nothing is kept between calls, or read from phi but its images."""
+    n, cap = phi.n, phi.cap
+    one = TransverseSeries.constant(n, cap, LaurentPoly.one())
+    u = phi.img_x - TransverseSeries.x_series(n, cap)
+    acc = TransverseSeries.zero(n, cap)
+    for K, poly in f.terms():
+        zpart = one
+        for i, k in enumerate(K):
+            for _ in range(k):
+                zpart = zpart * phi.img_z[i]
+        if u.is_zero():
+            acc = acc + zpart.scale(poly)
+            continue
+        upow = one
+        deriv = poly
+        fact = 1
+        for m in range(cap + 1):
+            if m:
+                upow = upow * u
+                fact *= m
+                deriv = deriv.derivative()
+                if upow.is_zero() or deriv.is_zero():
+                    break
+            acc = acc + upow.scale(deriv.scale(Fraction(1, fact))) * zpart
+    return acc
+
+
+def ref_log(phi):
+    """log(phi) by the series loop on the coordinates, each step
+    u <- phi.apply(u) - u and each partial sum acc + u.scale(+-1/m) formed
+    as a series."""
+    n, cap = phi.n, phi.cap
+    comps = []
+    for coord in lie._coordinates(n, cap):
+        acc = TransverseSeries.zero(n, cap)
+        u = phi.apply(coord) - coord
+        m = 1
+        while not u.is_zero():
+            acc = acc + u.scale(Fraction(1 if m % 2 else -1, m))
+            u = phi.apply(u) - u
+            m += 1
+        comps.append(acc)
+    return VectorField(comps[0], comps[1:])
+
+
 def scale_series(X, f):
     """f * X, multiplication of a field by a ring element."""
     return VectorField(X.a * f, [comp * f for comp in X.b])

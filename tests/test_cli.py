@@ -991,6 +991,26 @@ def test_failed_map_inversion_is_a_finding(monkeypatch):
     assert err == "finding: inversion failed at the cap\n"
 
 
+@pytest.mark.parametrize("K,coeff,message", [
+    # z1^3 dz1 goes from -1 to 1: still 1-flat, so exp(X) runs and misses z1
+    ((2,), 2, "exp of the logarithm differs from the map at z1"),
+    # x*z1^2 dz1 enters: the x-dependence alone tells exp(X) from the map
+    ((1,), LaurentPoly.x(), "exp of the logarithm differs from the map at z1"),
+    # 2*z1 dz1 enters: not nilpotent, so exp(X) does not exist
+    ((0,), 2, "the logarithm is not nilpotent"),
+])
+def test_wrong_logarithm_is_a_finding(monkeypatch, K, coeff, message):
+    # log's own loop is substitution; the CLI checks its result by exp, a
+    # Lie series, and a wrong coefficient is a finding, not a result
+    wrong = VectorField.monomial(1, 3, MonomialIndex(K, 1), coeff)
+    real_log = cli.log
+    monkeypatch.setattr(cli, "log", lambda phi: real_log(phi) + wrong)
+    assert call(["log", "--map", doc("tangent.map"), "--json"]) == (1, "", f"finding: log: {message}\n")
+    monkeypatch.undo()
+    rc, out, _ = call(["log", "--map", doc("tangent.map"), "--json"])
+    assert rc == 0 and json.loads(out)["field"] == "z1^2*dz1 - z1^3*dz1"
+
+
 def test_centralizer_counterexample_is_a_finding(monkeypatch):
     real = cli.centralizer_check
     monkeypatch.setattr(cli, "centralizer_check",

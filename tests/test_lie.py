@@ -23,7 +23,7 @@ from crossfield.lie import (
     log,
 )
 from crossfield.normalform import normalize
-from crossfield.parsing import parse_field
+from crossfield.parsing import parse_field, parse_series
 from crossfield.resonance import pairing
 from crossfield.series import (
     DimensionMismatchError,
@@ -48,7 +48,9 @@ from helpers import (
     rand_commuting_pair,
     rand_x_normalized_automorphism,
     rand_z_one_flat,
+    ref_apply,
     ref_fold,
+    ref_log,
 )
 
 
@@ -585,6 +587,20 @@ class TestLog:
         with pytest.raises(NotTangentToIdentityError):
             log(Automorphism.linear([[G(2)]], 3))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_series_loop(self, n):
+        # log's two raw accumulators against the loop that forms every step
+        # and partial sum as a series: moving and fixed x-images, Taylor and
+        # Laurent coefficients, and a bare map with no Lie generators
+        rng = random.Random(120 + n)
+        for cap in range(3, 8):
+            for min_exp in (0, -1):
+                moving = shifted_map(rng, n, cap, min_exp)
+                fixed = exp(rand_z_one_flat(rng, n, cap, terms=3, min_exp=min_exp))
+                for phi in (moving, fixed, fresh(moving)):
+                    got, want = log(phi), ref_log(phi)
+                    assert got == want and str(got) == str(want), (n, cap, str(phi))
+
 
 class TestPushforward:
     def test_identity(self):
@@ -697,35 +713,6 @@ class TestInvert:
 
 
 # --- the substitution and inversion as they were: oracles ------------------
-
-
-def ref_apply(phi, f):
-    """Substitute phi's images into f with two full products per (term K of
-    f, Taylor order m): z'^K grown from 1 and u^m rebuilt for every K."""
-    n, cap = phi.n, phi.cap
-    one = TransverseSeries.constant(n, cap, LaurentPoly.one())
-    u = phi.img_x - TransverseSeries.x_series(n, cap)
-    acc = TransverseSeries.zero(n, cap)
-    for K, poly in f.terms():
-        zpart = one
-        for i, k in enumerate(K):
-            for _ in range(k):
-                zpart = zpart * phi.img_z[i]
-        if u.is_zero():
-            acc = acc + zpart.scale(poly)
-            continue
-        upow = one
-        deriv = poly
-        fact = 1
-        for m in range(cap + 1):
-            if m:
-                upow = upow * u
-                fact *= m
-                deriv = deriv.derivative()
-                if upow.is_zero() or deriv.is_zero():
-                    break
-            acc = acc + upow.scale(deriv.scale(Fraction(1, fact))) * zpart
-    return acc
 
 
 def ref_invert(phi):
@@ -898,6 +885,116 @@ class TestSubstitutionOracle:
         monkeypatch.undo()
         assert got == ref_apply(phi, f)
 
+
+def count_calls(monkeypatch, owner, name):
+    """Count the calls of owner.name from here on: a one-item list."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestOncePerMap:
+    """A map's checks, its shift u with the powers u^m, and its monomials
+    z'^K are built once per map; only the work on f is done per call."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_repeated_applies_on_interleaved_maps(self, n):
+        # two moving maps and a fixed one of one shape, applied in turn, so
+        # that a memo or power list kept for the wrong map shows
+        rng = random.Random(130 + n)
+        for cap in range(3, 8):
+            maps = [
+                shifted_map(rng, n, cap, min_exp=-1),
+                shifted_map(rng, n, cap),
+                exp(rand_z_one_flat(rng, n, cap, terms=3, min_exp=-1)),
+            ]
+            series = [rand_series(rng, n, cap, terms=5, min_exp=-2, max_exp=2) for _ in range(2)]
+            for _ in range(3):
+                for phi in maps:
+                    for f in series:
+                        got, want = phi.apply(f), ref_apply(phi, f)
+                        assert got == want and str(got) == str(want), (n, cap)
+
+    def test_windowed_and_plain_applies_keep_apart(self):
+        # one fixed map applied in two windows and without one, in turn:
+        # each window has its own z'^K memo
+        rng = random.Random(134)
+        n, cap = 2, 5
+        phi = exp(rand_z_one_flat(rng, n, cap, terms=3, max_exp=2))
+        fs = [rand_series(rng, n, cap, terms=5, max_exp=3) for _ in range(2)]
+        for _ in range(2):
+            for f in fs:
+                want = ref_apply(phi, f)
+                for w in (1, None, 3):
+                    got = phi.apply(f, w)
+                    assert got == (want if w is None else want.truncate_x(w))
+
+    @pytest.mark.parametrize("img_x,img_z,x_window,message", [
+        ("x", ["1 + z1"], None, "z-images must lie in m"),
+        ("x + 1", ["z1"], None, "x-image must differ from x by an element of m"),
+        ("x + x*z1", ["z1"], 2, "an x-window needs the x-image x"),
+        ("x", ["x^-1*z1"], 2, "an x-window needs Taylor coefficients"),
+    ])
+    def test_failed_checks_raise_on_every_call(self, img_x, img_z, x_window, message):
+        cap = 3
+        phi = Automorphism(parse_series(img_x, 1, cap), [parse_series(c, 1, cap) for c in img_z])
+        f = var(1, cap, 1) * var(1, cap, 1)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                phi.apply(f, x_window)
+        if x_window is not None:
+            # the map itself passes: only its window fails, on every call
+            assert phi.apply(f) == ref_apply(phi, f)
+            with pytest.raises(ValueError, match=message):
+                phi.apply(f, x_window)
+
+    def test_windowed_series_is_checked_on_every_call(self):
+        phi = exp(rand_z_one_flat(random.Random(135), 1, 3))
+        taylor, laurent = var(1, 3, 1), TransverseSeries.monomial(1, 3, (1,), LaurentPoly.x(-1))
+        for _ in range(2):
+            assert phi.apply(taylor, 2) == ref_apply(phi, taylor).truncate_x(2)
+            with pytest.raises(ValueError, match="an x-window needs Taylor coefficients"):
+                phi.apply(laurent, 2)
+
+    def test_second_apply_forms_no_series_product(self, monkeypatch):
+        # the z'^K memo and the powers of u are in place after the first
+        # call, so the second runs only the kernel calls that read f
+        rng = random.Random(136)
+        for n in (1, 2, 3):
+            for cap in (3, 5, 7):
+                phi = shifted_map(rng, n, cap)
+                f = rand_series(rng, n, cap, terms=6, min_exp=-2, max_exp=-1)
+                muls = count_calls(monkeypatch, TransverseSeries, "__mul__")
+                kernel = count_calls(monkeypatch, lie, "accumulate_products")
+                first = phi.apply(f)
+                first_calls = kernel[0]
+                assert muls[0] > 0
+                muls[0] = kernel[0] = 0
+                assert phi.apply(f) == first
+                assert muls[0] == 0 and kernel[0] == first_calls, (n, cap)
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("cap", [3, 4, 5, 6, 7])
+    def test_log_steps_form_no_series(self, monkeypatch, cap):
+        # tangent_to_identity subtracts once per coordinate, and a moving
+        # map's shift u = img_x - x is one more subtraction, once per map;
+        # the steps themselves scale and subtract nothing
+        rng = random.Random(140 + cap)
+        n = 2
+        moving = shifted_map(rng, n, cap)
+        fixed = exp(rand_z_one_flat(rng, n, cap, terms=3))
+        subs = count_calls(monkeypatch, TransverseSeries, "__sub__")
+        scales = count_calls(monkeypatch, TransverseSeries, "scale")
+        for phi, once in ((moving, 1), (moving, 0), (fixed, 0)):
+            subs[0] = 0
+            log(phi)
+            assert (subs[0], scales[0]) == (n + 1 + once, 0)
 
 class TestInverseLinks:
     """A map holds its inverse; the inverse holds no link back, so a dropped
