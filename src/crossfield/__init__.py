@@ -6,7 +6,13 @@ degree: exact normal forms with a certified conjugating automorphism,
 resonance enumeration and the no-transverse-negative-resonance decision,
 low-dimension classification tables, centralizer bases, and numeric holonomy
 of the x-axis separatrix with conjugacy checking.
+
+Importing the package loads the shared layers coeff, series and lie.  The
+others (resonance, normalform, holonomy, parsing, cli) load when imported,
+or on first access as attributes of the package: ``crossfield.holonomy``.
 """
+
+import importlib
 
 from .coeff import CoefficientSyntaxError, GaussianRational, LaurentPoly
 from .series import (
@@ -50,3 +56,12 @@ __all__ = [
     "SingularLinearPartError",
     "__version__",
 ]
+
+_LAZY_LAYERS = frozenset({"resonance", "normalform", "holonomy", "parsing", "cli"})
+
+
+def __getattr__(name):
+    """crossfield.<layer> of a layer not imported yet: imports it."""
+    if name in _LAZY_LAYERS:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

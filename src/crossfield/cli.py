@@ -13,7 +13,7 @@ noncommuting pair under check-commute, a centralizer monomial violating the
 no-negative-resonance expectation, a conjugacy residual over the bound, an
 exact result failing its own check, lie.CertificateError), 2 usage errors
 including syntax errors with positions and sizes above the MAX_* bounds
-below.
+below, and a failed holonomy integration (holonomy.IntegrationError).
 
 One table, _COMMANDS, gives each command its help text, its flags (keys
 into the ordered _FLAGS table) and its handler; build_parser() and main()
@@ -29,6 +29,12 @@ calls behave exactly like calls on a fresh build_parser().  An argv that
 starts with a command's name goes straight to that command's subparser,
 which is all the top-level parser would do with it; any other argv (no
 command, -h, an unknown name) takes the full two-level parse.
+
+Importing this module loads only the layers every command shares: coeff,
+series and lie, which the package loads anyway.  Each handler imports its
+own layer when it runs (normalform, resonance or holonomy), and a document
+imports parsing when it reads an expression, so a process that runs one
+command compiles no layer that the command does not use.
 """
 
 from __future__ import annotations
@@ -40,16 +46,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .coeff import CoefficientSyntaxError, GaussianRational
-from .holonomy import IntegrationError, conjugacy_residual, holonomy_jet
 from .lie import Automorphism, CertificateError, VectorField, exp, log
-from .normalform import centralizer_check, normalize
-from .parsing import parse_field, parse_series
-from .resonance import (
-    classify_dim2,
-    classify_dim3,
-    decide_ntnr,
-    enumerate_resonances,
-)
 from .series import TransverseSeries
 
 __all__ = ["main", "FieldDocument", "MapDocument", "DocumentError"]
@@ -121,6 +118,8 @@ class FieldDocument:
                    x_cap=x_cap, mu=mu)
 
     def field(self, degree=None) -> VectorField:
+        from .parsing import parse_field
+
         cap = degree if degree is not None else self.degree
         return parse_field(
             self.field_text,
@@ -226,6 +225,8 @@ class MapDocument:
 
     @classmethod
     def parse(cls, text: str, source: str = "<map>") -> "MapDocument":
+        from .parsing import parse_series
+
         lines = text.splitlines()
         header, n, degree = _read_header(lines, source)
         maps = {key[4:]: entry for key, entry in header.items() if key.startswith("map ")}
@@ -431,6 +432,8 @@ def _window_arg(raw: str):
 
 
 def _cmd_normalize(args):
+    from .normalform import normalize
+
     doc, X = _load_field(args, use_degree_flag=True)
     mu = _mu_from(args, doc) if (args.mu or doc.mu) else _diagonal_mu(X)
     x_cap = args.x_cap if args.x_cap is not None else doc.x_cap
@@ -467,6 +470,8 @@ def _diagonal_mu(X: VectorField):
 
 
 def _cmd_resonances(args):
+    from .resonance import decide_ntnr, enumerate_resonances
+
     doc = _header_doc(args)
     mu = _mu_from(args, doc)
     degree = args.degree if args.degree is not None else 8
@@ -487,6 +492,8 @@ def _cmd_resonances(args):
 
 
 def _cmd_classify2(args):
+    from .resonance import classify_dim2
+
     (lam,) = _coeffs([args.lam], "--lambda")
     report = {
         "lambda": str(lam),
@@ -496,6 +503,8 @@ def _cmd_classify2(args):
 
 
 def _cmd_classify3(args):
+    from .resonance import classify_dim3
+
     (lam,) = _coeffs([args.lam], "--lambda")
     (mu,) = _coeffs([args.mu], "--mu")
     c = classify_dim3(lam, mu)
@@ -510,6 +519,8 @@ def _cmd_classify3(args):
 
 
 def _cmd_centralizer(args):
+    from .normalform import centralizer_check
+
     doc = _header_doc(args)
     mu = _mu_from(args, doc)
     window = _window_arg(args.x_window)
@@ -579,10 +590,23 @@ def _cmd_log(args):
     _emit(args, report)
 
 
+def _integrate(run, *args, **kwargs):
+    """run(*args, **kwargs), a call into the holonomy layer, whose
+    IntegrationError goes on as a ValueError: main() reports it, exit 2."""
+    from .holonomy import IntegrationError
+
+    try:
+        return run(*args, **kwargs)
+    except IntegrationError as e:
+        raise ValueError(str(e)) from e
+
+
 def _cmd_holonomy(args):
+    from .holonomy import holonomy_jet
+
     _, X = _load_field(args)
     degree = args.degree if args.degree is not None else 2
-    jet = holonomy_jet(X, degree, tol=args.tol, windings=args.windings)
+    jet = _integrate(holonomy_jet, X, degree, tol=args.tol, windings=args.windings)
     report = {
         "degree": degree,
         "tol": _fmt_float(args.tol),
@@ -597,12 +621,14 @@ def _cmd_holonomy(args):
 
 
 def _cmd_conjugacy_check(args):
+    from .holonomy import conjugacy_residual
+
     _, X = _load_field(args)
     mapdoc = _load(MapDocument, args.map, "--map")
     _check_second("map", mapdoc, X)
     psi = mapdoc.automorphism()
     degree = args.degree if args.degree is not None else 2
-    residual = conjugacy_residual(X, psi, degree, tol=args.tol)
+    residual = _integrate(conjugacy_residual, X, psi, degree, tol=args.tol)
     ok = args.max_residual is None or residual <= args.max_residual
     report = {
         "degree": degree,
@@ -719,7 +745,7 @@ def main(argv=None) -> int:
     except (Finding, CertificateError) as e:
         sys.stderr.write(f"finding: {e}\n")
         return 1
-    except (ValueError, IntegrationError) as e:
+    except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

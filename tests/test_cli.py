@@ -65,6 +65,7 @@ CASES = [
     ("holonomy_resonant_d4_wm2", ["holonomy", "--field", doc("resonant.vf"), "--degree", "4", "--windings", "-2", "--json"], 0, False),
     ("conjugacy_scale_d4", ["conjugacy-check", "--field", doc("resonant.vf"), "--map", doc("scale.map"), "--degree", "4", "--json"], 0, False),
     ("conjugacy_too_strict", ["conjugacy-check", "--field", doc("resonant.vf"), "--map", doc("scale.map"), "--degree", "2", "--max-residual", "1e-20", "--json"], 1, True),
+    ("holonomy_overflow", ["holonomy", "--field", doc("overflow.vf"), "--degree", "2", "--json"], 2, True),
     ("parse_error_position", ["normalize", "--field", doc("bad.vf"), "--json"], 2, True),
     ("reject_not_normalized", ["holonomy", "--field", doc("notnorm.vf"), "--json"], 2, True),
     ("require_flag_rejects", ["normalize", "--field", doc("notnorm.vf"), "--require-x-normalized"], 2, True),
@@ -326,6 +327,97 @@ def test_float_goldens_replay_in_a_child_interpreter(python):
         assert out.replace(str(DATA), "data") == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
         if check_err:
             assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8"), name
+
+
+# One golden per command, each in a fresh interpreter of its own, so that a
+# handler imports its layer cold and main() maps its errors there: a finding
+# (exit 1) and a failed integration (exit 2) among them.  Each child also
+# lists the package modules loaded after importing the CLI and after the
+# command.
+COLD_CASES = ["normalize_resonant", "resonances_witness", "classify2_neg", "classify3_3b",
+              "centralizer_negative", "noncommute", "exp_window", "log_map",
+              "holonomy_twovar", "conjugacy_scale", "holonomy_overflow"]
+COLD = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+def package():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "crossfield")
+from crossfield.cli import main
+imported = package()
+out, err = io.StringIO(), io.StringIO()
+with redirect_stdout(out), redirect_stderr(err):
+    rc = main(json.loads(sys.argv[1]))
+sys.stdout.write(json.dumps([imported, package(), rc, out.getvalue(), err.getvalue()]))
+"""
+CASE = {name: (argv, code, check_err) for name, argv, code, check_err in CASES}
+
+
+def run_child(script, *args):
+    """`python -c script *args` on this checkout's src/, output captured."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.fixture(scope="module")
+def cold_runs():
+    """name -> (package modules after importing the CLI, after the command,
+    exit code, stdout, stderr) of each COLD_CASES golden, one child each."""
+    runs = {}
+    for name in COLD_CASES:
+        proc = run_child(COLD, json.dumps(CASE[name][0]))
+        assert proc.returncode == 0, proc.stderr
+        runs[name] = json.loads(proc.stdout)
+    return runs
+
+
+def test_cold_cases_cover_every_command_and_exit_code():
+    commands = [CASE[name][0][0] for name in COLD_CASES]
+    assert sorted(set(commands)) == sorted(cli._COMMANDS)
+    assert {CASE[name][1] for name in COLD_CASES} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("name", COLD_CASES)
+def test_golden_replays_in_a_fresh_interpreter(name, cold_runs):
+    _, _, rc, out, err = cold_runs[name]
+    _, code, check_err = CASE[name]
+    assert rc == code, err
+    assert out.replace(str(DATA), "data") == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    want_err = (GOLDEN / f"{name}.err").read_text(encoding="utf-8") if check_err else ""
+    assert err.replace(str(DATA), "data") == want_err
+
+
+def test_cli_import_loads_only_the_shared_layers(cold_runs):
+    shared = ["crossfield", "crossfield.cli", "crossfield.coeff", "crossfield.lie",
+              "crossfield.series"]
+    for name, (imported, *_) in cold_runs.items():
+        assert imported == shared, name
+
+
+def test_package_loads_a_layer_on_first_access():
+    # code that reads crossfield.<layer> off the package, as a tracer
+    # wrapping every layer's functions does, still finds each layer
+    proc = run_child("import sys, crossfield\n"
+                     "print('crossfield.holonomy' in sys.modules, crossfield.holonomy.__name__,\n"
+                     "      hasattr(crossfield, 'frobnicate'))\n")
+    assert proc.stdout == "False crossfield.holonomy False\n", proc.stderr
+
+
+@pytest.mark.parametrize("command,own,others", [
+    ("resonances", "resonance", ("holonomy", "normalform")),
+    ("classify2", "resonance", ("holonomy", "normalform")),
+    ("classify3", "resonance", ("holonomy", "normalform")),
+    ("holonomy", "holonomy", ("normalform", "resonance")),
+    ("conjugacy-check", "holonomy", ("normalform", "resonance")),
+    ("normalize", "normalform", ("holonomy",)),
+])
+def test_a_command_loads_its_own_layer_only(command, own, others, cold_runs):
+    names = [name for name in COLD_CASES if CASE[name][0][0] == command]
+    assert names
+    for name in names:
+        loaded = cold_runs[name][1]
+        assert f"crossfield.{own}" in loaded, name
+        assert not [m for m in others if f"crossfield.{m}" in loaded], (name, loaded)
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
@@ -942,8 +1034,7 @@ def test_zero_field_document(tmp_path):
 # |e^{2 pi i w mu}| = e^{-2 pi w Im mu} = e^{240 pi} is past the largest float:
 # the one-turn jet overflows in the integrator
 OVERFLOW_DOCS = {
-    "negative-im": ("n: 1\ndegree: 4\nmu: -120*i\n"
-                    "field: x*dx - 120*i*z1*dz1 + x*z1^2*dz1\n", "1"),
+    "negative-im": ((DATA / "overflow.vf").read_text(encoding="utf-8"), "1"),
     # positive Im mu contracts forward, so the backward turn overflows
     "positive-im": ("n: 1\ndegree: 4\nmu: 120*i\n"
                     "field: x*dx + 120*i*z1*dz1 + x*z1^2*dz1\n", "-1"),
@@ -1012,8 +1103,10 @@ def test_wrong_logarithm_is_a_finding(monkeypatch, K, coeff, message):
 
 
 def test_centralizer_counterexample_is_a_finding(monkeypatch):
-    real = cli.centralizer_check
-    monkeypatch.setattr(cli, "centralizer_check",
+    from crossfield import normalform
+
+    real = normalform.centralizer_check
+    monkeypatch.setattr(normalform, "centralizer_check",
                         lambda *a: dataclasses.replace(real(*a), ok=False))
     rc, out, err = call(CENTRALIZER)
     assert rc == 1

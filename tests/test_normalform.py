@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from crossfield import cli, lie
+from crossfield import lie, normalform
 from crossfield.coeff import GaussianRational as G
 from crossfield.coeff import LaurentPoly
 from crossfield.lie import Automorphism, VectorField, exp_ad
@@ -384,7 +384,7 @@ class TestUpperLevels:
 
     def oracle_json(self, monkeypatch, path, text):
         real = normalize_json(path, text)
-        monkeypatch.setattr(cli, "normalize", ref_normalize)
+        monkeypatch.setattr(normalform, "normalize", ref_normalize)
         ref = normalize_json(path, text)
         monkeypatch.undo()
         return real, ref
