@@ -404,11 +404,6 @@ class LaurentPoly:
         """
         return _lp_raw({e: c for e, c in self._terms.items() if e <= max_deg})
 
-    def derivative(self) -> "LaurentPoly":
-        """d/dx, exact (works on negative exponents too)."""
-        # c * e is nonzero for nonzero c and e
-        return _lp_raw({e - 1: c * e for e, c in self._terms.items() if e})
-
     def euler_solve(self, s):
         """Split g = self into (f, residual) with (x*d/dx + s) f = g - residual.
 

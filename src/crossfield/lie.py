@@ -16,7 +16,6 @@ Phi* X = Phi o X o Phi^{-1}.  Composition is operator composition:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import groupby
 
 from .coeff import GaussianRational, LaurentPoly, as_scalar
@@ -24,7 +23,11 @@ from .series import (
     DimensionMismatchError,
     MonomialIndex,
     TransverseSeries,
+    _cells,
+    _derived,
+    _series_cells,
     _terms_text,
+    _triple,
     _ts_raw,
     accumulate_products,
     finish_products,
@@ -124,62 +127,76 @@ class VectorField:
     def apply(self, f: TransverseSeries, x_window: int | None = None) -> TransverseSeries:
         """X(f) = a df/dx + sum_i b_i df/dz_i, truncated at the cap.
 
-        The terms of a meet the x-derivatives of f's coefficients, and the
-        terms of b_i meet, with integer factor k, the terms of f with
-        K_i = k lowered to K - e_i, in
-        :func:`~crossfield.series.accumulate_products`.  Every product lands
-        in one raw integer accumulator, made canonical once at the end; no
-        derivative series, scaled copy, partial product or partial sum is
-        built.  With ``x_window`` every product is also cut at that
+        One call of :func:`~crossfield.series.accumulate_products` per
+        component: the terms of a meet the x-derivatives of f's
+        coefficients, x^e going to e x^(e-1), and the terms of b_i meet
+        the terms of f with K_i = k >= 1, lowered to K - e_i.  f's
+        coefficients go in as raw integer cells with e or k already
+        multiplied into their numerators, built only for the terms each
+        component reads.  Every product lands in one raw integer
+        accumulator, made canonical once at the end; no derivative
+        polynomial or series, scaled copy, partial product or partial sum
+        is built.  With ``x_window`` every product is also cut at that
         x-degree, which gives exactly X(f).truncate_x(x_window): the
         x-derivatives are taken before the products.
         """
         if f.n != self.n or f.cap != self.cap:
             raise DimensionMismatchError("field and series shapes differ")
+        return self._apply(f, x_window, 1)
+
+    def _apply(self, f: TransverseSeries, x_window, factor) -> TransverseSeries:
+        """factor * X(f), cut at x-degree x_window, for an exact scalar factor."""
         data = {}
-        self._apply_into(data, f, 1, x_window)
+        self._apply_into(data, f, factor, x_window)
         return _ts_raw(self.n, self.cap, finish_products(data))
 
-    def _apply_into(self, data: dict, f: TransverseSeries, sign: int, x_window) -> None:
-        """Add sign * X(f), cut at x-degree x_window, to the raw accumulator data."""
+    def _apply_into(self, data: dict, f: TransverseSeries, factor, x_window) -> None:
+        """Add factor * X(f), cut at x-degree x_window, to the raw
+        accumulator data; factor is an int, Fraction or Q[i] scalar, folded
+        into the cells of f's terms."""
+        a, b, d = _triple(factor)
         terms = graded_terms(f)
         if self.a._terms:
             dx = []
-            for K, d, c in terms:
-                c = c.derivative()
-                if c._terms:
-                    dx.append((K, d, c))
+            for K, deg, c in terms:
+                cells = _derived(_cells(c, a, b, d))
+                if cells:
+                    dx.append((K, deg, cells))
             if dx:
-                accumulate_products(data, self.cap, graded_terms(self.a), dx, sign, x_window)
+                accumulate_products(data, self.cap, graded_terms(self.a), dx, 1, x_window)
         for i, comp in enumerate(self.b):
             if not comp._terms:
                 continue
-            by_k = {}  # k -> the terms of f with K_i = k, as K - e_i
-            for K, d, c in terms:
-                k = K[i]
-                if k:
-                    lowered = (K[:i] + (k - 1,) + K[i + 1:], d - 1, c)
-                    by_k.setdefault(k, []).append(lowered)
-            if by_k:
-                left = graded_terms(comp)
-                for k, lowered in by_k.items():
-                    accumulate_products(data, self.cap, left, lowered, sign * k, x_window)
+            lowered = [
+                (K[:i] + (K[i] - 1,) + K[i + 1:], deg - 1, _cells(c, K[i] * a, K[i] * b, d))
+                for K, deg, c in terms
+                if K[i]
+            ]
+            if lowered:
+                accumulate_products(data, self.cap, graded_terms(comp), lowered, 1, x_window)
 
     def bracket(self, other: "VectorField", x_window: int | None = None) -> "VectorField":
         """[X, Y] = X o Y - Y o X, componentwise X(Y_c) - Y(X_c).
 
         Both halves of each component accumulate into one raw accumulator,
-        the second with its integer factors negated, and the component is
-        made canonical once; no negated or partial series is built.  With
-        ``x_window`` the result is exactly [X, Y].truncate_x(x_window), as
-        in :meth:`apply`.
+        the second with the sign folded into its right cells, and the
+        component is made canonical once; no negated or partial series is
+        built.  With ``x_window`` the result is exactly
+        [X, Y].truncate_x(x_window), as in :meth:`apply`.
         """
         self._compat(other)
+        return self._bracket(other, x_window, 1)
+
+    def _bracket(self, other: "VectorField", x_window, factor) -> "VectorField":
+        """factor * [self, other], cut at x-degree x_window: the factor, an
+        exact scalar, and its negation go into the right cells of the two
+        halves."""
+        neg = -factor
         comps = []
         for own, their in zip((self.a,) + self.b, (other.a,) + other.b):
             data = {}
-            self._apply_into(data, their, 1, x_window)
-            other._apply_into(data, own, -1, x_window)
+            self._apply_into(data, their, factor, x_window)
+            other._apply_into(data, own, neg, x_window)
             comps.append(_ts_raw(self.n, self.cap, finish_products(data)))
         return VectorField(comps[0], comps[1:])
 
@@ -490,13 +507,16 @@ class Automorphism:
         (:meth:`_zmonomial`), and multiplied into the layers
         m <= cap - |K| (z'^K lies in m^|K| and u^m in m^m) by
         :func:`~crossfield.series.accumulate_products`, with the degree-0
-        coefficient f_K^(m)/m! as its right side.  Each layer is made
-        canonical and multiplied by u^m once, into layer 0's raw
-        accumulator; that accumulator is made canonical once, as the
-        result.  Like z'^K, u and each power u^m are built once per map, the
-        first time a layer needs them, and the images are checked once per
-        map and window (:meth:`_substitution`).  With u = 0 only layer 0
-        exists and no product by a power of u is formed.
+        coefficient f_K^(m)/m! as its right side.  That coefficient is
+        raw integer cells: layer m's cell (e - 1, e*a, e*b, m*d) comes from
+        layer m - 1's cell (e, a, b, d), so no polynomial is built for a
+        layer.  Each layer is made canonical and multiplied by u^m once,
+        with u^m's cells as the right side, into layer 0's raw accumulator;
+        that accumulator is made canonical once, as the result.  Like z'^K, u
+        and each power u^m are built once per map, the first time a layer
+        needs them, and the images are checked once per map and window
+        (:meth:`_substitution`).  With u = 0 only layer 0 exists and no
+        product by a power of u is formed.
 
         With ``x_window`` every product of the chain z'^K, times f_K, is cut
         at that x-degree, which gives exactly apply(f).truncate_x(x_window)
@@ -534,15 +554,15 @@ class Automorphism:
         layers = [data]  # layers[m]: sign * sum_K f_K^(m)/m! z'^K, raw
         for K, poly in f._terms.items():
             zpart = graded_terms(self._zmonomial(memo, K, x_window))
-            coeff = poly
+            cells = _cells(poly)
             for m in range(cap - sum(K) + 1 if upows else 1):
                 if m:
-                    coeff = coeff.derivative().scale(Fraction(1, m))
-                    if coeff.is_zero():
+                    cells = _derived(cells, m)
+                    if not cells:
                         break
                     if m == len(layers):
                         layers.append({})
-                accumulate_products(layers[m], cap, zpart, [(const, 0, coeff)], sign, x_window)
+                accumulate_products(layers[m], cap, zpart, [(const, 0, cells)], sign, x_window)
         for m in range(1, len(layers)):
             if m > len(upows):
                 upows.append(upows[-1] * upows[0])
@@ -550,7 +570,7 @@ class Automorphism:
             if upow.is_zero():
                 break
             layer = _ts_raw(n, cap, finish_products(layers[m]))
-            accumulate_products(data, cap, graded_terms(layer), graded_terms(upow))
+            accumulate_products(data, cap, graded_terms(layer), _series_cells(upow))
 
     # -- group structure ----------------------------------------------------
 
@@ -675,7 +695,7 @@ def _product(f: TransverseSeries, g: TransverseSeries, x_window) -> TransverseSe
     if x_window is None:
         return f * g
     data = {}
-    accumulate_products(data, f.cap, graded_terms(f), graded_terms(g), 1, x_window)
+    accumulate_products(data, f.cap, graded_terms(f), _series_cells(g), 1, x_window)
     return _ts_raw(f.n, f.cap, finish_products(data))
 
 
@@ -781,9 +801,11 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
     for additive, run in groupby(factors, key=lambda f: _acts_additively(f, cap)):
         run = list(run)
         if additive and len(run) > 1:
-            V = reduce(VectorField.__add__, (W if t == 1 else W.scale(t) for W, t, _ in run))
+            by_t = {}  # t -> the sum of the run's W with that t
+            for W, t, _ in run:
+                by_t[t] = by_t[t] + W if t in by_t else W
             w = run[0][2]
-            images = [s + V.apply(s, w) for s in images]
+            images = [s + _additive_step(by_t, s, w) for s in images]
             continue
         for W, t, w in run:
             if t is None:
@@ -792,7 +814,7 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
                 continue
             diagonal = _diagonal(W, w)
             if diagonal is None:
-                images = [_lie_series(W.apply, s, t, w) for s in images]
+                images = [_lie_series(W._apply, s, t, w) for s in images]
             else:
                 j, f = diagonal
                 E = _exp_multiples(f, t, w, {M[j] for s in images for M in s._terms})
@@ -800,6 +822,16 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
     phi = Automorphism(images[0], images[1:])
     object.__setattr__(phi, "_gens", factors)
     return phi
+
+
+def _additive_step(by_t: dict, s: TransverseSeries, x_window) -> TransverseSeries:
+    """V(s) for V = sum t*V_t over {t: V_t} in by_t, cut at x-degree
+    x_window, in one raw accumulator: each t goes into the cells of s that
+    its V_t reads."""
+    data = {}
+    for t, V in by_t.items():
+        V._apply_into(data, s, t, x_window)
+    return _ts_raw(s.n, s.cap, finish_products(data))
 
 
 def _diagonal(W: VectorField, x_window):
@@ -822,7 +854,8 @@ def _diagonal(W: VectorField, x_window):
 
 
 def _exp_multiples(f: LaurentPoly, t, x_window: int, ms) -> dict:
-    """{m: e^{t*m*f} cut at x-degree x_window} for the nonzero ints m of ms.
+    """{m: e^{t*m*f} cut at x-degree x_window} for the nonzero ints m of ms,
+    each value as the raw cells of a right item of the product kernel.
 
     f is Taylor with f(0) = 0, so f^k starts at x^k and each value is
     1 + sum_{k <= x_window} (t*m)^k f^k/k!, from the powers f^k/k! built
@@ -845,7 +878,7 @@ def _exp_multiples(f: LaurentPoly, t, x_window: int, ms) -> dict:
                     v = v * ck
                     cells[e] = cells[e] + v if e in cells else v
                 ck = ck * c
-            out[m] = LaurentPoly(cells)
+            out[m] = _cells(LaurentPoly(cells))
     return out
 
 
@@ -882,12 +915,13 @@ def _acts_additively(factor, cap: int) -> bool:
 
 
 def _lie_series(step, start, t, x_window):
-    """start + sum_{k>=1} term_k with term_k = step(term_{k-1}, x_window) * t/k.
+    """start + sum_{k>=1} term_k with term_k = step(term_{k-1}, x_window, t/k).
 
-    step is a field's apply or bracket, which forms each term only up to
-    x-degree x_window, exactly its truncation there; start itself is taken
-    as it is.  Each term is scaled once by the scalar t/k, in the caller's
-    scalar type, unless t/k is 1; the sum stops at the first zero term.
+    step is a field's ``_apply`` or ``_bracket``: step(s, x_window, c) is
+    c * W(s) or c * [W, s], formed only up to x-degree x_window, exactly
+    its truncation there.  The scalar t/k goes into the raw cells of the
+    step's products, so no term is scaled after it is formed; start itself
+    is taken as it is.  The sum stops at the first zero term.
     """
     acc = term = start
     k = 0
@@ -895,10 +929,7 @@ def _lie_series(step, start, t, x_window):
         k += 1
         if k > _GUARD:
             raise CertificateError("Lie series failed to terminate; nilpotency is violated")
-        c = t / k
-        term = step(term, x_window)
-        if c != 1:
-            term = term.scale(c)
+        term = step(term, x_window, t / k)
         if term.is_zero():
             return acc
         acc = acc + term
@@ -926,7 +957,7 @@ def log(phi: Automorphism) -> VectorField:
         )
     n, cap = phi.n, phi.cap
     const = (0,) * n
-    one = [(const, 0, LaurentPoly.one())]
+    one = [(const, 0, [(0, 1, 0, 1)])]
     comps = []
     for coord in _coordinates(n, cap):
         total = {}
@@ -941,7 +972,7 @@ def log(phi: Automorphism) -> VectorField:
             m += 1
             if m > _GUARD:
                 raise CertificateError("log failed to terminate")
-            inv_m = [(const, 0, LaurentPoly.constant(Fraction(1, m)))]
+            inv_m = [(const, 0, [(0, 1, 0, m)])]
             accumulate_products(total, cap, graded_terms(u), inv_m, 1 if m % 2 else -1)
         comps.append(_ts_raw(n, cap, finish_products(total)))
     return VectorField(comps[0], comps[1:])
@@ -962,7 +993,7 @@ def exp_ad(W: VectorField, X: VectorField, x_window: int | None = None) -> Vecto
     W._compat(X)
     if x_window is not None:
         X = X.truncate_x(x_window)
-    return _lie_series(W.bracket, X, Fraction(1), x_window)
+    return _lie_series(W._bracket, X, Fraction(1), x_window)
 
 
 def exp_decomposition(phi: Automorphism):

@@ -277,7 +277,7 @@ class TransverseSeries:
         if isinstance(other, TransverseSeries):
             self._compat(other)
             data = {}
-            accumulate_products(data, self.cap, graded_terms(self), graded_terms(other))
+            accumulate_products(data, self.cap, graded_terms(self), _series_cells(other))
             return _ts_raw(self.n, self.cap, finish_products(data))
         if isinstance(other, (LaurentPoly, GaussianRational, int, Fraction)):
             return self.scale(other)
@@ -351,23 +351,65 @@ class TransverseSeries:
 
 
 def graded_terms(s: TransverseSeries):
-    """The terms of s as (K, |K|, coefficient) triples, the kernel's input."""
+    """The terms of s as (K, |K|, coefficient) triples, the kernel's left side."""
     return [(K, sum(K), c) for K, c in s._terms.items()]
+
+
+# -- the kernel's right side: raw integer cells -----------------------------
+#
+# A cell (e, a, b, d) is the value (a + b*i)/d at x^e, with d > 0 and no
+# common factor removed.  A caller folds its own factor (a derivative's
+# exponent, a Taylor layer's 1/m, a Lie-series coefficient t/k, a sign)
+# into the cells of one right item, so no polynomial or scaled series is
+# built only to be multiplied.
+
+
+def _triple(c) -> tuple:
+    """(a, b, d) with c = (a + b*i)/d, for an int, Fraction or Q[i] scalar c."""
+    if isinstance(c, GaussianRational):
+        return c._a, c._b, c._d
+    return c.numerator, 0, c.denominator
+
+
+def _cells(poly: LaurentPoly, a: int = 1, b: int = 0, d: int = 1) -> list:
+    """The cells of poly times (a + b*i)/d, unreduced."""
+    if b:
+        return [
+            (e, a * c._a - b * c._b, a * c._b + b * c._a, d * c._d)
+            for e, c in poly._terms.items()
+        ]
+    return [(e, a * c._a, a * c._b, d * c._d) for e, c in poly._terms.items()]
+
+
+def _derived(cells: list, m: int = 1) -> list:
+    """The cells of the x-derivative of cells, over m: x^e goes to
+    (e/m) x^(e-1), with e folded into the numerators and m into the
+    denominator."""
+    return [(e - 1, e * a, e * b, m * d) for e, a, b, d in cells if e]
+
+
+def _series_cells(s: TransverseSeries) -> list:
+    """The terms of s as right items (K, |K|, cells)."""
+    return [(K, sum(K), _cells(c)) for K, c in s._terms.items()]
 
 
 def accumulate_products(
     data: dict, cap: int, left, right, k: int = 1, x_window: int | None = None
 ) -> None:
     """Add k*c1*c2*z^(K1+K2) to the raw accumulator data for every pair of
-    (K1, d1, c1) in left and (K2, d2, c2) in right with d1 + d2 <= cap.
+    (K1, d1, c1) in left and (K2, d2, cells2) in right with d1 + d2 <= cap.
 
     This is the one truncated-product loop of the series, derivation and
     substitution layers: TransverseSeries products, VectorField.apply,
     brackets and Automorphism.apply all run through it.  d1 and d2 are the
     total degrees |K1| and |K2|; a pair above the cap is skipped before its
-    product is formed.  The integer k (the exponent of a z-derivative, or
-    the sign of a bracket half) multiplies the numerators of each left
-    coefficient once per call.
+    product is formed.  A left coefficient c1 is a LaurentPoly.  A right
+    item carries raw cells (e, a, b, d), the value (a + b*i)/d at x^e with
+    d > 0 and no common factor removed, in any order; its caller builds
+    them with its own factor already multiplied in: the exponent of a
+    z-derivative, the e of an x-derivative, a Taylor layer's 1/m, a
+    Lie-series coefficient.  The integer k (a sign) multiplies the
+    numerators of each left coefficient once per call.
 
     With an int ``x_window`` the product is a short product in x as well:
     a cell pair x^e1 * x^e2 with e1 + e2 > x_window is skipped before it is
@@ -375,10 +417,10 @@ def accumulate_products(
     adds without a window.  Truncating between chained products is exact
     only when no factor has a negative x-exponent and no later step lowers
     an x-degree (an x-derivative, or a moving x-image); the callers that
-    pass a window see to that.  With a window each right monomial's cells
-    are sorted by exponent once, and each left cell x^e1 reads their prefix
+    pass a window see to that.  With a window each right item's cells are
+    sorted by exponent once, and each left cell x^e1 reads their prefix
     of exponent <= x_window - e1, found with one bisection.  Without one
-    the right cells keep their insertion order and are not sorted or cut.
+    the right cells keep their order and are not sorted or cut.
 
     data maps K -> {e: [a, b, d]}, the value (a + b*i)/d with d > 0 and no
     common factor removed.  A term pair adds its Gaussian-integer numerator
@@ -389,11 +431,10 @@ def accumulate_products(
     """
     windowed = x_window is not None
     sides = []
-    for K2, d2, p2 in right:
-        cells2 = [(e, c._a, c._b, c._d) for e, c in p2._terms.items()]
+    for K2, d2, cells2 in right:
         exps2 = None
         if windowed:
-            cells2.sort()
+            cells2 = sorted(cells2)
             exps2 = [cell[0] for cell in cells2]
         sides.append((K2, d2, cells2, exps2))
     for K1, d1, p1 in left:

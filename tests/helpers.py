@@ -160,6 +160,12 @@ def conjugate(v):
     return _gq(v._a, -v._b, v._d)
 
 
+def derivative(f):
+    """d/dx of a LaurentPoly, exact on negative exponents too."""
+    # c * e is nonzero for nonzero c and e
+    return _lp_raw({e - 1: c * e for e, c in f._terms.items() if e})
+
+
 def euler_apply(f, s):
     """Apply the shifted Euler operator (x*d/dx + s) to a LaurentPoly."""
     s = as_scalar(s)
@@ -183,7 +189,7 @@ def ref_fold(n, cap, factors):
             L = Automorphism.linear(W, cap)
             images = [L.apply(s) for s in images]
         else:
-            images = [lie._lie_series(W.apply, s, t, w) for s in images]
+            images = [lie._lie_series(W._apply, s, t, w) for s in images]
     return Automorphism(images[0], images[1:])
 
 
@@ -210,7 +216,7 @@ def ref_apply(phi, f):
             if m:
                 upow = upow * u
                 fact *= m
-                deriv = deriv.derivative()
+                deriv = derivative(deriv)
                 if upow.is_zero() or deriv.is_zero():
                     break
             acc = acc + upow.scale(deriv.scale(Fraction(1, fact))) * zpart

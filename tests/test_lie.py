@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from crossfield import lie, series
+from crossfield import coeff, lie, series
 from crossfield.coeff import GaussianRational as G
 from crossfield.coeff import LaurentPoly
 from crossfield.lie import (
@@ -34,6 +34,7 @@ from crossfield.series import (
 )
 
 from helpers import (
+    derivative,
     euler_apply,
     scale_series,
     rand_field,
@@ -214,7 +215,7 @@ def ref_diff_x(f):
     """d/dx of every coefficient of f, as a series."""
     data = {}
     for K, c in f._terms.items():
-        d = c.derivative()
+        d = derivative(c)
         if not d.is_zero():
             data[K] = d
     return TransverseSeries(f.n, f.cap, data)
@@ -996,6 +997,59 @@ class TestOncePerMap:
             log(phi)
             assert (subs[0], scales[0]) == (n + 1 + once, 0)
 
+
+class TestFoldedFactors:
+    """Derivations, Taylor layers and Lie-series coefficients fold their
+    factors into the product kernel's raw right cells: no finished series
+    is scaled, and no polynomial is built for a Taylor layer."""
+
+    @pytest.mark.parametrize("cap", [3, 4, 5, 6])
+    def test_lie_series_and_brackets_scale_no_series(self, monkeypatch, cap):
+        # exp_ad's 1/k, a fold's t/k and t, and a bracket's sign all go
+        # into cells; the results match oracles that scale whole series
+        rng = random.Random(150 + cap)
+        n = 2
+        W = rand_one_flat(rng, n, cap, terms=3, min_exp=-1)
+        X, Y = rand_field(rng, n, cap, terms=3, min_exp=-1), rand_field(rng, n, cap, terms=3)
+        upper = (cap + 1) // 2 + 1  # z-degree of a factor that acts additively
+        runs = [
+            rand_z_one_flat(rng, n, cap, terms=3, min_exp=-1),
+            VectorField(TransverseSeries.zero(n, cap), rand_z_one_flat(rng, n, cap).b),
+        ] + [
+            VectorField(TransverseSeries.zero(n, cap), [
+                rand_series(rng, n, cap, 2, min_deg=upper, min_exp=-1) for _ in range(n)
+            ])
+            for _ in range(3)
+        ]
+        ts = (G(2), G(Fraction(-1, 3), 1), G(1), G(-1), G(Fraction(1, 2)))
+        factors = tuple((V, t, None) for V, t in zip(runs, ts))
+        scales = count_calls(monkeypatch, TransverseSeries, "scale")
+        got = (exp_ad(W, X), lie._from_factors(n, cap, factors), X.bracket(Y))
+        assert scales[0] == 0, cap
+        monkeypatch.undo()
+        assert got[0] == exp(W).pushforward(X)
+        assert got[1] == ref_fold(n, cap, factors)
+        assert got[2] == ref_bracket(X, Y)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_moving_apply_builds_no_layer_polynomial(self, monkeypatch, n):
+        # once the map's u and z'^K are in place, a moving x-image's
+        # Taylor layers f_K^(m)/m! are raw cells: no LaurentPoly is built
+        # for them, only the finished layers and the result
+        rng = random.Random(160 + n)
+        for cap in (3, 5, 7):
+            phi = shifted_map(rng, n, cap, min_exp=-1)
+            f, g = (rand_series(rng, n, cap, terms=6, min_exp=-2, max_exp=3) for _ in range(2))
+            phi.apply(f)
+            built = count_calls(monkeypatch, coeff, "_lp_raw")
+            inits = count_calls(monkeypatch, LaurentPoly, "__init__")
+            scales = count_calls(monkeypatch, LaurentPoly, "scale")
+            got = phi.apply(g)
+            assert (built[0], inits[0], scales[0]) == (0, 0, 0), (n, cap)
+            monkeypatch.undo()
+            assert got == ref_apply(phi, g)
+
+
 class TestInverseLinks:
     """A map holds its inverse; the inverse holds no link back, so a dropped
     pair is freed by reference counting, with no cycle for gc to find, and
@@ -1315,7 +1369,7 @@ def ref_exp_images(X: VectorField, t: G, x_window, series):
     The coordinates give the images of exp(tX); the images of a map N give
     those of exp(tX) o N.  The sum is finite for nilpotent X.
     """
-    return [lie._lie_series(X.apply, s, t, x_window) for s in series]
+    return [lie._lie_series(X._apply, s, t, x_window) for s in series]
 
 
 class TestOneFold:

@@ -248,9 +248,23 @@ def scaled(terms, k):
     return [(K, d, c.scale(k)) for K, d, c in terms]
 
 
+def raw(terms, a=1, b=0, d=1, common=1):
+    """Graded terms as the kernel's right items (K, |K|, cells): each cell
+    (e, a', b', d') of a coefficient times (a + b*i)/d, with numerators and
+    denominator all multiplied by the unreduced common factor."""
+    return [
+        (K, deg, [
+            (e, common * (a * c._a - b * c._b), common * (a * c._b + b * c._a), common * d * c._d)
+            for e, c in poly._terms.items()
+        ])
+        for K, deg, poly in terms
+    ]
+
+
 class TestProductKernel:
-    """accumulate_products sums raw integer numerators; finished, it must
-    equal the LaurentPoly loop it replaced, term for term."""
+    """accumulate_products sums raw integer numerators from LaurentPoly left
+    terms and raw integer right cells; finished, it must equal the
+    LaurentPoly loop it replaced, term for term."""
 
     KS = (1, -1, 2, -3)
 
@@ -262,10 +276,10 @@ class TestProductKernel:
             for _ in range(8):
                 left = mixed_terms(rng, n, cap, rng.randint(1, 5))
                 right = mixed_terms(rng, n, cap, rng.randint(1, 5))
-                raw, want = {}, {}
-                accumulate_products(raw, cap, left, right, k)
+                acc, want = {}, {}
+                accumulate_products(acc, cap, left, raw(right), k)
                 ref_accumulate(want, cap, scaled(left, k), right)
-                got = finish_products(raw)
+                got = finish_products(acc)
                 assert_finished(got)
                 assert got == want
 
@@ -274,13 +288,13 @@ class TestProductKernel:
         rng = random.Random(520)
         for n, cap in ((1, 4), (2, 4), (3, 3)):
             for _ in range(10):
-                raw, want = {}, {}
+                acc, want = {}, {}
                 for k in self.KS:
                     left = mixed_terms(rng, n, cap, 3)
                     right = mixed_terms(rng, n, cap, 3)
-                    accumulate_products(raw, cap, left, right, k)
+                    accumulate_products(acc, cap, left, raw(right), k)
                     ref_accumulate(want, cap, scaled(left, k), right)
-                got = finish_products(raw)
+                got = finish_products(acc)
                 assert_finished(got)
                 assert got == want
 
@@ -296,13 +310,13 @@ class TestProductKernel:
                 e1, e2 = rng.randint(-2, 2), rng.randint(-2, 2)
                 left = [((1, 0), 1, LaurentPoly({e1: A})), ((0, 1), 1, LaurentPoly({e2: B}))]
                 right = [((0, 1), 1, LaurentPoly({e2: C})), ((1, 0), 1, LaurentPoly({e1: D}))]
-                raw, want = {}, {}
-                accumulate_products(raw, 3, left, right, k)
+                acc, want = {}, {}
+                accumulate_products(acc, 3, left, raw(right), k)
                 ref_accumulate(want, 3, scaled(left, k), right)
-                got = finish_products(raw)
+                got = finish_products(acc)
                 assert_finished(got)
                 assert got == want
-                assert (1, 1) in raw and (1, 1) not in got
+                assert (1, 1) in acc and (1, 1) not in got
                 cancelled += A._d != D._d or B._d != C._d
         assert cancelled > 0
 
@@ -313,16 +327,75 @@ class TestProductKernel:
         for k in self.KS:
             left = mixed_terms(rng, 2, 2, 5)
             right = mixed_terms(rng, 2, 2, 5)
-            raw = {}
-            accumulate_products(raw, 4, left, right, k)
-            accumulate_products(raw, 4, right, left, -k)
-            assert raw and finish_products(raw) == {}
+            acc = {}
+            accumulate_products(acc, 4, left, raw(right), k)
+            accumulate_products(acc, 4, right, raw(left), -k)
+            assert acc and finish_products(acc) == {}
 
     def test_cap_skips_pairs(self):
         z = TransverseSeries.variable(2, 2, 1)
-        raw = {}
-        accumulate_products(raw, 2, graded_terms(z * z), graded_terms(z))
-        assert raw == {}
+        acc = {}
+        accumulate_products(acc, 2, graded_terms(z * z), raw(graded_terms(z)))
+        assert acc == {}
+
+    @pytest.mark.parametrize("common", [2, 6, 35])
+    def test_unreduced_right_cells(self, common):
+        # (e, g*a, g*b, g*d) is the value of (e, a, b, d): cells that share
+        # a common factor, as a folded derivative exponent or a Taylor
+        # layer's 1/m leaves them, add up to the same canonical cells
+        rng = random.Random(550 + common)
+        for n, cap in ((1, 4), (2, 4), (3, 3)):
+            for k in self.KS:
+                left = mixed_terms(rng, n, cap, 4)
+                right = mixed_terms(rng, n, cap, 4)
+                acc, want = {}, {}
+                accumulate_products(acc, cap, left, raw(right, common=common), k)
+                ref_accumulate(want, cap, scaled(left, k), right)
+                got = finish_products(acc)
+                assert_finished(got)
+                assert got == want
+
+    def test_folded_gaussian_factor(self):
+        # a Q[i] factor w = (a + b*i)/d folded into the right cells, as a
+        # Lie-series coefficient t/k is, multiplies every product by w
+        rng = random.Random(560)
+        for n, cap in ((1, 5), (2, 4), (3, 3)):
+            for _ in range(10):
+                w = mixed_gq(rng)
+                left = mixed_terms(rng, n, cap, 4)
+                right = mixed_terms(rng, n, cap, 4)
+                acc, want = {}, {}
+                accumulate_products(acc, cap, left, raw(right, w._a, w._b, w._d))
+                ref_accumulate(want, cap, left, scaled(right, w))
+                got = finish_products(acc)
+                assert_finished(got)
+                assert got == want
+
+    @pytest.mark.parametrize("window", [-2, 0, 1, 3])
+    def test_windowed_unsorted_cells(self, window):
+        # right cells with negative exponents in descending, then shuffled
+        # order: the window sorts them itself and adds exactly the
+        # truncation of the whole product
+        rng = random.Random(570 + window)
+        negative = 0
+        for n, cap in ((1, 4), (2, 4), (3, 3)):
+            for k in self.KS:
+                left = mixed_terms(rng, n, cap, 4)
+                right = mixed_terms(rng, n, cap, 4)
+                cells = raw(right)
+                for _, _, row in cells:
+                    row.sort(reverse=True)
+                    if rng.random() < 0.5:
+                        rng.shuffle(row)
+                negative += any(e < 0 for _, _, row in cells for e, *_ in row)
+                acc, want = {}, {}
+                accumulate_products(acc, cap, left, cells, k, window)
+                ref_accumulate(want, cap, scaled(left, k), right)
+                got = finish_products(acc)
+                assert_finished(got)
+                cut = {K: c.truncate_x(window) for K, c in want.items()}
+                assert got == {K: c for K, c in cut.items() if c._terms}
+        assert negative > 0
 
 
 def _series(draw, n, cap, min_deg=0):
