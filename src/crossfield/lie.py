@@ -163,7 +163,7 @@ class VectorField:
                 if cells:
                     dx.append((K, deg, cells))
             if dx:
-                accumulate_products(data, self.cap, graded_terms(self.a), dx, 1, x_window)
+                accumulate_products(data, self.cap, graded_terms(self.a), dx, x_window)
         for i, comp in enumerate(self.b):
             if not comp._terms:
                 continue
@@ -173,7 +173,7 @@ class VectorField:
                 if K[i]
             ]
             if lowered:
-                accumulate_products(data, self.cap, graded_terms(comp), lowered, 1, x_window)
+                accumulate_products(data, self.cap, graded_terms(comp), lowered, x_window)
 
     def bracket(self, other: "VectorField", x_window: int | None = None) -> "VectorField":
         """[X, Y] = X o Y - Y o X, componentwise X(Y_c) - Y(X_c).
@@ -540,11 +540,12 @@ class Automorphism:
         normalize's certificate and :func:`log` call directly to add more
         than one series into one accumulator.
 
-        Layer 0 accumulates straight into data, with the integer sign on
-        its products; each layer m >= 1 of a moving x-image is made
-        canonical and multiplied by u^m into it.  The map's own checks,
-        u^m and z'^K are built once per map (:meth:`_substitution`); only
-        f's Taylor check runs on every windowed call.
+        The integer sign goes into the cells of f's coefficients, so every
+        layer carries it.  Layer 0 accumulates straight into data; each
+        layer m >= 1 of a moving x-image is made canonical and multiplied
+        by u^m into it.  The map's own checks, u^m and z'^K are built once
+        per map (:meth:`_substitution`); only f's Taylor check runs on
+        every windowed call.
         """
         memo, upows = self._substitution(x_window)
         if x_window is not None and not f.is_taylor():
@@ -554,7 +555,7 @@ class Automorphism:
         layers = [data]  # layers[m]: sign * sum_K f_K^(m)/m! z'^K, raw
         for K, poly in f._terms.items():
             zpart = graded_terms(self._zmonomial(memo, K, x_window))
-            cells = _cells(poly)
+            cells = _cells(poly, sign)
             for m in range(cap - sum(K) + 1 if upows else 1):
                 if m:
                     cells = _derived(cells, m)
@@ -562,7 +563,7 @@ class Automorphism:
                         break
                     if m == len(layers):
                         layers.append({})
-                accumulate_products(layers[m], cap, zpart, [(const, 0, cells)], sign, x_window)
+                accumulate_products(layers[m], cap, zpart, [(const, 0, cells)], x_window)
         for m in range(1, len(layers)):
             if m > len(upows):
                 upows.append(upows[-1] * upows[0])
@@ -695,7 +696,7 @@ def _product(f: TransverseSeries, g: TransverseSeries, x_window) -> TransverseSe
     if x_window is None:
         return f * g
     data = {}
-    accumulate_products(data, f.cap, graded_terms(f), _series_cells(g), 1, x_window)
+    accumulate_products(data, f.cap, graded_terms(f), _series_cells(g), x_window)
     return _ts_raw(f.n, f.cap, finish_products(data))
 
 
@@ -898,7 +899,7 @@ def _times_exp(s: TransverseSeries, j: int, offset: int, E: dict, x_window) -> T
         data = {}
         const = (0,) * s.n
         for m, terms in runs.items():
-            accumulate_products(data, s.cap, terms, [(const, 0, E[m])], 1, x_window)
+            accumulate_products(data, s.cap, terms, [(const, 0, E[m])], x_window)
         keep.update(finish_products(data))
     return _ts_raw(s.n, s.cap, keep)
 
@@ -945,11 +946,10 @@ def log(phi: Automorphism) -> VectorField:
 
     Each step u <- Phi(u) - u is formed in one raw accumulator: Phi's
     substitution (:meth:`Automorphism._apply_into`), then -u as the
-    kernel's product of u by the constant 1 with integer factor -1.  The
-    partial sum goes into a second raw accumulator, each u as its product
-    by the constant 1/m with the sign as the integer factor, and is made
-    canonical once per coordinate.  No series is negated, subtracted,
-    scaled or added per step.
+    kernel's product of u by the constant -1.  The partial sum goes into
+    a second raw accumulator, each u as its product by the constant
+    (-1)^{m+1}/m, and is made canonical once per coordinate.  No series
+    is negated, subtracted, scaled or added per step.
     """
     if not phi.tangent_to_identity():
         raise NotTangentToIdentityError(
@@ -957,7 +957,8 @@ def log(phi: Automorphism) -> VectorField:
         )
     n, cap = phi.n, phi.cap
     const = (0,) * n
-    one = [(const, 0, [(0, 1, 0, 1)])]
+    unit = LaurentPoly.one()
+    minus_one = [(const, 0, _cells(unit, -1))]
     comps = []
     for coord in _coordinates(n, cap):
         total = {}
@@ -965,15 +966,15 @@ def log(phi: Automorphism) -> VectorField:
         while True:
             data = {}
             phi._apply_into(data, u, 1, None)
-            accumulate_products(data, cap, graded_terms(u), one, -1)
+            accumulate_products(data, cap, graded_terms(u), minus_one)
             u = _ts_raw(n, cap, finish_products(data))
             if u.is_zero():
                 break
             m += 1
             if m > _GUARD:
                 raise CertificateError("log failed to terminate")
-            inv_m = [(const, 0, [(0, 1, 0, m)])]
-            accumulate_products(total, cap, graded_terms(u), inv_m, 1 if m % 2 else -1)
+            weight = [(const, 0, _cells(unit, 1 if m % 2 else -1, 0, m))]
+            accumulate_products(total, cap, graded_terms(u), weight)
         comps.append(_ts_raw(n, cap, finish_products(total)))
     return VectorField(comps[0], comps[1:])
 

@@ -394,9 +394,9 @@ def _series_cells(s: TransverseSeries) -> list:
 
 
 def accumulate_products(
-    data: dict, cap: int, left, right, k: int = 1, x_window: int | None = None
+    data: dict, cap: int, left, right, x_window: int | None = None
 ) -> None:
-    """Add k*c1*c2*z^(K1+K2) to the raw accumulator data for every pair of
+    """Add c1*c2*z^(K1+K2) to the raw accumulator data for every pair of
     (K1, d1, c1) in left and (K2, d2, cells2) in right with d1 + d2 <= cap.
 
     This is the one truncated-product loop of the series, derivation and
@@ -408,8 +408,7 @@ def accumulate_products(
     d > 0 and no common factor removed, in any order; its caller builds
     them with its own factor already multiplied in: the exponent of a
     z-derivative, the e of an x-derivative, a Taylor layer's 1/m, a
-    Lie-series coefficient.  The integer k (a sign) multiplies the
-    numerators of each left coefficient once per call.
+    Lie-series coefficient, a sign.
 
     With an int ``x_window`` the product is a short product in x as well:
     a cell pair x^e1 * x^e2 with e1 + e2 > x_window is skipped before it is
@@ -441,7 +440,7 @@ def accumulate_products(
         room = cap - d1
         if room < 0:
             continue
-        cells1 = [(e, k * c._a, k * c._b, c._d) for e, c in p1._terms.items()]
+        cells1 = [(e, c._a, c._b, c._d) for e, c in p1._terms.items()]
         for K2, d2, cells2, exps2 in sides:
             if d2 > room:
                 continue

@@ -180,7 +180,8 @@ def euler_apply(f, s):
 def ref_fold(n, cap, factors):
     """f_k o ... o f_1 from its Lie factors, each on its own: one Lie series
     per exp factor and one substitution per linear factor, innermost first.
-    The map has no factors."""
+    Each Lie-series term is the public W.apply of the last, scaled by t/k
+    as a whole series.  The map has no factors."""
     images = [TransverseSeries.x_series(n, cap)] + [
         TransverseSeries.variable(n, cap, i + 1) for i in range(n)
     ]
@@ -189,7 +190,10 @@ def ref_fold(n, cap, factors):
             L = Automorphism.linear(W, cap)
             images = [L.apply(s) for s in images]
         else:
-            images = [lie._lie_series(W._apply, s, t, w) for s in images]
+            def step(s, w, c, W=W):
+                return W.apply(s, w).scale(c)
+
+            images = [lie._lie_series(step, s, t, w) for s in images]
     return Automorphism(images[0], images[1:])
 
 

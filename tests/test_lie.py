@@ -764,10 +764,10 @@ def count_products(monkeypatch):
     calls = [0]
     kernel = series.accumulate_products
 
-    def counting(data, cap, left, right, k=1, x_window=None):
+    def counting(data, cap, left, right, x_window=None):
         if not (len(right) == 1 and right[0][1] == 0):
             calls[0] += 1
-        return kernel(data, cap, left, right, k, x_window)
+        return kernel(data, cap, left, right, x_window)
 
     monkeypatch.setattr(series, "accumulate_products", counting)
     monkeypatch.setattr(lie, "accumulate_products", counting)
@@ -1048,6 +1048,20 @@ class TestFoldedFactors:
             assert (built[0], inits[0], scales[0]) == (0, 0, 0), (n, cap)
             monkeypatch.undo()
             assert got == ref_apply(phi, g)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_substitution_sign_goes_into_every_layer(self, n):
+        # _apply_into's sign is folded into f's cells, so the Taylor layers
+        # that a moving x-image multiplies by u^m carry it too
+        rng = random.Random(170 + n)
+        for cap in (3, 5):
+            phi = shifted_map(rng, n, cap, min_exp=-1)
+            f = rand_series(rng, n, cap, terms=6, min_exp=-2, max_exp=3)
+            data = {}
+            phi._apply_into(data, f, -1, None)
+            assert TransverseSeries(n, cap, series.finish_products(data)) == -ref_apply(phi, f)
+            phi._apply_into(data, f, 1, None)
+            assert series.finish_products(data) == {}
 
 
 class TestInverseLinks:
@@ -1369,7 +1383,11 @@ def ref_exp_images(X: VectorField, t: G, x_window, series):
     The coordinates give the images of exp(tX); the images of a map N give
     those of exp(tX) o N.  The sum is finite for nilpotent X.
     """
-    return [lie._lie_series(X._apply, s, t, x_window) for s in series]
+
+    def step(s, w, c):
+        return X.apply(s, w).scale(c)
+
+    return [lie._lie_series(step, s, t, x_window) for s in series]
 
 
 class TestOneFold:

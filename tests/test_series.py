@@ -14,6 +14,7 @@ from crossfield.series import (
     DimensionMismatchError,
     MonomialIndex,
     TransverseSeries,
+    _cells,
     accumulate_products,
     finish_products,
     graded_terms,
@@ -277,7 +278,7 @@ class TestProductKernel:
                 left = mixed_terms(rng, n, cap, rng.randint(1, 5))
                 right = mixed_terms(rng, n, cap, rng.randint(1, 5))
                 acc, want = {}, {}
-                accumulate_products(acc, cap, left, raw(right), k)
+                accumulate_products(acc, cap, left, raw(right, a=k))
                 ref_accumulate(want, cap, scaled(left, k), right)
                 got = finish_products(acc)
                 assert_finished(got)
@@ -292,7 +293,7 @@ class TestProductKernel:
                 for k in self.KS:
                     left = mixed_terms(rng, n, cap, 3)
                     right = mixed_terms(rng, n, cap, 3)
-                    accumulate_products(acc, cap, left, raw(right), k)
+                    accumulate_products(acc, cap, left, raw(right, a=k))
                     ref_accumulate(want, cap, scaled(left, k), right)
                 got = finish_products(acc)
                 assert_finished(got)
@@ -311,7 +312,7 @@ class TestProductKernel:
                 left = [((1, 0), 1, LaurentPoly({e1: A})), ((0, 1), 1, LaurentPoly({e2: B}))]
                 right = [((0, 1), 1, LaurentPoly({e2: C})), ((1, 0), 1, LaurentPoly({e1: D}))]
                 acc, want = {}, {}
-                accumulate_products(acc, 3, left, raw(right), k)
+                accumulate_products(acc, 3, left, raw(right, a=k))
                 ref_accumulate(want, 3, scaled(left, k), right)
                 got = finish_products(acc)
                 assert_finished(got)
@@ -328,8 +329,8 @@ class TestProductKernel:
             left = mixed_terms(rng, 2, 2, 5)
             right = mixed_terms(rng, 2, 2, 5)
             acc = {}
-            accumulate_products(acc, 4, left, raw(right), k)
-            accumulate_products(acc, 4, right, raw(left), -k)
+            accumulate_products(acc, 4, left, raw(right, a=k))
+            accumulate_products(acc, 4, right, raw(left, a=-k))
             assert acc and finish_products(acc) == {}
 
     def test_cap_skips_pairs(self):
@@ -349,7 +350,7 @@ class TestProductKernel:
                 left = mixed_terms(rng, n, cap, 4)
                 right = mixed_terms(rng, n, cap, 4)
                 acc, want = {}, {}
-                accumulate_products(acc, cap, left, raw(right, common=common), k)
+                accumulate_products(acc, cap, left, raw(right, a=k, common=common))
                 ref_accumulate(want, cap, scaled(left, k), right)
                 got = finish_products(acc)
                 assert_finished(got)
@@ -357,19 +358,23 @@ class TestProductKernel:
 
     def test_folded_gaussian_factor(self):
         # a Q[i] factor w = (a + b*i)/d folded into the right cells, as a
-        # Lie-series coefficient t/k is, multiplies every product by w
+        # Lie-series coefficient t/k is, multiplies every product by w;
+        # the series' own cell builder folds it the same way
         rng = random.Random(560)
         for n, cap in ((1, 5), (2, 4), (3, 3)):
             for _ in range(10):
                 w = mixed_gq(rng)
                 left = mixed_terms(rng, n, cap, 4)
                 right = mixed_terms(rng, n, cap, 4)
-                acc, want = {}, {}
-                accumulate_products(acc, cap, left, raw(right, w._a, w._b, w._d))
+                built = [(K, deg, _cells(c, w._a, w._b, w._d)) for K, deg, c in right]
+                want = {}
                 ref_accumulate(want, cap, left, scaled(right, w))
-                got = finish_products(acc)
-                assert_finished(got)
-                assert got == want
+                for cells in (raw(right, w._a, w._b, w._d), built):
+                    acc = {}
+                    accumulate_products(acc, cap, left, cells)
+                    got = finish_products(acc)
+                    assert_finished(got)
+                    assert got == want
 
     @pytest.mark.parametrize("window", [-2, 0, 1, 3])
     def test_windowed_unsorted_cells(self, window):
@@ -382,14 +387,14 @@ class TestProductKernel:
             for k in self.KS:
                 left = mixed_terms(rng, n, cap, 4)
                 right = mixed_terms(rng, n, cap, 4)
-                cells = raw(right)
+                cells = raw(right, a=k)
                 for _, _, row in cells:
                     row.sort(reverse=True)
                     if rng.random() < 0.5:
                         rng.shuffle(row)
                 negative += any(e < 0 for _, _, row in cells for e, *_ in row)
                 acc, want = {}, {}
-                accumulate_products(acc, cap, left, cells, k, window)
+                accumulate_products(acc, cap, left, cells, window)
                 ref_accumulate(want, cap, scaled(left, k), right)
                 got = finish_products(acc)
                 assert_finished(got)
