@@ -590,23 +590,12 @@ def _cmd_log(args):
     _emit(args, report)
 
 
-def _integrate(run, *args, **kwargs):
-    """run(*args, **kwargs), a call into the holonomy layer, whose
-    IntegrationError goes on as a ValueError: main() reports it, exit 2."""
-    from .holonomy import IntegrationError
-
-    try:
-        return run(*args, **kwargs)
-    except IntegrationError as e:
-        raise ValueError(str(e)) from e
-
-
 def _cmd_holonomy(args):
     from .holonomy import holonomy_jet
 
     _, X = _load_field(args)
     degree = args.degree if args.degree is not None else 2
-    jet = _integrate(holonomy_jet, X, degree, tol=args.tol, windings=args.windings)
+    jet = holonomy_jet(X, degree, tol=args.tol, windings=args.windings)
     report = {
         "degree": degree,
         "tol": _fmt_float(args.tol),
@@ -628,7 +617,7 @@ def _cmd_conjugacy_check(args):
     _check_second("map", mapdoc, X)
     psi = mapdoc.automorphism()
     degree = args.degree if args.degree is not None else 2
-    residual = _integrate(conjugacy_residual, X, psi, degree, tol=args.tol)
+    residual = conjugacy_residual(X, psi, degree, tol=args.tol)
     ok = args.max_residual is None or residual <= args.max_residual
     report = {
         "degree": degree,

@@ -92,9 +92,10 @@ _ESCAPE_RADIUS = 8.0
 _MAX_STEPS = 200_000
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(ValueError):
     """Integration failed: step underflow, step budget, or a state or jet that
-    is not finite (it overflowed)."""
+    is not finite (it overflowed).  It is a ValueError, so the CLI reports
+    it as a usage error."""
 
 
 class _NotFiniteError(IntegrationError):

@@ -31,7 +31,6 @@ from .series import (
     _ts_raw,
     accumulate_products,
     finish_products,
-    graded_terms,
 )
 
 __all__ = [
@@ -155,25 +154,25 @@ class VectorField:
         accumulator data; factor is an int, Fraction or Q[i] scalar, folded
         into the cells of f's terms."""
         a, b, d = _triple(factor)
-        terms = graded_terms(f)
+        terms = f._terms.items()
         if self.a._terms:
             dx = []
-            for K, deg, c in terms:
+            for K, c in terms:
                 cells = _derived(_cells(c, a, b, d))
                 if cells:
-                    dx.append((K, deg, cells))
+                    dx.append((K, sum(K), cells))
             if dx:
-                accumulate_products(data, self.cap, graded_terms(self.a), dx, x_window)
+                accumulate_products(data, self.cap, _series_cells(self.a._terms), dx, x_window)
         for i, comp in enumerate(self.b):
             if not comp._terms:
                 continue
             lowered = [
-                (K[:i] + (K[i] - 1,) + K[i + 1:], deg - 1, _cells(c, K[i] * a, K[i] * b, d))
-                for K, deg, c in terms
+                (K[:i] + (K[i] - 1,) + K[i + 1:], sum(K) - 1, _cells(c, K[i] * a, K[i] * b, d))
+                for K, c in terms
                 if K[i]
             ]
             if lowered:
-                accumulate_products(data, self.cap, graded_terms(comp), lowered, x_window)
+                accumulate_products(data, self.cap, _series_cells(comp._terms), lowered, x_window)
 
     def bracket(self, other: "VectorField", x_window: int | None = None) -> "VectorField":
         """[X, Y] = X o Y - Y o X, componentwise X(Y_c) - Y(X_c).
@@ -405,7 +404,8 @@ class Automorphism:
     itself is built once per map: the checks on its images, the shift
     u = img_x - x with its powers u^m, and, one memo per x-window, the
     monomials z'^K in the z-images, each power and monomial as it is first
-    needed.  Every cached value derives from immutable inputs.
+    needed and held as the product kernel's items, not as a series.  Every
+    cached value derives from immutable inputs.
     """
 
     __slots__ = ("n", "cap", "img_x", "img_z", "_inv", "_gens", "_zmonos", "_upows", "__weakref__")
@@ -419,8 +419,8 @@ class Automorphism:
         object.__setattr__(self, "img_z", img_z)
         object.__setattr__(self, "_inv", None)  # composed inverse
         object.__setattr__(self, "_gens", None)  # Lie generators, innermost first
-        object.__setattr__(self, "_zmonos", {})  # window -> {K: z'^K}
-        object.__setattr__(self, "_upows", None)  # [u, u^2, ...], [] for x -> x
+        object.__setattr__(self, "_zmonos", {})  # window -> {K: items of z'^K}
+        object.__setattr__(self, "_upows", None)  # items of [u, u^2, ...], [] for x -> x
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
@@ -446,7 +446,8 @@ class Automorphism:
     # -- substitution ------------------------------------------------------
 
     def _substitution(self, x_window):
-        """(memo, upows): the z'^K memo of x_window and the powers of u.
+        """(memo, upows): the z'^K memo of x_window and the powers of u,
+        each z'^K and u^m held as the product kernel's items.
 
         The images are checked on the first call for the map, and once more
         on the first call for each x-window: u = img_x - x and every z-image
@@ -454,7 +455,7 @@ class Automorphism:
         failed check raises ``ValueError`` and caches nothing, so it raises
         again on the next call.  upows starts as [u], or [] for the x-image
         x, and :meth:`_apply_into` extends it; the memo starts from z'^0 = 1
-        and z'^(e_i) = z'_i.
+        and z'^(e_i) = z'_i, each z-image converted once per window.
         """
         memo = self._zmonos.get(x_window)
         if memo is not None:
@@ -469,22 +470,23 @@ class Automorphism:
             for comp in self.img_z:
                 if not comp.is_zero() and comp.madic_order() < 1:
                     raise ValueError("z-images must lie in m")
+            upows = [_series_cells(u._terms) for u in upows]
             object.__setattr__(self, "_upows", upows)
         if x_window is not None:
             if upows:
                 raise ValueError("an x-window needs the x-image x")
             if not all(comp.is_taylor() for comp in self.img_z):
                 raise ValueError("an x-window needs Taylor coefficients")
-        memo = self._zmonos[x_window] = {(0,) * n: TransverseSeries.constant(n, cap, 1)}
+        memo = self._zmonos[x_window] = {(0,) * n: _series_cells({(0,) * n: LaurentPoly.one()})}
         for i, comp in enumerate(self.img_z):
-            memo[tuple(int(p == i) for p in range(n))] = comp
+            memo[tuple(int(p == i) for p in range(n))] = _series_cells(comp._terms)
         return memo, upows
 
-    def _zmonomial(self, memo, K, x_window) -> TransverseSeries:
-        """The image z'^K, from x_window's memo.
+    def _zmonomial(self, memo, K, x_window) -> list:
+        """The items of the image z'^K, from x_window's memo.
 
         z'^K is z'^(K - e_i) * z'_i with i the last nonzero index of K: one
-        product per monomial, cut at x_window, against one z-image.
+        product per monomial, cut at x_window, against one z-image's items.
         """
         chain = []
         while K not in memo:
@@ -493,7 +495,8 @@ class Automorphism:
             K = K[:i] + (K[i] - 1,) + K[i + 1:]
         out = memo[K]
         for K, i in reversed(chain):
-            out = memo[K] = _product(out, self.img_z[i], x_window)
+            image = memo[(0,) * i + (1,) + K[i + 1:]]  # z'_i, as K is 0 past i
+            out = memo[K] = _product(out, image, self.cap, x_window)
         return out
 
     def apply(self, f: TransverseSeries, x_window: int | None = None) -> TransverseSeries:
@@ -503,20 +506,21 @@ class Automorphism:
         coefficients are then shifted by the finite Taylor sum, taken in
         layers by the power of u:
         f(x + u, z') = sum_m u^m sum_K f_K^(m)(x)/m! z'^K.
-        Each z'^K is built once per map and window, with one product
-        (:meth:`_zmonomial`), and multiplied into the layers
-        m <= cap - |K| (z'^K lies in m^|K| and u^m in m^m) by
-        :func:`~crossfield.series.accumulate_products`, with the degree-0
-        coefficient f_K^(m)/m! as its right side.  That coefficient is
-        raw integer cells: layer m's cell (e - 1, e*a, e*b, m*d) comes from
-        layer m - 1's cell (e, a, b, d), so no polynomial is built for a
-        layer.  Each layer is made canonical and multiplied by u^m once,
-        with u^m's cells as the right side, into layer 0's raw accumulator;
-        that accumulator is made canonical once, as the result.  Like z'^K, u
-        and each power u^m are built once per map, the first time a layer
-        needs them, and the images are checked once per map and window
-        (:meth:`_substitution`).  With u = 0 only layer 0 exists and no
-        product by a power of u is formed.
+        Each z'^K is built once per map and window as the items of
+        :func:`~crossfield.series.accumulate_products`, with one kernel
+        call on the items of z'^(K - e_i) and z'_i (:meth:`_zmonomial`),
+        and multiplied into the layers m <= cap - |K| (z'^K lies in
+        m^|K| and u^m in m^m), with the degree-0 coefficient f_K^(m)/m!
+        as its right side.  That coefficient is raw integer cells: layer
+        m's cell (e - 1, e*a, e*b, m*d) comes from layer m - 1's cell
+        (e, a, b, d), so no polynomial is built for a layer.  Each layer
+        is made canonical and multiplied by u^m's items once, into layer
+        0's raw accumulator; that accumulator is made canonical once, as
+        the result.  Like z'^K, u and each power u^m are kept as items,
+        built once per map the first time a layer needs them, and the
+        images are checked once per map and window (:meth:`_substitution`).
+        With u = 0 only layer 0 exists and no product by a power of u is
+        formed.
 
         With ``x_window`` every product of the chain z'^K, times f_K, is cut
         at that x-degree, which gives exactly apply(f).truncate_x(x_window)
@@ -550,11 +554,11 @@ class Automorphism:
         memo, upows = self._substitution(x_window)
         if x_window is not None and not f.is_taylor():
             raise ValueError("an x-window needs Taylor coefficients")
-        n, cap = self.n, self.cap
-        const = (0,) * n
+        cap = self.cap
+        const = (0,) * self.n
         layers = [data]  # layers[m]: sign * sum_K f_K^(m)/m! z'^K, raw
         for K, poly in f._terms.items():
-            zpart = graded_terms(self._zmonomial(memo, K, x_window))
+            zpart = self._zmonomial(memo, K, x_window)
             cells = _cells(poly, sign)
             for m in range(cap - sum(K) + 1 if upows else 1):
                 if m:
@@ -566,12 +570,11 @@ class Automorphism:
                 accumulate_products(layers[m], cap, zpart, [(const, 0, cells)], x_window)
         for m in range(1, len(layers)):
             if m > len(upows):
-                upows.append(upows[-1] * upows[0])
+                upows.append(_product(upows[-1], upows[0], cap, None))
             upow = upows[m - 1]
-            if upow.is_zero():
+            if not upow:
                 break
-            layer = _ts_raw(n, cap, finish_products(layers[m]))
-            accumulate_products(data, cap, graded_terms(layer), _series_cells(upow))
+            accumulate_products(data, cap, _series_cells(finish_products(layers[m])), upow)
 
     # -- group structure ----------------------------------------------------
 
@@ -691,13 +694,12 @@ class Automorphism:
         return f"Automorphism({self.__str__()!r})"
 
 
-def _product(f: TransverseSeries, g: TransverseSeries, x_window) -> TransverseSeries:
-    """f * g, cut at x-degree x_window when it is an int."""
-    if x_window is None:
-        return f * g
+def _product(f: list, g: list, cap: int, x_window) -> list:
+    """The items of f * g for the kernel items f and g, cut at x-degree
+    x_window when it is an int."""
     data = {}
-    accumulate_products(data, f.cap, graded_terms(f), _series_cells(g), x_window)
-    return _ts_raw(f.n, f.cap, finish_products(data))
+    accumulate_products(data, cap, f, g, x_window)
+    return _series_cells(finish_products(data))
 
 
 def _coordinates(n: int, cap: int):
@@ -892,7 +894,7 @@ def _times_exp(s: TransverseSeries, j: int, offset: int, E: dict, x_window) -> T
     for M, c in s._terms.items():
         m = M[j] + offset
         if m:
-            runs.setdefault(m, []).append((M, sum(M), c))
+            runs.setdefault(m, []).append((M, sum(M), _cells(c)))
         else:
             keep[M] = c
     if runs:
@@ -963,18 +965,20 @@ def log(phi: Automorphism) -> VectorField:
     for coord in _coordinates(n, cap):
         total = {}
         u, m = coord, 0
+        items = _series_cells(u._terms)
         while True:
             data = {}
             phi._apply_into(data, u, 1, None)
-            accumulate_products(data, cap, graded_terms(u), minus_one)
+            accumulate_products(data, cap, items, minus_one)
             u = _ts_raw(n, cap, finish_products(data))
             if u.is_zero():
                 break
             m += 1
             if m > _GUARD:
                 raise CertificateError("log failed to terminate")
+            items = _series_cells(u._terms)
             weight = [(const, 0, _cells(unit, 1 if m % 2 else -1, 0, m))]
-            accumulate_products(total, cap, graded_terms(u), weight)
+            accumulate_products(total, cap, items, weight)
         comps.append(_ts_raw(n, cap, finish_products(total)))
     return VectorField(comps[0], comps[1:])
 

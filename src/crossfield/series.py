@@ -277,7 +277,8 @@ class TransverseSeries:
         if isinstance(other, TransverseSeries):
             self._compat(other)
             data = {}
-            accumulate_products(data, self.cap, graded_terms(self), _series_cells(other))
+            left, right = _series_cells(self._terms), _series_cells(other._terms)
+            accumulate_products(data, self.cap, left, right)
             return _ts_raw(self.n, self.cap, finish_products(data))
         if isinstance(other, (LaurentPoly, GaussianRational, int, Fraction)):
             return self.scale(other)
@@ -350,18 +351,14 @@ class TransverseSeries:
         return f"TransverseSeries(n={self.n}, cap={self.cap}, {self.__str__()!r})"
 
 
-def graded_terms(s: TransverseSeries):
-    """The terms of s as (K, |K|, coefficient) triples, the kernel's left side."""
-    return [(K, sum(K), c) for K, c in s._terms.items()]
-
-
-# -- the kernel's right side: raw integer cells -----------------------------
+# -- the kernel's items: raw integer cells ----------------------------------
 #
 # A cell (e, a, b, d) is the value (a + b*i)/d at x^e, with d > 0 and no
-# common factor removed.  A caller folds its own factor (a derivative's
+# common factor removed.  An item (K, |K|, cells) is the term z^K with those
+# cells as its coefficient.  A caller folds its own factor (a derivative's
 # exponent, a Taylor layer's 1/m, a Lie-series coefficient t/k, a sign)
-# into the cells of one right item, so no polynomial or scaled series is
-# built only to be multiplied.
+# into the cells of its items, so no polynomial or scaled series is built
+# only to be multiplied.
 
 
 def _triple(c) -> tuple:
@@ -388,27 +385,28 @@ def _derived(cells: list, m: int = 1) -> list:
     return [(e - 1, e * a, e * b, m * d) for e, a, b, d in cells if e]
 
 
-def _series_cells(s: TransverseSeries) -> list:
-    """The terms of s as right items (K, |K|, cells)."""
-    return [(K, sum(K), _cells(c)) for K, c in s._terms.items()]
+def _series_cells(terms: dict) -> list:
+    """A series' term dict {K: LaurentPoly} as items (K, |K|, cells)."""
+    return [(K, sum(K), _cells(c)) for K, c in terms.items()]
 
 
 def accumulate_products(
     data: dict, cap: int, left, right, x_window: int | None = None
 ) -> None:
     """Add c1*c2*z^(K1+K2) to the raw accumulator data for every pair of
-    (K1, d1, c1) in left and (K2, d2, cells2) in right with d1 + d2 <= cap.
+    items (K1, d1, c1) in left and (K2, d2, c2) in right with d1 + d2 <= cap.
 
     This is the one truncated-product loop of the series, derivation and
     substitution layers: TransverseSeries products, VectorField.apply,
     brackets and Automorphism.apply all run through it.  d1 and d2 are the
     total degrees |K1| and |K2|; a pair above the cap is skipped before its
-    product is formed.  A left coefficient c1 is a LaurentPoly.  A right
-    item carries raw cells (e, a, b, d), the value (a + b*i)/d at x^e with
-    d > 0 and no common factor removed, in any order; its caller builds
-    them with its own factor already multiplied in: the exponent of a
-    z-derivative, the e of an x-derivative, a Taylor layer's 1/m, a
-    Lie-series coefficient, a sign.
+    product is formed.  Both sides take one item format, (K, |K|, cells),
+    with raw cells (e, a, b, d), the value (a + b*i)/d at x^e with d > 0
+    and no common factor removed, in any order.  The caller builds them
+    with :func:`_cells` or :func:`_series_cells`, its own factor already
+    multiplied in: the exponent of a z-derivative, the e of an
+    x-derivative, a Taylor layer's 1/m, a Lie-series coefficient, a sign.
+    A caller that multiplies by the same series again keeps its items.
 
     With an int ``x_window`` the product is a short product in x as well:
     a cell pair x^e1 * x^e2 with e1 + e2 > x_window is skipped before it is
@@ -422,7 +420,7 @@ def accumulate_products(
     the right cells keep their order and are not sorted or cut.
 
     data maps K -> {e: [a, b, d]}, the value (a + b*i)/d with d > 0 and no
-    common factor removed.  A term pair adds its Gaussian-integer numerator
+    common factor removed.  A cell pair adds its Gaussian-integer numerator
     over d1*d2: directly when the cell already has that denominator, over
     the lcm of both otherwise.  No scalar or polynomial is formed per pair,
     and no common factor is sought; :func:`finish_products` makes each cell
@@ -436,11 +434,10 @@ def accumulate_products(
             cells2 = sorted(cells2)
             exps2 = [cell[0] for cell in cells2]
         sides.append((K2, d2, cells2, exps2))
-    for K1, d1, p1 in left:
+    for K1, d1, cells1 in left:
         room = cap - d1
         if room < 0:
             continue
-        cells1 = [(e, c._a, c._b, c._d) for e, c in p1._terms.items()]
         for K2, d2, cells2, exps2 in sides:
             if d2 > room:
                 continue

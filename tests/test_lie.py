@@ -757,9 +757,9 @@ def count_products(monkeypatch):
     """Count series products from here on: a one-item list.
 
     A product is a call of the product kernel, from TransverseSeries.__mul__
-    or from Automorphism.apply, whose right side is not one degree-0
-    coefficient; apply's sums of f_K^(m)/m! z'^K scale z'^K and are not
-    counted.
+    or from Automorphism.apply and its memos, whose right side is not one
+    degree-0 coefficient; apply's sums of f_K^(m)/m! z'^K scale z'^K and
+    are not counted.
     """
     calls = [0]
     kernel = series.accumulate_products
@@ -877,12 +877,10 @@ class TestSubstitutionOracle:
         n, cap = 3, 4
         phi = fresh(exp(rand_z_one_flat(random.Random(113), n, cap, terms=3)))
         f = TransverseSeries(n, cap, {K: LaurentPoly.one() for K in iter_exponents(n, 0, cap)})
-        calls = []
-        product = lie._product
-        monkeypatch.setattr(lie, "_product", lambda g, h, w: calls.append(w) or product(g, h, w))
+        calls = count_calls(monkeypatch, lie, "_product")
         got = phi.apply(f)
-        assert len(calls) == len(list(iter_exponents(n, 2, cap))) == 31
-        assert phi.apply(f) == got and len(calls) == 31
+        assert calls[0] == len(list(iter_exponents(n, 2, cap))) == 31
+        assert phi.apply(f) == got and calls[0] == 31
         monkeypatch.undo()
         assert got == ref_apply(phi, f)
 
@@ -965,21 +963,44 @@ class TestOncePerMap:
 
     def test_second_apply_forms_no_series_product(self, monkeypatch):
         # the z'^K memo and the powers of u are in place after the first
-        # call, so the second runs only the kernel calls that read f
+        # call, so the second runs only the kernel calls that read f: the
+        # first call's, less its one kernel call per memo product
         rng = random.Random(136)
         for n in (1, 2, 3):
             for cap in (3, 5, 7):
                 phi = shifted_map(rng, n, cap)
                 f = rand_series(rng, n, cap, terms=6, min_exp=-2, max_exp=-1)
-                muls = count_calls(monkeypatch, TransverseSeries, "__mul__")
+                products = count_calls(monkeypatch, lie, "_product")
                 kernel = count_calls(monkeypatch, lie, "accumulate_products")
                 first = phi.apply(f)
-                first_calls = kernel[0]
-                assert muls[0] > 0
-                muls[0] = kernel[0] = 0
+                first_calls = kernel[0] - products[0]
+                assert products[0] > 0
+                products[0] = kernel[0] = 0
                 assert phi.apply(f) == first
-                assert muls[0] == 0 and kernel[0] == first_calls, (n, cap)
+                assert products[0] == 0 and kernel[0] == first_calls, (n, cap)
                 monkeypatch.undo()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_images_convert_once_per_window(self, monkeypatch, n):
+        # the memo holds z'^K as kernel items: the first apply in a window
+        # converts each z-image once, and applying the fixed map again
+        # converts nothing
+        rng = random.Random(137 + n)
+        for cap in (3, 5):
+            phi = exp(rand_z_one_flat(rng, n, cap, terms=3))
+            f = TransverseSeries(n, cap, {K: LaurentPoly.one() for K in iter_exponents(n, 0, cap)})
+            converted = []
+            cells = lie._series_cells
+            monkeypatch.setattr(
+                lie, "_series_cells", lambda terms: converted.append(terms) or cells(terms)
+            )
+            for w in (None, 2):
+                converted.clear()
+                first = phi.apply(f, w)
+                assert [sum(t is c._terms for t in converted) for c in phi.img_z] == [1] * n
+                converted.clear()
+                assert phi.apply(f, w) == first and converted == [], (cap, w)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("cap", [3, 4, 5, 6, 7])
     def test_log_steps_form_no_series(self, monkeypatch, cap):

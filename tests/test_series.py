@@ -17,7 +17,6 @@ from crossfield.series import (
     _cells,
     accumulate_products,
     finish_products,
-    graded_terms,
     iter_exponents,
     iter_l_indices,
 )
@@ -245,12 +244,17 @@ def assert_finished(terms):
             assert c._a or c._b
 
 
+def graded(s):
+    """The terms of s as (K, |K|, coefficient) triples."""
+    return [(K, sum(K), c) for K, c in s.terms()]
+
+
 def scaled(terms, k):
     return [(K, d, c.scale(k)) for K, d, c in terms]
 
 
 def raw(terms, a=1, b=0, d=1, common=1):
-    """Graded terms as the kernel's right items (K, |K|, cells): each cell
+    """Graded terms as the kernel's items (K, |K|, cells): each cell
     (e, a', b', d') of a coefficient times (a + b*i)/d, with numerators and
     denominator all multiplied by the unreduced common factor."""
     return [
@@ -262,10 +266,24 @@ def raw(terms, a=1, b=0, d=1, common=1):
     ]
 
 
+def unsorted(items, rng):
+    """items with each coefficient's cells in descending, then half the
+    time shuffled, order."""
+    for _, _, row in items:
+        row.sort(reverse=True)
+        if rng.random() < 0.5:
+            rng.shuffle(row)
+    return items
+
+
+def negative_cells(items):
+    return any(e < 0 for _, _, row in items for e, *_ in row)
+
+
 class TestProductKernel:
-    """accumulate_products sums raw integer numerators from LaurentPoly left
-    terms and raw integer right cells; finished, it must equal the
-    LaurentPoly loop it replaced, term for term."""
+    """accumulate_products sums raw integer numerators from raw integer
+    cells on both sides; finished, it must equal the LaurentPoly loop it
+    replaced, term for term."""
 
     KS = (1, -1, 2, -3)
 
@@ -278,7 +296,7 @@ class TestProductKernel:
                 left = mixed_terms(rng, n, cap, rng.randint(1, 5))
                 right = mixed_terms(rng, n, cap, rng.randint(1, 5))
                 acc, want = {}, {}
-                accumulate_products(acc, cap, left, raw(right, a=k))
+                accumulate_products(acc, cap, raw(left), raw(right, a=k))
                 ref_accumulate(want, cap, scaled(left, k), right)
                 got = finish_products(acc)
                 assert_finished(got)
@@ -293,7 +311,7 @@ class TestProductKernel:
                 for k in self.KS:
                     left = mixed_terms(rng, n, cap, 3)
                     right = mixed_terms(rng, n, cap, 3)
-                    accumulate_products(acc, cap, left, raw(right, a=k))
+                    accumulate_products(acc, cap, raw(left), raw(right, a=k))
                     ref_accumulate(want, cap, scaled(left, k), right)
                 got = finish_products(acc)
                 assert_finished(got)
@@ -312,7 +330,7 @@ class TestProductKernel:
                 left = [((1, 0), 1, LaurentPoly({e1: A})), ((0, 1), 1, LaurentPoly({e2: B}))]
                 right = [((0, 1), 1, LaurentPoly({e2: C})), ((1, 0), 1, LaurentPoly({e1: D}))]
                 acc, want = {}, {}
-                accumulate_products(acc, 3, left, raw(right, a=k))
+                accumulate_products(acc, 3, raw(left), raw(right, a=k))
                 ref_accumulate(want, 3, scaled(left, k), right)
                 got = finish_products(acc)
                 assert_finished(got)
@@ -329,14 +347,14 @@ class TestProductKernel:
             left = mixed_terms(rng, 2, 2, 5)
             right = mixed_terms(rng, 2, 2, 5)
             acc = {}
-            accumulate_products(acc, 4, left, raw(right, a=k))
-            accumulate_products(acc, 4, right, raw(left, a=-k))
+            accumulate_products(acc, 4, raw(left), raw(right, a=k))
+            accumulate_products(acc, 4, raw(right), raw(left, a=-k))
             assert acc and finish_products(acc) == {}
 
     def test_cap_skips_pairs(self):
         z = TransverseSeries.variable(2, 2, 1)
         acc = {}
-        accumulate_products(acc, 2, graded_terms(z * z), raw(graded_terms(z)))
+        accumulate_products(acc, 2, raw(graded(z * z)), raw(graded(z)))
         assert acc == {}
 
     @pytest.mark.parametrize("common", [2, 6, 35])
@@ -350,7 +368,7 @@ class TestProductKernel:
                 left = mixed_terms(rng, n, cap, 4)
                 right = mixed_terms(rng, n, cap, 4)
                 acc, want = {}, {}
-                accumulate_products(acc, cap, left, raw(right, a=k, common=common))
+                accumulate_products(acc, cap, raw(left), raw(right, a=k, common=common))
                 ref_accumulate(want, cap, scaled(left, k), right)
                 got = finish_products(acc)
                 assert_finished(got)
@@ -371,7 +389,7 @@ class TestProductKernel:
                 ref_accumulate(want, cap, left, scaled(right, w))
                 for cells in (raw(right, w._a, w._b, w._d), built):
                     acc = {}
-                    accumulate_products(acc, cap, left, cells)
+                    accumulate_products(acc, cap, raw(left), cells)
                     got = finish_products(acc)
                     assert_finished(got)
                     assert got == want
@@ -387,14 +405,64 @@ class TestProductKernel:
             for k in self.KS:
                 left = mixed_terms(rng, n, cap, 4)
                 right = mixed_terms(rng, n, cap, 4)
-                cells = raw(right, a=k)
-                for _, _, row in cells:
-                    row.sort(reverse=True)
-                    if rng.random() < 0.5:
-                        rng.shuffle(row)
-                negative += any(e < 0 for _, _, row in cells for e, *_ in row)
+                cells = unsorted(raw(right, a=k), rng)
+                negative += negative_cells(cells)
                 acc, want = {}, {}
-                accumulate_products(acc, cap, left, cells, window)
+                accumulate_products(acc, cap, raw(left), cells, window)
+                ref_accumulate(want, cap, scaled(left, k), right)
+                got = finish_products(acc)
+                assert_finished(got)
+                cut = {K: c.truncate_x(window) for K, c in want.items()}
+                assert got == {K: c for K, c in cut.items() if c._terms}
+        assert negative > 0
+
+    @pytest.mark.parametrize("common", [2, 6, 35])
+    def test_unreduced_left_cells(self, common):
+        # the same on the left, where a substitution's finished Taylor
+        # layer or a Lie step's term meets a memoized z'^K or u^m
+        rng = random.Random(580 + common)
+        for n, cap in ((1, 4), (2, 4), (3, 3)):
+            for k in self.KS:
+                left = mixed_terms(rng, n, cap, 4)
+                right = mixed_terms(rng, n, cap, 4)
+                acc, want = {}, {}
+                accumulate_products(acc, cap, raw(left, a=k, common=common), raw(right))
+                ref_accumulate(want, cap, scaled(left, k), right)
+                got = finish_products(acc)
+                assert_finished(got)
+                assert got == want
+
+    def test_folded_gaussian_factor_on_the_left(self):
+        rng = random.Random(590)
+        for n, cap in ((1, 5), (2, 4), (3, 3)):
+            for _ in range(10):
+                w = mixed_gq(rng)
+                left = mixed_terms(rng, n, cap, 4)
+                right = mixed_terms(rng, n, cap, 4)
+                built = [(K, deg, _cells(c, w._a, w._b, w._d)) for K, deg, c in left]
+                want = {}
+                ref_accumulate(want, cap, scaled(left, w), right)
+                for cells in (raw(left, w._a, w._b, w._d), built):
+                    acc = {}
+                    accumulate_products(acc, cap, cells, raw(right))
+                    got = finish_products(acc)
+                    assert_finished(got)
+                    assert got == want
+
+    @pytest.mark.parametrize("window", [-2, 0, 1, 3])
+    def test_windowed_unsorted_left_cells(self, window):
+        # each left cell reads its own prefix of the right cells, so the
+        # left side's order and negative exponents need no sorting
+        rng = random.Random(600 + window)
+        negative = 0
+        for n, cap in ((1, 4), (2, 4), (3, 3)):
+            for k in self.KS:
+                left = mixed_terms(rng, n, cap, 4)
+                right = mixed_terms(rng, n, cap, 4)
+                cells = unsorted(raw(left, a=k), rng)
+                negative += negative_cells(cells)
+                acc, want = {}, {}
+                accumulate_products(acc, cap, cells, raw(right), window)
                 ref_accumulate(want, cap, scaled(left, k), right)
                 got = finish_products(acc)
                 assert_finished(got)
