@@ -585,6 +585,10 @@ class Automorphism:
         followed by self's; otherwise it has none and is split on inversion.
         Maps whose exp factors carry different x-windows live in different
         rings, so composing them raises ``ValueError``.
+
+        The images are exact, uncut substitutions, so for windowed maps they
+        can reach past the window and agree with the folded map only modulo
+        x^(w+1), as README's p.compose(p) for p = exp(X, 1, x_window=2) shows.
         """
         if self.n != other.n or self.cap != other.cap:
             raise DimensionMismatchError("automorphism shapes differ")
@@ -596,10 +600,6 @@ class Automorphism:
         out = Automorphism(self.apply(other.img_x), [self.apply(c) for c in other.img_z])
         object.__setattr__(out, "_gens", gens)
         return out
-
-    def constant_linear_matrix(self):
-        """z-linear matrix as Q[i] scalars; None if x-dependent."""
-        return _constant_matrix([comp.linear_part() for comp in self.img_z])
 
     def is_x_normalized(self) -> bool:
         """x -> x, z-images in m, and a constant invertible z-linear part."""
@@ -661,7 +661,9 @@ class Automorphism:
         return inv
 
     def pushforward(self, X: VectorField) -> "VectorField":
-        """Phi* X = Phi o X o Phi^{-1} as a derivation at the cap."""
+        """Phi* X = Phi o X o Phi^{-1} as a derivation at the cap; for a
+        windowed Phi its exact, uncut substitutions can reach past the
+        window, so it holds only modulo x^(w+1), as with :meth:`compose`."""
         if X.n != self.n or X.cap != self.cap:
             raise DimensionMismatchError("field and automorphism shapes differ")
         inv = self.invert()
@@ -755,8 +757,9 @@ def exp(X: VectorField, t=1, x_window: int | None = None) -> Automorphism:
     fields like f(x) z_j d/dz_j with f(0) = 0, whose exponential scales z_j
     by the transcendental e^{f}, are nilpotent there and get their
     (polynomial) truncated exponential, which the fold forms in closed
-    form: z_j -> E z_j with E = e^{t f} cut at x-degree x_window, the same
-    map as the series.  A negative x-exponent, or an
+    form on Taylor images (:func:`_diagonal`), such as the coordinates:
+    z_j -> E z_j with E = e^{t f} cut at x-degree x_window, the same map as
+    the series.  A negative x-exponent, or an
     x-free term in the d/dx coefficient, lowers x-degrees, so a term cut
     at one step would come back under the window at a later one: the
     result is then not exp(tX) truncated, even where exp(tX) exists
@@ -789,9 +792,9 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
     (:func:`_acts_additively`), such as the upper half of a normalize sweep
     or the start of its inverse's reversed list, maps each image s to
     s + V(s) with V = sum t*W, exactly the product of their Lie series at
-    the cap.  A diagonal factor W = f(x) z_j d/dz_j in a window
-    (:func:`_diagonal`), such as a level-0 step of an x-window sweep, takes
-    its closed form instead: W multiplies a term c z^M by M_j f, so its
+    the cap.  A diagonal factor W = f(x) z_j d/dz_j in a window on Taylor
+    images (:func:`_diagonal`), such as a level-0 step of an x-window sweep,
+    takes its closed form instead: W multiplies a term c z^M by M_j f, so its
     series multiplies it by e^{t M_j f}, cut at x-degree w
     (:func:`_exp_multiples`, :func:`_times_exp`).  All exp factors of one
     fold share one window, so the series takes the images as they are: the
@@ -815,7 +818,7 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
                 L = Automorphism.linear(W, cap)
                 images = [L.apply(s) for s in images]
                 continue
-            diagonal = _diagonal(W, w)
+            diagonal = _diagonal(W, w, images)
             if diagonal is None:
                 images = [_lie_series(W._apply, s, t, w) for s in images]
             else:
@@ -837,12 +840,15 @@ def _additive_step(by_t: dict, s: TransverseSeries, x_window) -> TransverseSerie
     return _ts_raw(s.n, s.cap, finish_products(data))
 
 
-def _diagonal(W: VectorField, x_window):
+def _diagonal(W: VectorField, x_window, targets):
     """(j, f), j 0-based, when W = f(x) z_j d/dz_j with f Taylor and
-    f(0) = 0 and x_window is an int; None otherwise.
+    f(0) = 0, x_window is an int and every series in targets is Taylor;
+    None otherwise: the one test for the fold's and exp_ad's closed form.
 
-    Then f is nilpotent in the x-truncated ring, and W acts on a term
-    c z^M, whose coefficient it leaves alone, as multiplication by M_j f.
+    Then W multiplies a term c z^M by M_j f, so its Lie series multiplies it
+    by e^{t M_j f}, which cut at x-degree x_window is exact for Taylor c
+    only: f^k starts at x^k, and a negative power of x in c brings the
+    powers past the window back under it.  targets are read last.
     """
     if x_window is None or W.a._terms:
         return None
@@ -852,6 +858,8 @@ def _diagonal(W: VectorField, x_window):
     j, terms = parts[0]
     f = terms.get(tuple(int(p == j) for p in range(W.n)))
     if f is None or len(terms) != 1 or f.min_exp() < 1:
+        return None
+    if not all(s.is_taylor() for s in targets):
         return None
     return j, f
 
@@ -986,19 +994,34 @@ def log(phi: Automorphism) -> VectorField:
 def exp_ad(W: VectorField, X: VectorField, x_window: int | None = None) -> VectorField:
     """exp(ad_W)(X) = sum_k ad_W^k(X)/k!, finite at the cap for nilpotent W.
 
-    Equals exp(W).pushforward(X); the two routes are kept independent so one
-    can certify the other: normalize's certificate is pure substitution,
-    whether its sweep took a step by exp_ad or a level by one bracket.  ``x_window`` truncates X first, once, and then
+    Equals exp(W).pushforward(X).  normalize's certificate is substitution:
+    it forms no bracket and shares no code with the closed form below.
+    ``x_window`` truncates X first, once, and then
     forms each bracket only up to that x-degree, from the previous bracket
     as cut: the term-truncated series.  As in :func:`exp`, that is
     exp(ad_W)(X) truncated at x-degree x_window only when ad_W lowers no
     x-degree: not when W has a negative x-exponent or an x-free term in its
     d/dx coefficient, whatever X holds.
+
+    A diagonal W = f(x) z_j d/dz_j (:func:`_diagonal`) on an X with Taylor
+    components and d/dx component x, as at a level-0 step of an x-window
+    sweep, takes the closed form: exp(ad_W) multiplies c z^M d/dz_i by
+    e^{(M_j - [i = j]) f}, cut at x-degree x_window, and adds
+    [W, x d/dx] = -x f'(x) z_j d/dz_j, which ad_W kills.
     """
     W._compat(X)
     if x_window is not None:
         X = X.truncate_x(x_window)
-    return _lie_series(W._bracket, X, Fraction(1), x_window)
+    diagonal = _diagonal(W, x_window, (X.a,) + X.b)
+    if diagonal is None or X.a != TransverseSeries.x_series(X.n, X.cap):
+        return _lie_series(W._bracket, X, Fraction(1), x_window)
+    j, f = diagonal
+    off = [-int(i == j) for i in range(X.n)]  # -e_j
+    E = _exp_multiples(f, 1, x_window, {M[j] + off[i] for i, c in enumerate(X.b) for M in c._terms})
+    b = [_times_exp(c, j, off[i], E, x_window) for i, c in enumerate(X.b)]
+    x_df = LaurentPoly({e: c * -e for e, c in f._terms.items() if e <= x_window})
+    b[j] = b[j] + TransverseSeries.monomial(X.n, X.cap, [-o for o in off], x_df)
+    return VectorField(X.a, b)
 
 
 def exp_decomposition(phi: Automorphism):

@@ -36,11 +36,11 @@ brackets, the normalizer's Lie series and the certificate's substitutions
 form only the cells of x-degree <= x_cap, never a cell they would then
 truncate.  That is exact because the mode requires Taylor data and the d/dx
 component x, so no factor has a negative x-exponent and no x-image moves.
-The level-0 diagonal steps W = f(x) z_j d/dz_j of that mode take their
-closed form (:func:`_diagonal_step`): each term c z^M d/dz_i is multiplied
-by e^{(M_j - [i = j]) f}, and d/dz_j gains -x f'(x) z_j, in place of a
-Lie series of up to x_cap + 1 whole-field brackets; the fold takes the
-same factors in closed form.
+The level-0 diagonal steps W = f(x) z_j d/dz_j of that mode go through
+exp_ad like every other step, and lie takes their closed form there and in
+the fold: each term c z^M d/dz_i is multiplied by e^{(M_j - [i = j]) f},
+and d/dz_j gains -x f'(x) z_j, in place of a Lie series of up to x_cap + 1
+whole-field brackets.
 
 Every run is certified through the substitution route, independent of the
 brackets and adjoint series the sweep uses: normalize() checks the
@@ -60,10 +60,7 @@ from .lie import (
     Automorphism,
     CertificateError,
     VectorField,
-    _diagonal,
-    _exp_multiples,
     _from_factors,
-    _times_exp,
     exp_ad,
 )
 from .resonance import NtnrResult, as_eigenvalues, decide_ntnr, integral_pairing, pairing
@@ -313,11 +310,7 @@ def _sweep_level(field: VectorField, k: int, mu, window, factors, steps) -> Vect
         steps.append(idx)
         solved.append((idx, residual))
         if not linear:
-            diagonal = _diagonal(W, window)
-            if diagonal is None:
-                field = exp_ad(W, field, x_window=window)
-            else:
-                field = _diagonal_step(field, *diagonal, window)
+            field = exp_ad(W, field, x_window=window)
             coeffs = _level_terms(field, k)
             keys = sorted(later for later in coeffs if later > key)
             continue
@@ -334,29 +327,6 @@ def _sweep_level(field: VectorField, k: int, mu, window, factors, steps) -> Vect
         field = field + V.bracket(field, window)
     _check_residual(field, solved)
     return field
-
-
-def _diagonal_step(field: VectorField, j: int, f: LaurentPoly, window: int) -> VectorField:
-    """exp(ad W)(field) for W = f(x) z_j d/dz_j (j 0-based, f Taylor with
-    f(0) = 0) in the x-window, in closed form.
-
-    ad_W multiplies a term c z^M d/dz_i by (M_j - [i = j]) f, which W
-    leaves alone, so exp(ad W) multiplies it by e^{(M_j - [i = j]) f}, cut
-    at x-degree window.  The d/dx component x gives [W, x d/dx] =
-    -x f'(x) z_j d/dz_j, which ad_W kills: d/dz_j gains that one term, and
-    the d/dx component stays x.  The Lie series of up to window + 1 whole
-    brackets that exp_ad forms gives the same field.
-    """
-    n, cap = field.n, field.cap
-    offsets = [-int(i == j) for i in range(n)]
-    E = _exp_multiples(f, 1, window, {
-        M[j] + offsets[i] for i, comp in enumerate(field.b) for M in comp._terms
-    })
-    b = [_times_exp(comp, j, offsets[i], E, window) for i, comp in enumerate(field.b)]
-    unit = tuple(int(p == j) for p in range(n))
-    x_df = LaurentPoly({e: c * -e for e, c in f._terms.items()})  # -x f'(x)
-    b[j] = b[j] + TransverseSeries.monomial(n, cap, unit, x_df)
-    return VectorField(field.a, b)
 
 
 def _level_terms(field: VectorField, k: int) -> dict:

@@ -192,6 +192,19 @@ def test_one_fold_runs_the_lie_series():
     assert calls == LIE_SERIES_CALLERS
 
 
+def test_one_module_picks_the_diagonal_closed_form():
+    calls = {
+        name: {
+            (path.name, fn)
+            for path in PACKAGE.glob("*.py")
+            for fn, _ in callers_of(path.read_text(encoding="utf-8"), name)
+        }
+        for name in ("_diagonal", "_exp_multiples", "_times_exp")
+    }
+    assert calls["_diagonal"] == {("lie.py", "_from_factors"), ("lie.py", "exp_ad")}
+    assert {module for name in ("_exp_multiples", "_times_exp") for module, _ in calls[name]} == {"lie.py"}
+
+
 def test_caller_scan_sees_every_call():
     source = (
         "_lie_series(a)\n"

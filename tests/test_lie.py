@@ -721,7 +721,7 @@ def ref_invert(phi):
     each at the full cap: sigma = A^-1 (z - high(sigma)), substituted
     through ref_apply."""
     n, cap = phi.n, phi.cap
-    A = phi.constant_linear_matrix()
+    A = lie._constant_matrix([c.linear_part() for c in phi.img_z])
     Ainv = _invert_matrix(A)
     x = TransverseSeries.x_series(n, cap)
     zs = [var(n, cap, j + 1) for j in range(n)]

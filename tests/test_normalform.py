@@ -15,7 +15,6 @@ from crossfield.normalform import (
     NormalFormResult,
     ResonantTerm,
     _check_support,
-    _diagonal_step,
     _intertwines,
     _linear_matrix_or_error,
     _needs_x_window,
@@ -632,6 +631,21 @@ def free_of_z_j(field, j):
     return sum(1 for M in field.b[j]._terms if not M[j])
 
 
+# W = f(x) z1 d/dz1 at n = 2, cap 3, and fields on which exp_ad must not
+# take its closed form: Laurent components, or a d/dx component other than x
+DIAGONAL_W = "x*z1*dz1 + 1/2*x^2*z1*dz1"
+SERIES_ONLY = (
+    "x*dx + x^-2*z1^2*dz1 + z2^2*dz1 + x*z1*dz1",
+    "x*dx + z1^2*dz1 + x^-1*z1*z2*dz2",
+    "x*z1*dx + z1^2*dz1",
+)
+
+
+def series_ad(W, X, w):
+    """exp(ad_W)(X) as the plain Lie series of brackets, cut at x-degree w."""
+    return lie._lie_series(W._bracket, X if w is None else X.truncate_x(w), Fraction(1), w)
+
+
 class TestDiagonalSteps:
     def test_step_matches_exp_ad(self):
         free = 0
@@ -642,12 +656,36 @@ class TestDiagonalSteps:
             j = rng.randrange(X.n)
             f = LaurentPoly.x(1, rand_gq_nonzero(rng)) + rand_laurent(rng, 2, 3, terms=1)
             W = VectorField.monomial(X.n, X.cap, MonomialIndex((0,) * X.n, j + 1), f)
-            assert lie._diagonal(W, w) == (j, f)
-            got = _diagonal_step(field, j, f.truncate_x(w), w)
-            want = exp_ad(W, field, x_window=w)
+            assert lie._diagonal(W, w, (field.a,) + field.b) == (j, f)
+            got = exp_ad(W, field, x_window=w)
+            want = series_ad(W, field, w)
             assert (got, str(got)) == (want, str(want)), (i, str(X))
             free += free_of_z_j(field, j)
         assert free >= 30
+
+    @pytest.mark.parametrize("text", SERIES_ONLY)
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_exp_ad_runs_the_series_off_the_closed_form(self, text, w):
+        W = parse_field(DIAGONAL_W, 2, 3)
+        X = parse_field(text, 2, 3)
+        got, want = exp_ad(W, X, x_window=w), series_ad(W, X, w)
+        assert (got, str(got)) == (want, str(want))
+
+    def test_exp_ad_without_a_window_runs_the_series(self):
+        W = parse_field("x*z1*dz1", 2, 3)
+        X = parse_field("x*dx + z1*dz1 + z2^2*dz2", 2, 3)
+        got = exp_ad(W, X)
+        assert got == series_ad(W, X, None) == X - W  # [W, x d/dx] = -x f'(x) z1 d/dz1
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_fold_runs_the_series_on_laurent_images(self, w):
+        # the inverse folds exp(-W1) first, whose images carry x^-1, and then
+        # the diagonal exp(-W2), whose cut exponential would drop terms there
+        W1 = parse_field("x^-1*z1^2*dz1", 1, 3)
+        W2 = parse_field("x*z1*dz1", 1, 3)
+        phi = lie.exp(W1, 1, x_window=w).compose(lie.exp(W2, 1, x_window=w))
+        inv = phi.invert()
+        assert inv == ref_fold(1, 3, inv._gens)
 
     def test_normalizer_and_inverse_match_the_per_factor_fold(self):
         diagonal = 0
@@ -660,20 +698,38 @@ class TestDiagonalSteps:
             inv = phi.invert()
             assert {t for _, t, _ in inv._gens} == {G(-1)}
             assert inv == ref_fold(X.n, X.cap, inv._gens)
-            diagonal += sum(lie._diagonal(W, w) is not None for W, _, w in phi._gens)
+            diagonal += sum(lie._diagonal(W, w, ()) is not None for W, _, w in phi._gens)
         assert diagonal >= 40
 
     def test_only_diagonal_factors_in_a_window_take_the_closed_form(self):
         n, cap = 2, 4
         f = LaurentPoly({1: G(1), 2: G(Fraction(1, 3))})
         W = mono(n, cap, (0, 0), 2, f)
-        assert lie._diagonal(W, 3) == (1, f)
-        assert lie._diagonal(W, None) is None  # the exact mode has no window to cut at
-        assert lie._diagonal(mono(n, cap, (0, 0), 2, f + LaurentPoly.one()), 3) is None  # f(0) != 0
-        assert lie._diagonal(mono(n, cap, (0, 0), 2, LaurentPoly.x(-1)), 3) is None  # Laurent
+        taylor = (TransverseSeries.x_series(n, cap), rand_series(random.Random(0), n, cap))
+        assert all(s.is_taylor() for s in taylor)
+        assert lie._diagonal(W, 3, taylor) == (1, f)
+        assert lie._diagonal(W, None, taylor) is None  # the exact mode has no window to cut at
+        assert lie._diagonal(mono(n, cap, (0, 0), 2, f + LaurentPoly.one()), 3, ()) is None  # f(0) != 0
+        assert lie._diagonal(mono(n, cap, (0, 0), 2, LaurentPoly.x(-1)), 3, ()) is None  # Laurent
         off = mono(n, cap, (1, -1), 2, LaurentPoly.x())
-        assert lie._diagonal(W + off, 3) is None  # an off-diagonal term too
-        assert lie._diagonal(W + mono(n, cap, (0, 0), 1, f), 3) is None  # two directions
+        assert lie._diagonal(W + off, 3, ()) is None  # an off-diagonal term too
+        assert lie._diagonal(W + mono(n, cap, (0, 0), 1, f), 3, ()) is None  # two directions
+        laurent = TransverseSeries.x_series(n, cap, -1)
+        assert lie._diagonal(W, 3, taylor + (laurent,)) is None  # a Laurent target
+
+    def test_the_selector_reads_no_target_without_a_window(self):
+        read = []
+
+        def targets():
+            read.append(1)
+            yield TransverseSeries.x_series(2, 4)
+
+        W = mono(2, 4, (0, 0), 2, LaurentPoly.x())
+        assert lie._diagonal(W, None, targets()) is None
+        assert lie._diagonal(W + mono(2, 4, (0, 0), 1, LaurentPoly.x()), 3, targets()) is None
+        assert read == []
+        assert lie._diagonal(W, 3, targets()) == (1, LaurentPoly.x())
+        assert read == [1]  # the scan sees a read
 
 
 class TestDeeperCases:
