@@ -25,11 +25,14 @@ from .series import (
     TransverseSeries,
     _cells,
     _derived,
+    _merge_products,
+    _scaled,
     _series_cells,
     _terms_text,
     _triple,
     _ts_raw,
     accumulate_products,
+    finish_items,
     finish_products,
 )
 
@@ -126,77 +129,35 @@ class VectorField:
     def apply(self, f: TransverseSeries, x_window: int | None = None) -> TransverseSeries:
         """X(f) = a df/dx + sum_i b_i df/dz_i, truncated at the cap.
 
-        One call of :func:`~crossfield.series.accumulate_products` per
-        component: the terms of a meet the x-derivatives of f's
-        coefficients, x^e going to e x^(e-1), and the terms of b_i meet
-        the terms of f with K_i = k >= 1, lowered to K - e_i.  f's
-        coefficients go in as raw integer cells with e or k already
-        multiplied into their numerators, built only for the terms each
-        component reads.  Every product lands in one raw integer
-        accumulator, made canonical once at the end; no derivative
-        polynomial or series, scaled copy, partial product or partial sum
-        is built.  With ``x_window`` every product is also cut at that
-        x-degree, which gives exactly X(f).truncate_x(x_window): the
-        x-derivatives are taken before the products.
+        f is converted to the product kernel's items once, and one kernel
+        call per component (:func:`_derive_into`) fills one raw integer
+        accumulator, made canonical once.  With ``x_window`` every product
+        is also cut at that x-degree, which gives exactly
+        X(f).truncate_x(x_window): the x-derivatives precede the products.
         """
         if f.n != self.n or f.cap != self.cap:
             raise DimensionMismatchError("field and series shapes differ")
-        return self._apply(f, x_window, 1)
-
-    def _apply(self, f: TransverseSeries, x_window, factor) -> TransverseSeries:
-        """factor * X(f), cut at x-degree x_window, for an exact scalar factor."""
         data = {}
-        self._apply_into(data, f, factor, x_window)
+        self._apply_into(data, _series_cells(f._terms), x_window)
         return _ts_raw(self.n, self.cap, finish_products(data))
 
-    def _apply_into(self, data: dict, f: TransverseSeries, factor, x_window) -> None:
-        """Add factor * X(f), cut at x-degree x_window, to the raw
-        accumulator data; factor is an int, Fraction or Q[i] scalar, folded
-        into the cells of f's terms."""
-        a, b, d = _triple(factor)
-        terms = f._terms.items()
-        if self.a._terms:
-            dx = []
-            for K, c in terms:
-                cells = _derived(_cells(c, a, b, d))
-                if cells:
-                    dx.append((K, sum(K), cells))
-            if dx:
-                accumulate_products(data, self.cap, _series_cells(self.a._terms), dx, x_window)
-        for i, comp in enumerate(self.b):
-            if not comp._terms:
-                continue
-            lowered = [
-                (K[:i] + (K[i] - 1,) + K[i + 1:], sum(K) - 1, _cells(c, K[i] * a, K[i] * b, d))
-                for K, c in terms
-                if K[i]
-            ]
-            if lowered:
-                accumulate_products(data, self.cap, _series_cells(comp._terms), lowered, x_window)
+    def _apply_into(self, data: dict, f: list, x_window) -> None:
+        """Add X(f) for the kernel items f of a series, cut at x-degree
+        x_window, to the raw accumulator data (:func:`_derive_into`)."""
+        _derive_into(data, self.cap, (self.a,) + self.b, f, 1, x_window)
 
     def bracket(self, other: "VectorField", x_window: int | None = None) -> "VectorField":
         """[X, Y] = X o Y - Y o X, componentwise X(Y_c) - Y(X_c).
 
-        Both halves of each component accumulate into one raw accumulator,
-        the second with the sign folded into its right cells, and the
-        component is made canonical once; no negated or partial series is
-        built.  With ``x_window`` the result is exactly
-        [X, Y].truncate_x(x_window), as in :meth:`apply`.
+        Both fields are converted to items once; both halves of each
+        component go into one raw accumulator (:func:`_ad_accumulators`),
+        the sign folded into the second's right cells, made canonical once.
+        With ``x_window`` the result is exactly [X, Y].truncate_x(x_window).
         """
         self._compat(other)
-        return self._bracket(other, x_window, 1)
-
-    def _bracket(self, other: "VectorField", x_window, factor) -> "VectorField":
-        """factor * [self, other], cut at x-degree x_window: the factor, an
-        exact scalar, and its negation go into the right cells of the two
-        halves."""
-        neg = -factor
-        comps = []
-        for own, their in zip((self.a,) + self.b, (other.a,) + other.b):
-            data = {}
-            self._apply_into(data, their, factor, x_window)
-            other._apply_into(data, own, neg, x_window)
-            comps.append(_ts_raw(self.n, self.cap, finish_products(data)))
+        ops, theirs = ([_series_cells(c._terms) for c in (V.a,) + V.b] for V in (self, other))
+        datas = _ad_accumulators(self.cap, ops, theirs, theirs, 1, x_window)
+        comps = [_ts_raw(self.n, self.cap, finish_products(data)) for data in datas]
         return VectorField(comps[0], comps[1:])
 
     def _compat(self, other):
@@ -321,6 +282,52 @@ class VectorField:
 
     def __repr__(self):
         return f"VectorField(n={self.n}, cap={self.cap}, {self.__str__()!r})"
+
+
+def _derive_into(data: dict, cap: int, ops, f: list, factor, x_window, cells=_scaled) -> None:
+    """Add factor * X(f), cut at x-degree x_window, to the raw accumulator
+    data: the one derivation core.  X's n + 1 components ops are items, or
+    series converted where f reads them; f is a series' items, or with
+    ``cells=_cells`` its terms (K, |K|, LaurentPoly).  a meets the
+    x-derivatives of f's cells and b_i the terms with K_i = k >= 1 lowered
+    to K - e_i, with e or k and the exact factor in the right cells."""
+    a, b, d = _triple(factor)
+    for j, comp in enumerate(ops, -1):
+        if not comp:
+            continue
+        if j < 0:
+            right = [(K, deg, dx) for K, deg, c in f if (dx := _derived(cells(c, a, b, d)))]
+        else:
+            right = [(K[:j] + (K[j] - 1,) + K[j + 1:], deg - 1, cells(c, K[j] * a, K[j] * b, d))
+                     for K, deg, c in f if K[j]]
+        if right:
+            left = comp if type(comp) is list else _series_cells(comp._terms)
+            accumulate_products(data, cap, left, right, x_window)
+
+
+def _ad_accumulators(cap: int, ops: list, terms: list, field, c, x_window, cells=_scaled) -> list:
+    """[c * W(term) for term in terms] as raw accumulators, W the field with
+    component items ops; with a field V, given as in :func:`_derive_into`,
+    the i-th also holds -c * V(W_i), so for V's terms they are c * [W, V]."""
+    datas = [{} for _ in terms]
+    for i, (data, term) in enumerate(zip(datas, terms)):
+        if term:
+            _derive_into(data, cap, ops, term, c, x_window, cells)
+        if field is not None:
+            _derive_into(data, cap, field, ops[i], -c, x_window)
+    return datas
+
+
+def _operands(starts, parts) -> list:
+    """The terms (K, |K|, LaurentPoly) of each series in starts that the
+    field with components parts can read, for :func:`_derive_into` with
+    ``cells=_cells``: none whose product with the field's lowest degree
+    passes the cap, and only K_i >= 1 when b_i is its one nonzero part."""
+    reads = [i for i, comp in enumerate(parts) if comp]
+    i = reads[0] - 1 if len(reads) == 1 else -1
+    top = starts[0].cap + 1 - min(c.madic_order() for c in parts)
+    return [[(K, deg, c) for K, c in s._terms.items() if (deg := sum(K)) <= top and (i < 0 or K[i])]
+            for s in starts]
 
 
 def _shape(x_part: TransverseSeries, z_parts: tuple):
@@ -506,21 +513,15 @@ class Automorphism:
         coefficients are then shifted by the finite Taylor sum, taken in
         layers by the power of u:
         f(x + u, z') = sum_m u^m sum_K f_K^(m)(x)/m! z'^K.
-        Each z'^K is built once per map and window as the items of
-        :func:`~crossfield.series.accumulate_products`, with one kernel
-        call on the items of z'^(K - e_i) and z'_i (:meth:`_zmonomial`),
-        and multiplied into the layers m <= cap - |K| (z'^K lies in
-        m^|K| and u^m in m^m), with the degree-0 coefficient f_K^(m)/m!
-        as its right side.  That coefficient is raw integer cells: layer
-        m's cell (e - 1, e*a, e*b, m*d) comes from layer m - 1's cell
-        (e, a, b, d), so no polynomial is built for a layer.  Each layer
-        is made canonical and multiplied by u^m's items once, into layer
-        0's raw accumulator; that accumulator is made canonical once, as
-        the result.  Like z'^K, u and each power u^m are kept as items,
-        built once per map the first time a layer needs them, and the
-        images are checked once per map and window (:meth:`_substitution`).
-        With u = 0 only layer 0 exists and no product by a power of u is
-        formed.
+        Each z'^K is built once per map and window as kernel items, with
+        one kernel call on the items of z'^(K - e_i) and z'_i
+        (:meth:`_zmonomial`), and multiplied into the layers m <= cap - |K|
+        (z'^K lies in m^|K| and u^m in m^m), with the degree-0 coefficient
+        f_K^(m)/m! as raw integer cells: layer m's cell (e - 1, e*a, e*b,
+        m*d) comes from layer m - 1's cell (e, a, b, d).  Like z'^K, u and
+        each power u^m are kept as items, built once per map the first time
+        a layer needs them, and the images are checked once per map and
+        window (:meth:`_substitution`).  With u = 0 only layer 0 exists.
 
         With ``x_window`` every product of the chain z'^K, times f_K, is cut
         at that x-degree, which gives exactly apply(f).truncate_x(x_window)
@@ -529,38 +530,36 @@ class Automorphism:
         and z-images and u = 0 (an x-derivative lowers x-degrees), and
         raises ``ValueError`` otherwise.
 
-        The work is :meth:`_apply_into`'s, as in :meth:`VectorField.apply`;
-        this method only makes its accumulator canonical.
+        f is converted to items once; the work is :meth:`_apply_into`'s,
+        and its accumulator is made canonical once, as the result.
         """
         if f.n != self.n or f.cap != self.cap:
             raise DimensionMismatchError("series and automorphism shapes differ")
         data = {}
-        self._apply_into(data, f, 1, x_window)
+        self._apply_into(data, _series_cells(f._terms), x_window)
         return _ts_raw(self.n, self.cap, finish_products(data))
 
-    def _apply_into(self, data: dict, f: TransverseSeries, sign: int, x_window) -> None:
-        """Add sign * self(f), cut at x-degree x_window, to the raw
-        accumulator data: :meth:`apply`'s work and checks, which
-        normalize's certificate and :func:`log` call directly to add more
-        than one series into one accumulator.
-
-        The integer sign goes into the cells of f's coefficients, so every
-        layer carries it.  Layer 0 accumulates straight into data; each
-        layer m >= 1 of a moving x-image is made canonical and multiplied
-        by u^m into it.  The map's own checks, u^m and z'^K are built once
-        per map (:meth:`_substitution`); only f's Taylor check runs on
-        every windowed call.
+    def _apply_into(self, data: dict, f: list, x_window) -> None:
+        """Add self(f) for the kernel items f of a series, cut at x-degree
+        x_window, to the raw accumulator data: :meth:`apply`'s work and
+        checks, for normalize's certificate, :func:`log` and
+        :meth:`pushforward`, which add into one accumulator or substitute
+        into items; a sign folded into f's cells reaches every layer.
+        Layer 0 accumulates straight into data; each layer m >= 1 of a
+        moving x-image is made items once (:func:`finish_items`) and
+        multiplied by u^m into it.  The map's checks, u^m and z'^K are
+        built once per map (:meth:`_substitution`); only f's Taylor check
+        runs on every windowed call.
         """
         memo, upows = self._substitution(x_window)
-        if x_window is not None and not f.is_taylor():
+        if x_window is not None and any(cell[0] < 0 for _, _, cells in f for cell in cells):
             raise ValueError("an x-window needs Taylor coefficients")
         cap = self.cap
         const = (0,) * self.n
-        layers = [data]  # layers[m]: sign * sum_K f_K^(m)/m! z'^K, raw
-        for K, poly in f._terms.items():
+        layers = [data]  # layers[m]: sum_K f_K^(m)/m! z'^K, raw
+        for K, deg, cells in f:
             zpart = self._zmonomial(memo, K, x_window)
-            cells = _cells(poly, sign)
-            for m in range(cap - sum(K) + 1 if upows else 1):
+            for m in range(cap - deg + 1 if upows else 1):
                 if m:
                     cells = _derived(cells, m)
                     if not cells:
@@ -574,7 +573,7 @@ class Automorphism:
             upow = upows[m - 1]
             if not upow:
                 break
-            accumulate_products(data, cap, _series_cells(finish_products(layers[m])), upow)
+            accumulate_products(data, cap, finish_items(layers[m]), upow)
 
     # -- group structure ----------------------------------------------------
 
@@ -663,13 +662,19 @@ class Automorphism:
     def pushforward(self, X: VectorField) -> "VectorField":
         """Phi* X = Phi o X o Phi^{-1} as a derivation at the cap; for a
         windowed Phi its exact, uncut substitutions can reach past the
-        window, so it holds only modulo x^(w+1), as with :meth:`compose`."""
+        window, so it holds only modulo x^(w+1), as with :meth:`compose`.
+        X(c) of each coordinate image c of Phi^{-1} is made the kernel's
+        items once and substituted: each component is made canonical once.
+        """
         if X.n != self.n or X.cap != self.cap:
             raise DimensionMismatchError("field and automorphism shapes differ")
-        inv = self.invert()
-        a = self.apply(X.apply(inv.img_x))
-        b = [self.apply(X.apply(inv.img_z[i])) for i in range(self.n)]
-        return VectorField(a, b)
+        inv, comps = self.invert(), []
+        for img in (inv.img_x,) + inv.img_z:
+            data, out = {}, {}
+            X._apply_into(data, _series_cells(img._terms), None)
+            self._apply_into(out, finish_items(data), None)
+            comps.append(_ts_raw(self.n, self.cap, finish_products(out)))
+        return VectorField(comps[0], comps[1:])
 
     # -- protocol ----------------------------------------------------------
 
@@ -701,7 +706,7 @@ def _product(f: list, g: list, cap: int, x_window) -> list:
     x_window when it is an int."""
     data = {}
     accumulate_products(data, cap, f, g, x_window)
-    return _series_cells(finish_products(data))
+    return finish_items(data)
 
 
 def _coordinates(n: int, cap: int):
@@ -786,21 +791,22 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
     """f_k o ... o f_1 from its Lie factors (f_1, ..., f_k), recorded as _gens.
 
     From the coordinates, innermost factor first: an exp factor (W, t, w)
-    runs the Lie series sum_k t^k/k! W^k on each running image in window w,
-    and a linear factor (M, None, None) substitutes z -> M z.  A run of two
-    or more consecutive exp factors that act additively
-    (:func:`_acts_additively`), such as the upper half of a normalize sweep
-    or the start of its inverse's reversed list, maps each image s to
-    s + V(s) with V = sum t*W, exactly the product of their Lie series at
-    the cap.  A diagonal factor W = f(x) z_j d/dz_j in a window on Taylor
-    images (:func:`_diagonal`), such as a level-0 step of an x-window sweep,
-    takes its closed form instead: W multiplies a term c z^M by M_j f, so its
-    series multiplies it by e^{t M_j f}, cut at x-degree w
-    (:func:`_exp_multiples`, :func:`_times_exp`).  All exp factors of one
-    fold share one window, so the series takes the images as they are: the
-    images an exp factor leaves already lie in that window, but for the
-    coordinate x when w = 0, which stays x.  The factors are trusted: each
-    W must be nilpotent in its window.
+    runs the Lie series sum_k t^k/k! W^k on the running images in window w
+    (:func:`_exp_series`), and a linear factor (M, None, None) substitutes
+    z -> M z.  A run of two or more consecutive exp factors that act
+    additively (:func:`_acts_additively`), such as the upper half of a
+    normalize sweep or the start of its inverse's reversed list, maps each
+    image s to s + V(s) with V = sum t*W, exactly the product of their Lie
+    series at the cap, each t folded into the cells V_t reads and V(s)
+    made canonical once.  A diagonal factor W = f(x) z_j d/dz_j in a
+    window on Taylor images (:func:`_diagonal`), such as a level-0 step of
+    an x-window sweep, takes its closed form instead: W multiplies a term
+    c z^M by M_j f, so its series multiplies it by e^{t M_j f}, cut at
+    x-degree w (:func:`_exp_multiples`, :func:`_times_exp`).  All exp
+    factors of one fold share one window, so the series takes the images
+    as they are: the images an exp factor leaves already lie in that
+    window, but for the coordinate x when w = 0, which stays x.  The
+    factors are trusted: each W must be nilpotent in its window.
     """
     factors = tuple(factors)
     images = _coordinates(n, cap)
@@ -810,8 +816,13 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
             by_t = {}  # t -> the sum of the run's W with that t
             for W, t, _ in run:
                 by_t[t] = by_t[t] + W if t in by_t else W
-            w = run[0][2]
-            images = [s + _additive_step(by_t, s, w) for s in images]
+            w, datas = run[0][2], [{} for _ in images]
+            for t, V in by_t.items():
+                parts = (V.a,) + V.b
+                ops = [_series_cells(c._terms) for c in parts]
+                for data, f in zip(datas, _operands(images, parts)):
+                    _derive_into(data, cap, ops, f, t, w, _cells)
+            images = [s + _ts_raw(n, cap, finish_products(data)) for s, data in zip(images, datas)]
             continue
         for W, t, w in run:
             if t is None:
@@ -820,7 +831,7 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
                 continue
             diagonal = _diagonal(W, w, images)
             if diagonal is None:
-                images = [_lie_series(W._apply, s, t, w) for s in images]
+                images = _exp_series(W, images, t, w)
             else:
                 j, f = diagonal
                 E = _exp_multiples(f, t, w, {M[j] for s in images for M in s._terms})
@@ -828,16 +839,6 @@ def _from_factors(n: int, cap: int, factors) -> Automorphism:
     phi = Automorphism(images[0], images[1:])
     object.__setattr__(phi, "_gens", factors)
     return phi
-
-
-def _additive_step(by_t: dict, s: TransverseSeries, x_window) -> TransverseSeries:
-    """V(s) for V = sum t*V_t over {t: V_t} in by_t, cut at x-degree
-    x_window, in one raw accumulator: each t goes into the cells of s that
-    its V_t reads."""
-    data = {}
-    for t, V in by_t.items():
-        V._apply_into(data, s, t, x_window)
-    return _ts_raw(s.n, s.cap, finish_products(data))
 
 
 def _diagonal(W: VectorField, x_window, targets):
@@ -925,25 +926,31 @@ def _acts_additively(factor, cap: int) -> bool:
     return t is not None and W.a.is_zero() and all(2 * c.madic_order() >= cap + 2 for c in W.b)
 
 
-def _lie_series(step, start, t, x_window):
-    """start + sum_{k>=1} term_k with term_k = step(term_{k-1}, x_window, t/k).
+def _exp_series(W: VectorField, starts, t, x_window, ad: bool = False) -> list:
+    """start + sum_{k>=1} t^k/k! D^k(start) for each series start in
+    starts, with D = W or, with ``ad``, D = ad_W on the field whose
+    components are starts, each term formed only up to x-degree x_window,
+    exactly its truncation there, up to the first zero term.
 
-    step is a field's ``_apply`` or ``_bracket``: step(s, x_window, c) is
-    c * W(s) or c * [W, s], formed only up to x-degree x_window, exactly
-    its truncation there.  The scalar t/k goes into the raw cells of the
-    step's products, so no term is scaled after it is formed; start itself
-    is taken as it is.  The sum stops at the first zero term.
+    Term k is t/k * D(term k-1) (:func:`_ad_accumulators`), made items once
+    (:func:`finish_items`); step 1 reads the starts as they are, converting
+    only what W reads (:func:`_operands`), and with ``ad`` the start field
+    is the operator.  Each later term's raw accumulator is merged into term
+    1's, which is made canonical once and added to its start once.
     """
-    acc = term = start
-    k = 0
-    while True:
-        k += 1
-        if k > _GUARD:
-            raise CertificateError("Lie series failed to terminate; nilpotency is violated")
-        term = step(term, x_window, t / k)
-        if term.is_zero():
-            return acc
-        acc = acc + term
+    cap = W.cap
+    ops = [_series_cells(c._terms) for c in (W.a,) + W.b]
+    terms, cells, field = _operands(starts, (W.a,) + W.b), _cells, starts if ad else None
+    sums = None
+    for k in range(1, _GUARD + 1):
+        datas = _ad_accumulators(cap, ops, terms, field, t / k, x_window, cells)
+        terms, cells = [finish_items(data) for data in datas], _scaled
+        if not any(terms):
+            sums = [finish_products(acc) for acc in sums or datas]
+            return [s + _ts_raw(s.n, cap, acc) if acc else s for s, acc in zip(starts, sums)]
+        sums = datas if sums is None else list(map(_merge_products, sums, datas))
+        field = terms if ad else None
+    raise CertificateError("Lie series failed to terminate; nilpotency is violated")
 
 
 def log(phi: Automorphism) -> VectorField:
@@ -954,12 +961,12 @@ def log(phi: Automorphism) -> VectorField:
     the cap and the result is a 1-flat (hence nilpotent) field with
     exp(log Phi) = Phi.
 
-    Each step u <- Phi(u) - u is formed in one raw accumulator: Phi's
-    substitution (:meth:`Automorphism._apply_into`), then -u as the
-    kernel's product of u by the constant -1.  The partial sum goes into
-    a second raw accumulator, each u as its product by the constant
-    (-1)^{m+1}/m, and is made canonical once per coordinate.  No series
-    is negated, subtracted, scaled or added per step.
+    Each step u <- Phi(u) - u is formed in one raw accumulator, Phi's
+    substitution (:meth:`Automorphism._apply_into`) and then -u as the
+    kernel's product of u by the constant -1, and stays the kernel's
+    items (:func:`finish_items`).  The partial sum goes into a second raw
+    accumulator, each u as its product by the constant (-1)^{m+1}/m, and
+    is made canonical once per coordinate; no step builds a series.
     """
     if not phi.tangent_to_identity():
         raise NotTangentToIdentityError(
@@ -972,21 +979,18 @@ def log(phi: Automorphism) -> VectorField:
     comps = []
     for coord in _coordinates(n, cap):
         total = {}
-        u, m = coord, 0
-        items = _series_cells(u._terms)
+        u, m = _series_cells(coord._terms), 0
         while True:
             data = {}
-            phi._apply_into(data, u, 1, None)
-            accumulate_products(data, cap, items, minus_one)
-            u = _ts_raw(n, cap, finish_products(data))
-            if u.is_zero():
+            phi._apply_into(data, u, None)
+            accumulate_products(data, cap, u, minus_one)
+            u = finish_items(data)
+            if not u:
                 break
             m += 1
             if m > _GUARD:
                 raise CertificateError("log failed to terminate")
-            items = _series_cells(u._terms)
-            weight = [(const, 0, _cells(unit, 1 if m % 2 else -1, 0, m))]
-            accumulate_products(total, cap, items, weight)
+            accumulate_products(total, cap, u, [(const, 0, _cells(unit, 1 if m % 2 else -1, 0, m))])
         comps.append(_ts_raw(n, cap, finish_products(total)))
     return VectorField(comps[0], comps[1:])
 
@@ -996,9 +1000,10 @@ def exp_ad(W: VectorField, X: VectorField, x_window: int | None = None) -> Vecto
 
     Equals exp(W).pushforward(X).  normalize's certificate is substitution:
     it forms no bracket and shares no code with the closed form below.
-    ``x_window`` truncates X first, once, and then
-    forms each bracket only up to that x-degree, from the previous bracket
-    as cut: the term-truncated series.  As in :func:`exp`, that is
+    ``x_window`` truncates X first, once, unless X already lies in the
+    window, and then the Lie series (:func:`_exp_series`) forms each
+    bracket only up to that x-degree, from the previous one as cut: the
+    term-truncated series.  As in :func:`exp`, that is
     exp(ad_W)(X) truncated at x-degree x_window only when ad_W lowers no
     x-degree: not when W has a negative x-exponent or an x-free term in its
     d/dx coefficient, whatever X holds.
@@ -1010,11 +1015,14 @@ def exp_ad(W: VectorField, X: VectorField, x_window: int | None = None) -> Vecto
     [W, x d/dx] = -x f'(x) z_j d/dz_j, which ad_W kills.
     """
     W._compat(X)
-    if x_window is not None:
+    parts = (X.a,) + X.b
+    if x_window is not None and any(c.max_exp() > x_window for s in parts for c in s._terms.values()):
         X = X.truncate_x(x_window)
-    diagonal = _diagonal(W, x_window, (X.a,) + X.b)
+        parts = (X.a,) + X.b
+    diagonal = _diagonal(W, x_window, parts)
     if diagonal is None or X.a != TransverseSeries.x_series(X.n, X.cap):
-        return _lie_series(W._bracket, X, Fraction(1), x_window)
+        a, *b = _exp_series(W, parts, Fraction(1), x_window, ad=True)
+        return VectorField(a, b)
     j, f = diagonal
     off = [-int(i == j) for i in range(X.n)]  # -e_j
     E = _exp_multiples(f, 1, x_window, {M[j] + off[i] for i, c in enumerate(X.b) for M in c._terms})

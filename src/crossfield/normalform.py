@@ -64,7 +64,7 @@ from .lie import (
     exp_ad,
 )
 from .resonance import NtnrResult, as_eigenvalues, decide_ntnr, integral_pairing, pairing
-from .series import MonomialIndex, TransverseSeries, iter_l_indices
+from .series import MonomialIndex, TransverseSeries, _series_cells, iter_l_indices
 
 __all__ = [
     "NormalFormResult",
@@ -361,7 +361,8 @@ def _intertwines(phi: Automorphism, X: VectorField, Y: VectorField, window) -> b
 
     For each coordinate c, phi(X_c) and -Y(phi_c) go into one raw
     accumulator, through Automorphism._apply_into and
-    VectorField._apply_into, and the relation fails exactly when some cell
+    VectorField._apply_into on the kernel items of X_c and of phi_c, the
+    sign in the second's cells.  The relation fails exactly when some cell
     (a + b*i)/d is left with a or b nonzero: no cell is made canonical and
     neither side is built as a series.
 
@@ -374,8 +375,8 @@ def _intertwines(phi: Automorphism, X: VectorField, Y: VectorField, window) -> b
     pieces = [(X.a, phi.img_x)] + [(X.b[i], phi.img_z[i]) for i in range(X.n)]
     for comp, img in pieces:
         data = {}
-        phi._apply_into(data, comp, 1, window)
-        Y._apply_into(data, img, -1, window)
+        phi._apply_into(data, _series_cells(comp._terms), window)
+        Y._apply_into(data, _series_cells(img._terms, -1), window)
         if any(a or b for row in data.values() for a, b, _ in row.values()):
             return False
     return True

@@ -378,6 +378,13 @@ def _cells(poly: LaurentPoly, a: int = 1, b: int = 0, d: int = 1) -> list:
     return [(e, a * c._a, a * c._b, d * c._d) for e, c in poly._terms.items()]
 
 
+def _scaled(cells: list, a: int, b: int = 0, d: int = 1) -> list:
+    """The cells times (a + b*i)/d, unreduced; cells itself for the factor 1."""
+    if b:
+        return [(e, a * x - b * y, a * y + b * x, d * q) for e, x, y, q in cells]
+    return cells if a == 1 == d else [(e, a * x, a * y, d * q) for e, x, y, q in cells]
+
+
 def _derived(cells: list, m: int = 1) -> list:
     """The cells of the x-derivative of cells, over m: x^e goes to
     (e/m) x^(e-1), with e folded into the numerators and m into the
@@ -385,9 +392,9 @@ def _derived(cells: list, m: int = 1) -> list:
     return [(e - 1, e * a, e * b, m * d) for e, a, b, d in cells if e]
 
 
-def _series_cells(terms: dict) -> list:
-    """A series' term dict {K: LaurentPoly} as items (K, |K|, cells)."""
-    return [(K, sum(K), _cells(c)) for K, c in terms.items()]
+def _series_cells(terms: dict, sign: int = 1) -> list:
+    """A series' term dict {K: LaurentPoly} as items (K, |K|, cells), times sign."""
+    return [(K, sum(K), _cells(c, sign)) for K, c in terms.items()]
 
 
 def accumulate_products(
@@ -397,16 +404,14 @@ def accumulate_products(
     items (K1, d1, c1) in left and (K2, d2, c2) in right with d1 + d2 <= cap.
 
     This is the one truncated-product loop of the series, derivation and
-    substitution layers: TransverseSeries products, VectorField.apply,
-    brackets and Automorphism.apply all run through it.  d1 and d2 are the
-    total degrees |K1| and |K2|; a pair above the cap is skipped before its
-    product is formed.  Both sides take one item format, (K, |K|, cells),
-    with raw cells (e, a, b, d), the value (a + b*i)/d at x^e with d > 0
-    and no common factor removed, in any order.  The caller builds them
-    with :func:`_cells` or :func:`_series_cells`, its own factor already
-    multiplied in: the exponent of a z-derivative, the e of an
-    x-derivative, a Taylor layer's 1/m, a Lie-series coefficient, a sign.
-    A caller that multiplies by the same series again keeps its items.
+    substitution layers; a pair above the cap is skipped before its product
+    is formed.  Both sides take one item format, (K, |K|, cells), with raw
+    cells (e, a, b, d), the value (a + b*i)/d at x^e with d > 0 and no
+    common factor removed, in any order, the caller's own factor already
+    multiplied in: a derivative's exponent, a Taylor layer's 1/m, a
+    Lie-series coefficient, a sign.  A chain of products hands its
+    intermediate results on as items (:func:`finish_items`) and builds a
+    series only for the value it returns (:func:`finish_products`).
 
     With an int ``x_window`` the product is a short product in x as well:
     a cell pair x^e1 * x^e2 with e1 + e2 > x_window is skipped before it is
@@ -416,15 +421,12 @@ def accumulate_products(
     an x-degree (an x-derivative, or a moving x-image); the callers that
     pass a window see to that.  With a window each right item's cells are
     sorted by exponent once, and each left cell x^e1 reads their prefix
-    of exponent <= x_window - e1, found with one bisection.  Without one
-    the right cells keep their order and are not sorted or cut.
+    of exponent <= x_window - e1, found with one bisection.
 
-    data maps K -> {e: [a, b, d]}, the value (a + b*i)/d with d > 0 and no
-    common factor removed.  A cell pair adds its Gaussian-integer numerator
-    over d1*d2: directly when the cell already has that denominator, over
-    the lcm of both otherwise.  No scalar or polynomial is formed per pair,
-    and no common factor is sought; :func:`finish_products` makes each cell
-    canonical once the accumulation of a result is complete.
+    data maps K -> {e: [a, b, d]}, the same raw value.  A cell pair adds
+    its Gaussian-integer numerator over d1*d2: directly when the cell
+    already has that denominator, over the lcm of both otherwise; no
+    scalar or polynomial is formed per pair and no common factor is sought.
     """
     windowed = x_window is not None
     sides = []
@@ -478,6 +480,33 @@ def finish_products(data: dict) -> dict:
         terms = {e: _gq(a, b, d) for e, (a, b, d) in row.items() if a or b}
         if terms:
             out[K] = _lp_raw(terms)
+    return out
+
+
+def _merge_products(into: dict, data: dict) -> dict:
+    """into, with the raw accumulator data added in, cell by cell; into may
+    take over data's rows and cells, so data is not read afterwards."""
+    for K, row in data.items():
+        dest = into.setdefault(K, row)
+        for e, cell in row.items() if dest is not row else ():
+            held = dest.setdefault(e, cell)
+            if held is not cell:
+                m = held[2] if held[2] == cell[2] else math.lcm(held[2], cell[2])
+                s, t = m // held[2], m // cell[2]
+                held[:] = held[0] * s + cell[0] * t, held[1] * s + cell[1] * t, m
+    return into
+
+
+def finish_items(data: dict) -> list:
+    """The raw accumulator data as items (K, |K|, cells), each cell reduced
+    by one gcd: what _series_cells(finish_products(data)) returns, in the
+    same order, with no scalar, polynomial or series built."""
+    out = []
+    for K, row in data.items():
+        cells = [(e, a // g, b // g, d // g) for e, (a, b, d) in row.items() if a or b
+                 for g in (math.gcd(a, b, d),)]
+        if cells:
+            out.append((K, sum(K), cells))
     return out
 
 

@@ -177,6 +177,22 @@ def euler_apply(f, s):
     return _lp_raw(data)
 
 
+def lie_series(step, start, t, x_window):
+    """start + sum_{k>=1} term_k with term_k = step(term_{k-1}, x_window, t/k),
+    up to the first zero term: the oracles' Lie-series driver.
+
+    step(s, x_window, c) is c * W(s) or c * [W, s], each formed whole by
+    the public apply or bracket, cut at x_window, and then scaled.
+    """
+    acc = term = start
+    for k in range(1, lie._GUARD + 1):
+        term = step(term, x_window, t / k)
+        if term.is_zero():
+            return acc
+        acc = acc + term
+    raise lie.CertificateError("Lie series failed to terminate; nilpotency is violated")
+
+
 def ref_fold(n, cap, factors):
     """f_k o ... o f_1 from its Lie factors, each on its own: one Lie series
     per exp factor and one substitution per linear factor, innermost first.
@@ -193,7 +209,7 @@ def ref_fold(n, cap, factors):
             def step(s, w, c, W=W):
                 return W.apply(s, w).scale(c)
 
-            images = [lie._lie_series(step, s, t, w) for s in images]
+            images = [lie_series(step, s, t, w) for s in images]
     return Automorphism(images[0], images[1:])
 
 

@@ -8,12 +8,12 @@ kernels, calls ``exec`` or ``compile``, and no module calls ``eval``.
 A third check resolves every name ``perfbench/spans.py`` wraps, so a refactor
 that moves a traced method fails here, not only in a traced benchmark run.
 A fourth scan keeps one fold from Lie factors to images: in every module,
-only ``lie._from_factors`` and ``lie.exp_ad`` call ``_lie_series``.
+only ``lie._from_factors`` and ``lie.exp_ad`` call ``_exp_series``.
 A fifth keeps the sweep on the slots that are present: ``normalize`` does
 not walk ``iter_l_indices``.
 A sixth keeps JSON on the CLI's writer: no module calls ``json.dumps`` with
 ``indent``, which runs json's pure-Python encoder.
-A seventh keeps the x-window in the product kernel: ``lie._lie_series`` and
+A seventh keeps the x-window in the product kernel: ``lie._exp_series`` and
 ``normalform._intertwines`` call neither ``truncate_x`` nor ``_in_window``,
 so they form no term above the window only to drop it.
 An eighth keeps every public name read: each public def and public method
@@ -187,7 +187,7 @@ def test_one_fold_runs_the_lie_series():
     calls = {
         (path.name, fn)
         for path in PACKAGE.glob("*.py")
-        for fn, _ in callers_of(path.read_text(encoding="utf-8"), "_lie_series")
+        for fn, _ in callers_of(path.read_text(encoding="utf-8"), "_exp_series")
     }
     assert calls == LIE_SERIES_CALLERS
 
@@ -207,16 +207,16 @@ def test_one_module_picks_the_diagonal_closed_form():
 
 def test_caller_scan_sees_every_call():
     source = (
-        "_lie_series(a)\n"
+        "_exp_series(a)\n"
         "class A:\n"
         "    def f(self):\n"
-        "        return lie._lie_series(b)\n"
+        "        return lie._exp_series(b)\n"
         "def g():\n"
         "    def h():\n"
-        "        return [_lie_series(s) for s in c]\n"
-        "    return _lie_series\n"
+        "        return [_exp_series(s) for s in c]\n"
+        "    return _exp_series\n"
     )
-    assert callers_of(source, "_lie_series") == [(None, 1), ("f", 4), ("h", 7)]
+    assert callers_of(source, "_exp_series") == [(None, 1), ("f", 4), ("h", 7)]
 
 
 def test_sweep_does_not_walk_every_slot():
@@ -267,10 +267,10 @@ def test_walker_scan_sees_a_second_walk():
     assert module_defs(source) == {"normalize", "_next_slot"}
 
 
-WINDOWED = {"lie.py": "_lie_series", "normalform.py": "_intertwines"}
-# the kernel route each windowed function takes: a Lie series term's step,
-# and the certificate's accumulation of both sides
-KERNEL_CALLS = {"_lie_series": "step", "_intertwines": "_apply_into"}
+WINDOWED = {"lie.py": "_exp_series", "normalform.py": "_intertwines"}
+# the kernel route each windowed function takes: a Lie series term's raw
+# accumulators, and the certificate's accumulation of both sides
+KERNEL_CALLS = {"_exp_series": "_ad_accumulators", "_intertwines": "_apply_into"}
 POST_TRUNCATIONS = ("truncate_x", "_in_window")
 
 
@@ -296,7 +296,7 @@ def test_window_stays_in_the_kernel(module, function):
 # accumulator, so it builds neither side as a series (apply) and makes no
 # cell canonical, and it stays independent of the sweep's brackets and
 # adjoint series
-NOT_IN_CERTIFICATE = ("apply", "finish_products", "exp_ad", "bracket", "_lie_series")
+NOT_IN_CERTIFICATE = ("apply", "finish_products", "exp_ad", "bracket", "_exp_series", "finish_items")
 
 
 def test_certificate_forms_no_series():
@@ -325,14 +325,46 @@ def test_certificate_scan_sees_a_forbidden_call():
 
 def test_truncation_scan_sees_a_post_truncation():
     source = (
-        "def _lie_series(step, start, t, x_window):\n"
-        "    term = _in_window(step(start), x_window)\n"
+        "def _exp_series(W, starts, t, x_window):\n"
+        "    term = _in_window(step(starts), x_window)\n"
         "    return term.truncate_x(x_window)\n"
         "def _from_factors(images, w):\n"
         "    return [s.truncate_x(w) for s in images]\n"
     )
-    assert post_truncations(source, {"_lie_series"}) == [("_lie_series", 2), ("_lie_series", 3)]
+    assert post_truncations(source, {"_exp_series"}) == [("_exp_series", 2), ("_exp_series", 3)]
     assert post_truncations(source, {"_intertwines"}) == []
+
+
+def call_name(node):
+    """The name a call calls, ``f`` or ``<obj>.f``; None for other calls."""
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def round_trips(source: str):
+    """(function, line) of each ``_series_cells(finish_products(...))`` call:
+    finished terms converted straight back to kernel items."""
+    return [(fn, line) for _, fn, line in enclosed_hits(source, lambda node: (
+        isinstance(node, ast.Call) and call_name(node) == "_series_cells"
+        and bool(node.args) and isinstance(node.args[0], ast.Call)
+        and call_name(node.args[0]) == "finish_products"
+    ))]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_finished_terms_go_back_to_items(path):
+    # finish_items makes a raw accumulator into items with no object built
+    assert round_trips(path.read_text(encoding="utf-8")) == []
+
+
+def test_round_trip_scan_sees_a_round_trip():
+    source = (
+        "def _product(f, g):\n"
+        "    return _series_cells(finish_products(data))\n"
+        "def layer(data):\n"
+        "    items = series._series_cells(series.finish_products(data))\n"
+        "    return _series_cells(s._terms), finish_items(data)\n"
+    )
+    assert round_trips(source) == [("_product", 2), ("layer", 4)]
 
 
 def dumps_calls(source: str):

@@ -36,6 +36,7 @@ from crossfield.series import (
 from helpers import (
     derivative,
     euler_apply,
+    lie_series,
     scale_series,
     rand_field,
     rand_invertible_matrix,
@@ -984,7 +985,7 @@ class TestOncePerMap:
     def test_images_convert_once_per_window(self, monkeypatch, n):
         # the memo holds z'^K as kernel items: the first apply in a window
         # converts each z-image once, and applying the fixed map again
-        # converts nothing
+        # converts none of them (apply converts its operand f on every call)
         rng = random.Random(137 + n)
         for cap in (3, 5):
             phi = exp(rand_z_one_flat(rng, n, cap, terms=3))
@@ -994,12 +995,15 @@ class TestOncePerMap:
             monkeypatch.setattr(
                 lie, "_series_cells", lambda terms: converted.append(terms) or cells(terms)
             )
+            def images_converted():
+                return [sum(t is c._terms for t in converted) for c in phi.img_z]
+
             for w in (None, 2):
                 converted.clear()
                 first = phi.apply(f, w)
-                assert [sum(t is c._terms for t in converted) for c in phi.img_z] == [1] * n
+                assert images_converted() == [1] * n
                 converted.clear()
-                assert phi.apply(f, w) == first and converted == [], (cap, w)
+                assert phi.apply(f, w) == first and images_converted() == [0] * n, (cap, w)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("cap", [3, 4, 5, 6, 7])
@@ -1072,17 +1076,62 @@ class TestFoldedFactors:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_substitution_sign_goes_into_every_layer(self, n):
-        # _apply_into's sign is folded into f's cells, so the Taylor layers
-        # that a moving x-image multiplies by u^m carry it too
+        # a sign folded into f's cells reaches the Taylor layers that a
+        # moving x-image multiplies by u^m too
         rng = random.Random(170 + n)
         for cap in (3, 5):
             phi = shifted_map(rng, n, cap, min_exp=-1)
             f = rand_series(rng, n, cap, terms=6, min_exp=-2, max_exp=3)
             data = {}
-            phi._apply_into(data, f, -1, None)
+            phi._apply_into(data, series._series_cells(f._terms, -1), None)
             assert TransverseSeries(n, cap, series.finish_products(data)) == -ref_apply(phi, f)
-            phi._apply_into(data, f, 1, None)
+            phi._apply_into(data, series._series_cells(f._terms), None)
             assert series.finish_products(data) == {}
+
+
+class TestFinishedOnce:
+    """A Lie series, a log and a pushforward keep their intermediate terms,
+    steps and layers as kernel items: each makes one finish_products call
+    per component it returns."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("moving", [False, True])
+    def test_one_finish_per_returned_component(self, monkeypatch, n, moving):
+        rng = random.Random(180 + 2 * n + moving)
+        cap = 5
+        make = rand_one_flat if moving else rand_z_one_flat
+        W = make(rng, n, cap, terms=3, min_exp=-1)
+        X = rand_field(rng, n, cap, terms=3, min_exp=-1)
+        phi = shifted_map(rng, n, cap, min_exp=-1)
+        psi = exp(rand_z_one_flat(rng, n, cap, terms=3))
+        inv = phi.invert()  # folded before counting, as pushforward reads it
+        coords = lie._coordinates(n, cap)
+        # every series below has at least two nonzero terms or steps
+        assert any(W.apply(W.apply(c)) for c in coords)
+        assert any(psi.apply(psi.apply(c) - c) - (psi.apply(c) - c) for c in coords)
+        runs = {
+            "fold": lambda: exp(W),
+            "exp_ad": lambda: exp_ad(W, X),
+            "log": lambda: log(psi),
+            "pushforward": lambda: phi.pushforward(X),
+        }
+        finished = count_calls(monkeypatch, lie, "finish_products")
+        got = {}
+        for name, run in runs.items():
+            finished[0] = 0
+            got[name] = run()
+            assert finished[0] == n + 1, name
+        monkeypatch.undo()
+
+        def bracket_step(V, w, c):
+            return W.bracket(V, w).scale(c)
+
+        assert got["fold"] == ref_fold(n, cap, ((W, G(1), None),))
+        assert got["exp_ad"] == lie_series(bracket_step, X, Fraction(1), None)
+        assert got["log"] == ref_log(psi)
+        assert got["pushforward"] == VectorField(
+            phi.apply(X.apply(inv.img_x)), [phi.apply(X.apply(c)) for c in inv.img_z]
+        )
 
 
 class TestInverseLinks:
@@ -1408,7 +1457,7 @@ def ref_exp_images(X: VectorField, t: G, x_window, series):
     def step(s, w, c):
         return X.apply(s, w).scale(c)
 
-    return [lie._lie_series(step, s, t, x_window) for s in series]
+    return [lie_series(step, s, t, x_window) for s in series]
 
 
 class TestOneFold:

@@ -24,11 +24,12 @@ from crossfield.normalform import (
 )
 from crossfield.parsing import parse_field
 from crossfield.resonance import as_eigenvalues, pairing
-from crossfield.series import MonomialIndex, TransverseSeries, iter_exponents, iter_l_indices
+from crossfield.series import MonomialIndex, TransverseSeries, _series_cells, iter_exponents, iter_l_indices
 
 from helpers import (
     abs_bound,
     euler_apply,
+    lie_series,
     rand_gq_nonzero,
     rand_laurent,
     rand_mu,
@@ -551,8 +552,8 @@ def side_cells(phi, X, Y, window):
     out = []
     for comp, img in [(X.a, phi.img_x)] + list(zip(X.b, phi.img_z)):
         left, right = {}, {}
-        phi._apply_into(left, comp, 1, window)
-        Y._apply_into(right, img, -1, window)
+        phi._apply_into(left, _series_cells(comp._terms), window)
+        Y._apply_into(right, _series_cells(img._terms, -1), window)
         out.append((left, right))
     return out
 
@@ -643,7 +644,11 @@ SERIES_ONLY = (
 
 def series_ad(W, X, w):
     """exp(ad_W)(X) as the plain Lie series of brackets, cut at x-degree w."""
-    return lie._lie_series(W._bracket, X if w is None else X.truncate_x(w), Fraction(1), w)
+
+    def step(V, w, c):
+        return W.bracket(V, w).scale(c)
+
+    return lie_series(step, X if w is None else X.truncate_x(w), Fraction(1), w)
 
 
 class TestDiagonalSteps:

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,9 @@ from crossfield.series import (
     MonomialIndex,
     TransverseSeries,
     _cells,
+    _series_cells,
     accumulate_products,
+    finish_items,
     finish_products,
     iter_exponents,
     iter_l_indices,
@@ -469,6 +472,64 @@ class TestProductKernel:
                 cut = {K: c.truncate_x(window) for K, c in want.items()}
                 assert got == {K: c for K, c in cut.items() if c._terms}
         assert negative > 0
+
+
+class TestFinishItems:
+    """finish_items gives the items that converting finish_products' terms
+    gives, in the same order, and leaves the accumulator as it was."""
+
+    @staticmethod
+    def raw_accumulator(rng, n, cap, seen):
+        """A raw accumulator with zero cells, cells that share a common
+        factor, Gaussian and negative numerators, and rows whose every cell
+        is zero; seen counts each kind."""
+        data = {}
+        monos = list(iter_exponents(n, 0, cap))
+        for K in rng.sample(monos, min(len(monos), 5)):
+            row = data[K] = {}
+            for e in rng.sample(range(-3, 4), rng.randint(1, 4)):
+                a = rng.randint(-9, 9)
+                b = rng.randint(-9, 9) if rng.random() < 0.6 else 0
+                common = rng.choice((1, 2, 6, 35))
+                row[e] = [common * a, common * b, common * rng.randint(1, 12)]
+            if rng.random() < 0.25:
+                for cell in row.values():
+                    cell[0] = cell[1] = 0
+                seen["cancelled row"] += 1
+            for a, b, d in row.values():
+                seen["zero cell"] += not (a or b)
+                seen["unreduced"] += math.gcd(a, b, d) > 1
+                seen["gaussian"] += b != 0
+                seen["negative"] += a < 0 or b < 0
+        return data
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_converted_finished_terms(self, n):
+        rng = random.Random(610 + n)
+        seen = dict.fromkeys(("cancelled row", "zero cell", "unreduced", "gaussian", "negative"), 0)
+        for cap in range(0, 5):
+            for _ in range(12):
+                data = self.raw_accumulator(rng, n, cap, seen)
+                before = copy.deepcopy(data)
+                assert finish_items(data) == _series_cells(finish_products(data))
+                assert data == before
+        assert all(seen.values()), seen
+
+    def test_products_that_cancel(self):
+        # an accumulator filled by the kernel, where the products of some
+        # left items are added twice with opposite signs: their rows cancel
+        # and are dropped, as finish_products drops them
+        rng = random.Random(620)
+        for n, cap in ((1, 4), (2, 4), (3, 3)):
+            for _ in range(10):
+                left = mixed_terms(rng, n, cap, 4)
+                right = mixed_terms(rng, n, cap, 3)
+                acc = {}
+                accumulate_products(acc, cap, raw(left), raw(right))
+                accumulate_products(acc, cap, raw(left[:2], a=-1, common=6), raw(right))
+                got = finish_items(acc)
+                assert got == _series_cells(finish_products(acc))
+                assert all(cells for _, _, cells in got)
 
 
 def _series(draw, n, cap, min_deg=0):
